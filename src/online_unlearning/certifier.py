@@ -11,12 +11,16 @@
    both output laws are Gaussian with a shared covariance, so the interval
    divergence collapses to the closed form at the deletion time.
 3. **Monte-Carlo cross-check**: vectorized paired simulations estimate the
-   output means and plug them into the same closed form.
+   output means and plug them into the same closed form.  Every sample
+   follows the same deterministic path until the first noise event
+   ``tau_1``, so that prefix is simulated once and broadcast: an interval
+   costs one path to ``tau_1`` plus ``n`` rows from ``tau_1`` to ``tau_i``.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -421,6 +425,30 @@ def propagate_gaussians(
     )
 
 
+# While ``certify_passive_run`` runs, the propagation the oracle computes for
+# an interval is kept here by ordinal, and the Monte-Carlo check of the same
+# interval reuses it instead of propagating again.
+_SHARED_PROPAGATIONS: ContextVar[dict | None] = ContextVar("_SHARED_PROPAGATIONS", default=None)
+
+
+def _interval_propagation(
+    stream: CostStream,
+    sched: DeletionSchedule,
+    rates: RateSchedule | np.ndarray,
+    cfg: UnlearnerConfig,
+    cls: FnClass,
+    dom: BallDomain,
+    ordinal: int,
+) -> PropagationResult:
+    shared = _SHARED_PROPAGATIONS.get()
+    if shared is not None and ordinal in shared:
+        return shared[ordinal]
+    prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
+    if shared is not None:
+        shared[ordinal] = prop
+    return prop
+
+
 def _shared_cov_divergence(alpha: float, diff: np.ndarray, cov: np.ndarray) -> float:
     """``(alpha/2) diff^T cov^+ diff``; infinite if ``diff`` leaves the support."""
     norm_diff = float(np.linalg.norm(diff))
@@ -452,7 +480,7 @@ def exact_divergence_quadratic(
     identical deterministic maps, so the first noisy state is sufficient and
     the divergence is the shared-covariance Gaussian form at ``tau_i``.
     """
-    prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
+    prop = _interval_propagation(stream, sched, rates, cfg, cls, dom, ordinal)
     diff = prop.with_deleted.mean - prop.without_deleted.mean
     return _shared_cov_divergence(cfg.alpha, diff, prop.with_deleted.covariance)
 
@@ -507,8 +535,19 @@ def _simulate_batch(
     row_offset: int,
     dim: int,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorized projected-OGD sample paths; returns (sum of z_tau rows, bindings)."""
-    z = np.zeros((rows, dim))
+    """Vectorized projected-OGD sample paths; returns (sum of z_tau rows, bindings).
+
+    All ``rows`` samples share one deterministic path until the first noise
+    event with ``sigma > 0``, so that prefix runs on a block of
+    ``min(rows, 2)`` identical rows and is broadcast to all ``rows`` at the
+    event: the cost is one path to ``tau_1`` plus ``rows`` paths from
+    ``tau_1`` to ``tau_i``.  Two rows, not one, keep the matrix products on
+    the same BLAS kernel as the full batch, so every output bit matches a
+    full-batch run from ``t = 1``; while collapsed, a bound step counts
+    ``rows`` binding events.
+    """
+    z = np.zeros((min(rows, 2), dim))
+    collapsed = True
     binding = 0
     for t in range(1, tau_i + 1):
         item = stream.item_at(t)
@@ -519,14 +558,18 @@ def _simulate_batch(
             norms = np.linalg.norm(z, axis=1)
             over = norms > dom.radius
             if np.any(over):
-                binding += int(np.sum(over))
+                binding += rows if collapsed else int(np.sum(over))
                 z[over] *= (dom.radius / norms[over])[:, None]
-        if t in noise_times:
-            j = noise_times[t]
-            sigma = sigmas[j - 1]
-            draws = event_normals(seed, (process_id, j), rows, dim, row_offset)
-            if sigma > 0.0:
-                z = z + sigma * draws
+        j = noise_times.get(t)
+        sigma = sigmas[j - 1] if j is not None else 0.0
+        if sigma > 0.0:
+            if collapsed:
+                z = np.repeat(z[:1], rows, axis=0)
+                collapsed = False
+            z = z + sigma * event_normals(seed, (process_id, j), rows, dim, row_offset)
+    if collapsed:
+        # Sum the broadcast rows, not rows * z[0]: the two differ in the last bit.
+        z = np.repeat(z[:1], rows, axis=0)
     return z.sum(axis=0), binding
 
 
@@ -556,7 +599,7 @@ def mc_divergence_check(
         raise InvalidInputError("need n >= 1 and 1 <= shards <= n")
     horizon = len(stream)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, dom, ordinal)
+    prop = _interval_propagation(stream, sched, rates_arr, cfg, cls, dom, ordinal)
     tau_i = sched.times[ordinal - 1]
     noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
     probe = next(it for it in stream.items if not is_skip(it))
@@ -683,32 +726,36 @@ def certify_passive_run(
         ]
 
     reports = []
-    for i in range(1, sched.k + 1):
-        bound_i = cert.per_interval[i - 1]
-        note = ""
-        exact: float | None = None
-        mc: float | None = None
-        try:
-            exact = exact_divergence_quadratic(stream, sched, rates_arr, cfg, cls, dom, i)
-        except (OracleUnavailableError, UnsupportedCostError) as err:
-            note = f"oracle unavailable: {err}"
-        if mc_samples > 0 and exact is not None:
-            mc = mc_divergence_check(
-                stream, sched, rates_arr, cfg, cls, dom, i, mc_samples, seed
-            ).estimate
-        passes = bound_i <= cfg.budget + 1e-12 and (
-            exact is None or exact <= bound_i + _EXACT_TOL
-        )
-        reports.append(
-            IntervalCertificate(
-                ordinal=i,
-                interval=_interval_bounds(sched, i, horizon),
-                analytic_bound=bound_i,
-                exact_divergence=exact,
-                mc_estimate=mc,
-                budget=cfg.budget,
-                passes=passes,
-                note=note,
+    token = _SHARED_PROPAGATIONS.set({})
+    try:
+        for i in range(1, sched.k + 1):
+            bound_i = cert.per_interval[i - 1]
+            note = ""
+            exact: float | None = None
+            mc: float | None = None
+            try:
+                exact = exact_divergence_quadratic(stream, sched, rates_arr, cfg, cls, dom, i)
+            except (OracleUnavailableError, UnsupportedCostError) as err:
+                note = f"oracle unavailable: {err}"
+            if mc_samples > 0 and exact is not None:
+                mc = mc_divergence_check(
+                    stream, sched, rates_arr, cfg, cls, dom, i, mc_samples, seed
+                ).estimate
+            passes = bound_i <= cfg.budget + 1e-12 and (
+                exact is None or exact <= bound_i + _EXACT_TOL
             )
-        )
+            reports.append(
+                IntervalCertificate(
+                    ordinal=i,
+                    interval=_interval_bounds(sched, i, horizon),
+                    analytic_bound=bound_i,
+                    exact_divergence=exact,
+                    mc_estimate=mc,
+                    budget=cfg.budget,
+                    passes=passes,
+                    note=note,
+                )
+            )
+    finally:
+        _SHARED_PROPAGATIONS.reset(token)
     return reports

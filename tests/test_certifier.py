@@ -17,12 +17,16 @@ from online_unlearning import (
     gaussian_renyi,
     mc_divergence_check,
 )
+from online_unlearning import certifier
 from online_unlearning.certifier import (
+    _simulate_batch,
     interval_sequence_divergence,
     propagate_gaussians,
+    rates_array,
 )
-from online_unlearning.core import class_bound_lipschitz
+from online_unlearning.core import class_bound_lipschitz, is_skip, retained
 from online_unlearning.ogd import ConstantRate, SCDecreasing
+from online_unlearning.rng import event_normals
 
 from conftest import iso_quad, random_spd_quad, stream_of
 
@@ -303,6 +307,23 @@ class TestMonteCarlo:
                                    n=5000, seed=4, shards=6)
         assert one.estimate == pytest.approx(many.estimate, rel=1e-12)
 
+    def test_certification_propagates_each_interval_once(self, unit_ball, monkeypatch):
+        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return propagate_gaussians(*args)
+
+        monkeypatch.setattr(certifier, "propagate_gaussians", counting)
+        reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball,
+                                      mc_samples=1000, seed=2)
+        assert reports[0].mc_estimate is not None
+        assert calls == [1]
+        # Outside a certification the Monte-Carlo check propagates for itself.
+        mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=1000, seed=2)
+        assert calls == [1, 1]
+
     def test_concurrent_shards_match_sequential(self, unit_ball):
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
         seq = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
@@ -311,6 +332,120 @@ class TestMonteCarlo:
                                   n=4000, seed=5, shards=4, jobs=4)
         assert seq.estimate == par.estimate
         assert np.array_equal(seq.mean_with_deleted, par.mean_with_deleted)
+
+
+def _full_batch_reference(stream, rates_arr, dom, sigmas, noise_times, tau_i, seed,
+                          process_id, rows, row_offset, dim):
+    """Reference sample paths: every row simulated from t = 1, no shared prefix."""
+    z = np.zeros((rows, dim))
+    binding = 0
+    for t in range(1, tau_i + 1):
+        item = stream.item_at(t)
+        if not is_skip(item):
+            eta = float(rates_arr[t - 1])
+            grad = (z - item.center) @ item.matrix
+            z = z - eta * grad
+            norms = np.linalg.norm(z, axis=1)
+            over = norms > dom.radius
+            if np.any(over):
+                binding += int(np.sum(over))
+                z[over] *= (dom.radius / norms[over])[:, None]
+        if t in noise_times:
+            j = noise_times[t]
+            sigma = sigmas[j - 1]
+            draws = event_normals(seed, (process_id, j), rows, dim, row_offset)
+            if sigma > 0.0:
+                z = z + sigma * draws
+    return z.sum(axis=0), binding
+
+
+class TestCollapsedPrefix:
+    """The broadcast prefix reproduces the full-batch simulation bit for bit."""
+
+    @staticmethod
+    def _setup(dim, horizon, entries, radius=1.0, center_radius=0.5, seed=0):
+        rng = np.random.default_rng(seed)
+        items = [random_spd_quad(rng, dim, 1.0, 3.0, center_radius) for _ in range(horizon)]
+        sched = DeletionSchedule(entries)
+        rates_arr = rates_array(SCDecreasing(mu=1.0), horizon)
+        return stream_of(items), sched, rates_arr, BallDomain(radius)
+
+    @staticmethod
+    def _both(stream, sched, rates_arr, dom, sigmas, ordinal, rows, row_offset=0, seed=9):
+        noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
+        tau_i = sched.times[ordinal - 1]
+        dim = stream.items[0].dim
+        for process_id, proc in enumerate((stream, retained(stream, sched, upto=ordinal))):
+            args = (proc, rates_arr, dom, sigmas, noise_times, tau_i, seed,
+                    process_id, rows, row_offset, dim)
+            yield _simulate_batch(*args), _full_batch_reference(*args)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 257])
+    def test_matches_full_batch(self, dim, rows):
+        stream, sched, rates_arr, dom = self._setup(dim, 30, ((6, 12),))
+        for (got, got_bind), (ref, ref_bind) in self._both(
+                stream, sched, rates_arr, dom, (0.3,), 1, rows, row_offset=5):
+            assert np.array_equal(got, ref)
+            assert got_bind == ref_bind
+
+    def test_binding_prefix_counts_every_row(self):
+        stream, sched, rates_arr, dom = self._setup(5, 30, ((6, 12),), radius=0.05,
+                                                    center_radius=0.9, seed=1)
+        rows = 257
+        for (got, got_bind), (ref, ref_bind) in self._both(
+                stream, sched, rates_arr, dom, (0.3,), 1, rows):
+            assert np.array_equal(got, ref)
+            assert got_bind == ref_bind
+        # A single-deletion interval ends at tau_1: every bound step is in the prefix.
+        noise_times = {12: 1}
+        _, bound_steps = _full_batch_reference(stream, rates_arr, dom, (0.3,), noise_times,
+                                               12, 9, 0, 1, 0, 5)
+        _, binding = _simulate_batch(stream, rates_arr, dom, (0.3,), noise_times,
+                                     12, 9, 0, rows, 0, 5)
+        assert bound_steps > 0
+        assert binding == rows * bound_steps
+
+    @pytest.mark.parametrize("sigmas", [(0.3, 0.2), (0.0, 0.2), (0.0, 0.0)])
+    def test_second_deletion_before_first_noise(self, sigmas):
+        # u_2 < tau_1: rows fan out at the first noisy event and run to tau_2.
+        stream, sched, rates_arr, dom = self._setup(5, 40, ((4, 15), (9, 25)))
+        for (got, got_bind), (ref, ref_bind) in self._both(
+                stream, sched, rates_arr, dom, sigmas, 2, 257, row_offset=3):
+            assert np.array_equal(got, ref)
+            assert got_bind == ref_bind
+
+    def test_zero_sigma_event_draws_nothing(self, monkeypatch):
+        stream, sched, rates_arr, dom = self._setup(5, 40, ((4, 15), (9, 25)))
+        calls = []
+
+        def counting(seed, stream_key, *args):
+            calls.append(stream_key)
+            return event_normals(seed, stream_key, *args)
+
+        monkeypatch.setattr(certifier, "event_normals", counting)
+        _simulate_batch(stream, rates_arr, dom, (0.0, 0.2), {15: 1, 25: 2}, 25, 9, 0, 257, 0, 5)
+        assert calls == [(0, 2)]
+
+    def test_threaded_shards_match_full_batch(self, unit_ball):
+        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
+        n, shards = 3001, 3
+        report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
+                                     n=n, seed=6, shards=shards, jobs=2)
+        rates_arr = rates_array(rates, len(stream))
+        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
+        bounds = [round(s * n / shards) for s in range(shards + 1)]
+        binding = 0
+        for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
+            total = np.zeros(2)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                part, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
+                                                    {20: 1}, 20, 6, process_id, hi - lo, lo, 2)
+                total = total + part
+                binding += bound
+            mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
+            assert np.array_equal(mean, total / n)
+        assert report.binding_events == binding
 
 
 def _well_conditioned_setup(dom):
