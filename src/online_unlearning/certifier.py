@@ -31,8 +31,8 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
-    is_skip,
     retained,
+    stack_quadratics,
 )
 from .errors import (
     CertificationRefusedError,
@@ -40,12 +40,19 @@ from .errors import (
     OracleUnavailableError,
     UnsupportedCostError,
 )
-from .ogd import AdaptiveRate, RateSchedule, rate, step_contraction
+from .ogd import (
+    AdaptiveRate,
+    RateSchedule,
+    gradient_step_sensitivity,
+    rate,
+    step_contraction,
+)
 from .passive import (
     UnlearnerConfig,
     calibrated_sigma,
     deletion_decay,
     deletion_delta,
+    series_term,
 )
 from .rng import event_normals
 
@@ -141,9 +148,8 @@ def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
 def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> np.ndarray:
     """Honest per-step contraction factors; SKIP steps are the identity."""
     out = np.ones(len(stream))
-    for t in range(1, len(stream) + 1):
-        if not is_skip(stream.item_at(t)):
-            out[t - 1] = step_contraction(cls, float(rates_arr[t - 1]))
+    for t in np.flatnonzero(stream.live).tolist():
+        out[t] = step_contraction(cls, float(rates_arr[t]))
     return out
 
 
@@ -228,7 +234,7 @@ def analytic_bound(
     terms = []
     for j, (u, tau) in enumerate(entries, start=1):
         if deltas_at[u] * decays[j - 1] > 0.0:
-            terms.append(cfg.alpha * cfg.eps * (cfg.omega - 1.0) / (cfg.omega * j**cfg.omega))
+            terms.append(series_term(cfg, j))
         else:
             terms.append(0.0)
 
@@ -336,10 +342,13 @@ def propagate_gaussians(
     deltas, decays, sigmas = _deletion_params(stream, sched, ordinal, rates_arr, cfg, cls)
     tau_i = sched.times[ordinal - 1]
     u_min = min(sched.indices[:ordinal])
-    probe = next(it for it in stream.items if not is_skip(it))
-    dim = probe.dim
+    mats, centers, _, _ = stack_quadratics(stream)
+    dim = centers.shape[1]
+    mats, centers = list(mats), list(centers)
+    eye = np.eye(dim)
+    eye.flags.writeable = False
 
-    streams = (stream, retained(stream, sched, upto=ordinal))
+    lives = (stream.live.tolist(), retained(stream, sched, upto=ordinal).live.tolist())
     means = [np.zeros(dim), np.zeros(dim)]
     # One linear-part product per (process, noise event), started at injection.
     prods: Tuple[dict, dict] = ({}, {})
@@ -347,10 +356,10 @@ def propagate_gaussians(
 
     for t in range(1, tau_i + 1):
         eta = float(rates_arr[t - 1])
+        mat, center = mats[t - 1], centers[t - 1]
         for run in (0, 1):
-            item = streams[run].item_at(t)
-            if not is_skip(item):
-                grad = item.matrix @ (means[run] - item.center)
+            if lives[run][t - 1]:
+                grad = mat @ (means[run] - center)
                 moved = means[run] - eta * grad
                 norm = float(np.linalg.norm(moved))
                 if norm > dom.radius * (1.0 + 1e-12):
@@ -362,13 +371,13 @@ def propagate_gaussians(
                     moved = moved * (dom.radius / norm)
                 means[run] = moved
                 if prods[run]:
-                    linear = np.eye(dim) - eta * item.matrix
+                    linear = eye - eta * mat
                     for j in prods[run]:
                         prods[run][j] = linear @ prods[run][j]
         if t in noise_by_time:
             j = noise_by_time[t]
-            prods[0][j] = np.eye(dim)
-            prods[1][j] = np.eye(dim)
+            prods[0][j] = eye
+            prods[1][j] = eye
 
     covs = []
     for run in (0, 1):
@@ -389,16 +398,16 @@ def propagate_gaussians(
 
     # Continue both means through the (identical) post-deletion maps, keeping
     # the interval's deterministic Jacobians for the sequence-collapse witness.
-    post_jacobians = [np.eye(dim)]
+    post_jacobians = [eye]
     post_means = [(means[0].copy(), means[1].copy())]
-    jac = np.eye(dim)
+    jac = eye
     mean0, mean1 = means[0].copy(), means[1].copy()
     for t in range(tau_i + 1, end + 1):
-        item = streams[0].item_at(t)
-        if not is_skip(item):
+        if lives[0][t - 1]:
             eta = float(rates_arr[t - 1])
-            linear = np.eye(dim) - eta * item.matrix
-            shift = eta * (item.matrix @ item.center)
+            mat = mats[t - 1]
+            linear = eye - eta * mat
+            shift = eta * (mat @ centers[t - 1])
             mean0 = linear @ mean0 + shift
             mean1 = linear @ mean1 + shift
             for m in (mean0, mean1):
@@ -546,14 +555,15 @@ def _simulate_batch(
     full-batch run from ``t = 1``; while collapsed, a bound step counts
     ``rows`` binding events.
     """
+    mats, centers, _, live = stack_quadratics(stream)
+    mats, centers, live = list(mats[:tau_i]), list(centers[:tau_i]), live[:tau_i].tolist()
     z = np.zeros((min(rows, 2), dim))
     collapsed = True
     binding = 0
     for t in range(1, tau_i + 1):
-        item = stream.item_at(t)
-        if not is_skip(item):
+        if live[t - 1]:
             eta = float(rates_arr[t - 1])
-            grad = (z - item.center) @ item.matrix
+            grad = (z - centers[t - 1]) @ mats[t - 1]
             z = z - eta * grad
             norms = np.linalg.norm(z, axis=1)
             over = norms > dom.radius
@@ -602,8 +612,7 @@ def mc_divergence_check(
     prop = _interval_propagation(stream, sched, rates_arr, cfg, cls, dom, ordinal)
     tau_i = sched.times[ordinal - 1]
     noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
-    probe = next(it for it in stream.items if not is_skip(it))
-    dim = probe.dim
+    dim = stack_quadratics(stream)[1].shape[1]
 
     bounds = [round(s * n / shards) for s in range(shards + 1)]
     both = []
@@ -703,10 +712,7 @@ def certify_passive_run(
     horizon = len(stream)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
     gammas = per_step_gammas(stream, rates_arr, cls)
-    deltas = np.array([
-        0.0 if is_skip(stream.item_at(t)) else float(rates_arr[t - 1]) * cls.lipschitz
-        for t in range(1, horizon + 1)
-    ])
+    deltas = np.where(stream.live, gradient_step_sensitivity(cls, rates_arr), 0.0)
     try:
         _, decays, sigmas = _deletion_params(stream, sched, sched.k, rates_arr, cfg, cls)
         cert = analytic_bound(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)

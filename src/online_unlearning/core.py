@@ -2,8 +2,20 @@
 
 Everything here is an immutable value object: points are read-only float64
 arrays, cost functions freeze their coefficient arrays at construction, and
-streams/schedules are tuples.  Mutating operations always return new objects,
-so values can be shared freely between concurrent runs.
+schedules are tuples.  Mutating operations always return new objects, so
+values can be shared freely between concurrent runs.
+
+A quadratic stream is one stacked, read-only array form: curvatures
+``mats (T, d, d)``, ``centers (T, d)``, ``offsets (T,)`` and a ``live (T,)``
+mask that is False at SKIP slots.  ``CostStream.from_arrays`` validates the
+whole batch at once (finite, square, symmetric, PSD, ``offset >= 0``).  The
+per-step ``QuadraticCost`` objects that ``items`` and ``item_at`` hand out
+are views of the rows, built once on first access and shared, unvalidated
+(their rows already were), by every stream retained from this one; so
+``retained`` copies only the ``live`` mask, and a kept slot yields the very
+same object in both streams.  Hot loops read the arrays and the mask
+directly (``stack_quadratics``, ``CostStream.live``).  A stream built from
+items stacks itself on first use; its views are the items themselves.
 
 Time indices are 1-based throughout the public API (step ``t`` runs from 1 to
 ``T``); only raw array access converts to 0-based offsets.
@@ -13,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,11 +164,34 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_curvatures(mats: np.ndarray) -> np.ndarray:
+    """Validate a stack of curvature matrices ``(T, d, d)``; returns their eigenvalues.
+
+    Each matrix must be finite, symmetric and PSD within ``1e-10 * scale``,
+    where ``scale = max(1, max|A|)`` is taken per matrix.
+    """
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise InvalidInputError(f"curvature matrix must be square, got shape {mats.shape[1:]}")
+    if not np.all(np.isfinite(mats)):
+        raise InvalidInputError("curvature matrix has non-finite entries")
+    if mats.size == 0:
+        return np.zeros(mats.shape[:2])
+    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
+    asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
+    if np.any(asym > 1e-10 * scale):
+        raise InvalidInputError("curvature matrix must be symmetric")
+    eigs = np.linalg.eigvalsh(mats)
+    if np.any(eigs[:, 0] < -1e-10 * scale):
+        raise InvalidInputError("curvature matrix must be positive semidefinite")
+    return eigs
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticCost:
     """Loss ``f(z) = 0.5 (z - center)^T matrix (z - center) + offset``.
 
-    ``matrix`` must be symmetric PSD; ``offset >= 0`` keeps losses nonnegative.
+    ``matrix`` must be symmetric PSD (both within ``1e-10 * max(1, max|A|)``);
+    ``offset >= 0`` keeps losses nonnegative.
     """
 
     matrix: np.ndarray
@@ -165,19 +200,23 @@ class QuadraticCost:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim != 2:
             raise InvalidInputError(f"curvature matrix must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidInputError("curvature matrix has non-finite entries")
-        asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
-        if asym > 1e-10 * scale:
-            raise InvalidInputError("curvature matrix must be symmetric")
+        _check_curvatures(mat[None])
         center = as_point(self.center, dim=mat.shape[0])
         if not (math.isfinite(self.offset) and self.offset >= 0.0):
             raise InvalidInputError(f"offset must be nonnegative, got {self.offset}")
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "center", center)
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray, center: np.ndarray, offset: float) -> "QuadraticCost":
+        """Wrap rows of a validated, read-only stack without copying or re-checking."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "matrix", matrix)
+        object.__setattr__(obj, "center", center)
+        object.__setattr__(obj, "offset", offset)
+        return obj
 
     @property
     def dim(self) -> int:
@@ -266,29 +305,170 @@ def class_bound_lipschitz(f: CostFn, dom: BallDomain) -> float:
     return lam_max * (dom.radius + float(np.linalg.norm(f.center)))
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """Read-only stacked rows of a quadratic stream, shared with its retained streams.
+
+    ``views`` holds one ``QuadraticCost`` per row (SKIP for rows that never
+    held a cost) and is built on first access; ``lam_max`` holds each row's
+    largest eigenvalue once something has asked for it.
+    """
+
+    __slots__ = ("mats", "centers", "offsets", "_views", "_lam_max")
+
+    def __init__(self, mats, centers, offsets, views=None, lam_max=None) -> None:
+        for arr in (mats, centers, offsets):
+            arr.flags.writeable = False
+        self.mats = mats
+        self.centers = centers
+        self.offsets = offsets
+        self._views = views
+        self._lam_max = lam_max
+
+    @property
+    def views(self) -> tuple:
+        if self._views is None:
+            self._views = tuple(
+                QuadraticCost._view(mat, center, offset)
+                for mat, center, offset in zip(self.mats, self.centers, self.offsets.tolist())
+            )
+        return self._views
+
+    @property
+    def lam_max(self) -> np.ndarray:
+        if self._lam_max is None:
+            self._lam_max = np.linalg.eigvalsh(self.mats)[:, -1]
+        return self._lam_max
+
+
 class CostStream:
-    """Ordered losses (or SKIP markers) revealed one per time step."""
+    """Ordered losses (or SKIP markers) revealed one per time step.
 
-    items: Tuple[StreamItem, ...]
+    Built from items (``CostStream(items)``) or, for quadratic losses, from
+    stacked arrays (``CostStream.from_arrays``); either way an all-quadratic
+    stream reads as the stacked form of the module docstring.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
+    __slots__ = ("_items", "_rows", "_live", "_quadratic")
+
+    def __init__(self, items: Iterable[StreamItem]) -> None:
+        self._items = tuple(items)
+        self._rows: _Rows | None = None
+        self._live: np.ndarray | None = None
+        self._quadratic: bool | None = None
+
+    @classmethod
+    def from_arrays(
+        cls, mats: np.ndarray, centers: np.ndarray, offsets: np.ndarray | None = None
+    ) -> "CostStream":
+        """All-live quadratic stream ``f_t(z) = 0.5 (z - c_t)^T A_t (z - c_t) + o_t``.
+
+        The arrays are copied and validated once for the whole batch, with
+        the same checks and errors as ``QuadraticCost``.
+        """
+        mats = np.array(mats, dtype=np.float64, copy=True)
+        eigs = _check_curvatures(mats)
+        horizon, dim = mats.shape[0], mats.shape[1]
+        if horizon < 1 or dim < 1:
+            raise InvalidInputError(f"need at least one d >= 1 loss, got shape {mats.shape}")
+        centers = np.array(centers, dtype=np.float64, copy=True)
+        if centers.shape != (horizon, dim):
+            raise InvalidInputError(f"expected centers of shape {(horizon, dim)}, got {centers.shape}")
+        if not np.all(np.isfinite(centers)):
+            raise InvalidInputError("vector has non-finite coordinates")
+        if offsets is None:
+            offsets = np.zeros(horizon)
+        offsets = np.array(offsets, dtype=np.float64, copy=True)
+        if offsets.shape != (horizon,):
+            raise InvalidInputError(f"expected offsets of shape {(horizon,)}, got {offsets.shape}")
+        bad = ~(np.isfinite(offsets) & (offsets >= 0.0))
+        if np.any(bad):
+            raise InvalidInputError(f"offset must be nonnegative, got {offsets[bad][0]}")
+        live = np.ones(horizon, dtype=bool)
+        return cls._stacked(_Rows(mats, centers, offsets, lam_max=eigs[:, -1]), live)
+
+    @classmethod
+    def _stacked(cls, rows: _Rows, live: np.ndarray) -> "CostStream":
+        live.flags.writeable = False
+        stream = cls.__new__(cls)
+        stream._items = None
+        stream._rows = rows
+        stream._live = live
+        stream._quadratic = True
+        return stream
+
+    @property
+    def items(self) -> Tuple[StreamItem, ...]:
+        if self._items is None:
+            self._items = tuple(
+                view if keep else SKIP
+                for view, keep in zip(self._rows.views, self._live.tolist())
+            )
+        return self._items
+
+    @property
+    def live(self) -> np.ndarray:
+        """Read-only mask, True where the slot holds a cost (not SKIP)."""
+        if self._live is None:
+            live = np.array([not is_skip(it) for it in self._items], dtype=bool)
+            live.flags.writeable = False
+            self._live = live
+        return self._live
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._items) if self._items is not None else self._live.size
 
     def __iter__(self) -> Iterator[StreamItem]:
         return iter(self.items)
 
     def item_at(self, t: int) -> StreamItem:
         """Item revealed at 1-based time ``t``."""
-        if not 1 <= t <= len(self.items):
-            raise InvalidInputError(f"time {t} outside the horizon [1, {len(self.items)}]")
+        if not 1 <= t <= len(self):
+            raise InvalidInputError(f"time {t} outside the horizon [1, {len(self)}]")
         return self.items[t - 1]
 
     def all_quadratic(self) -> bool:
-        return all(is_skip(it) or isinstance(it, QuadraticCost) for it in self.items)
+        if self._quadratic is None:
+            self._quadratic = all(
+                is_skip(it) or isinstance(it, QuadraticCost) for it in self._items
+            )
+        return self._quadratic
+
+    def _quadratic_rows(self) -> _Rows:
+        """The stacked rows; a stream built from items stacks itself here, once."""
+        if self._rows is not None:
+            return self._rows
+        probe = next((it for it in self._items if not is_skip(it)), None)
+        if probe is None:
+            raise InvalidInputError("stream has no cost items")
+        if not self.all_quadratic():
+            raise UnsupportedCostError("stacking requires an all-quadratic stream")
+        horizon = len(self)
+        dim = probe.dim
+        mats = np.zeros((horizon, dim, dim))
+        centers = np.zeros((horizon, dim))
+        offsets = np.zeros(horizon)
+        for t, item in enumerate(self._items):
+            if is_skip(item):
+                continue
+            if item.dim != dim:
+                raise InvalidInputError(f"stream mixes dimensions {dim} and {item.dim}")
+            mats[t] = item.matrix
+            centers[t] = item.center
+            offsets[t] = item.offset
+        self._rows = _Rows(mats, centers, offsets, views=self._items)
+        return self._rows
+
+    def lipschitz_bound(self, dom: BallDomain) -> float:
+        """Largest ``class_bound_lipschitz`` over the live losses, in one batch.
+
+        Bit-identical to the per-item maximum: the batched ``eigvalsh``
+        matches the per-matrix one, and ``sqrt(vecdot(c, c))`` matches
+        ``np.linalg.norm(c)`` (``norm(centers, axis=1)`` would not).
+        """
+        rows = self._quadratic_rows()
+        centers = rows.centers[self.live]
+        bounds = rows.lam_max[self.live] * (dom.radius + np.sqrt(np.vecdot(centers, centers)))
+        return float(np.max(bounds))
 
 
 @dataclass(frozen=True)
@@ -346,41 +526,35 @@ EMPTY_SCHEDULE = DeletionSchedule(())
 
 
 def stack_quadratics(stream: CostStream) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack an all-quadratic stream as (matrices, centers, offsets, live-mask).
+    """The stream's stacked read-only form ``(matrices, centers, offsets, live)``.
 
-    SKIP slots get zero rows and ``live[t-1] = False``.  Raises for opaque
-    costs; callers needing them must loop.
+    Rows of SKIP slots carry no meaning (a retained stream keeps the deleted
+    rows and clears only ``live``), so read them through ``live``.  Raises
+    for opaque costs; callers needing them must loop.
     """
-    probe = next((it for it in stream.items if not is_skip(it)), None)
-    if probe is None:
-        raise InvalidInputError("stream has no cost items")
-    if not isinstance(probe, QuadraticCost) or not stream.all_quadratic():
-        raise UnsupportedCostError("stacking requires an all-quadratic stream")
-    horizon = len(stream)
-    dim = probe.dim
-    mats = np.zeros((horizon, dim, dim))
-    centers = np.zeros((horizon, dim))
-    offsets = np.zeros(horizon)
-    live = np.zeros(horizon, dtype=bool)
-    for t, item in enumerate(stream.items):
-        if is_skip(item):
-            continue
-        mats[t] = item.matrix
-        centers[t] = item.center
-        offsets[t] = item.offset
-        live[t] = True
-    return mats, centers, offsets, live
+    rows = stream._quadratic_rows()
+    return rows.mats, rows.centers, rows.offsets, stream.live
 
 
 def retained(stream: CostStream, schedule: DeletionSchedule, upto: int | None = None) -> CostStream:
-    """Stream with the first ``upto`` deleted indices replaced by SKIP (all by default)."""
+    """Stream with the first ``upto`` deleted indices replaced by SKIP (all by default).
+
+    A quadratic stream shares its rows and views with the result, which gets
+    its own copy of the ``live`` mask only.
+    """
     count = schedule.k if upto is None else upto
     if not 0 <= count <= schedule.k:
         raise InvalidScheduleError(f"cannot retain {count} of {schedule.k} deletions")
     schedule.validate_horizon(len(stream))
-    items = list(stream.items)
+    dropped = [u - 1 for u in schedule.indices[:count]]
     for u in schedule.indices[:count]:
-        if u > len(items):
-            raise InvalidScheduleError(f"deleted index {u} beyond the stream length {len(items)}")
-        items[u - 1] = SKIP
-    return CostStream(tuple(items))
+        if u > len(stream):
+            raise InvalidScheduleError(f"deleted index {u} beyond the stream length {len(stream)}")
+    if stream.all_quadratic() and stream.live.any():
+        live = stream.live.copy()
+        live[dropped] = False
+        return CostStream._stacked(stream._quadratic_rows(), live)
+    items = list(stream.items)
+    for i in dropped:
+        items[i] = SKIP
+    return CostStream(items)

@@ -26,8 +26,6 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
-    QuadraticCost,
-    class_bound_lipschitz,
 )
 from .errors import GeneratorError, InvalidConfigError
 from .ogd import (
@@ -39,7 +37,7 @@ from .ogd import (
     constant_rate_worst_case,
     gamma_nominal,
 )
-from .passive import UnlearnerConfig, run_passive
+from .passive import UnlearnerConfig, run_passive, series_term
 from .regret import (
     active_gap_sum,
     bound_rhs,
@@ -121,12 +119,8 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
             centers = np.broadcast_to(common, (horizon, dim)).copy()
         else:
             centers = _centers_in_half_ball(rng, dim, horizon, radius)
-        items = tuple(
-            QuadraticCost(matrix=mats[t], center=centers[t]) for t in range(horizon)
-        )
-        stream = CostStream(items)
-        lipschitz = max(class_bound_lipschitz(item, dom) for item in items)
-        cls = FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
+        stream = CostStream.from_arrays(mats, centers)
+        cls = FnClass(lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=mu)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
 
@@ -136,16 +130,16 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
             raise GeneratorError("convex-qg needs beta > 0")
         basis = _random_orthogonal(rng, dim, 1)[0]
         centers = _centers_in_half_ball(rng, dim, horizon, radius)
-        items = []
-        for t in range(horizon):
-            v = basis[:, t % dim]
-            mat = curvature * np.outer(v, v)
-            mat = 0.5 * (mat + mat.T)
-            items.append(QuadraticCost(matrix=mat, center=centers[t]))
-        stream = CostStream(tuple(items))
-        lipschitz = max(class_bound_lipschitz(item, dom) for item in items)
-        cls = FnClass(lipschitz=lipschitz, smoothness=curvature, strong_convexity=0.0)
-        kappa = float(np.linalg.eigvalsh(sum(it.matrix for it in items))[0]) / horizon
+        # Step t uses the rank-one curvature along basis column t mod d.
+        columns = basis.T
+        per_column = curvature * (columns[:, :, None] * columns[:, None, :])
+        per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
+        mats = per_column[np.arange(horizon) % dim]
+        stream = CostStream.from_arrays(mats, centers)
+        cls = FnClass(
+            lipschitz=stream.lipschitz_bound(dom), smoothness=curvature, strong_convexity=0.0
+        )
+        kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         target = params.get("kappa_rate")
         if target is not None and kappa < float(target) * 0.99:
             raise GeneratorError(
@@ -570,11 +564,7 @@ def _certify(cfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict:
         # Active runs and adaptive rates: the series bound applies when the run
         # is certifiable; the quadratic oracle does not.
         budget = ucfg.budget
-        terms = [
-            ucfg.alpha * ucfg.eps * (ucfg.omega - 1.0) / (ucfg.omega * j**ucfg.omega)
-            for j in range(1, sched.k + 1)
-        ]
-        bounds = list(np.cumsum(terms))
+        bounds = list(np.cumsum([series_term(ucfg, j) for j in range(1, sched.k + 1)]))
         payload = [
             {
                 "interval": [sched.times[i - 1],

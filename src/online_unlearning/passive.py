@@ -20,14 +20,17 @@ from typing import Tuple
 import numpy as np
 
 from .core import (
+    EMPTY_SCHEDULE,
     BallDomain,
     CostStream,
     DeletionSchedule,
     FnClass,
+    QuadraticCost,
     as_point,
     cost_value,
     eval_grad,
     is_skip,
+    stack_quadratics,
 )
 from .errors import InvalidConfigError, InvalidInputError, NumericError
 from .ogd import (
@@ -51,6 +54,7 @@ __all__ = [
     "passive_sigma",
     "run_ogd",
     "run_passive",
+    "series_term",
 ]
 
 GAMMA_MODES = ("nominal", "per-step-product")
@@ -99,6 +103,14 @@ def calibrated_sigma(cfg: UnlearnerConfig, i: int, decay: float, delta: float) -
     return base * decay * delta
 
 
+def series_term(cfg: UnlearnerConfig, j: int) -> float:
+    """What the ``j``-th deletion adds to the interval bound: ``alpha eps (omega-1) / (omega j^omega)``.
+
+    The terms sum to at most ``alpha * eps`` over any number of deletions.
+    """
+    return cfg.alpha * cfg.eps * (cfg.omega - 1.0) / (cfg.omega * j**cfg.omega)
+
+
 def passive_sigma(cfg: UnlearnerConfig, i: int, gap: int, delta_u: float, gamma: float) -> float:
     """Noise scale ``sqrt(omega i^omega / (2(omega-1) eps)) * gamma^gap * Delta_u``."""
     if gap < 0:
@@ -128,7 +140,9 @@ def _projected_step(
 
 def deletion_delta(stream: CostStream, u: int, rates: np.ndarray, cls: FnClass) -> float:
     """Public sensitivity of the deleted step: ``eta_u * L``, or 0 for a SKIP slot."""
-    if is_skip(stream.item_at(u)):
+    if not 1 <= u <= len(stream):
+        raise InvalidInputError(f"time {u} outside the horizon [1, {len(stream)}]")
+    if not stream.live[u - 1]:
         return 0.0
     return sensitivity(cls, float(rates[u - 1]))
 
@@ -147,18 +161,21 @@ def deletion_decay(
     step in ``(u, tau]`` has a raw factor above 1 (the calibration is then not
     certifiable).  SKIP steps inside the gap contribute a factor of 1.
     """
+    if not 1 <= u <= tau <= len(stream):
+        raise InvalidInputError(f"need 1 <= u <= tau <= {len(stream)}, got ({u}, {tau})")
+    gap_live = enumerate(stream.live[u:tau].tolist(), start=u + 1)
     contractive = True
     if gamma_mode == "nominal":
         decay = gamma_nominal(cls) ** (tau - u)
-        for s in range(u + 1, tau + 1):
-            if not is_skip(stream.item_at(s)) and step_contraction(cls, float(rates[s - 1])) > 1.0 + 1e-12:
+        for s, keep in gap_live:
+            if keep and step_contraction(cls, float(rates[s - 1])) > 1.0 + 1e-12:
                 contractive = False
                 break
         return decay, contractive
     if gamma_mode == "per-step-product":
         decay = 1.0
-        for s in range(u + 1, tau + 1):
-            if is_skip(stream.item_at(s)):
+        for s, keep in gap_live:
+            if not keep:
                 continue
             factor = step_contraction(cls, float(rates[s - 1]))
             if factor > 1.0 + 1e-12:
@@ -168,11 +185,40 @@ def deletion_decay(
     raise InvalidConfigError(f"gamma_mode must be one of {GAMMA_MODES}")
 
 
+def _step_evaluators(stream: CostStream):
+    """Per-step ``grad(t, z)`` and ``loss(t, z)`` for live 1-based slots, plus the dimension.
+
+    Quadratic streams read their stacked rows, split once into per-step row
+    views (indexing the stacked arrays per step is slower); other costs go
+    through ``eval_grad``/``cost_value``.  The dimension is None when no
+    quadratic reveals it.
+    """
+    if stream.all_quadratic() and stream.live.any():
+        mats, centers, offsets, _ = stack_quadratics(stream)
+        mats, centers, offsets = list(mats), list(centers), offsets.tolist()
+
+        def grad(t: int, z: np.ndarray) -> np.ndarray:
+            return mats[t - 1] @ (z - centers[t - 1])
+
+        def loss(t: int, z: np.ndarray) -> float:
+            diff = z - centers[t - 1]
+            return 0.5 * float(diff @ (mats[t - 1] @ diff)) + offsets[t - 1]
+
+        return grad, loss, centers[0].size
+    items = stream.items
+    probe = next((it for it in items if not is_skip(it)), None)
+    return (
+        lambda t, z: eval_grad(items[t - 1], z)[1],
+        lambda t, z: cost_value(items[t - 1], z),
+        probe.dim if isinstance(probe, QuadraticCost) else None,
+    )
+
+
 def run_passive(
     stream: CostStream,
     sched: DeletionSchedule,
     rates: RateSchedule,
-    cfg: UnlearnerConfig,
+    cfg: UnlearnerConfig | None,
     cls: FnClass,
     dom: BallDomain,
     seed: int,
@@ -184,16 +230,18 @@ def run_passive(
     step (SKIP holds the iterate while the rate clock advances).  At the
     ``i``-th deletion time the freshly updated iterate gets ``N(0, sigma_i^2 I)``
     noise added after projection, and the emitted (noisy) point is what the
-    trace records and scores.
+    trace records and scores.  ``cfg`` may be None only for an empty schedule.
     """
     horizon = len(stream)
     sched.validate_horizon(horizon)
     if horizon == 0:
         raise InvalidInputError("stream is empty")
-    probe = next((it for it in stream.items if not is_skip(it)), None)
-    dim = probe.dim if probe is not None and hasattr(probe, "dim") else (
-        as_point(z0).size if z0 is not None else None
-    )
+    if cfg is None and sched.k:
+        raise InvalidConfigError("deletions need an UnlearnerConfig to calibrate their noise")
+    live = stream.live.tolist()
+    grad_at, loss_at, dim = _step_evaluators(stream)
+    if dim is None and z0 is not None:
+        dim = as_point(z0).size
     if dim is None:
         raise InvalidInputError("cannot infer dimension from an all-SKIP stream without z0")
     z = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
@@ -213,12 +261,11 @@ def run_passive(
     certifiable = True
 
     for t in range(1, horizon + 1):
-        item = stream.item_at(t)
-        if is_skip(item):
+        if not live[t - 1]:
             eta_t = rate(rates, t, adapt)
             event = EVENT_SKIP
         else:
-            _, grad = eval_grad(item, z)
+            grad = grad_at(t, z)
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite gradient at step {t}")
             grad_evals += 1
@@ -255,8 +302,8 @@ def run_passive(
             event = EVENT_UNLEARN
 
         outputs[t - 1] = z
-        if not is_skip(item):
-            losses[t - 1] = cost_value(item, z)
+        if live[t - 1]:
+            losses[t - 1] = loss_at(t, z)
         events.append(event)
 
     return RunTrace(
@@ -272,7 +319,7 @@ def run_passive(
         projection_bound_steps=bound_steps,
         certifiable=certifiable,
         warnings=tuple(warnings_log),
-        config={
+        config={} if cfg is None else {
             "alpha": cfg.alpha, "eps": cfg.eps, "omega": cfg.omega,
             "gamma_mode": cfg.gamma_mode,
         },
@@ -288,10 +335,6 @@ def run_ogd(
     z0: np.ndarray | None = None,
 ) -> RunTrace:
     """Plain projected OGD (no deletions): the passive runner on an empty schedule."""
-    from .core import EMPTY_SCHEDULE
-
-    cfg = UnlearnerConfig(alpha=2.0, eps=1.0)
-    trace = run_passive(stream, EMPTY_SCHEDULE, rates, cfg, cls, dom, seed, z0)
+    trace = run_passive(stream, EMPTY_SCHEDULE, rates, None, cls, dom, seed, z0)
     trace.algorithm = "ogd"
-    trace.config = {}
     return trace

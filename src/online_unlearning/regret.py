@@ -117,27 +117,27 @@ def comparators(
     deleted losses, so learner and comparator share the same history.
     """
     sched.validate_horizon(len(stream))
-    live = [f for f in stream.items if not is_skip(f)]
-    if not live:
+    if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
-    if all(isinstance(f, QuadraticCost) for f in live):
-        dim = live[0].dim
-        total = np.zeros((dim, dim))
-        rhs = np.zeros(dim)
-        for f in live:
-            total += f.matrix
-            rhs += f.matrix @ f.center
+    if stream.all_quadratic():
+        mats, centers, _, live = stack_quadratics(stream)
+        dim = centers.shape[1]
+        kept = slice(None) if live.all() else live
+        # Summing along the stacked axis adds row after row, as a per-item
+        # loop would, so the sums keep their bits.
+        total = mats[kept].sum(axis=0, initial=0.0)
+        rhs = (mats[kept] @ centers[kept][..., None])[..., 0].sum(axis=0, initial=0.0)
         out = []
         for i in range(sched.k + 1):
             out.append(_solve_quadratic_erm(total, rhs, dim, dom, tol))
-            if i < sched.k:
-                item = stream.item_at(sched.indices[i])
-                if not is_skip(item):
-                    total = total - item.matrix
-                    rhs = rhs - item.matrix @ item.center
+            if i < sched.k and live[sched.indices[i] - 1]:
+                row = sched.indices[i] - 1
+                total = total - mats[row]
+                rhs = rhs - mats[row] @ centers[row]
         return out
     out = []
     removed: set = set()
+    live = [f for f in stream.items if not is_skip(f)]
     dim = next((f.dim for f in live if isinstance(f, QuadraticCost)), None)
     for i in range(sched.k + 1):
         losses = [

@@ -85,12 +85,6 @@ class RunTrace:
     def output_at(self, t: int) -> np.ndarray:
         return self.outputs[t - 1]
 
-    def sigma_at(self, t: int) -> float:
-        for event in self.noise_events:
-            if event.time == t:
-                return event.sigma
-        return 0.0
-
     def total_loss(self) -> float:
         return float(np.sum(self.losses))
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from online_unlearning import (
     SKIP,
     BallDomain,
+    CostStream,
     CustomCost,
     DeletionSchedule,
     FnClass,
@@ -145,10 +146,79 @@ class TestCostValidation:
         with pytest.raises(InvalidInputError):
             FnClass(lipschitz=1.0, smoothness=1.0, strong_convexity=2.0)
 
+    def test_indefinite_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="positive semidefinite"):
+            quad(np.diag([1.0, -1e-6]), [0.0, 0.0])
+
+    def test_psd_within_tolerance_accepted(self):
+        quad(np.diag([1.0, -1e-12]), [0.0, 0.0])
+
     def test_arrays_frozen(self):
         f = quad(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
             f.matrix[0, 0] = 5.0
+
+
+class TestStackedStream:
+    @staticmethod
+    def _arrays(horizon=4, dim=2):
+        mats = np.stack([np.diag([1.0 + t, 2.0]) for t in range(horizon)])
+        centers = np.full((horizon, dim), 0.25)
+        return mats, centers, np.zeros(horizon)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("asymmetric", "symmetric"),
+        ("non-finite", "non-finite"),
+        ("negative-offset", "nonnegative"),
+        ("indefinite", "positive semidefinite"),
+        ("non-finite-center", "non-finite"),
+        ("center-shape", "centers of shape"),
+    ])
+    def test_rejects_bad_rows(self, defect, message):
+        mats, centers, offsets = self._arrays()
+        if defect == "asymmetric":
+            mats[2, 0, 1] = 0.5
+        elif defect == "non-finite":
+            mats[1, 1, 1] = np.inf
+        elif defect == "negative-offset":
+            offsets[3] = -0.1
+        elif defect == "indefinite":
+            mats[0] = np.array([[1.0, 2.0], [2.0, 1.0]])
+        elif defect == "non-finite-center":
+            centers[2, 0] = np.nan
+        else:
+            centers = centers[:, :1]
+        with pytest.raises(InvalidInputError, match=message):
+            CostStream.from_arrays(mats, centers, offsets)
+
+    def test_items_are_cached_read_only_views(self):
+        mats, centers, offsets = self._arrays()
+        stream = CostStream.from_arrays(mats, centers, offsets + 0.5)
+        item = stream.item_at(3)
+        assert item is stream.item_at(3) and item is stream.items[2]
+        assert isinstance(item, QuadraticCost) and item.offset == 0.5
+        assert np.array_equal(item.matrix, mats[2]) and np.array_equal(item.center, centers[2])
+        for arr in (item.matrix, item.center, *stack_quadratics(stream)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        mats[2, 0, 0] = 99.0  # the stream owns a copy
+        assert stream.item_at(3).matrix[0, 0] == 3.0
+
+    @pytest.mark.parametrize("from_items", [False, True])
+    def test_retained_copies_only_the_mask(self, from_items):
+        mats, centers, offsets = self._arrays(horizon=6)
+        stream = CostStream.from_arrays(mats, centers, offsets)
+        if from_items:
+            stream = stream_of(quad(m, c) for m, c in zip(mats, centers))
+        sched = DeletionSchedule(((2, 3), (5, 6)))
+        ret = retained(stream, sched)
+        assert stream.live.all()
+        assert ret.live.tolist() == [True, False, True, True, False, True]
+        assert stack_quadratics(ret)[0] is stack_quadratics(stream)[0]
+        for t in (1, 3, 4, 6):
+            assert ret.item_at(t) is stream.item_at(t)
+        assert is_skip(ret.item_at(2)) and is_skip(ret.item_at(5))
+        assert retained(ret, sched, upto=1).live.tolist() == ret.live.tolist()
 
 
 class TestStreamAndSchedule:

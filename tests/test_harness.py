@@ -7,6 +7,7 @@ from online_unlearning import (
     BallDomain,
     GeneratorError,
     InvalidConfigError,
+    class_bound_lipschitz,
     eval_grad,
     measure_qg,
 )
@@ -298,3 +299,21 @@ class TestSweepAndCli:
         dirs = [p.name for p in out.iterdir() if p.is_dir()]
         seed_dirs = list((out / dirs[0]).glob("7"))
         assert seed_dirs
+
+
+class TestBatchedGeneration:
+    """Stacked generation reproduces the per-item class constants bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["sc-quadratic", "convex-qg", "assumption2-segments"])
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_lipschitz_and_kappa_match_per_item(self, kind, dim):
+        dom = BallDomain(1.0)
+        params = dict(dimension=dim, horizon=60, radius=1.0, mu=1.0, beta=3.0)
+        for seed in range(6):
+            gs = gen_stream(kind, params, seed)
+            items = gs.stream.items
+            assert gs.fn_class.lipschitz == max(class_bound_lipschitz(f, dom) for f in items)
+            total = np.zeros((dim, dim))
+            for f in items:
+                total += f.matrix
+            assert gs.kappa_aggregate == float(np.linalg.eigvalsh(total)[0]) / len(items)

@@ -174,6 +174,13 @@ class TestRunPassive:
             run_passive(stream, DeletionSchedule(((2, 15),)), SCDecreasing(mu=1.0),
                         _cfg(), cls, unit_ball, seed=0)
 
+    def test_deletions_need_a_config(self, unit_ball):
+        rng = np.random.default_rng(17)
+        stream, cls = _sc_stream(rng, 10, unit_ball)
+        with pytest.raises(InvalidConfigError):
+            run_passive(stream, DeletionSchedule(((2, 5),)), SCDecreasing(mu=1.0),
+                        None, cls, unit_ball, seed=0)
+
     def test_noncontractive_gap_flagged(self, unit_ball):
         # eta constant and above 2/beta inside the gap: run continues, flagged.
         from online_unlearning.ogd import ConstantRate
