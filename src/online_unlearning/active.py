@@ -40,7 +40,7 @@ from .errors import (
     ScheduleShapeError,
 )
 from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, step_contraction
-from .passive import UnlearnerConfig, _projected_step
+from .passive import UnlearnerConfig, _projected_step, deletion_delta
 from .rng import NoiseSource
 from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
@@ -372,7 +372,7 @@ def _run_active_engine(
 
             xi = sigma * noise.normals(dim)
             z = z + xi
-            delta = 0.0 if is_skip(stream.item_at(u)) else float(rate_hist[u - 1]) * cls.lipschitz
+            delta = deletion_delta(stream, u, rate_hist, cls)
             noise_events.append(
                 NoiseEvent(
                     ordinal=i, time=t, index=u, gap=t - u,

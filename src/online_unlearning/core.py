@@ -176,9 +176,11 @@ def _check_curvatures(mats: np.ndarray) -> np.ndarray:
         raise InvalidInputError("curvature matrix has non-finite entries")
     if mats.size == 0:
         return np.zeros(mats.shape[:2])
-    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
-    asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
-    if np.any(asym > 1e-10 * scale):
+    # max|A| as max(max A, -min A), |A - A^T| in place: one stack-sized temporary, not three.
+    scale = np.maximum(1.0, np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2))))
+    asym = mats - np.swapaxes(mats, 1, 2)
+    np.abs(asym, out=asym)
+    if np.any(asym.max(axis=(1, 2)) > 1e-10 * scale):
         raise InvalidInputError("curvature matrix must be symmetric")
     eigs = np.linalg.eigvalsh(mats)
     if np.any(eigs[:, 0] < -1e-10 * scale):
@@ -186,7 +188,7 @@ def _check_curvatures(mats: np.ndarray) -> np.ndarray:
     return eigs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class QuadraticCost:
     """Loss ``f(z) = 0.5 (z - center)^T matrix (z - center) + offset``.
 
@@ -384,7 +386,7 @@ class CostStream:
         if np.any(bad):
             raise InvalidInputError(f"offset must be nonnegative, got {offsets[bad][0]}")
         live = np.ones(horizon, dtype=bool)
-        return cls._stacked(_Rows(mats, centers, offsets, lam_max=eigs[:, -1]), live)
+        return cls._stacked(_Rows(mats, centers, offsets, lam_max=eigs[:, -1].copy()), live)
 
     @classmethod
     def _stacked(cls, rows: _Rows, live: np.ndarray) -> "CostStream":
@@ -399,9 +401,9 @@ class CostStream:
     @property
     def items(self) -> Tuple[StreamItem, ...]:
         if self._items is None:
-            self._items = tuple(
-                view if keep else SKIP
-                for view, keep in zip(self._rows.views, self._live.tolist())
+            views = self._rows.views
+            self._items = views if self._live.all() else tuple(
+                view if keep else SKIP for view, keep in zip(views, self._live.tolist())
             )
         return self._items
 

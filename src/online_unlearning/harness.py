@@ -112,8 +112,13 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         else:
             basis = _random_orthogonal(rng, dim, horizon)
             eigs = rng.uniform(mu, beta, size=(horizon, dim))
-            mats = np.einsum("tij,tj,tkj->tik", basis, eigs, basis)
-            mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+            raw = np.einsum("tij,tj,tkj->tik", basis, eigs, basis)
+            del basis
+            # Symmetrise in place (same bits as 0.5 * (raw + raw^T)): each
+            # (T, d, d) temporary freed here lowers the run's peak memory.
+            mats = raw + np.transpose(raw, (0, 2, 1))
+            del raw
+            mats *= 0.5
         if kind == "assumption2-segments":
             common = _centers_in_half_ball(rng, dim, 1, radius)[0]
             centers = np.broadcast_to(common, (horizon, dim)).copy()
