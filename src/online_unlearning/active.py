@@ -27,22 +27,22 @@ from .core import (
     DeletionSchedule,
     FnClass,
     QuadraticCost,
-    as_point,
-    cost_value,
     eval_grad,
     is_skip,
 )
+from .engine import StepEngine, _projected_step
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NotStronglyConvexError,
     NumericError,
     ScheduleShapeError,
+    UnsupportedCostError,
 )
-from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, step_contraction
-from .passive import UnlearnerConfig, _projected_step, deletion_delta
+from .ogd import RateSchedule, step_contraction
+from .passive import UnlearnerConfig, deletion_delta
 from .rng import NoiseSource
-from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
+from .trace import RunTrace
 
 __all__ = [
     "ActiveConfig",
@@ -162,10 +162,8 @@ class _AverageLoss:
         self.dim = dim
         self.sum_matrix = np.zeros((dim, dim))
         self.sum_mc = np.zeros(dim)
-        self.count = 0
         self.del_matrix = np.zeros((dim, dim))
         self.del_mc = np.zeros(dim)
-        self.del_count = 0
         self.items: list = []
         self.deleted: list = []
         self.fast = True
@@ -174,7 +172,6 @@ class _AverageLoss:
         if is_skip(item):
             return
         self.items.append(item)
-        self.count += 1
         if isinstance(item, QuadraticCost) and self.fast:
             self.sum_matrix += item.matrix
             self.sum_mc += item.matrix @ item.center
@@ -185,43 +182,30 @@ class _AverageLoss:
         if is_skip(item):
             return
         self.deleted.append(item)
-        self.del_count += 1
         if isinstance(item, QuadraticCost) and self.fast:
             self.del_matrix += item.matrix
             self.del_mc += item.matrix @ item.center
 
-    def grad_all(self, z: np.ndarray) -> Tuple[np.ndarray, int]:
-        if self.fast:
-            return (self.sum_matrix @ z - self.sum_mc) / self.count, self.count
-        total = np.zeros(self.dim)
-        for item in self.items:
-            total += eval_grad(item, z)[1]
-        return total / self.count, self.count
-
-    def grad_retained(self, z: np.ndarray) -> Tuple[np.ndarray, int]:
-        n = self.count - self.del_count
+    def grad(self, z: np.ndarray, retained_only: bool) -> Tuple[np.ndarray, int]:
+        """Average gradient of every seen loss, or of the retained ones, and their count."""
+        n = len(self.items) - (len(self.deleted) if retained_only else 0)
         if n <= 0:
             return np.zeros(self.dim), 0
+        if self.fast and retained_only:
+            return ((self.sum_matrix - self.del_matrix) @ z - (self.sum_mc - self.del_mc)) / n, n
         if self.fast:
-            mat = self.sum_matrix - self.del_matrix
-            vec = self.sum_mc - self.del_mc
-            return (mat @ z - vec) / n, n
-        deleted = set(map(id, self.deleted))
+            return (self.sum_matrix @ z - self.sum_mc) / n, n
+        skipped = set(map(id, self.deleted)) if retained_only else set()
         total = np.zeros(self.dim)
         for item in self.items:
-            if id(item) not in deleted:
+            if id(item) not in skipped:
                 total += eval_grad(item, z)[1]
         return total / n, n
 
-    def retained_hessian(self, z: np.ndarray) -> np.ndarray:
-        if self.fast:
-            return self.sum_matrix - self.del_matrix
-        deleted = set(map(id, self.deleted))
-        total = np.zeros((self.dim, self.dim))
-        for item in self.items:
-            if id(item) not in deleted:
-                total += item.hessian(z)
-        return total
+    def retained_hessian(self) -> np.ndarray:
+        if not self.fast:
+            raise UnsupportedCostError("the Newton correction needs quadratic losses")
+        return self.sum_matrix - self.del_matrix
 
     def deleted_gradient_sum(self, z: np.ndarray) -> np.ndarray:
         total = np.zeros(self.dim)
@@ -247,7 +231,7 @@ def _check_schedule_shape(sched: DeletionSchedule, strict: bool) -> Tuple[bool, 
     return ok, notes
 
 
-def _run_active_engine(
+def _run_active(
     stream: CostStream,
     sched: DeletionSchedule,
     rates: RateSchedule,
@@ -260,17 +244,13 @@ def _run_active_engine(
     second_order: bool,
     hessian_lipschitz: float,
 ) -> RunTrace:
-    horizon = len(stream)
-    sched.validate_horizon(horizon)
+    sched.validate_horizon(len(stream))
     if cls.strong_convexity <= 0.0:
         raise NotStronglyConvexError("the active unlearner requires mu > 0")
     shape_ok, shape_notes = _check_schedule_shape(sched, strict_schedule)
-
-    probe = next((it for it in stream.items if not is_skip(it)), None)
-    if probe is None:
+    if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
-    dim = probe.dim if isinstance(probe, QuadraticCost) else as_point(z0).size
-    z = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
+    engine = StepEngine(stream, sched, rates, dom, z0)
 
     cfg = acfg.base
     inner_eta = acfg.inner_rate if acfg.inner_rate is not None else 1.0 / (
@@ -279,129 +259,85 @@ def _run_active_engine(
     gamma = acfg.gamma if acfg.gamma is not None else step_contraction(cls, inner_eta)
 
     noise = NoiseSource(seed)
-    adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    agg = _AverageLoss(dim)
-    by_time = {tau: (i, u) for i, (u, tau) in enumerate(sched.entries, start=1)}
-
-    outputs = np.empty((horizon, dim))
-    losses = np.zeros(horizon)
-    rate_hist = np.empty(horizon)
-    events = []
+    agg = _AverageLoss(engine.dim)
     noise_events = []
     inner_steps = []
     i1_used = []
     warnings_log = list(shape_notes)
-    certifiable = shape_ok
     if second_order:
-        certifiable = False
         warnings_log.append("experimental: second-order unlearner has no certified budget")
-    grad_evals = 0
-    bound_steps = 0
-    i2_resolved: int | None = acfg.i2
+    seen = 0
+    i2_resolved = acfg.i2
+    certifiable = shape_ok and not second_order
 
-    for t in range(1, horizon + 1):
-        item = stream.item_at(t)
-        if is_skip(item):
-            eta_t = rate(rates, t, adapt)
-            event = EVENT_SKIP
+    def inner_descent(z: np.ndarray, steps: int, retained_only: bool) -> np.ndarray:
+        """Projected descent on the averaged loss; each step costs one gradient per loss."""
+        for _ in range(steps):
+            avg_grad, n = agg.grad(z, retained_only)
+            if n == 0:
+                break
+            z, _ = _projected_step(z, avg_grad, inner_eta, dom.radius)
+            engine.grad_evals += n
+            inner_steps[-1] += 1
+        return z
+
+    def descend(i: int, u: int, tau: int) -> None:
+        nonlocal seen, i2_resolved, certifiable
+        engine.advance(tau, tau)
+        for item in stream.items[seen:tau]:
+            agg.see(item)
+        seen = tau
+        needed_i1, needed_i2 = required_iters(
+            gamma, cls.strong_convexity, dom.diameter, cls.lipschitz, tau, sched.k
+        )
+        i1 = acfg.i1[i - 1] if acfg.i1 is not None else needed_i1
+        if i2_resolved is None:
+            i2_resolved = needed_i2
+        i2 = i2_resolved
+        if i1 < needed_i1 or i2 < needed_i2:
+            certifiable = False
+            warnings_log.append(
+                f"deletion {i}: inner steps ({i1}, {i2}) below certified "
+                f"minimum ({needed_i1}, {needed_i2})"
+            )
+
+        inner_steps.append(0)
+        z = inner_descent(engine.z, i1, retained_only=False)
+        agg.delete(stream.item_at(u))
+
+        if second_order:
+            hess = agg.retained_hessian()
+            eigs = np.linalg.eigvalsh(hess)
+            if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
+                raise NumericError("retained Hessian is singular; Newton correction undefined")
+            correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
+            engine.grad_evals += len(agg.deleted)
+            z = dom.project(z + correction)
+            sigma = second_order_sigma(
+                cfg, i, tau, sched.k, cls.lipschitz, cls.strong_convexity,
+                cls.smoothness, hessian_lipschitz,
+            )
         else:
-            _, grad = eval_grad(item, z)
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite gradient at step {t}")
-            grad_evals += 1
-            if adapt is not None:
-                adapt.add(float(grad @ grad))
-            eta_t = rate(rates, t, adapt)
-            z, bound = _projected_step(z, grad, eta_t, dom.radius)
-            if bound:
-                bound_steps += 1
-            event = EVENT_LEARN
-        rate_hist[t - 1] = eta_t
-        if adapt is not None:
-            adapt.record()
-        agg.see(item)
-
-        if t in by_time:
-            i, u = by_time[t]
-            needed_i1, needed_i2 = required_iters(
-                gamma, cls.strong_convexity, dom.diameter, cls.lipschitz, t, sched.k
+            z = inner_descent(z, i2, retained_only=True)
+            sigma = active_sigma(
+                cfg, i, tau, u, float(engine.rates[u - 1]), cls.lipschitz,
+                cls.strong_convexity, gamma, i2,
             )
-            i1 = acfg.i1[i - 1] if acfg.i1 is not None else needed_i1
-            if i2_resolved is None:
-                i2_resolved = needed_i2
-            i2 = i2_resolved
-            if i1 < needed_i1 or i2 < needed_i2:
-                certifiable = False
-                warnings_log.append(
-                    f"deletion {i}: inner steps ({i1}, {i2}) below certified "
-                    f"minimum ({needed_i1}, {needed_i2})"
-                )
 
-            steps_done = 0
-            for _ in range(i1):
-                avg_grad, n = agg.grad_all(z)
-                z, _ = _projected_step(z, avg_grad, inner_eta, dom.radius)
-                grad_evals += n
-                steps_done += 1
-            agg.delete(stream.item_at(u))
+        engine.z = z
+        delta = deletion_delta(stream, u, engine.rates, cls)
+        noise_events.append(engine.add_noise(noise, i, u, tau, delta, gamma ** (tau - u), sigma))
+        i1_used.append(i1)
 
-            if second_order:
-                hess = agg.retained_hessian(z)
-                eigs = np.linalg.eigvalsh(hess)
-                if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
-                    raise NumericError("retained Hessian is singular; Newton correction undefined")
-                correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
-                grad_evals += len(agg.deleted)
-                z = dom.project(z + correction)
-                sigma = second_order_sigma(
-                    cfg, i, t, sched.k, cls.lipschitz, cls.strong_convexity,
-                    cls.smoothness, hessian_lipschitz,
-                )
-            else:
-                for _ in range(i2):
-                    avg_grad, n = agg.grad_retained(z)
-                    if n == 0:
-                        break
-                    z, _ = _projected_step(z, avg_grad, inner_eta, dom.radius)
-                    grad_evals += n
-                    steps_done += 1
-                sigma = active_sigma(
-                    cfg, i, t, u, float(rate_hist[u - 1]), cls.lipschitz,
-                    cls.strong_convexity, gamma, i2,
-                )
-
-            xi = sigma * noise.normals(dim)
-            z = z + xi
-            delta = deletion_delta(stream, u, rate_hist, cls)
-            noise_events.append(
-                NoiseEvent(
-                    ordinal=i, time=t, index=u, gap=t - u,
-                    delta=delta, decay=gamma ** (t - u), sigma=sigma, xi=xi,
-                )
-            )
-            inner_steps.append(steps_done)
-            i1_used.append(i1)
-            event = EVENT_UNLEARN
-
-        outputs[t - 1] = z
-        if not is_skip(item):
-            losses[t - 1] = cost_value(item, z)
-        events.append(event)
-
-    return RunTrace(
-        algorithm="active2" if second_order else "active",
-        seed=seed,
-        outputs=outputs,
-        losses=losses,
-        rates=rate_hist,
-        events=tuple(events),
+    engine.run(descend)
+    return engine.trace(
+        "active2" if second_order else "active",
+        seed,
         noise_events=tuple(noise_events),
-        p_history=np.array(adapt.history) if adapt is not None else None,
-        grad_evals=grad_evals,
         inner_steps=tuple(inner_steps),
         i1_per_deletion=tuple(i1_used),
         i2=i2_resolved if sched.k else None,
-        projection_bound_steps=bound_steps,
+        projection_bound_steps=engine.bound_steps,
         certifiable=certifiable,
         warnings=tuple(warnings_log),
         config={
@@ -428,7 +364,7 @@ def run_active(
     ``strict_schedule=False`` accepts deletions outside ``(tau_{i-1}, tau_i]``
     for simulation but marks the trace uncertifiable.
     """
-    return _run_active_engine(
+    return _run_active(
         stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule,
         second_order=False, hessian_lipschitz=0.0,
     )
@@ -452,7 +388,7 @@ def run_active_second_order(
     retained optimum up to the residual full-data gradient.  Experimental: no
     certified budget is claimed and traces are flagged.
     """
-    return _run_active_engine(
+    return _run_active(
         stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule,
         second_order=True, hessian_lipschitz=hessian_lipschitz,
     )

@@ -1,10 +1,10 @@
 """Reference unlearners: retraining from scratch and discard-and-restart.
 
-Retraining replays the whole trajectory on the retained stream at every
-deletion (exact unlearning, cost ``tau_i`` per deletion).  Discard-and-restart
-resets the iterate to the start point and restarts the rate clock (exact and
-free, but it throws the learned state away).  Both emit the same trace format
-as the noisy unlearners, with zero noise events.
+Retraining recomputes the trajectory on the retained stream at every deletion
+(exact unlearning, cost ``tau_i`` per deletion).  Discard-and-restart resets
+the iterate to the start point and restarts the rate clock (exact and free,
+but it throws the learned state away).  Both emit the same trace format as
+the noisy unlearners, with zero noise events.
 """
 
 from __future__ import annotations
@@ -13,21 +13,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (
-    BallDomain,
-    CostStream,
-    DeletionSchedule,
-    FnClass,
-    as_point,
-    cost_value,
-    eval_grad,
-    is_skip,
-    retained,
-)
-from .errors import InvalidInputError, NumericError
-from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate
-from .passive import _projected_step
-from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, RunTrace
+from .core import BallDomain, CostStream, DeletionSchedule, FnClass, retained
+from .engine import StepEngine
+from .errors import InvalidInputError
+from .ogd import RateSchedule, rate
+from .trace import RunTrace
 
 __all__ = ["dp_to_olu", "run_discard_restart", "run_retraining"]
 
@@ -48,33 +38,6 @@ def dp_to_olu(alpha: float, eps: float, k: int) -> Tuple[float, float]:
     return alpha / k, k**1.6 * eps
 
 
-def _dim_of(stream: CostStream, z0: np.ndarray | None) -> int:
-    probe = next((it for it in stream.items if not is_skip(it)), None)
-    if probe is not None and hasattr(probe, "dim"):
-        return probe.dim
-    if z0 is not None:
-        return as_point(z0).size
-    raise InvalidInputError("cannot infer dimension from an all-SKIP stream without z0")
-
-
-def _replay(
-    items: Tuple, rates: RateSchedule, dom: BallDomain, z0: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """OGD endpoint over ``items`` with the rate clock starting at 1."""
-    z = dom.project(np.array(z0, dtype=np.float64))
-    adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    evals = 0
-    for t, item in enumerate(items, start=1):
-        if is_skip(item):
-            continue
-        _, grad = eval_grad(item, z)
-        evals += 1
-        if adapt is not None:
-            adapt.add(float(grad @ grad))
-        z, _ = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
-    return z, evals
-
-
 def run_retraining(
     stream: CostStream,
     sched: DeletionSchedule,
@@ -86,90 +49,32 @@ def run_retraining(
 ) -> RunTrace:
     """Retrain-from-scratch unlearner.
 
-    At deletion time ``tau_i`` the entire prefix ``1..tau_i`` is recomputed
-    over the stream with the first ``i`` deleted indices skipped, and the run
-    continues from the replayed endpoint.  Post-deletion outputs therefore
-    equal OGD on the retained stream exactly.
+    At deletion time ``tau_i`` the prefix ``1..tau_i`` becomes OGD on the
+    stream with the first ``i`` deleted indices skipped, and the run
+    continues from its endpoint.  Post-deletion outputs therefore equal OGD on
+    the retained stream exactly.  Nothing before ``u_i`` changes, so the run
+    keeps its trajectory and replays only ``u_i..tau_i`` from the state at
+    ``u_i - 1``; the counters still charge a replay from ``t = 1``
+    (``replay_costs`` gets ``tau_i``, ``grad_evals`` every live slot up to it).
     """
-    horizon = len(stream)
-    sched.validate_horizon(horizon)
-    dim = _dim_of(stream, z0)
-    start = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
-    z = start
-
-    adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    by_time = {tau: i for i, (_, tau) in enumerate(sched.entries, start=1)}
-
-    outputs = np.empty((horizon, dim))
-    losses = np.zeros(horizon)
-    rate_hist = np.empty(horizon)
-    events = []
+    engine = StepEngine(stream, sched, rates, dom, z0)
     replay_costs = []
-    grad_evals = 0
-    current = stream
 
-    for t in range(1, horizon + 1):
-        item = current.item_at(t)
-        if is_skip(item):
-            eta_t = rate(rates, t, adapt)
-            event = EVENT_SKIP
-        else:
-            _, grad = eval_grad(item, z)
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite gradient at step {t}")
-            grad_evals += 1
-            if adapt is not None:
-                adapt.add(float(grad @ grad))
-            eta_t = rate(rates, t, adapt)
-            z, _ = _projected_step(z, grad, eta_t, dom.radius)
-            event = EVENT_LEARN
-        rate_hist[t - 1] = eta_t
-        if adapt is not None:
-            adapt.record()
+    def replay(i: int, u: int, tau: int) -> None:
+        engine.advance(tau, tau)
+        first_rates = engine.rates[u - 1:tau].copy()
+        evals = engine.grad_evals
+        live = retained(stream, sched, upto=i).live
+        engine.live = live.tolist()
+        engine.restore(u - 1)
+        engine.advance(u, tau)
+        # The trace reports the rates each step ran with the first time.
+        engine.rates[u - 1:tau] = first_rates
+        engine.grad_evals = evals + int(np.count_nonzero(live[:tau]))
+        replay_costs.append(tau)
 
-        if t in by_time:
-            i = by_time[t]
-            current = retained(stream, sched, upto=i)
-            z, evals = _replay(current.items[:t], rates, dom, start)
-            grad_evals += evals
-            replay_costs.append(t)
-            if adapt is not None:
-                adapt = _rebuild_adaptive(current.items[:t], rates, dom, start)
-            event = EVENT_UNLEARN
-
-        outputs[t - 1] = z
-        # Score against the item as it stood when processed this tick.
-        if not is_skip(item):
-            losses[t - 1] = cost_value(item, z)
-        events.append(event)
-
-    return RunTrace(
-        algorithm="retrain",
-        seed=seed,
-        outputs=outputs,
-        losses=losses,
-        rates=rate_hist,
-        events=tuple(events),
-        p_history=np.array(adapt.history) if adapt is not None else None,
-        grad_evals=grad_evals,
-        replay_costs=tuple(replay_costs),
-        config={},
-    )
-
-
-def _rebuild_adaptive(items, rates, dom, z0) -> AdaptiveState:
-    """Recompute the adaptive state as the replay saw it."""
-    z = dom.project(np.array(z0, dtype=np.float64))
-    adapt = AdaptiveState()
-    for t, item in enumerate(items, start=1):
-        if is_skip(item):
-            adapt.record()
-            continue
-        _, grad = eval_grad(item, z)
-        adapt.add(float(grad @ grad))
-        z, _ = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
-        adapt.record()
-    return adapt
+    engine.run(replay)
+    return engine.trace("retrain", seed, replay_costs=tuple(replay_costs), config={})
 
 
 def run_discard_restart(
@@ -185,67 +90,15 @@ def run_discard_restart(
 
     Trivially exact (post-deletion outputs depend only on later items) at the
     price of forgetting everything learned so far.  Decreasing schedules must
-    restart their clock to recover per-segment regret, hence the reset.
+    restart their clock to recover per-segment regret, hence the reset.  The
+    deletion time itself takes no step and reports the rate at clock 1.
     """
-    horizon = len(stream)
-    sched.validate_horizon(horizon)
-    dim = _dim_of(stream, z0)
-    start = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
-    z = start
+    engine = StepEngine(stream, sched, rates, dom, z0)
 
-    adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    by_time = {tau: i for i, (_, tau) in enumerate(sched.entries, start=1)}
+    def restart(i: int, u: int, tau: int) -> None:
+        engine.restore(0)
+        engine.clock0 = tau
+        engine.rates[tau - 1] = rate(rates, 1, engine.adapt)
 
-    outputs = np.empty((horizon, dim))
-    losses = np.zeros(horizon)
-    rate_hist = np.empty(horizon)
-    events = []
-    grad_evals = 0
-    clock_offset = 0
-
-    for t in range(1, horizon + 1):
-        if t in by_time:
-            z = start
-            clock_offset = t
-            if adapt is not None:
-                adapt = AdaptiveState()
-                adapt.record()
-            rate_hist[t - 1] = rate(rates, 1, adapt)
-            outputs[t - 1] = z
-            item = stream.item_at(t)
-            if not is_skip(item):
-                losses[t - 1] = cost_value(item, z)
-            events.append(EVENT_UNLEARN)
-            continue
-
-        item = stream.item_at(t)
-        local_t = t - clock_offset
-        if is_skip(item):
-            eta_t = rate(rates, local_t, adapt)
-            event = EVENT_SKIP
-        else:
-            _, grad = eval_grad(item, z)
-            grad_evals += 1
-            if adapt is not None:
-                adapt.add(float(grad @ grad))
-            eta_t = rate(rates, local_t, adapt)
-            z, _ = _projected_step(z, grad, eta_t, dom.radius)
-            event = EVENT_LEARN
-        rate_hist[t - 1] = eta_t
-        if adapt is not None:
-            adapt.record()
-        outputs[t - 1] = z
-        if not is_skip(item):
-            losses[t - 1] = cost_value(item, z)
-        events.append(event)
-
-    return RunTrace(
-        algorithm="discard",
-        seed=seed,
-        outputs=outputs,
-        losses=losses,
-        rates=rate_hist,
-        events=tuple(events),
-        grad_evals=grad_evals,
-        config={},
-    )
+    engine.run(restart)
+    return engine.trace("discard", seed, p_history=None, config={})

@@ -114,17 +114,22 @@ def project(x: np.ndarray, dom: BallDomain) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("cannot project a non-finite vector")
-    norm = float(np.linalg.norm(arr))
-    if norm <= dom.radius:
-        return arr
-    out = arr * (dom.radius / norm)
-    # Rounding can leave the rescaled point an ulp outside; nudge it in so
-    # projection is exactly idempotent.
-    norm = float(np.linalg.norm(out))
-    while norm > dom.radius:
-        out = out * (dom.radius / norm)
-        norm = float(np.linalg.norm(out))
-    return out
+    return _into_ball(arr, dom.radius)[0]
+
+
+def _into_ball(x: np.ndarray, radius: float) -> Tuple[np.ndarray, bool]:
+    """Rescale ``x`` into the ball of ``radius`` iff it lies outside; reports whether it did.
+
+    Rounding can leave the rescaled point an ulp outside, so the rescale
+    repeats until it is inside: projection is then exactly idempotent.
+    """
+    norm = float(np.linalg.norm(x))
+    if norm <= radius:
+        return x, False
+    while norm > radius:
+        x = x * (radius / norm)
+        norm = float(np.linalg.norm(x))
+    return x, True
 
 
 @dataclass(frozen=True)
@@ -231,9 +236,6 @@ class QuadraticCost:
     def gradient(self, z: np.ndarray) -> np.ndarray:
         diff = np.asarray(z, dtype=np.float64) - self.center
         return self.matrix @ diff
-
-    def hessian(self, z: np.ndarray | None = None) -> np.ndarray:
-        return self.matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ here are what the noise calibration and the certifier consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -109,15 +109,11 @@ class AdaptiveState:
     """Cumulative squared gradient norm; owned by a single run."""
 
     p: float = 0.0
-    history: list = field(default_factory=list)
 
     def add(self, grad_sq_norm: float) -> None:
         if grad_sq_norm < 0.0:
             raise InvalidInputError("squared gradient norm cannot be negative")
         self.p += grad_sq_norm
-
-    def record(self) -> None:
-        self.history.append(self.p)
 
 
 def rate(sched: RateSchedule, t: int, adapt: AdaptiveState | None = None) -> float:

@@ -25,25 +25,12 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
-    QuadraticCost,
-    as_point,
-    cost_value,
-    eval_grad,
-    is_skip,
-    stack_quadratics,
 )
-from .errors import InvalidConfigError, InvalidInputError, NumericError
-from .ogd import (
-    AdaptiveRate,
-    AdaptiveState,
-    RateSchedule,
-    gamma_nominal,
-    rate,
-    sensitivity,
-    step_contraction,
-)
+from .engine import StepEngine
+from .errors import InvalidConfigError, InvalidInputError
+from .ogd import RateSchedule, gamma_nominal, sensitivity, step_contraction
 from .rng import NoiseSource
-from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
+from .trace import RunTrace
 
 __all__ = [
     "GAMMA_MODES",
@@ -120,24 +107,6 @@ def passive_sigma(cfg: UnlearnerConfig, i: int, gap: int, delta_u: float, gamma:
     return calibrated_sigma(cfg, i, gamma**gap, delta_u)
 
 
-def _projected_step(
-    z: np.ndarray, grad: np.ndarray, eta: float, radius: float
-) -> Tuple[np.ndarray, bool]:
-    """Gradient step then ball projection; reports whether the projection bound.
-
-    Arithmetic matches ``core.project`` exactly (including the ulp nudge), so
-    runner outputs agree bitwise with ``ogd_step``.
-    """
-    moved = z - eta * grad
-    norm = float(np.linalg.norm(moved))
-    if norm <= radius:
-        return moved, False
-    while norm > radius:
-        moved = moved * (radius / norm)
-        norm = float(np.linalg.norm(moved))
-    return moved, True
-
-
 def deletion_delta(stream: CostStream, u: int, rates: np.ndarray, cls: FnClass) -> float:
     """Public sensitivity of the deleted step: ``eta_u * L``, or 0 for a SKIP slot."""
     if not 1 <= u <= len(stream):
@@ -163,55 +132,14 @@ def deletion_decay(
     """
     if not 1 <= u <= tau <= len(stream):
         raise InvalidInputError(f"need 1 <= u <= tau <= {len(stream)}, got ({u}, {tau})")
-    gap_live = enumerate(stream.live[u:tau].tolist(), start=u + 1)
-    contractive = True
+    if gamma_mode not in GAMMA_MODES:
+        raise InvalidConfigError(f"gamma_mode must be one of {GAMMA_MODES}")
+    gap = (np.flatnonzero(stream.live[u:tau]) + u).tolist()
+    factors = [step_contraction(cls, float(rates[s])) for s in gap]
+    contractive = not any(factor > 1.0 + 1e-12 for factor in factors)
     if gamma_mode == "nominal":
-        decay = gamma_nominal(cls) ** (tau - u)
-        for s, keep in gap_live:
-            if keep and step_contraction(cls, float(rates[s - 1])) > 1.0 + 1e-12:
-                contractive = False
-                break
-        return decay, contractive
-    if gamma_mode == "per-step-product":
-        decay = 1.0
-        for s, keep in gap_live:
-            if not keep:
-                continue
-            factor = step_contraction(cls, float(rates[s - 1]))
-            if factor > 1.0 + 1e-12:
-                contractive = False
-            decay *= factor
-        return decay, contractive
-    raise InvalidConfigError(f"gamma_mode must be one of {GAMMA_MODES}")
-
-
-def _step_evaluators(stream: CostStream):
-    """Per-step ``grad(t, z)`` and ``loss(t, z)`` for live 1-based slots, plus the dimension.
-
-    Quadratic streams read their stacked rows, split once into per-step row
-    views (indexing the stacked arrays per step is slower); other costs go
-    through ``eval_grad``/``cost_value``.  The dimension is None when no
-    quadratic reveals it.
-    """
-    if stream.all_quadratic() and stream.live.any():
-        mats, centers, offsets, _ = stack_quadratics(stream)
-        mats, centers, offsets = list(mats), list(centers), offsets.tolist()
-
-        def grad(t: int, z: np.ndarray) -> np.ndarray:
-            return mats[t - 1] @ (z - centers[t - 1])
-
-        def loss(t: int, z: np.ndarray) -> float:
-            diff = z - centers[t - 1]
-            return 0.5 * float(diff @ (mats[t - 1] @ diff)) + offsets[t - 1]
-
-        return grad, loss, centers[0].size
-    items = stream.items
-    probe = next((it for it in items if not is_skip(it)), None)
-    return (
-        lambda t, z: eval_grad(items[t - 1], z)[1],
-        lambda t, z: cost_value(items[t - 1], z),
-        probe.dim if isinstance(probe, QuadraticCost) else None,
-    )
+        return gamma_nominal(cls) ** (tau - u), contractive
+    return math.prod(factors, start=1.0), contractive
 
 
 def run_passive(
@@ -232,92 +160,32 @@ def run_passive(
     noise added after projection, and the emitted (noisy) point is what the
     trace records and scores.  ``cfg`` may be None only for an empty schedule.
     """
-    horizon = len(stream)
-    sched.validate_horizon(horizon)
-    if horizon == 0:
-        raise InvalidInputError("stream is empty")
     if cfg is None and sched.k:
         raise InvalidConfigError("deletions need an UnlearnerConfig to calibrate their noise")
-    live = stream.live.tolist()
-    grad_at, loss_at, dim = _step_evaluators(stream)
-    if dim is None and z0 is not None:
-        dim = as_point(z0).size
-    if dim is None:
-        raise InvalidInputError("cannot infer dimension from an all-SKIP stream without z0")
-    z = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
-
+    engine = StepEngine(stream, sched, rates, dom, z0)
     noise = NoiseSource(seed)
-    adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    by_time = {tau: (i, u) for i, (u, tau) in enumerate(sched.entries, start=1)}
-
-    outputs = np.empty((horizon, dim))
-    losses = np.zeros(horizon)
-    rate_hist = np.empty(horizon)
-    events = []
     noise_events = []
     warnings_log: list[str] = []
-    grad_evals = 0
-    bound_steps = 0
-    certifiable = True
 
-    for t in range(1, horizon + 1):
-        if not live[t - 1]:
-            eta_t = rate(rates, t, adapt)
-            event = EVENT_SKIP
-        else:
-            grad = grad_at(t, z)
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite gradient at step {t}")
-            grad_evals += 1
-            if adapt is not None:
-                adapt.add(float(grad @ grad))
-            eta_t = rate(rates, t, adapt)
-            z, bound = _projected_step(z, grad, eta_t, dom.radius)
-            if bound:
-                bound_steps += 1
-            event = EVENT_LEARN
-        rate_hist[t - 1] = eta_t
-        if adapt is not None:
-            adapt.record()
-
-        if t in by_time:
-            i, u = by_time[t]
-            delta = deletion_delta(stream, u, rate_hist, cls)
-            decay, contractive = deletion_decay(stream, u, t, rate_hist, cls, cfg.gamma_mode)
-            if not contractive:
-                certifiable = False
-                warnings_log.append(
-                    f"deletion {i}: a step in ({u}, {t}] is not contractive; "
-                    "certification refused, run continues"
-                )
-            sigma = calibrated_sigma(cfg, i, decay, delta)
-            xi = sigma * noise.normals(dim)
-            z = z + xi
-            noise_events.append(
-                NoiseEvent(
-                    ordinal=i, time=t, index=u, gap=t - u,
-                    delta=delta, decay=decay, sigma=sigma, xi=xi,
-                )
+    def add_noise(i: int, u: int, tau: int) -> None:
+        engine.advance(tau, tau)
+        delta = deletion_delta(stream, u, engine.rates, cls)
+        decay, contractive = deletion_decay(stream, u, tau, engine.rates, cls, cfg.gamma_mode)
+        if not contractive:
+            warnings_log.append(
+                f"deletion {i}: a step in ({u}, {tau}] is not contractive; "
+                "certification refused, run continues"
             )
-            event = EVENT_UNLEARN
+        sigma = calibrated_sigma(cfg, i, decay, delta)
+        noise_events.append(engine.add_noise(noise, i, u, tau, delta, decay, sigma))
 
-        outputs[t - 1] = z
-        if live[t - 1]:
-            losses[t - 1] = loss_at(t, z)
-        events.append(event)
-
-    return RunTrace(
-        algorithm="passive",
-        seed=seed,
-        outputs=outputs,
-        losses=losses,
-        rates=rate_hist,
-        events=tuple(events),
+    engine.run(add_noise)
+    return engine.trace(
+        "passive",
+        seed,
         noise_events=tuple(noise_events),
-        p_history=np.array(adapt.history) if adapt is not None else None,
-        grad_evals=grad_evals,
-        projection_bound_steps=bound_steps,
-        certifiable=certifiable,
+        projection_bound_steps=engine.bound_steps,
+        certifiable=not warnings_log,
         warnings=tuple(warnings_log),
         config={} if cfg is None else {
             "alpha": cfg.alpha, "eps": cfg.eps, "omega": cfg.omega,

@@ -54,6 +54,14 @@ class RunTrace:
     ``events[t-1]`` is one of ``learn`` / ``unlearn`` / ``skip``.  Outputs at
     unlearn steps are the noisy emitted points (they may lie outside the
     domain; the next step projects back).
+
+    ``grad_evals`` and ``replay_costs`` count the oracle calls of the
+    algorithm as specified, not the simulator's arithmetic: retraining is
+    charged a full replay from ``t = 1`` per deletion (``tau_i`` in
+    ``replay_costs``, every live slot of the retained prefix in
+    ``grad_evals``) though it recomputes only ``u_i..tau_i``, and the active
+    unlearner ``n`` per inner step on an average of ``n`` losses though
+    quadratics evaluate it in closed form.
     """
 
     algorithm: str

@@ -3,7 +3,10 @@
 One config per algorithm (passive, active, retrain, discard) and one per
 stream kind (sc-quadratic, convex-qg, assumption2-segments), at T = 300, run
 through ``run_experiment`` exactly as the CLI does.  The passive config also
-runs the Monte-Carlo check, so ``cert.json`` pins the MC estimates too.
+runs the Monte-Carlo check, so ``cert.json`` pins the MC estimates too.  Two
+more retrain configs pin the replay paths: adaptive rates with an explicit
+schedule whose second index precedes the first and whose third precedes the
+second deletion time, and ``adversarial-early`` (``u_i = i``).
 
 The hashes were taken with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31,
 Haswell kernels).  Outputs are 17-significant-digit decimals of float64
@@ -49,6 +52,14 @@ CONFIGS = {
     ),
     "active-assumption2": _config(
         stream={"kind": "assumption2-segments", "mu": 1.0, "beta": 3.0}, algorithm="active"
+    ),
+    "retrain-adaptive-explicit": _config(
+        algorithm="retrain", rate={"kind": "adaptive"},
+        schedule={"kind": "explicit", "entries": [[100, 120], [40, 160], [150, 230]]},
+    ),
+    "retrain-adversarial-early": _config(
+        algorithm="retrain",
+        schedule={"kind": "adversarial-early", "k": 3, "spacing": 75, "first_time": 75},
     ),
 }
 
@@ -120,6 +131,30 @@ GOLDEN = {
             "e67e432693dbd388422cd41b38fb432fbe64e1b0f310456a0ff32b009bab00bb",
         "summary.json":
             "7de55778348d18b29078fc83a93bfea0303ba5fe82e04d42d49d59f3374305d7",
+    },
+    "retrain-adaptive-explicit": {
+        "0/regret.json":
+            "69793c97b18bc4dc99086050a0168bf15ec705c13107649ff31ec5e2b1721bef",
+        "0/regret_curve.csv":
+            "3d71cdcfbb75af10abc34c19206551fde3ba21470da11d2ba619882cd71a267b",
+        "0/run.json":
+            "9da72e9620faf4cf54484031ac189cfeac09688219f12eed8a440689bdf57fd3",
+        "0/trace.csv":
+            "a92505e8a6a60b2672f7e3c5f9f28f1bc332839a2194d8e8f69bc3aef1e594ff",
+        "summary.json":
+            "92301dfef9d05052d3068ef68958c78d49126cada10ecaf06a249779e88bf6e0",
+    },
+    "retrain-adversarial-early": {
+        "0/regret.json":
+            "763258d4fee0fed088a823ac2e16633b25d5b143a30bdd36a0f2ba45648f1ef9",
+        "0/regret_curve.csv":
+            "a80d542ca91674b5efd5291f8ba6b4fee1e755f9c1109a910b7b28ac121c16e5",
+        "0/run.json":
+            "aecf07a6f57b335383ea9ed3a976d245ae7df167334fc197346eba82971155f2",
+        "0/trace.csv":
+            "20d5eed3127b8ed579fc21dbd72fb5a6bc6965f588137121b527daf8b28a5455",
+        "summary.json":
+            "e39e1f4517fbca9803f94fdc6f0694cda2fe7740e59d72f0ae35975cba21b1bb",
     },
     "retrain-sc": {
         "0/regret.json":
