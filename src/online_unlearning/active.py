@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedCostError,
 )
 from .ogd import RateSchedule, step_contraction
-from .passive import UnlearnerConfig, deletion_delta
+from .passive import UnlearnerConfig, deletion_calibration, noise_multiplier
 from .rng import NoiseSource
 from .trace import RunTrace
 
@@ -59,26 +59,19 @@ class ActiveConfig:
     """Active-run knobs on top of the (alpha, eps, omega) budget.
 
     ``i1`` (per deletion) and ``i2`` default to the certified minimum counts
-    from :func:`required_iters`; ``inner_rate`` defaults to ``1/(beta+mu)``;
-    ``gamma`` defaults to the honest contraction of the inner rate on the
-    class.
+    from :func:`required_iters`.  The inner rate is always ``1/(beta+mu)``
+    and ``gamma`` its contraction on the class.
     """
 
     base: UnlearnerConfig
     i1: Tuple[int, ...] | None = None
     i2: int | None = None
-    inner_rate: float | None = None
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.i1 is not None and any(v < 0 for v in self.i1):
             raise InvalidConfigError("inner step counts must be nonnegative")
         if self.i2 is not None and self.i2 < 0:
             raise InvalidConfigError("inner step counts must be nonnegative")
-        if self.inner_rate is not None and self.inner_rate <= 0.0:
-            raise InvalidConfigError("inner rate must be positive")
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise InvalidConfigError("active gamma must lie in (0, 1)")
 
 
 def required_iters(
@@ -125,9 +118,8 @@ def active_sigma(
         raise InvalidInputError("bad deletion bookkeeping for active_sigma")
     if not 0.0 < gamma <= 1.0:
         raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
-    base = math.sqrt(cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
     shift = lipschitz * (6.0 * i + lipschitz * gamma ** (tau_i - u_i) * eta_u) / (tau_i * mu)
-    return gamma**i2 * base * shift
+    return gamma**i2 * noise_multiplier(cfg, i) * shift
 
 
 def second_order_sigma(
@@ -242,7 +234,6 @@ def _run_active(
     z0: np.ndarray | None,
     strict_schedule: bool,
     second_order: bool,
-    hessian_lipschitz: float,
 ) -> RunTrace:
     sched.validate_horizon(len(stream))
     if cls.strong_convexity <= 0.0:
@@ -253,10 +244,8 @@ def _run_active(
     engine = StepEngine(stream, sched, rates, dom, z0)
 
     cfg = acfg.base
-    inner_eta = acfg.inner_rate if acfg.inner_rate is not None else 1.0 / (
-        cls.smoothness + cls.strong_convexity
-    )
-    gamma = acfg.gamma if acfg.gamma is not None else step_contraction(cls, inner_eta)
+    inner_eta = 1.0 / (cls.smoothness + cls.strong_convexity)
+    gamma = step_contraction(cls, inner_eta)
 
     noise = NoiseSource(seed)
     agg = _AverageLoss(engine.dim)
@@ -313,9 +302,10 @@ def _run_active(
             correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
             engine.grad_evals += len(agg.deleted)
             z = dom.project(z + correction)
+            # The Newton path takes quadratics only, whose Hessian is constant.
             sigma = second_order_sigma(
                 cfg, i, tau, sched.k, cls.lipschitz, cls.strong_convexity,
-                cls.smoothness, hessian_lipschitz,
+                cls.smoothness, hessian_lipschitz=0.0,
             )
         else:
             z = inner_descent(z, i2, retained_only=True)
@@ -325,7 +315,7 @@ def _run_active(
             )
 
         engine.z = z
-        delta = deletion_delta(stream, u, engine.rates, cls)
+        delta = deletion_calibration(stream, engine.rates, cls, cfg, i, u, tau)[0]
         noise_events.append(engine.add_noise(noise, i, u, tau, delta, gamma ** (tau - u), sigma))
         i1_used.append(i1)
 
@@ -365,8 +355,7 @@ def run_active(
     for simulation but marks the trace uncertifiable.
     """
     return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule,
-        second_order=False, hessian_lipschitz=0.0,
+        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule, second_order=False
     )
 
 
@@ -380,7 +369,6 @@ def run_active_second_order(
     seed: int,
     z0: np.ndarray | None = None,
     strict_schedule: bool = True,
-    hessian_lipschitz: float = 0.0,
 ) -> RunTrace:
     """Newton-correction variant: one exact second-order fixup per deletion.
 
@@ -389,6 +377,5 @@ def run_active_second_order(
     certified budget is claimed and traces are flagged.
     """
     return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule,
-        second_order=True, hessian_lipschitz=hessian_lipschitz,
+        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule, second_order=True
     )

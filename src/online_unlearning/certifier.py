@@ -40,20 +40,8 @@ from .errors import (
     OracleUnavailableError,
     UnsupportedCostError,
 )
-from .ogd import (
-    AdaptiveRate,
-    RateSchedule,
-    gradient_step_sensitivity,
-    rate,
-    step_contraction,
-)
-from .passive import (
-    UnlearnerConfig,
-    calibrated_sigma,
-    deletion_decay,
-    deletion_delta,
-    series_term,
-)
+from .ogd import AdaptiveRate, RateSchedule, rate, step_contraction
+from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
 from .rng import event_normals
 
 __all__ = [
@@ -148,8 +136,7 @@ def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
 def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> np.ndarray:
     """Honest per-step contraction factors; SKIP steps are the identity."""
     out = np.ones(len(stream))
-    for t in np.flatnonzero(stream.live).tolist():
-        out[t] = step_contraction(cls, float(rates_arr[t]))
+    out[stream.live] = step_contraction(cls, rates_arr[stream.live])
     return out
 
 
@@ -212,9 +199,8 @@ def analytic_bound(
     entries = sched.entries
     deltas_at = {u: float(deltas[u - 1]) for u, _ in entries}
     if decays is None:
-        decays = [
-            float(np.prod(gammas[u:tau])) if tau > u else 1.0 for u, tau in entries
-        ]
+        # The same gap product as ``deletion_calibration``: SKIP steps carry 1.
+        decays = [float(np.prod(gammas[u:tau])) for u, tau in entries]
     decays = [float(x) for x in decays]
     if len(decays) != sched.k:
         raise InvalidInputError("need one decay factor per deletion")
@@ -285,29 +271,6 @@ class PropagationResult:
     post_means: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
-def _deletion_params(
-    stream: CostStream,
-    sched: DeletionSchedule,
-    upto: int,
-    rates_arr: np.ndarray,
-    cfg: UnlearnerConfig,
-    cls: FnClass,
-) -> Tuple[list, list, list]:
-    """Public (delta, decay, sigma) per deletion, matching the runner bit for bit."""
-    deltas, decays, sigmas = [], [], []
-    for j, (u, tau) in enumerate(sched.entries[:upto], start=1):
-        delta = deletion_delta(stream, u, rates_arr, cls)
-        decay, contractive = deletion_decay(stream, u, tau, rates_arr, cls, cfg.gamma_mode)
-        if not contractive:
-            raise CertificationRefusedError(
-                f"deletion {j}: non-contractive step inside ({u}, {tau}]"
-            )
-        deltas.append(delta)
-        decays.append(decay)
-        sigmas.append(calibrated_sigma(cfg, j, decay, delta))
-    return deltas, decays, sigmas
-
-
 def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tuple[int, int]:
     if not 1 <= ordinal <= sched.k:
         raise InvalidInputError(f"interval ordinal {ordinal} outside [1, {sched.k}]")
@@ -339,7 +302,10 @@ def propagate_gaussians(
     start, end = _interval_bounds(sched, ordinal, horizon)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
 
-    deltas, decays, sigmas = _deletion_params(stream, sched, ordinal, rates_arr, cfg, cls)
+    sigmas = [
+        deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]
+        for j, (u, tau) in enumerate(sched.entries[:ordinal], start=1)
+    ]
     tau_i = sched.times[ordinal - 1]
     u_min = min(sched.indices[:ordinal])
     mats, centers, _, _ = stack_quadratics(stream)
@@ -712,9 +678,19 @@ def certify_passive_run(
     horizon = len(stream)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
     gammas = per_step_gammas(stream, rates_arr, cls)
-    deltas = np.where(stream.live, gradient_step_sensitivity(cls, rates_arr), 0.0)
+    deltas = np.zeros(horizon)
+    decays, sigmas = [], []
     try:
-        _, decays, sigmas = _deletion_params(stream, sched, sched.k, rates_arr, cfg, cls)
+        for j, (u, tau) in enumerate(sched.entries, start=1):
+            deltas[u - 1], decay, sigma, contractive = deletion_calibration(
+                stream, rates_arr, cls, cfg, j, u, tau
+            )
+            if not contractive:
+                raise CertificationRefusedError(
+                    f"deletion {j}: non-contractive step inside ({u}, {tau}]"
+                )
+            decays.append(decay)
+            sigmas.append(sigma)
         cert = analytic_bound(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)
     except CertificationRefusedError as err:
         return [

@@ -102,9 +102,6 @@ class BallDomain:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(x)) <= self.radius + tol
-
     def project(self, x: np.ndarray) -> np.ndarray:
         return project(x, self)
 
@@ -154,13 +151,6 @@ class FnClass:
             raise InvalidInputError("class constants must be finite")
         if self.lipschitz < 0.0:
             raise InvalidInputError("Lipschitz constant must be nonnegative")
-
-    @property
-    def condition_ratio(self) -> float:
-        """beta/mu, or inf when the class is not strongly convex."""
-        if self.strong_convexity == 0.0:
-            return math.inf
-        return self.smoothness / self.strong_convexity
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -674,8 +673,7 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
         with open(report_path) as handle:
             stored = json.load(handle)["regret"]
     return {"seed": seed, "recomputed": recomputed, "stored": stored,
-            "matches": stored is None or math.isclose(recomputed, stored, rel_tol=1e-12,
-                                                      abs_tol=1e-12)}
+            "matches": stored is None or recomputed == stored}
 
 
 def sweep_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,12 +39,10 @@ __all__ = [
     "ConvexDecreasing",
     "RateSchedule",
     "SCDecreasing",
-    "SensitivityPolicy",
     "check_conditions",
     "constant_rate_worst_case",
     "contraction_coeff",
     "gamma_nominal",
-    "gradient_step_sensitivity",
     "ogd_step",
     "rate",
     "sensitivity",
@@ -175,11 +173,28 @@ def gamma_nominal(cls: FnClass) -> float:
     return (cls.smoothness - cls.strong_convexity) / (cls.smoothness + cls.strong_convexity)
 
 
-def step_contraction(cls: FnClass, eta: float) -> float:
-    """Raw factor ``max(|1 - eta mu|, |1 - eta beta|)``; may exceed 1."""
-    if eta <= 0.0:
-        raise InvalidConfigError(f"step size must be positive, got {eta}")
-    return max(abs(1.0 - eta * cls.strong_convexity), abs(1.0 - eta * cls.smoothness))
+# A step factor above ``1 + _CONTRACTION_TOL`` is non-contractive.
+_CONTRACTION_TOL = 1e-12
+
+
+def _positive_rates(eta):
+    rates = np.asarray(eta, dtype=np.float64)
+    if np.any(rates <= 0.0):
+        raise InvalidConfigError(f"step size must be positive, got {rates.min()}")
+    return rates
+
+
+def step_contraction(cls: FnClass, eta):
+    """Raw factor ``max(|1 - eta mu|, |1 - eta beta|)``; may exceed 1.
+
+    ``eta`` is one rate (returns a float) or an array of rates (returns the
+    factor of each).
+    """
+    rates = _positive_rates(eta)
+    gamma = np.maximum(
+        np.abs(1.0 - rates * cls.strong_convexity), np.abs(1.0 - rates * cls.smoothness)
+    )
+    return gamma if gamma.ndim else float(gamma)
 
 
 def contraction_coeff(cls: FnClass, eta: float) -> ContractionInfo:
@@ -188,7 +203,7 @@ def contraction_coeff(cls: FnClass, eta: float) -> ContractionInfo:
     At ``eta = 2 / (beta + mu)`` the factor equals the nominal constant.
     """
     gamma = step_contraction(cls, eta)
-    if gamma > 1.0 + 1e-12:
+    if gamma > 1.0 + _CONTRACTION_TOL:
         raise NonContractiveStepError(
             f"eta={eta} exceeds 2/beta={2.0 / cls.smoothness if cls.smoothness else math.inf}; "
             f"step factor {gamma} > 1"
@@ -196,23 +211,16 @@ def contraction_coeff(cls: FnClass, eta: float) -> ContractionInfo:
     return ContractionInfo(gamma=min(gamma, 1.0), gamma_nominal=gamma_nominal(cls))
 
 
-SensitivityPolicy = Callable[[FnClass, float], float]
+def sensitivity(cls: FnClass, eta):
+    """Bound ``Delta = eta * L`` on ``||step(x) - x||`` for one update at rate ``eta``.
 
-
-def gradient_step_sensitivity(cls: FnClass, eta_t: float) -> float:
-    """Default displacement bound ``Delta_t = eta_t * L``."""
-    return eta_t * cls.lipschitz
-
-
-def sensitivity(cls: FnClass, eta_t: float, policy: SensitivityPolicy | None = None) -> float:
-    """Bound on ``||step(x) - x||`` for one update at rate ``eta_t``."""
-    if eta_t <= 0.0:
-        raise InvalidConfigError(f"step size must be positive, got {eta_t}")
-    rule = policy if policy is not None else gradient_step_sensitivity
-    value = rule(cls, eta_t)
-    if not math.isfinite(value):
-        raise NumericError("sensitivity policy produced a non-finite bound")
-    return value
+    ``eta`` is one rate (returns a float) or an array of rates (returns the
+    bound of each).
+    """
+    value = _positive_rates(eta) * cls.lipschitz
+    if not np.all(np.isfinite(value)):
+        raise NumericError("sensitivity bound is non-finite")
+    return value if value.ndim else float(value)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ where ``Delta_{u_i} = eta_{u_i} * L`` is the displacement bound of the deleted
 step and ``decay_i`` accounts for the contraction accumulated between the
 deleted step and the deletion time: either ``gamma_nominal ** gap`` or the
 product of the honest per-step factors over ``(u_i, tau_i]``, per
-``gamma_mode``.  Between deletions the run is plain projected OGD.
+``gamma_mode``.  :func:`deletion_calibration` is the one implementation of
+that calibration: the runner calls it at each deletion time and the
+certifier calls it for each deletion it checks.  Between deletions the run
+is plain projected OGD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -28,7 +31,7 @@ from .core import (
 )
 from .engine import StepEngine
 from .errors import InvalidConfigError, InvalidInputError
-from .ogd import RateSchedule, gamma_nominal, sensitivity, step_contraction
+from .ogd import _CONTRACTION_TOL, RateSchedule, gamma_nominal, sensitivity, step_contraction
 from .rng import NoiseSource
 from .trace import RunTrace
 
@@ -36,8 +39,8 @@ __all__ = [
     "GAMMA_MODES",
     "UnlearnerConfig",
     "calibrated_sigma",
-    "deletion_decay",
-    "deletion_delta",
+    "deletion_calibration",
+    "noise_multiplier",
     "passive_sigma",
     "run_ogd",
     "run_passive",
@@ -76,8 +79,13 @@ class UnlearnerConfig:
         """The certified divergence budget alpha * eps."""
         return self.alpha * self.eps
 
-    def with_mode(self, gamma_mode: str) -> "UnlearnerConfig":
-        return replace(self, gamma_mode=gamma_mode)
+
+def noise_multiplier(cfg: UnlearnerConfig, i: int) -> float:
+    """``sqrt(omega i^omega / (2 (omega - 1) eps))``, the ``i``-th deletion's share of the budget.
+
+    Both first-order unlearners scale their noise by it.
+    """
+    return math.sqrt(cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
 
 
 def calibrated_sigma(cfg: UnlearnerConfig, i: int, decay: float, delta: float) -> float:
@@ -86,8 +94,7 @@ def calibrated_sigma(cfg: UnlearnerConfig, i: int, decay: float, delta: float) -
         raise InvalidInputError(f"deletion ordinal must be >= 1, got {i}")
     if decay < 0.0 or delta < 0.0:
         raise InvalidInputError("decay and sensitivity must be nonnegative")
-    base = math.sqrt(cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
-    return base * decay * delta
+    return noise_multiplier(cfg, i) * decay * delta
 
 
 def series_term(cfg: UnlearnerConfig, j: int) -> float:
@@ -107,39 +114,34 @@ def passive_sigma(cfg: UnlearnerConfig, i: int, gap: int, delta_u: float, gamma:
     return calibrated_sigma(cfg, i, gamma**gap, delta_u)
 
 
-def deletion_delta(stream: CostStream, u: int, rates: np.ndarray, cls: FnClass) -> float:
-    """Public sensitivity of the deleted step: ``eta_u * L``, or 0 for a SKIP slot."""
-    if not 1 <= u <= len(stream):
-        raise InvalidInputError(f"time {u} outside the horizon [1, {len(stream)}]")
-    if not stream.live[u - 1]:
-        return 0.0
-    return sensitivity(cls, float(rates[u - 1]))
-
-
-def deletion_decay(
+def deletion_calibration(
     stream: CostStream,
-    u: int,
-    tau: int,
     rates: np.ndarray,
     cls: FnClass,
-    gamma_mode: str,
-) -> Tuple[float, bool]:
-    """Decay factor applied to the deleted step's displacement by time ``tau``.
+    cfg: UnlearnerConfig,
+    i: int,
+    u: int,
+    tau: int,
+) -> Tuple[float, float, float, bool]:
+    """Calibration ``(delta, decay, sigma, contractive)`` of the ``i``-th deletion ``(u, tau)``.
 
-    Returns ``(decay, contractive)`` where ``contractive`` is False if some
-    step in ``(u, tau]`` has a raw factor above 1 (the calibration is then not
-    certifiable).  SKIP steps inside the gap contribute a factor of 1.
+    ``delta = eta_u * L`` is the deleted step's sensitivity, 0 for a SKIP
+    slot; ``decay`` is ``gamma_nominal ** (tau - u)`` or the product of the
+    per-step factors over the live steps of ``(u, tau]``, per
+    ``cfg.gamma_mode``; ``contractive`` is False when one of those factors
+    exceeds 1, and the calibration is then not certifiable.  ``rates`` needs
+    ``eta_1..eta_tau``.
     """
     if not 1 <= u <= tau <= len(stream):
         raise InvalidInputError(f"need 1 <= u <= tau <= {len(stream)}, got ({u}, {tau})")
-    if gamma_mode not in GAMMA_MODES:
-        raise InvalidConfigError(f"gamma_mode must be one of {GAMMA_MODES}")
-    gap = (np.flatnonzero(stream.live[u:tau]) + u).tolist()
-    factors = [step_contraction(cls, float(rates[s])) for s in gap]
-    contractive = not any(factor > 1.0 + 1e-12 for factor in factors)
-    if gamma_mode == "nominal":
-        return gamma_nominal(cls) ** (tau - u), contractive
-    return math.prod(factors, start=1.0), contractive
+    delta = sensitivity(cls, float(rates[u - 1])) if stream.live[u - 1] else 0.0
+    factors = step_contraction(cls, rates[np.flatnonzero(stream.live[u:tau]) + u])
+    contractive = not np.any(factors > 1.0 + _CONTRACTION_TOL)
+    if cfg.gamma_mode == "nominal":
+        decay = gamma_nominal(cls) ** (tau - u)
+    else:
+        decay = float(np.prod(factors))
+    return delta, decay, calibrated_sigma(cfg, i, decay, delta), contractive
 
 
 def run_passive(
@@ -169,14 +171,14 @@ def run_passive(
 
     def add_noise(i: int, u: int, tau: int) -> None:
         engine.advance(tau, tau)
-        delta = deletion_delta(stream, u, engine.rates, cls)
-        decay, contractive = deletion_decay(stream, u, tau, engine.rates, cls, cfg.gamma_mode)
+        delta, decay, sigma, contractive = deletion_calibration(
+            stream, engine.rates, cls, cfg, i, u, tau
+        )
         if not contractive:
             warnings_log.append(
                 f"deletion {i}: a step in ({u}, {tau}] is not contractive; "
                 "certification refused, run continues"
             )
-        sigma = calibrated_sigma(cfg, i, decay, delta)
         noise_events.append(engine.add_noise(noise, i, u, tau, delta, decay, sigma))
 
     engine.run(add_noise)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -66,10 +66,14 @@ def _projected_gd(grad_fn, z0, dom: BallDomain, curvature: float, tol: float,
     return z
 
 
+# Stationarity tolerance of the projected-GD refinement.
+_ERM_TOL = 1e-8
+
+
 def solve_erm(
     losses: Sequence[CostFn],
     dom: BallDomain,
-    tol: float = 1e-8,
+    tol: float = _ERM_TOL,
     dim: int | None = None,
     curvature: float | None = None,
 ) -> np.ndarray:
@@ -108,9 +112,7 @@ def solve_erm(
     )
 
 
-def comparators(
-    stream: CostStream, sched: DeletionSchedule, dom: BallDomain, tol: float = 1e-8
-) -> list[np.ndarray]:
+def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) -> list[np.ndarray]:
     """Best-in-hindsight points ``z_0*, ..., z_k*`` (one per deletion epoch).
 
     ``z_i*`` minimizes the full-horizon objective minus the first ``i``
@@ -129,7 +131,7 @@ def comparators(
         rhs = (mats[kept] @ centers[kept][..., None])[..., 0].sum(axis=0, initial=0.0)
         out = []
         for i in range(sched.k + 1):
-            out.append(_solve_quadratic_erm(total, rhs, dim, dom, tol))
+            out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
             if i < sched.k and live[sched.indices[i] - 1]:
                 row = sched.indices[i] - 1
                 total = total - mats[row]
@@ -144,7 +146,7 @@ def comparators(
             f for t, f in enumerate(stream.items, start=1)
             if not is_skip(f) and t not in removed
         ]
-        out.append(solve_erm(losses, dom, tol, dim=dim))
+        out.append(solve_erm(losses, dom, dim=dim))
         if i < sched.k:
             removed.add(sched.indices[i])
     return out
@@ -172,12 +174,42 @@ def _solve_quadratic_erm(
 # Regret
 # ---------------------------------------------------------------------------
 
+def _per_step_regret(
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+) -> Tuple[np.ndarray, list]:
+    """``f_t(z_t) - f_t(z_i*)`` per step (0 on SKIP) and each epoch's window of steps.
+
+    Step ``t`` in ``(tau_i, tau_{i+1}]`` is scored against the ``i``-th
+    comparator, with ``tau_0 = 0`` and ``tau_{k+1} = T``.
+    """
+    horizon = len(stream)
+    if trace.horizon != horizon:
+        raise InvalidInputError("trace and stream cover different horizons")
+    comps = comparators(stream, sched, dom)
+    edges = (0,) + sched.times + (horizon,)
+    windows = [slice(edges[i], min(edges[i + 1], horizon)) for i in range(sched.k + 1)]
+    live = stream.live
+    if stream.all_quadratic():
+        mats, centers, offsets, _ = stack_quadratics(stream)
+        diffs = trace.outputs - centers
+        per_step = 0.5 * np.einsum("ti,tij,tj->t", diffs, mats, diffs) + offsets
+        for comp, window in zip(comps, windows):
+            comp_diffs = comp - centers[window]
+            per_step[window] -= 0.5 * np.einsum(
+                "ti,tij,tj->t", comp_diffs, mats[window], comp_diffs
+            ) + offsets[window]
+        per_step[~live] = 0.0
+        return per_step, windows
+    per_step = np.zeros(horizon)
+    for comp, window in zip(comps, windows):
+        for t in (np.flatnonzero(live[window]) + window.start + 1).tolist():
+            item = stream.item_at(t)
+            per_step[t - 1] = cost_value(item, trace.output_at(t)) - cost_value(item, comp)
+    return per_step, windows
+
+
 def regret_dynamic(
-    trace: RunTrace,
-    stream: CostStream,
-    sched: DeletionSchedule,
-    dom: BallDomain,
-    tol: float = 1e-8,
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> float:
     """Dynamic regret of a trace against the per-epoch comparators.
 
@@ -186,80 +218,17 @@ def regret_dynamic(
     losses are recomputed from the stream and the trace outputs, so the same
     metric applies to every algorithm regardless of what it logged.
     """
-    horizon = len(stream)
-    if trace.horizon != horizon:
-        raise InvalidInputError("trace and stream cover different horizons")
-    comps = comparators(stream, sched, dom, tol)
-    edges = (0,) + sched.times + (horizon,)
-
-    if stream.all_quadratic():
-        mats, centers, offsets, live = stack_quadratics(stream)
-        diffs = trace.outputs - centers
-        live_vals = 0.5 * np.einsum("ti,tij,tj->t", diffs, mats, diffs) + offsets
-        total = 0.0
-        for i in range(sched.k + 1):
-            lo, hi = edges[i], min(edges[i + 1], horizon)
-            if hi <= lo:
-                continue
-            window = slice(lo, hi)
-            comp_diffs = comps[i][None, :] - centers[window]
-            comp_vals = 0.5 * np.einsum(
-                "ti,tij,tj->t", comp_diffs, mats[window], comp_diffs
-            ) + offsets[window]
-            mask = live[window]
-            total += float(np.sum((live_vals[window] - comp_vals)[mask]))
-        return total
-
-    total = 0.0
-    for i in range(sched.k + 1):
-        lo, hi = edges[i], min(edges[i + 1], horizon)
-        for t in range(lo + 1, hi + 1):
-            item = stream.item_at(t)
-            if is_skip(item):
-                continue
-            total += cost_value(item, trace.output_at(t)) - cost_value(item, comps[i])
-    return total
+    per_step, windows = _per_step_regret(trace, stream, sched, dom)
+    live = stream.live
+    # Summing only each window's live steps keeps quadratic streams' regret bit for bit.
+    return sum((float(np.sum(per_step[w][live[w]])) for w in windows), 0.0)
 
 
 def cumulative_regret_curve(
-    trace: RunTrace,
-    stream: CostStream,
-    sched: DeletionSchedule,
-    dom: BallDomain,
-    tol: float = 1e-8,
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> np.ndarray:
     """Running partial sums of the dynamic regret, one value per step."""
-    horizon = len(stream)
-    if trace.horizon != horizon:
-        raise InvalidInputError("trace and stream cover different horizons")
-    comps = comparators(stream, sched, dom, tol)
-    edges = (0,) + sched.times + (horizon,)
-    per_step = np.zeros(horizon)
-    if stream.all_quadratic():
-        mats, centers, offsets, live = stack_quadratics(stream)
-        diffs = trace.outputs - centers
-        live_vals = 0.5 * np.einsum("ti,tij,tj->t", diffs, mats, diffs) + offsets
-        for i in range(sched.k + 1):
-            lo, hi = edges[i], min(edges[i + 1], horizon)
-            if hi <= lo:
-                continue
-            window = slice(lo, hi)
-            comp_diffs = comps[i][None, :] - centers[window]
-            comp_vals = 0.5 * np.einsum(
-                "ti,tij,tj->t", comp_diffs, mats[window], comp_diffs
-            ) + offsets[window]
-            per_step[window] = np.where(live[window], live_vals[window] - comp_vals, 0.0)
-    else:
-        for i in range(sched.k + 1):
-            lo, hi = edges[i], min(edges[i + 1], horizon)
-            for t in range(lo + 1, hi + 1):
-                item = stream.item_at(t)
-                if is_skip(item):
-                    continue
-                per_step[t - 1] = (
-                    cost_value(item, trace.output_at(t)) - cost_value(item, comps[i])
-                )
-    return np.cumsum(per_step)
+    return np.cumsum(_per_step_regret(trace, stream, sched, dom)[0])
 
 
 # ---------------------------------------------------------------------------

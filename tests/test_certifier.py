@@ -25,7 +25,8 @@ from online_unlearning.certifier import (
     rates_array,
 )
 from online_unlearning.core import class_bound_lipschitz, is_skip, retained
-from online_unlearning.ogd import ConstantRate, SCDecreasing
+from online_unlearning.ogd import ConstantRate, ConvexDecreasing, SCDecreasing
+from online_unlearning.passive import deletion_calibration, run_passive
 from online_unlearning.rng import event_normals
 
 from conftest import iso_quad, random_spd_quad, stream_of
@@ -164,6 +165,67 @@ class TestAnalyticBound:
         assert cert.per_interval[1] == pytest.approx(
             _cfg().alpha * _cfg().eps * 0.2 / (1.2 * 2**1.2), rel=1e-12
         )
+
+
+class TestSharedCalibration:
+    """The runner's noise events and the certifier's ledger inputs are one calibration."""
+
+    def _stream(self, dom):
+        rng = np.random.default_rng(40)
+        items = [random_spd_quad(rng, 2, 1.0, 3.0, dom.radius / 2) for _ in range(60)]
+        items[9] = SKIP
+        lipschitz = max(class_bound_lipschitz(f, dom) for f in items if not is_skip(f))
+        return stream_of(items), FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
+
+    def _ledger_inputs(self, monkeypatch, stream, sched, rates, cfg, cls, dom):
+        """Certify and return what the certifier handed the ledger."""
+        seen = {}
+        original = certifier.analytic_bound
+
+        def recording(sched, cfg, gammas, deltas, decays=None, sigmas=None):
+            seen.update(deltas=deltas.copy(), decays=list(decays), sigmas=list(sigmas))
+            return original(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)
+
+        monkeypatch.setattr(certifier, "analytic_bound", recording)
+        certify_passive_run(stream, sched, rates, cfg, cls, dom)
+        return seen
+
+    @pytest.mark.parametrize("gamma_mode", ["nominal", "per-step-product"])
+    @pytest.mark.parametrize("kind", ["sc-decreasing", "convex-decreasing", "constant"])
+    def test_runner_and_certifier_agree_bitwise(self, monkeypatch, unit_ball, kind, gamma_mode):
+        stream, cls = self._stream(unit_ball)
+        rates = {
+            "sc-decreasing": SCDecreasing(mu=1.0),
+            "convex-decreasing": ConvexDecreasing(diameter=2.0, lipschitz=cls.lipschitz),
+            "constant": ConstantRate(eta=0.3),
+        }[kind]
+        # The first deletion removes the SKIP slot at t = 10.
+        sched = DeletionSchedule(((10, 15), (4, 30), (25, 48)))
+        cfg = _cfg(gamma_mode=gamma_mode)
+        trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
+        seen = self._ledger_inputs(monkeypatch, stream, sched, rates, cfg, cls, unit_ball)
+
+        assert trace.certifiable
+        assert trace.noise_events[0].delta == 0.0
+        assert len(trace.noise_events) == len(seen["sigmas"]) == 3
+        for j, event in enumerate(trace.noise_events):
+            assert event.delta == seen["deltas"][event.index - 1]
+            assert event.decay == seen["decays"][j]
+            assert event.sigma == seen["sigmas"][j]
+
+    def test_noncontractive_gap_flagged_and_refused(self, unit_ball):
+        stream, cls = self._stream(unit_ball)
+        rates = ConstantRate(eta=0.9)  # above 2/beta: the step factor is 1.7
+        sched = DeletionSchedule(((2, 6),))
+        cfg = _cfg()
+        assert deletion_calibration(stream, rates_array(rates, 60), cls, cfg, 1, 2, 6)[3] is False
+
+        trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
+        assert not trace.certifiable
+        assert "not contractive" in trace.warnings[0]
+        reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball)
+        assert [r.passes for r in reports] == [False]
+        assert "non-contractive" in reports[0].note
 
 
 class TestExactOracle:

@@ -261,6 +261,23 @@ class TestSweepAndCli:
         assert result["matches"]
         assert result["stored"] == pytest.approx(result["recomputed"], rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("algorithm", ["passive", "retrain"])
+    def test_regret_report_matches_exactly(self, tmp_path, algorithm):
+        from online_unlearning.harness import recompute_regret
+
+        cfg = ExperimentConfig.from_dict(_base_config(seeds=[0], algorithm=algorithm))
+        run_experiment(cfg, tmp_path)
+        result = recompute_regret(cfg, tmp_path, 0)
+        assert result["recomputed"] == result["stored"]
+        assert result["matches"]
+
+        # One ulp off is a mismatch: the report must reproduce the stored bits.
+        report_path = tmp_path / config_hash(cfg) / "0" / "regret.json"
+        report = json.loads(report_path.read_text())
+        report["regret"] = float(np.nextafter(report["regret"], np.inf))
+        report_path.write_text(json.dumps(report))
+        assert not recompute_regret(cfg, tmp_path, 0)["matches"]
+
     def test_parallel_seeds_identical_output(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_base_config(seeds=[0, 1, 2]))
         s1 = run_experiment(cfg, tmp_path / "seq", jobs=1)

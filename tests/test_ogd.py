@@ -169,6 +169,29 @@ class TestSensitivity:
             assert moved <= eta * cls_l + 1e-10
 
 
+class TestArrayForms:
+    @pytest.mark.parametrize(
+        "sched", [SCDecreasing(mu=1.0), ConvexDecreasing(diameter=2.0, lipschitz=4.5)]
+    )
+    def test_arrays_equal_scalar_calls(self, sc_class, sched):
+        rates = np.array([rate(sched, t) for t in range(1, 10_001)])
+        gammas = step_contraction(sc_class, rates)
+        deltas = sensitivity(sc_class, rates)
+        assert gammas.shape == deltas.shape == rates.shape
+        for eta, gamma, delta in zip(rates.tolist(), gammas.tolist(), deltas.tolist()):
+            assert gamma == step_contraction(sc_class, eta)
+            assert delta == sensitivity(sc_class, eta)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    def test_nonpositive_entry_rejected(self, sc_class, bad):
+        rates = np.full(8, 0.1)
+        rates[5] = bad
+        with pytest.raises(InvalidConfigError):
+            step_contraction(sc_class, rates)
+        with pytest.raises(InvalidConfigError):
+            sensitivity(sc_class, rates)
+
+
 class TestCheckConditions:
     def test_report_bounds(self, unit_ball, sc_class):
         rng = np.random.default_rng(7)
