@@ -6,10 +6,16 @@
    surviving amount ``a_j = decay_j * Delta_{u_j}``.  Feasibility
    (``e_t >= 0`` throughout, ``e = 0`` at the interval end) proves the
    per-interval divergence bound ``sum_{j<=i} alpha eps (omega-1) / (omega j^omega)``,
-   which never exceeds ``alpha * eps``.
+   which never exceeds ``alpha * eps``.  Each ledger is stored as columns;
+   between event steps the residual only contracts, so each such stretch is
+   one cumulative product.
 2. **Exact oracle**: on all-quadratic streams with non-binding projections
    both output laws are Gaussian with a shared covariance, so the interval
-   divergence collapses to the closed form at the deletion time.
+   divergence collapses to the closed form at the deletion time.  One
+   forward pass serves every interval: the full process runs once to the
+   last noise time, and each interval's retained process branches from it
+   at the interval's first deleted index, or continues the previous
+   interval's retained process when its own deleted index comes later.
 3. **Monte-Carlo cross-check**: vectorized paired simulations estimate the
    output means and plug them into the same closed form.  Every sample
    follows the same deterministic path until the first noise event
@@ -21,8 +27,11 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from bisect import bisect_left
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Tuple
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
+    _norm,
     retained,
     stack_quadratics,
 )
@@ -98,16 +108,54 @@ class LedgerRow:
     e: float
 
 
-@dataclass(frozen=True)
+class _LedgerRows(Sequence):
+    """A ledger's columns read back as ``LedgerRow`` objects, one per access."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: "ShiftLedger") -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        led = self._ledger
+        return LedgerRow(
+            t=int(led.t[index]),
+            s=float(led.s[index]),
+            a=float(led.a[index]),
+            gamma=float(led.gamma[index]),
+            e=float(led.e[index]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class ShiftLedger:
-    """Shift accounting for one interval (deletions ``1..ordinal`` up to ``tau_i``)."""
+    """Shift accounting for one interval (deletions ``1..ordinal`` up to ``tau_i``).
+
+    One array per column, entry ``t - 1`` for step ``t``: the shift ``s``
+    opened, the amount ``a`` the noise retires, the step's contraction
+    ``gamma`` and the residual ``e`` after the step.  ``rows`` reads them
+    back as ``LedgerRow`` objects.
+    """
 
     ordinal: int
-    rows: Tuple[LedgerRow, ...]
+    t: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    gamma: np.ndarray
+    e: np.ndarray
+
+    @property
+    def rows(self) -> Sequence[LedgerRow]:
+        return _LedgerRows(self)
 
     @property
     def final_residual(self) -> float:
-        return self.rows[-1].e if self.rows else 0.0
+        return float(self.e[-1]) if len(self.e) else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,29 +196,61 @@ def _build_ledger(
     ordinal: int,
     tol: float,
 ) -> ShiftLedger:
-    """Ledger for interval ``ordinal``: deletions ``1..ordinal``, times ``1..tau_i``."""
+    """Ledger for interval ``ordinal``: deletions ``1..ordinal``, times ``1..tau_i``.
+
+    The residual follows ``e_t = max(gamma_t e_{t-1} + s_t - a_t, 0)`` and
+    must never fall below ``-tol``.  Event steps (a deleted index or a noise
+    time) run one at a time in Python floats.  Between them ``s = a = 0``,
+    so the residual only contracts: each such quiet stretch is one
+    ``np.multiply.accumulate`` over ``[e, gamma_t, ...]``, which multiplies
+    left to right as the step-by-step recursion does.
+    """
     tau_end = entries[ordinal - 1][1]
     s_at = {u: deltas_at[u] for u, _ in entries[:ordinal]}
     a_at = {tau: decays[j] * deltas_at[u] for j, (u, tau) in enumerate(entries[:ordinal])}
-    rows = []
-    e = 0.0
-    for t in range(1, tau_end + 1):
-        gamma_t = float(gammas[t - 1])
+    gamma = np.array(gammas[:tau_end], dtype=np.float64)
+    s = np.zeros(tau_end)
+    a = np.zeros(tau_end)
+    e = np.empty(tau_end)
+
+    def contract(first: int, last: int, start: float) -> None:
+        """Fill ``e`` over the quiet steps ``first..last`` from the residual ``start``."""
+        run = np.multiply.accumulate(np.concatenate(([start], gamma[first - 1:last])))[1:]
+        # Only a negative factor can drive the product below zero.
+        below = np.flatnonzero(run < 0.0)
+        if below.size:
+            m = int(below[0])
+            if run[m] < -tol:
+                raise CertificationRefusedError(
+                    f"interval {ordinal}: residual shift {float(run[m])} < 0 at "
+                    f"t={first + m}; infeasible shift plan"
+                )
+            run[m:] = np.multiply.accumulate(np.concatenate(([0.0], gamma[first + m:last])))
+        e[first - 1:last] = run
+
+    residual = 0.0
+    done = 0
+    for t in sorted(s_at.keys() | a_at.keys()):
+        if t > done + 1:
+            contract(done + 1, t - 1, residual)
+            residual = float(e[t - 2])
         s_t = s_at.get(t, 0.0)
         a_t = a_at.get(t, 0.0)
-        e = gamma_t * e + (s_t - a_t)
-        if e < -tol:
+        residual = float(gamma[t - 1]) * residual + (s_t - a_t)
+        if residual < -tol:
             raise CertificationRefusedError(
-                f"interval {ordinal}: residual shift {e} < 0 at t={t}; infeasible shift plan"
+                f"interval {ordinal}: residual shift {residual} < 0 at t={t}; infeasible shift plan"
             )
-        e = max(e, 0.0)
-        rows.append(LedgerRow(t=t, s=s_t, a=a_t, gamma=gamma_t, e=e))
-    if rows and rows[-1].e > tol:
+        residual = max(residual, 0.0)
+        s[t - 1], a[t - 1], e[t - 1] = s_t, a_t, residual
+        done = t
+    # The interval ends at its noise time, an event step.
+    if residual > tol:
         raise CertificationRefusedError(
-            f"interval {ordinal}: residual shift {rows[-1].e} at tau_{ordinal}={tau_end}; "
+            f"interval {ordinal}: residual shift {residual} at tau_{ordinal}={tau_end}; "
             "noise is under-calibrated for the actual contraction"
         )
-    return ShiftLedger(ordinal=ordinal, rows=tuple(rows))
+    return ShiftLedger(ordinal=ordinal, t=np.arange(1, tau_end + 1), s=s, a=a, gamma=gamma, e=e)
 
 
 def analytic_bound(
@@ -279,6 +359,166 @@ def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tup
     return start, min(end, horizon)
 
 
+class _ForwardPass:
+    """Both processes of intervals ``1..upto`` from one simulation of the full process.
+
+    The full process (nothing deleted) runs once to ``tau_upto`` and keeps
+    its state (mean plus one linear-part product per noise event, started
+    at injection) at every ``tau_j``, and its mean at every branch point
+    ``min(u_1..u_i) - 1``.  The retained process of interval ``i`` (deleted
+    indices ``u_1..u_i`` skipped) is the full process up to its branch
+    point; when ``u_i > tau_{i-1}`` it is also interval ``i - 1``'s retained
+    process up to ``tau_{i-1}``, and continues from that state instead.
+    Every process takes the steps a separate simulation from ``t = 1``
+    would take, in the same order, so each state at ``tau_i`` is that
+    simulation's, bit for bit.  Retained processes are run on first request.
+    """
+
+    def __init__(
+        self,
+        stream: CostStream,
+        sched: DeletionSchedule,
+        rates_arr: np.ndarray,
+        cfg: UnlearnerConfig,
+        cls: FnClass,
+        dom: BallDomain,
+        upto: int,
+    ) -> None:
+        self.entries = sched.entries[:upto]
+        self.sigmas = [
+            deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]
+            for j, (u, tau) in enumerate(self.entries, start=1)
+        ]
+        sched.validate_horizon(len(stream))
+        mats, centers, _, live = stack_quadratics(stream)
+        self.mats, self.centers, self.live = list(mats), list(centers), live.tolist()
+        self.rates_arr = rates_arr
+        self.radius = dom.radius
+        self.eye = np.eye(centers.shape[1])
+        self.eye.flags.writeable = False
+        self.noise_at = {tau: j for j, (_, tau) in enumerate(self.entries, start=1)}
+        self.u_min = list(accumulate((u for u, _ in self.entries), min))
+        self.retained: dict = {}
+
+        # Full-process states by step, and the steps at which it bound.
+        self.full: dict = {}
+        self.full_binds: list = []
+        mean, prods, done = np.zeros(centers.shape[1]), {}, 0
+        for stop in sorted({u - 1 for u in self.u_min} | {tau for _, tau in self.entries}):
+            if stop > done:
+                mean, binds = self._steps(mean, prods, done + 1, stop, ())
+                self.full_binds += binds
+                done = stop
+            self.full[stop] = (mean, dict(prods))
+
+    def _steps(self, mean: np.ndarray, prods: dict, first: int, last: int, deleted) -> tuple:
+        """Steps ``first..last`` of the process that skips ``deleted``.
+
+        Updates ``prods`` in place and returns the mean after ``last`` and
+        the steps at which the projection bound.  A bound step is rescaled,
+        which is exact before the first deleted index; from there on a bind
+        refuses the interval.
+        """
+        mats, centers, live, eye = self.mats, self.centers, self.live, self.eye
+        rates_arr, radius = self.rates_arr, self.radius
+        limit = radius * (1.0 + 1e-12)
+        binds = []
+        for t in range(first, last + 1):
+            if live[t - 1] and t not in deleted:
+                eta = float(rates_arr[t - 1])
+                mat = mats[t - 1]
+                grad = mat @ (mean - centers[t - 1])
+                moved = mean - eta * grad
+                norm = _norm(moved)
+                if norm > limit:
+                    binds.append(t)
+                    moved = moved * (radius / norm)
+                mean = moved
+                if prods:
+                    linear = eye - eta * mat
+                    for j in prods:
+                        prods[j] = linear @ prods[j]
+            j = self.noise_at.get(t)
+            if j is not None:
+                prods[j] = eye
+        return mean, binds
+
+    def _continues(self, i: int) -> bool:
+        """Whether interval ``i``'s retained process continues interval ``i - 1``'s."""
+        return i > 1 and self.entries[i - 1][0] > self.entries[i - 2][1]
+
+    def _retained_state(self, i: int) -> tuple:
+        """Interval ``i``'s retained process at ``tau_i``: ``(mean, prods, first bound step)``.
+
+        The bound step is None when the projection never bound; otherwise
+        the state is not used.
+        """
+        entries = self.entries
+        first = i
+        while first not in self.retained and self._continues(first):
+            first -= 1
+        for m in range(first, i + 1):
+            if m in self.retained:
+                continue
+            u, tau = entries[m - 1]
+            if self._continues(m):
+                mean, prods, bound = self.retained[m - 1]
+                start = entries[m - 2][1] + 1
+            else:
+                # No noise event precedes a branch point: every u is at most tau_1.
+                mean, prods = self.full[self.u_min[m - 1] - 1]
+                bound = None
+                start = self.u_min[m - 1]
+            prods = dict(prods)
+            if bound is None:
+                deleted = {v for v, _ in entries[:m]}
+                mean, binds = self._steps(mean, prods, start, tau, deleted)
+                bound = binds[0] if binds else None
+            self.retained[m] = (mean, prods, bound)
+        return self.retained[i]
+
+    def interval(self, i: int) -> tuple:
+        """``(means, prods, refusal)``: both processes at ``tau_i``, or only why the oracle refuses.
+
+        ``refusal`` names the earliest step at or after ``min(u_1..u_i)`` at
+        which either process's projection binds; it is None otherwise.
+        """
+        tau, u_min = self.entries[i - 1][1], self.u_min[i - 1]
+        mean1, prods1, bound = self._retained_state(i)
+        k = bisect_left(self.full_binds, u_min)
+        if k < len(self.full_binds) and self.full_binds[k] <= tau:
+            bound = self.full_binds[k] if bound is None else min(bound, self.full_binds[k])
+        if bound is not None:
+            refusal = (
+                f"projection binds at t={bound} (>= first deleted index {u_min}); "
+                "the output law is not Gaussian"
+            )
+            return None, None, refusal
+        mean0, prods0 = self.full[tau]
+        return (mean0, mean1), (prods0, prods1), None
+
+
+@dataclass
+class _Certification:
+    """What one ``certify_passive_run`` call shares between its oracle and Monte-Carlo calls.
+
+    ``forward`` is the one forward pass over all ``k`` intervals, and
+    ``propagations`` keeps each interval's result by ordinal, for the
+    Monte-Carlo check of the same interval to reuse.  Both serve only the
+    call's own inputs.
+    """
+
+    inputs: tuple
+    forward: _ForwardPass | None = None
+    propagations: dict = field(default_factory=dict)
+
+    def serves(self, *inputs) -> bool:
+        return all(a is b for a, b in zip(inputs, self.inputs))
+
+
+_CERTIFICATION: ContextVar[_Certification | None] = ContextVar("_CERTIFICATION", default=None)
+
+
 def propagate_gaussians(
     stream: CostStream,
     sched: DeletionSchedule,
@@ -294,7 +534,8 @@ def propagate_gaussians(
     when a projection binds at or after the first deleted index, or when the
     two processes would not share an output covariance: in either case the
     output law is no longer the shared-covariance Gaussian this oracle
-    computes.
+    computes.  This is interval ``ordinal``'s view of one forward pass: run
+    to ``tau_i`` on its own, or to ``tau_k`` once per ``certify_passive_run``.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
@@ -302,49 +543,23 @@ def propagate_gaussians(
     start, end = _interval_bounds(sched, ordinal, horizon)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
 
-    sigmas = [
-        deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]
-        for j, (u, tau) in enumerate(sched.entries[:ordinal], start=1)
-    ]
+    shared = _CERTIFICATION.get()
+    if shared is not None and shared.serves(stream, sched, rates_arr, cfg, cls, dom):
+        if shared.forward is None:
+            shared.forward = _ForwardPass(stream, sched, rates_arr, cfg, cls, dom, sched.k)
+        forward = shared.forward
+    else:
+        forward = _ForwardPass(stream, sched, rates_arr, cfg, cls, dom, ordinal)
+    means, prods, refusal = forward.interval(ordinal)
+    if refusal is not None:
+        # A fresh exception per call: a stored one would tie its traceback's
+        # frames to the pass that stores it.
+        raise OracleUnavailableError(refusal)
+
+    sigmas = forward.sigmas[:ordinal]
     tau_i = sched.times[ordinal - 1]
-    u_min = min(sched.indices[:ordinal])
-    mats, centers, _, _ = stack_quadratics(stream)
-    dim = centers.shape[1]
-    mats, centers = list(mats), list(centers)
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-
-    lives = (stream.live.tolist(), retained(stream, sched, upto=ordinal).live.tolist())
-    means = [np.zeros(dim), np.zeros(dim)]
-    # One linear-part product per (process, noise event), started at injection.
-    prods: Tuple[dict, dict] = ({}, {})
-    noise_by_time = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
-
-    for t in range(1, tau_i + 1):
-        eta = float(rates_arr[t - 1])
-        mat, center = mats[t - 1], centers[t - 1]
-        for run in (0, 1):
-            if lives[run][t - 1]:
-                grad = mat @ (means[run] - center)
-                moved = means[run] - eta * grad
-                norm = float(np.linalg.norm(moved))
-                if norm > dom.radius * (1.0 + 1e-12):
-                    if t >= u_min:
-                        raise OracleUnavailableError(
-                            f"projection binds at t={t} (>= first deleted index {u_min}); "
-                            "the output law is not Gaussian"
-                        )
-                    moved = moved * (dom.radius / norm)
-                means[run] = moved
-                if prods[run]:
-                    linear = eye - eta * mat
-                    for j in prods[run]:
-                        prods[run][j] = linear @ prods[run][j]
-        if t in noise_by_time:
-            j = noise_by_time[t]
-            prods[0][j] = eye
-            prods[1][j] = eye
-
+    eye = forward.eye
+    dim = eye.shape[0]
     covs = []
     for run in (0, 1):
         cov = np.zeros((dim, dim))
@@ -364,12 +579,13 @@ def propagate_gaussians(
 
     # Continue both means through the (identical) post-deletion maps, keeping
     # the interval's deterministic Jacobians for the sequence-collapse witness.
+    mats, centers, live, rates_arr = forward.mats, forward.centers, forward.live, forward.rates_arr
     post_jacobians = [eye]
     post_means = [(means[0].copy(), means[1].copy())]
     jac = eye
     mean0, mean1 = means[0].copy(), means[1].copy()
     for t in range(tau_i + 1, end + 1):
-        if lives[0][t - 1]:
+        if live[t - 1]:
             eta = float(rates_arr[t - 1])
             mat = mats[t - 1]
             linear = eye - eta * mat
@@ -377,7 +593,7 @@ def propagate_gaussians(
             mean0 = linear @ mean0 + shift
             mean1 = linear @ mean1 + shift
             for m in (mean0, mean1):
-                if float(np.linalg.norm(m)) > dom.radius * (1.0 + 1e-12):
+                if _norm(m) > dom.radius * (1.0 + 1e-12):
                     raise OracleUnavailableError(
                         f"projection binds at t={t} inside the interval; law is not Gaussian"
                     )
@@ -400,12 +616,6 @@ def propagate_gaussians(
     )
 
 
-# While ``certify_passive_run`` runs, the propagation the oracle computes for
-# an interval is kept here by ordinal, and the Monte-Carlo check of the same
-# interval reuses it instead of propagating again.
-_SHARED_PROPAGATIONS: ContextVar[dict | None] = ContextVar("_SHARED_PROPAGATIONS", default=None)
-
-
 def _interval_propagation(
     stream: CostStream,
     sched: DeletionSchedule,
@@ -415,13 +625,14 @@ def _interval_propagation(
     dom: BallDomain,
     ordinal: int,
 ) -> PropagationResult:
-    shared = _SHARED_PROPAGATIONS.get()
-    if shared is not None and ordinal in shared:
-        return shared[ordinal]
-    prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
-    if shared is not None:
-        shared[ordinal] = prop
-    return prop
+    shared = _CERTIFICATION.get()
+    if shared is None or not shared.serves(stream, sched, rates, cfg, cls, dom):
+        return propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
+    if ordinal not in shared.propagations:
+        shared.propagations[ordinal] = propagate_gaussians(
+            stream, sched, rates, cfg, cls, dom, ordinal
+        )
+    return shared.propagations[ordinal]
 
 
 def _shared_cov_divergence(alpha: float, diff: np.ndarray, cov: np.ndarray) -> float:
@@ -708,7 +919,7 @@ def certify_passive_run(
         ]
 
     reports = []
-    token = _SHARED_PROPAGATIONS.set({})
+    token = _CERTIFICATION.set(_Certification((stream, sched, rates_arr, cfg, cls, dom)))
     try:
         for i in range(1, sched.k + 1):
             bound_i = cert.per_interval[i - 1]
@@ -739,5 +950,5 @@ def certify_passive_run(
                 )
             )
     finally:
-        _SHARED_PROPAGATIONS.reset(token)
+        _CERTIFICATION.reset(token)
     return reports

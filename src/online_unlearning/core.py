@@ -120,13 +120,23 @@ def _into_ball(x: np.ndarray, radius: float) -> Tuple[np.ndarray, bool]:
     Rounding can leave the rescaled point an ulp outside, so the rescale
     repeats until it is inside: projection is then exactly idempotent.
     """
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm <= radius:
         return x, False
     while norm > radius:
         x = x * (radius / norm)
-        norm = float(np.linalg.norm(x))
+        norm = _norm(x)
     return x, True
+
+
+def _norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` of a float64 array without its Python overhead.
+
+    These are the operations ``np.linalg.norm`` runs for the default order
+    (``ravel``, ``dot``, square root), so the value is the same bit for bit.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
 
 
 @dataclass(frozen=True)

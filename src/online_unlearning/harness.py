@@ -44,7 +44,7 @@ from .regret import (
     g_functions,
     regret_dynamic,
 )
-from .trace import RunTrace, load_trace_outputs
+from .trace import _CSV_CHUNK, RunTrace, load_trace_outputs
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -537,10 +537,13 @@ def _run_one_seed(raw_config: dict, seed: int, out_dir: str, certify_only: bool 
         bound_curve = _bound_curve(regret_report, len(stream))
         with open(seed_dir / "regret_curve.csv", "w") as handle:
             handle.write("t,cumulative_regret,bound_rhs\n")
-            for t in range(1, len(stream) + 1):
-                handle.write(
-                    "%d,%.17g,%.17g\n" % (t, curve[t - 1], bound_curve[t - 1])
-                )
+            for lo in range(0, len(stream), _CSV_CHUNK):
+                hi = min(lo + _CSV_CHUNK, len(stream))
+                handle.write("".join([
+                    "%d,%.17g,%.17g\n" % row
+                    for row in zip(range(lo + 1, hi + 1), curve[lo:hi].tolist(),
+                                   bound_curve[lo:hi].tolist())
+                ]))
         result["regret"] = regret_report["regret"]
         result["regret_pass"] = regret_report["pass"]
 

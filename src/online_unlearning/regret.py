@@ -112,11 +112,14 @@ def solve_erm(
     )
 
 
-def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) -> list[np.ndarray]:
+def comparators(
+    stream: CostStream, sched: DeletionSchedule, dom: BallDomain, dim: int | None = None
+) -> list[np.ndarray]:
     """Best-in-hindsight points ``z_0*, ..., z_k*`` (one per deletion epoch).
 
     ``z_i*`` minimizes the full-horizon objective minus the first ``i``
     deleted losses, so learner and comparator share the same history.
+    ``dim`` is the points' dimension, needed when no quadratic loss reveals it.
     """
     sched.validate_horizon(len(stream))
     if not stream.live.any():
@@ -140,7 +143,8 @@ def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) ->
     out = []
     removed: set = set()
     live = [f for f in stream.items if not is_skip(f)]
-    dim = next((f.dim for f in live if isinstance(f, QuadraticCost)), None)
+    if dim is None:
+        dim = next((f.dim for f in live if isinstance(f, QuadraticCost)), None)
     for i in range(sched.k + 1):
         losses = [
             f for t, f in enumerate(stream.items, start=1)
@@ -185,7 +189,7 @@ def _per_step_regret(
     horizon = len(stream)
     if trace.horizon != horizon:
         raise InvalidInputError("trace and stream cover different horizons")
-    comps = comparators(stream, sched, dom)
+    comps = comparators(stream, sched, dom, trace.dim)
     edges = (0,) + sched.times + (horizon,)
     windows = [slice(edges[i], min(edges[i + 1], horizon)) for i in range(sched.k + 1)]
     live = stream.live

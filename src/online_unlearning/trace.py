@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import decode_vector, encode_vector
+from .core import _VECTOR_FMT, decode_vector, encode_vector
 
 __all__ = ["NoiseEvent", "RunTrace", "load_summary"]
 
@@ -19,6 +19,7 @@ EVENT_UNLEARN = "unlearn"
 EVENT_SKIP = "skip"
 
 _CSV_COLUMNS = ("t", "z", "eta", "loss", "event", "sigma")
+_CSV_CHUNK = 1024  # rows per write
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,21 +98,27 @@ class RunTrace:
         return float(np.sum(self.losses))
 
     def write_csv(self, path: str | Path) -> None:
+        """One row per step, as ``csv.writer`` lays it out: no field needs quoting.
+
+        Rows are formatted by one ``%`` each and written in chunks, so the
+        whole file is never held in memory.
+        """
+        row = "%d," + ";".join([_VECTOR_FMT] * self.dim) + ",%.17g,%.17g,%s,%s\r\n"
+        sigmas = {event.time: "%.17g" % event.sigma for event in self.noise_events}
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
-            sigmas = {event.time: event.sigma for event in self.noise_events}
-            for t in range(1, self.horizon + 1):
-                writer.writerow(
-                    [
-                        t,
-                        encode_vector(self.outputs[t - 1]),
-                        "%.17g" % self.rates[t - 1],
-                        "%.17g" % self.losses[t - 1],
-                        self.events[t - 1],
-                        "%.17g" % sigmas[t] if t in sigmas else "",
-                    ]
-                )
+            handle.write(",".join(_CSV_COLUMNS) + "\r\n")
+            for lo in range(0, self.horizon, _CSV_CHUNK):
+                hi = min(lo + _CSV_CHUNK, self.horizon)
+                handle.write("".join([
+                    row % (t, *z, eta, loss, event, sigmas.get(t, ""))
+                    for t, z, eta, loss, event in zip(
+                        range(lo + 1, hi + 1),
+                        self.outputs[lo:hi].tolist(),
+                        self.rates[lo:hi].tolist(),
+                        self.losses[lo:hi].tolist(),
+                        self.events[lo:hi],
+                    )
+                ]))
 
     def summary(self) -> dict:
         out = {

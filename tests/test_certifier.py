@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from online_unlearning import (
     FnClass,
     OracleUnavailableError,
     UnlearnerConfig,
+    UnsupportedCostError,
     analytic_bound,
     certify_passive_run,
     exact_divergence_quadratic,
@@ -19,12 +21,16 @@ from online_unlearning import (
 )
 from online_unlearning import certifier
 from online_unlearning.certifier import (
+    GaussianSummary,
+    LedgerRow,
+    PropagationResult,
+    _interval_bounds,
     _simulate_batch,
     interval_sequence_divergence,
     propagate_gaussians,
     rates_array,
 )
-from online_unlearning.core import class_bound_lipschitz, is_skip, retained
+from online_unlearning.core import class_bound_lipschitz, is_skip, retained, stack_quadratics
 from online_unlearning.ogd import ConstantRate, ConvexDecreasing, SCDecreasing
 from online_unlearning.passive import deletion_calibration, run_passive
 from online_unlearning.rng import event_normals
@@ -519,3 +525,294 @@ def _well_conditioned_setup(dom):
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
     return stream, cls, sched, SCDecreasing(mu=1.0), _cfg()
+
+
+# ---------------------------------------------------------------------------
+# The per-interval propagation and the row-by-row ledger, kept as references
+# ---------------------------------------------------------------------------
+
+def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal):
+    """Both processes simulated from t = 1 for this interval alone (verbatim)."""
+    if not stream.all_quadratic():
+        raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
+    horizon = len(stream)
+    start, end = _interval_bounds(sched, ordinal, horizon)
+    rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
+
+    sigmas = [
+        deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]
+        for j, (u, tau) in enumerate(sched.entries[:ordinal], start=1)
+    ]
+    tau_i = sched.times[ordinal - 1]
+    u_min = min(sched.indices[:ordinal])
+    mats, centers, _, _ = stack_quadratics(stream)
+    dim = centers.shape[1]
+    mats, centers = list(mats), list(centers)
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+
+    lives = (stream.live.tolist(), retained(stream, sched, upto=ordinal).live.tolist())
+    means = [np.zeros(dim), np.zeros(dim)]
+    # One linear-part product per (process, noise event), started at injection.
+    prods = ({}, {})
+    noise_by_time = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
+
+    for t in range(1, tau_i + 1):
+        eta = float(rates_arr[t - 1])
+        mat, center = mats[t - 1], centers[t - 1]
+        for run in (0, 1):
+            if lives[run][t - 1]:
+                grad = mat @ (means[run] - center)
+                moved = means[run] - eta * grad
+                norm = float(np.linalg.norm(moved))
+                if norm > dom.radius * (1.0 + 1e-12):
+                    if t >= u_min:
+                        raise OracleUnavailableError(
+                            f"projection binds at t={t} (>= first deleted index {u_min}); "
+                            "the output law is not Gaussian"
+                        )
+                    moved = moved * (dom.radius / norm)
+                means[run] = moved
+                if prods[run]:
+                    linear = eye - eta * mat
+                    for j in prods[run]:
+                        prods[run][j] = linear @ prods[run][j]
+        if t in noise_by_time:
+            j = noise_by_time[t]
+            prods[0][j] = eye
+            prods[1][j] = eye
+
+    covs = []
+    for run in (0, 1):
+        cov = np.zeros((dim, dim))
+        for j, sigma in enumerate(sigmas, start=1):
+            if sigma > 0.0:
+                pj = prods[run][j]
+                cov += sigma**2 * (pj @ pj.T)
+        covs.append(cov)
+    cov_scale = max((s**2 for s in sigmas), default=0.0)
+    gap = float(np.linalg.norm(covs[0] - covs[1], ord="fro"))
+    ref = max(float(np.linalg.norm(covs[0], ord="fro")), float(np.linalg.norm(covs[1], ord="fro")))
+    if gap > 1e-9 * max(ref, 1e-300):
+        raise OracleUnavailableError(
+            "the two processes have different output covariances over this interval "
+            "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
+        )
+
+    # Continue both means through the (identical) post-deletion maps, keeping
+    # the interval's deterministic Jacobians for the sequence-collapse witness.
+    post_jacobians = [eye]
+    post_means = [(means[0].copy(), means[1].copy())]
+    jac = eye
+    mean0, mean1 = means[0].copy(), means[1].copy()
+    for t in range(tau_i + 1, end + 1):
+        if lives[0][t - 1]:
+            eta = float(rates_arr[t - 1])
+            mat = mats[t - 1]
+            linear = eye - eta * mat
+            shift = eta * (mat @ centers[t - 1])
+            mean0 = linear @ mean0 + shift
+            mean1 = linear @ mean1 + shift
+            for m in (mean0, mean1):
+                if float(np.linalg.norm(m)) > dom.radius * (1.0 + 1e-12):
+                    raise OracleUnavailableError(
+                        f"projection binds at t={t} inside the interval; law is not Gaussian"
+                    )
+            jac = linear @ jac
+        post_jacobians.append(jac.copy())
+        post_means.append((mean0.copy(), mean1.copy()))
+
+    if cov_scale > 0.0:
+        matrix = covs[0] / cov_scale
+    else:
+        matrix = np.zeros((dim, dim))
+    return PropagationResult(
+        ordinal=ordinal,
+        interval=(start, end),
+        with_deleted=GaussianSummary(mean=means[0], cov_scale=cov_scale, matrix=matrix),
+        without_deleted=GaussianSummary(mean=means[1], cov_scale=cov_scale, matrix=matrix),
+        sigmas=tuple(sigmas),
+        post_jacobians=tuple(post_jacobians),
+        post_means=tuple(post_means),
+    )
+
+
+def _reference_ledger_rows(entries, gammas, deltas_at, decays, ordinal, tol):
+    """The ledger built one ``LedgerRow`` per step (verbatim but for the return)."""
+    tau_end = entries[ordinal - 1][1]
+    s_at = {u: deltas_at[u] for u, _ in entries[:ordinal]}
+    a_at = {tau: decays[j] * deltas_at[u] for j, (u, tau) in enumerate(entries[:ordinal])}
+    rows = []
+    e = 0.0
+    for t in range(1, tau_end + 1):
+        gamma_t = float(gammas[t - 1])
+        s_t = s_at.get(t, 0.0)
+        a_t = a_at.get(t, 0.0)
+        e = gamma_t * e + (s_t - a_t)
+        if e < -tol:
+            raise CertificationRefusedError(
+                f"interval {ordinal}: residual shift {e} < 0 at t={t}; infeasible shift plan"
+            )
+        e = max(e, 0.0)
+        rows.append(LedgerRow(t=t, s=s_t, a=a_t, gamma=gamma_t, e=e))
+    if rows and rows[-1].e > tol:
+        raise CertificationRefusedError(
+            f"interval {ordinal}: residual shift {rows[-1].e} at tau_{ordinal}={tau_end}; "
+            "noise is under-calibrated for the actual contraction"
+        )
+    return tuple(rows)
+
+
+def _outcome(fn, *args):
+    """The call's result, or the type and text of the refusal it raised."""
+    try:
+        return fn(*args), None
+    except (OracleUnavailableError, CertificationRefusedError) as err:
+        return None, (type(err), str(err))
+
+
+def _assert_same_propagation(got, ref):
+    assert (got.ordinal, got.interval, got.sigmas) == (ref.ordinal, ref.interval, ref.sigmas)
+    for a, b in ((got.with_deleted, ref.with_deleted), (got.without_deleted, ref.without_deleted)):
+        assert np.array_equal(a.mean, b.mean)
+        assert a.cov_scale == b.cov_scale
+        assert np.array_equal(a.matrix, b.matrix)
+    assert len(got.post_jacobians) == len(ref.post_jacobians)
+    for a, b in zip(got.post_jacobians, ref.post_jacobians):
+        assert np.array_equal(a, b)
+    for (a0, a1), (b0, b1) in zip(got.post_means, ref.post_means):
+        assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
+
+
+# u_i > tau_{i-1} (each retained process continues the previous one);
+# u_2 <= tau_1, u_3 < u_1 and u_4 = tau_3 (retained processes branch from
+# the full path); u_i = tau_i; and a deleted SKIP slot (t = 25, so sigma_1 = 0).
+_PASS_SCHEDULES = {
+    "chained": ((30, 40), (55, 70), (80, 95), (100, 110)),
+    "branching": ((30, 40), (35, 70), (10, 95), (95, 110)),
+    "u-equals-tau": ((40, 40), (70, 70), (95, 95), (20, 110)),
+    "deleted-skip": ((25, 40), (45, 70), (12, 95), (105, 110)),
+}
+
+
+class TestForwardPass:
+    """One forward pass gives every interval what a propagation from t = 1 gave, bit for bit."""
+
+    @staticmethod
+    def _setup(radius):
+        rng = np.random.default_rng(70)
+        items = [random_spd_quad(rng, 3, 1.0, 3.0, 0.9) for _ in range(120)]
+        items[24] = SKIP
+        dom = BallDomain(radius)
+        lipschitz = max(class_bound_lipschitz(f, dom) for f in items if not is_skip(f))
+        cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
+        return stream_of(items), cls, dom, rates_array(SCDecreasing(mu=1.0), 120)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.2, 0.1])
+    @pytest.mark.parametrize("name", sorted(_PASS_SCHEDULES))
+    def test_matches_reference(self, monkeypatch, name, radius):
+        stream, cls, dom, rates_arr = self._setup(radius)
+        cfg = _cfg()
+        original = certifier.propagate_gaussians
+        certified = {}
+
+        def recording(*args):
+            try:
+                result = original(*args)
+            except OracleUnavailableError as err:
+                certified[args[-1]] = (None, (type(err), str(err)))
+                raise
+            certified[args[-1]] = (result, None)
+            return result
+
+        monkeypatch.setattr(certifier, "propagate_gaussians", recording)
+        for k in range(1, 5):
+            sched = DeletionSchedule(_PASS_SCHEDULES[name][:k])
+            refs = [_outcome(_reference_propagate_gaussians, stream, sched, rates_arr,
+                             cfg, cls, dom, i) for i in range(1, k + 1)]
+            alone = [_outcome(original, stream, sched, rates_arr, cfg, cls, dom, i)
+                     for i in range(1, k + 1)]
+            # One pass asked for its intervals in reverse order.
+            token = certifier._CERTIFICATION.set(
+                certifier._Certification((stream, sched, rates_arr, cfg, cls, dom)))
+            try:
+                backwards = {i: _outcome(original, stream, sched, rates_arr, cfg, cls, dom, i)
+                             for i in range(k, 0, -1)}
+            finally:
+                certifier._CERTIFICATION.reset(token)
+            # Inside a certification one pass serves all k intervals.
+            certified.clear()
+            certify_passive_run(stream, sched, rates_arr, cfg, cls, dom)
+            assert sorted(certified) == list(range(1, k + 1))
+            for i, (ref, ref_err) in enumerate(refs, start=1):
+                for got, got_err in (alone[i - 1], backwards[i], certified[i]):
+                    assert got_err == ref_err
+                    if ref_err is None:
+                        _assert_same_propagation(got, ref)
+
+    def test_reference_cases_cover_every_outcome(self):
+        seen = set()
+        for radius in (1.0, 0.2, 0.1):
+            stream, cls, dom, rates_arr = self._setup(radius)
+            for entries in _PASS_SCHEDULES.values():
+                sched = DeletionSchedule(entries)
+                for i in range(1, 5):
+                    _, err = _outcome(_reference_propagate_gaussians, stream, sched, rates_arr,
+                                      _cfg(), cls, dom, i)
+                    seen.add("answered" if err is None else err[1][:40])
+        assert "answered" in seen
+        assert any(text.startswith("projection binds") for text in seen)
+        assert any(text.startswith("the two processes") for text in seen)
+
+    @pytest.mark.parametrize("radius, name", [(0.1, "branching"), (1.0, "chained")])
+    def test_refused_intervals_leave_no_cyclic_garbage(self, radius, name):
+        # Refused for a binding projection, then for unequal covariances.
+        stream, cls, dom, rates_arr = self._setup(radius)
+        sched = DeletionSchedule(_PASS_SCHEDULES[name])
+        gc.collect()
+        gc.disable()
+        try:
+            reports = certify_passive_run(stream, sched, rates_arr, _cfg(), cls, dom)
+            assert sum(r.note.startswith("oracle unavailable") for r in reports) >= 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestColumnLedger:
+    def test_matches_row_by_row_reference(self):
+        rng = np.random.default_rng(71)
+        refused = answered = 0
+        for trial in range(400):
+            horizon = int(rng.integers(2, 150))
+            k = int(rng.integers(1, min(5, horizon) + 1))
+            times = np.sort(rng.choice(np.arange(1, horizon + 1), size=k, replace=False))
+            used, entries = set(), []
+            for tau in times:
+                u = int(rng.choice([u for u in range(1, int(tau) + 1) if u not in used]))
+                used.add(u)
+                entries.append((u, int(tau)))
+            # Negative factors and mis-scaled decays exercise both refusals;
+            # small factors drive the residual to within tol of 0 before a
+            # negative one, which clamps it to 0 instead.
+            low, high = {0: (-0.3, 1.0), 4: (-0.05, 0.1)}.get(trial % 8, (0.0, 1.0))
+            gammas = rng.uniform(low, high, size=horizon)
+            deltas_at = {u: float(rng.uniform(0.0, 2.0)) for u, _ in entries}
+            decays = [float(np.prod(gammas[u:tau])) * float(rng.choice([1.0, 1.0, 0.9, 1.1]))
+                      for u, tau in entries]
+            tol = 1e-9 * max([1.0] + list(deltas_at.values()))
+            for i in range(1, k + 1):
+                ref, ref_err = _outcome(_reference_ledger_rows, entries, gammas, deltas_at,
+                                        decays, i, tol)
+                got, got_err = _outcome(certifier._build_ledger, entries, gammas, deltas_at,
+                                        decays, i, tol)
+                assert got_err == ref_err
+                if ref_err is not None:
+                    refused += 1
+                    continue
+                answered += 1
+                assert len(got.rows) == len(ref)
+                assert tuple(got.rows) == ref
+                assert got.rows[-1] == ref[-1]
+                assert got.final_residual == ref[-1].e
+        assert refused > 20 and answered > 200

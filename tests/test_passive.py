@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -14,7 +16,7 @@ from online_unlearning import (
     run_ogd,
     run_passive,
 )
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz
+from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, encode_vector
 from online_unlearning.errors import InvalidInputError
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.trace import load_trace_outputs
@@ -207,6 +209,30 @@ class TestTraceSerialization:
         assert np.array_equal(outputs, trace.outputs)
         assert np.array_equal(rates, trace.rates)
         assert np.array_equal(losses, trace.losses)
+
+    def test_csv_bytes_match_csv_writer_across_chunks(self, unit_ball, tmp_path):
+        # 2100 rows span three write chunks; the reference is the csv.writer loop.
+        rng = np.random.default_rng(21)
+        stream, cls = _sc_stream(rng, 2100, unit_ball)
+        sched = DeletionSchedule(((500, 1024), (1000, 1025), (2000, 2100)))
+        trace = run_passive(stream, sched, SCDecreasing(mu=1.0), _cfg(), cls,
+                            unit_ball, seed=3)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(("t", "z", "eta", "loss", "event", "sigma"))
+        sigmas = {event.time: event.sigma for event in trace.noise_events}
+        for t in range(1, trace.horizon + 1):
+            writer.writerow([
+                t,
+                encode_vector(trace.outputs[t - 1]),
+                "%.17g" % trace.rates[t - 1],
+                "%.17g" % trace.losses[t - 1],
+                trace.events[t - 1],
+                "%.17g" % sigmas[t] if t in sigmas else "",
+            ])
+        assert path.read_bytes() == reference.getvalue().encode()
 
     def test_summary_fields(self, unit_ball, tmp_path):
         rng = np.random.default_rng(20)

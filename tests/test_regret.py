@@ -5,6 +5,7 @@ import pytest
 
 from online_unlearning import (
     BallDomain,
+    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidConfigError,
@@ -18,7 +19,7 @@ from online_unlearning import (
     run_passive,
     solve_erm,
 )
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, cost_value
+from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, cost_value, eval_grad
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.regret import active_gap_sum
 
@@ -129,6 +130,22 @@ class TestRegretDynamic:
             regret_dynamic(trace, stream, sched, unit_ball), rel=1e-12, abs=1e-12
         )
         assert np.all(np.isfinite(curve))
+
+    def test_all_custom_stream_scored_with_the_trace_dimension(self, unit_ball):
+        # No quadratic reveals the dimension; the trace's z0-seeded outputs do.
+        rng = np.random.default_rng(59)
+        quads = [random_spd_quad(rng, 2, 0.5, 1.0, 0.5) for _ in range(40)]
+        stream = stream_of(CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads)
+        sched = DeletionSchedule(((5, 12), (20, 30)))
+        cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=0.5)
+        cfg = UnlearnerConfig(alpha=2.0, eps=1.0)
+        trace = run_passive(stream, sched, SCDecreasing(mu=0.5), cfg, cls, unit_ball,
+                            seed=0, z0=np.zeros(2))
+        value = regret_dynamic(trace, stream, sched, unit_ball)
+        assert math.isfinite(value)
+        assert value == pytest.approx(
+            regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
+        )
 
     def test_comparator_kkt(self, unit_ball):
         rng = np.random.default_rng(52)
