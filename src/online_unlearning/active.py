@@ -327,7 +327,6 @@ def _run_active(
         inner_steps=tuple(inner_steps),
         i1_per_deletion=tuple(i1_used),
         i2=i2_resolved if sched.k else None,
-        projection_bound_steps=engine.bound_steps,
         certifiable=certifiable,
         warnings=tuple(warnings_log),
         config={

@@ -11,11 +11,12 @@
    one cumulative product.
 2. **Exact oracle**: on all-quadratic streams with non-binding projections
    both output laws are Gaussian with a shared covariance, so the interval
-   divergence collapses to the closed form at the deletion time.  One
-   forward pass serves every interval: the full process runs once to the
-   last noise time, and each interval's retained process branches from it
-   at the interval's first deleted index, or continues the previous
-   interval's retained process when its own deleted index comes later.
+   divergence collapses to the closed form at the deletion time.  Each
+   certification keeps one forward pass, run lazily, that holds every
+   interval's result: the full process runs once to the last noise time,
+   and each interval's retained process branches from it at the
+   interval's first deleted index, or continues the previous interval's
+   retained process when its own deleted index comes later.
 3. **Monte-Carlo cross-check**: vectorized paired simulations estimate the
    output means and plug them into the same closed form.  Every sample
    follows the same deterministic path until the first noise event
@@ -29,7 +30,7 @@ import math
 from contextvars import ContextVar
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Tuple
 
@@ -71,6 +72,7 @@ __all__ = [
     "per_step_gammas",
     "propagate_gaussians",
     "rates_array",
+    "series_certificates",
 ]
 
 _FEAS_TOL = 1e-9
@@ -360,31 +362,52 @@ def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tup
 
 
 class _ForwardPass:
-    """Both processes of intervals ``1..upto`` from one simulation of the full process.
+    """One certification's exact oracle: both processes of intervals ``1..upto``.
 
-    The full process (nothing deleted) runs once to ``tau_upto`` and keeps
-    its state (mean plus one linear-part product per noise event, started
-    at injection) at every ``tau_j``, and its mean at every branch point
-    ``min(u_1..u_i) - 1``.  The retained process of interval ``i`` (deleted
-    indices ``u_1..u_i`` skipped) is the full process up to its branch
-    point; when ``u_i > tau_{i-1}`` it is also interval ``i - 1``'s retained
-    process up to ``tau_{i-1}``, and continues from that state instead.
-    Every process takes the steps a separate simulation from ``t = 1``
-    would take, in the same order, so each state at ``tau_i`` is that
-    simulation's, bit for bit.  Retained processes are run on first request.
+    ``result(i)`` computes interval ``i``'s ``PropagationResult``, or the
+    text of its refusal, on first request and keeps it; nothing runs
+    before the first request.  The full process (nothing deleted) runs once
+    to ``tau_upto`` and keeps its state (mean plus one linear-part product
+    per noise event, started at injection) at every ``tau_j``, and its mean
+    at every branch point ``min(u_1..u_i) - 1``.  The retained processes
+    (interval ``i``'s skips ``u_1..u_i``) run in interval order: interval
+    ``i``'s continues interval ``i - 1``'s when ``u_i > tau_{i-1}`` and
+    otherwise branches from the full process at its branch point.  Every
+    process takes the steps a separate simulation from ``t = 1`` would
+    take, in the same order, so each state at ``tau_i`` is that
+    simulation's, bit for bit.
     """
 
-    def __init__(
-        self,
-        stream: CostStream,
-        sched: DeletionSchedule,
-        rates_arr: np.ndarray,
-        cfg: UnlearnerConfig,
-        cls: FnClass,
-        dom: BallDomain,
-        upto: int,
-    ) -> None:
-        self.entries = sched.entries[:upto]
+    def __init__(self, inputs: tuple, upto: int) -> None:
+        # ``inputs`` are ``(stream, sched, rates_arr, cfg, cls, dom)``.
+        self.inputs = inputs
+        self.entries = inputs[1].entries[:upto]
+        self.noise_at = {tau: j for j, (_, tau) in enumerate(self.entries, start=1)}
+        self.u_min = list(accumulate((u for u, _ in self.entries), min))
+        self.full: dict = {}
+        self.retained: list = []
+        self.results: dict = {}
+
+    def serves(self, *inputs) -> bool:
+        return all(a is b for a, b in zip(inputs, self.inputs))
+
+    def result(self, i: int) -> PropagationResult:
+        """Interval ``i``'s output laws; raises ``OracleUnavailableError`` when refused."""
+        if i not in self.results:
+            if not self.full:
+                self._run_full()
+            for m in range(len(self.retained) + 1, i + 1):
+                self._run_retained(m)
+            self.results[i] = self._finish(i)
+        found = self.results[i]
+        if isinstance(found, str):
+            # A fresh exception per call: a stored one would tie its traceback's
+            # frames to the pass that stores it.
+            raise OracleUnavailableError(found)
+        return found
+
+    def _run_full(self) -> None:
+        stream, sched, rates_arr, cfg, cls, dom = self.inputs
         self.sigmas = [
             deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]
             for j, (u, tau) in enumerate(self.entries, start=1)
@@ -396,12 +419,8 @@ class _ForwardPass:
         self.radius = dom.radius
         self.eye = np.eye(centers.shape[1])
         self.eye.flags.writeable = False
-        self.noise_at = {tau: j for j, (_, tau) in enumerate(self.entries, start=1)}
-        self.u_min = list(accumulate((u for u, _ in self.entries), min))
-        self.retained: dict = {}
 
         # Full-process states by step, and the steps at which it bound.
-        self.full: dict = {}
         self.full_binds: list = []
         mean, prods, done = np.zeros(centers.shape[1]), {}, 0
         for stop in sorted({u - 1 for u in self.u_min} | {tau for _, tau in self.entries}):
@@ -443,80 +462,96 @@ class _ForwardPass:
                 prods[j] = eye
         return mean, binds
 
-    def _continues(self, i: int) -> bool:
-        """Whether interval ``i``'s retained process continues interval ``i - 1``'s."""
-        return i > 1 and self.entries[i - 1][0] > self.entries[i - 2][1]
+    def _run_retained(self, i: int) -> None:
+        """Keep interval ``i``'s retained process at ``tau_i``: ``(mean, prods, first bound step)``.
 
-    def _retained_state(self, i: int) -> tuple:
-        """Interval ``i``'s retained process at ``tau_i``: ``(mean, prods, first bound step)``.
-
-        The bound step is None when the projection never bound; otherwise
-        the state is not used.
+        A process whose projection bound is neither used nor run on.
         """
-        entries = self.entries
-        first = i
-        while first not in self.retained and self._continues(first):
-            first -= 1
-        for m in range(first, i + 1):
-            if m in self.retained:
-                continue
-            u, tau = entries[m - 1]
-            if self._continues(m):
-                mean, prods, bound = self.retained[m - 1]
-                start = entries[m - 2][1] + 1
-            else:
-                # No noise event precedes a branch point: every u is at most tau_1.
-                mean, prods = self.full[self.u_min[m - 1] - 1]
-                bound = None
-                start = self.u_min[m - 1]
-            prods = dict(prods)
-            if bound is None:
-                deleted = {v for v, _ in entries[:m]}
-                mean, binds = self._steps(mean, prods, start, tau, deleted)
-                bound = binds[0] if binds else None
-            self.retained[m] = (mean, prods, bound)
-        return self.retained[i]
+        u, tau = self.entries[i - 1]
+        if i > 1 and u > self.entries[i - 2][1]:
+            mean, prods, bound = self.retained[i - 2]
+            start = self.entries[i - 2][1] + 1
+        else:
+            # No noise event precedes a branch point: every u is at most tau_1.
+            start, bound = self.u_min[i - 1], None
+            mean, prods = self.full[start - 1]
+        prods = dict(prods)
+        if bound is None:
+            mean, binds = self._steps(mean, prods, start, tau, {v for v, _ in self.entries[:i]})
+            bound = binds[0] if binds else None
+        self.retained.append((mean, prods, bound))
 
-    def interval(self, i: int) -> tuple:
-        """``(means, prods, refusal)``: both processes at ``tau_i``, or only why the oracle refuses.
-
-        ``refusal`` names the earliest step at or after ``min(u_1..u_i)`` at
-        which either process's projection binds; it is None otherwise.
-        """
+    def _finish(self, i: int) -> PropagationResult | str:
+        """Interval ``i``'s result from both processes at ``tau_i``, or why it is refused."""
+        stream, sched = self.inputs[:2]
+        start, end = _interval_bounds(sched, i, len(stream))
         tau, u_min = self.entries[i - 1][1], self.u_min[i - 1]
-        mean1, prods1, bound = self._retained_state(i)
+        mean1, prods1, bound = self.retained[i - 1]
+        # The earliest step at or after min(u_1..u_i) at which either projection binds.
         k = bisect_left(self.full_binds, u_min)
         if k < len(self.full_binds) and self.full_binds[k] <= tau:
             bound = self.full_binds[k] if bound is None else min(bound, self.full_binds[k])
         if bound is not None:
-            refusal = (
+            return (
                 f"projection binds at t={bound} (>= first deleted index {u_min}); "
                 "the output law is not Gaussian"
             )
-            return None, None, refusal
         mean0, prods0 = self.full[tau]
-        return (mean0, mean1), (prods0, prods1), None
+
+        sigmas = self.sigmas[:i]
+        eye = self.eye
+        dim = eye.shape[0]
+        covs = []
+        for prods in (prods0, prods1):
+            cov = np.zeros((dim, dim))
+            for j, sigma in enumerate(sigmas, start=1):
+                if sigma > 0.0:
+                    cov += sigma**2 * (prods[j] @ prods[j].T)
+            covs.append(cov)
+        cov_scale = max((s**2 for s in sigmas), default=0.0)
+        gap = float(np.linalg.norm(covs[0] - covs[1], ord="fro"))
+        ref = max(float(np.linalg.norm(covs[0], ord="fro")), float(np.linalg.norm(covs[1], ord="fro")))
+        if gap > 1e-9 * max(ref, 1e-300):
+            return (
+                "the two processes have different output covariances over this interval "
+                "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
+            )
+
+        # Continue both means through the (identical) post-deletion maps, keeping
+        # the interval's deterministic Jacobians for the sequence-collapse witness.
+        mats, centers, live, rates_arr = self.mats, self.centers, self.live, self.rates_arr
+        post_jacobians = [eye]
+        post_means = [(mean0.copy(), mean1.copy())]
+        jac = eye
+        post0, post1 = mean0.copy(), mean1.copy()
+        for t in range(tau + 1, end + 1):
+            if live[t - 1]:
+                eta = float(rates_arr[t - 1])
+                mat = mats[t - 1]
+                linear = eye - eta * mat
+                shift = eta * (mat @ centers[t - 1])
+                post0 = linear @ post0 + shift
+                post1 = linear @ post1 + shift
+                if any(_norm(m) > self.radius * (1.0 + 1e-12) for m in (post0, post1)):
+                    return f"projection binds at t={t} inside the interval; law is not Gaussian"
+                jac = linear @ jac
+            post_jacobians.append(jac.copy())
+            post_means.append((post0.copy(), post1.copy()))
+
+        matrix = covs[0] / cov_scale if cov_scale > 0.0 else np.zeros((dim, dim))
+        return PropagationResult(
+            ordinal=i,
+            interval=(start, end),
+            with_deleted=GaussianSummary(mean=mean0, cov_scale=cov_scale, matrix=matrix),
+            without_deleted=GaussianSummary(mean=mean1, cov_scale=cov_scale, matrix=matrix),
+            sigmas=tuple(sigmas),
+            post_jacobians=tuple(post_jacobians),
+            post_means=tuple(post_means),
+        )
 
 
-@dataclass
-class _Certification:
-    """What one ``certify_passive_run`` call shares between its oracle and Monte-Carlo calls.
-
-    ``forward`` is the one forward pass over all ``k`` intervals, and
-    ``propagations`` keeps each interval's result by ordinal, for the
-    Monte-Carlo check of the same interval to reuse.  Both serve only the
-    call's own inputs.
-    """
-
-    inputs: tuple
-    forward: _ForwardPass | None = None
-    propagations: dict = field(default_factory=dict)
-
-    def serves(self, *inputs) -> bool:
-        return all(a is b for a, b in zip(inputs, self.inputs))
-
-
-_CERTIFICATION: ContextVar[_Certification | None] = ContextVar("_CERTIFICATION", default=None)
+# The running ``certify_passive_run`` call's pass, for its oracle and Monte-Carlo calls.
+_CERTIFICATION: ContextVar[_ForwardPass | None] = ContextVar("_CERTIFICATION", default=None)
 
 
 def propagate_gaussians(
@@ -534,105 +569,27 @@ def propagate_gaussians(
     when a projection binds at or after the first deleted index, or when the
     two processes would not share an output covariance: in either case the
     output law is no longer the shared-covariance Gaussian this oracle
-    computes.  This is interval ``ordinal``'s view of one forward pass: run
-    to ``tau_i`` on its own, or to ``tau_k`` once per ``certify_passive_run``.
+    computes.  Inside ``certify_passive_run`` this reads the certification's
+    forward pass; alone it runs a pass over intervals ``1..ordinal``.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
     horizon = len(stream)
-    start, end = _interval_bounds(sched, ordinal, horizon)
+    _interval_bounds(sched, ordinal, horizon)  # rejects an ordinal outside [1, k]
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-
-    shared = _CERTIFICATION.get()
-    if shared is not None and shared.serves(stream, sched, rates_arr, cfg, cls, dom):
-        if shared.forward is None:
-            shared.forward = _ForwardPass(stream, sched, rates_arr, cfg, cls, dom, sched.k)
-        forward = shared.forward
-    else:
-        forward = _ForwardPass(stream, sched, rates_arr, cfg, cls, dom, ordinal)
-    means, prods, refusal = forward.interval(ordinal)
-    if refusal is not None:
-        # A fresh exception per call: a stored one would tie its traceback's
-        # frames to the pass that stores it.
-        raise OracleUnavailableError(refusal)
-
-    sigmas = forward.sigmas[:ordinal]
-    tau_i = sched.times[ordinal - 1]
-    eye = forward.eye
-    dim = eye.shape[0]
-    covs = []
-    for run in (0, 1):
-        cov = np.zeros((dim, dim))
-        for j, sigma in enumerate(sigmas, start=1):
-            if sigma > 0.0:
-                pj = prods[run][j]
-                cov += sigma**2 * (pj @ pj.T)
-        covs.append(cov)
-    cov_scale = max((s**2 for s in sigmas), default=0.0)
-    gap = float(np.linalg.norm(covs[0] - covs[1], ord="fro"))
-    ref = max(float(np.linalg.norm(covs[0], ord="fro")), float(np.linalg.norm(covs[1], ord="fro")))
-    if gap > 1e-9 * max(ref, 1e-300):
-        raise OracleUnavailableError(
-            "the two processes have different output covariances over this interval "
-            "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
-        )
-
-    # Continue both means through the (identical) post-deletion maps, keeping
-    # the interval's deterministic Jacobians for the sequence-collapse witness.
-    mats, centers, live, rates_arr = forward.mats, forward.centers, forward.live, forward.rates_arr
-    post_jacobians = [eye]
-    post_means = [(means[0].copy(), means[1].copy())]
-    jac = eye
-    mean0, mean1 = means[0].copy(), means[1].copy()
-    for t in range(tau_i + 1, end + 1):
-        if live[t - 1]:
-            eta = float(rates_arr[t - 1])
-            mat = mats[t - 1]
-            linear = eye - eta * mat
-            shift = eta * (mat @ centers[t - 1])
-            mean0 = linear @ mean0 + shift
-            mean1 = linear @ mean1 + shift
-            for m in (mean0, mean1):
-                if _norm(m) > dom.radius * (1.0 + 1e-12):
-                    raise OracleUnavailableError(
-                        f"projection binds at t={t} inside the interval; law is not Gaussian"
-                    )
-            jac = linear @ jac
-        post_jacobians.append(jac.copy())
-        post_means.append((mean0.copy(), mean1.copy()))
-
-    if cov_scale > 0.0:
-        matrix = covs[0] / cov_scale
-    else:
-        matrix = np.zeros((dim, dim))
-    return PropagationResult(
-        ordinal=ordinal,
-        interval=(start, end),
-        with_deleted=GaussianSummary(mean=means[0], cov_scale=cov_scale, matrix=matrix),
-        without_deleted=GaussianSummary(mean=means[1], cov_scale=cov_scale, matrix=matrix),
-        sigmas=tuple(sigmas),
-        post_jacobians=tuple(post_jacobians),
-        post_means=tuple(post_means),
-    )
+    inputs = (stream, sched, rates_arr, cfg, cls, dom)
+    forward = _CERTIFICATION.get()
+    if forward is None or not forward.serves(*inputs):
+        forward = _ForwardPass(inputs, ordinal)
+    return forward.result(ordinal)
 
 
-def _interval_propagation(
-    stream: CostStream,
-    sched: DeletionSchedule,
-    rates: RateSchedule | np.ndarray,
-    cfg: UnlearnerConfig,
-    cls: FnClass,
-    dom: BallDomain,
-    ordinal: int,
-) -> PropagationResult:
-    shared = _CERTIFICATION.get()
-    if shared is None or not shared.serves(stream, sched, rates, cfg, cls, dom):
-        return propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
-    if ordinal not in shared.propagations:
-        shared.propagations[ordinal] = propagate_gaussians(
-            stream, sched, rates, cfg, cls, dom, ordinal
-        )
-    return shared.propagations[ordinal]
+def _interval_propagation(inputs: tuple, ordinal: int) -> PropagationResult:
+    """Interval ``ordinal``'s result: the running certification's own when it runs on ``inputs``."""
+    forward = _CERTIFICATION.get()
+    if forward is not None and forward.serves(*inputs):
+        return forward.result(ordinal)
+    return propagate_gaussians(*inputs, ordinal)
 
 
 def _shared_cov_divergence(alpha: float, diff: np.ndarray, cov: np.ndarray) -> float:
@@ -666,7 +623,7 @@ def exact_divergence_quadratic(
     identical deterministic maps, so the first noisy state is sufficient and
     the divergence is the shared-covariance Gaussian form at ``tau_i``.
     """
-    prop = _interval_propagation(stream, sched, rates, cfg, cls, dom, ordinal)
+    prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
     diff = prop.with_deleted.mean - prop.without_deleted.mean
     return _shared_cov_divergence(cfg.alpha, diff, prop.with_deleted.covariance)
 
@@ -771,14 +728,12 @@ def mc_divergence_check(
     n: int,
     seed: int,
     shards: int = 1,
-    jobs: int = 1,
 ) -> McDivergenceReport:
     """Estimate the interval divergence by sampling both processes.
 
     Sample ``r`` of each process always consumes the same draws no matter how
     the work is sharded, so partial sums merge associatively (in shard order)
-    and the estimate is independent of ``shards`` and ``jobs`` up to float
-    reassociation.
+    and the estimate is independent of ``shards`` up to float reassociation.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the Monte-Carlo check needs an all-quadratic stream")
@@ -786,7 +741,7 @@ def mc_divergence_check(
         raise InvalidInputError("need n >= 1 and 1 <= shards <= n")
     horizon = len(stream)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    prop = _interval_propagation(stream, sched, rates_arr, cfg, cls, dom, ordinal)
+    prop = _interval_propagation((stream, sched, rates_arr, cfg, cls, dom), ordinal)
     tau_i = sched.times[ordinal - 1]
     noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
     dim = stack_quadratics(stream)[1].shape[1]
@@ -795,22 +750,14 @@ def mc_divergence_check(
     both = []
     binding = 0
     for process_id, proc_stream in enumerate((stream, retained(stream, sched, upto=ordinal))):
-        tasks = [
-            (proc_stream, rates_arr, dom, prop.sigmas, noise_times,
-             tau_i, seed, process_id, hi - lo, lo, dim)
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(lambda args: _simulate_batch(*args), tasks))
-        else:
-            parts = [_simulate_batch(*args) for args in tasks]
         total = np.zeros(dim)
-        for part, bound_count in parts:
-            total = total + part
-            binding += bound_count
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                part, bound_count = _simulate_batch(proc_stream, rates_arr, dom, prop.sigmas,
+                                                    noise_times, tau_i, seed, process_id,
+                                                    hi - lo, lo, dim)
+                total = total + part
+                binding += bound_count
         both.append(total / n)
 
     diff = both[0] - both[1]
@@ -870,6 +817,41 @@ class IntervalCertificate:
         }
 
 
+def _certificate(
+    sched: DeletionSchedule, horizon: int, budget: float, i: int, bound: float | None,
+    note: str, exact: float | None = None, mc: float | None = None,
+) -> IntervalCertificate:
+    """Interval ``i``'s row: it passes with a bound within budget and any exact value within it."""
+    return IntervalCertificate(
+        ordinal=i,
+        interval=_interval_bounds(sched, i, horizon),
+        analytic_bound=bound,
+        exact_divergence=exact,
+        mc_estimate=mc,
+        budget=budget,
+        passes=bound is not None and bound <= budget + 1e-12
+        and (exact is None or exact <= bound + _EXACT_TOL),
+        note=note,
+    )
+
+
+def series_certificates(
+    sched: DeletionSchedule, cfg: UnlearnerConfig, horizon: int, certifiable: bool
+) -> list[IntervalCertificate]:
+    """The series bound alone, for runs the quadratic oracle does not apply to.
+
+    A run that is not certifiable carries no bound, and no interval passes.
+    """
+    bounds = np.cumsum([series_term(cfg, j) for j in range(1, sched.k + 1)]).tolist()
+    note = "series bound only; quadratic oracle not applicable"
+    if not certifiable:
+        bounds, note = [None] * sched.k, "certification void for this run"
+    return [
+        _certificate(sched, horizon, cfg.budget, i, bound, note)
+        for i, bound in enumerate(bounds, start=1)
+    ]
+
+
 def certify_passive_run(
     stream: CostStream,
     sched: DeletionSchedule,
@@ -905,24 +887,14 @@ def certify_passive_run(
         cert = analytic_bound(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)
     except CertificationRefusedError as err:
         return [
-            IntervalCertificate(
-                ordinal=i,
-                interval=_interval_bounds(sched, i, horizon),
-                analytic_bound=math.inf,
-                exact_divergence=None,
-                mc_estimate=None,
-                budget=cfg.budget,
-                passes=False,
-                note=f"refused: {err}",
-            )
+            _certificate(sched, horizon, cfg.budget, i, math.inf, f"refused: {err}")
             for i in range(1, sched.k + 1)
         ]
 
     reports = []
-    token = _CERTIFICATION.set(_Certification((stream, sched, rates_arr, cfg, cls, dom)))
+    token = _CERTIFICATION.set(_ForwardPass((stream, sched, rates_arr, cfg, cls, dom), sched.k))
     try:
-        for i in range(1, sched.k + 1):
-            bound_i = cert.per_interval[i - 1]
+        for i, bound_i in enumerate(cert.per_interval, start=1):
             note = ""
             exact: float | None = None
             mc: float | None = None
@@ -934,21 +906,7 @@ def certify_passive_run(
                 mc = mc_divergence_check(
                     stream, sched, rates_arr, cfg, cls, dom, i, mc_samples, seed
                 ).estimate
-            passes = bound_i <= cfg.budget + 1e-12 and (
-                exact is None or exact <= bound_i + _EXACT_TOL
-            )
-            reports.append(
-                IntervalCertificate(
-                    ordinal=i,
-                    interval=_interval_bounds(sched, i, horizon),
-                    analytic_bound=bound_i,
-                    exact_divergence=exact,
-                    mc_estimate=mc,
-                    budget=cfg.budget,
-                    passes=passes,
-                    note=note,
-                )
-            )
+            reports.append(_certificate(sched, horizon, cfg.budget, i, bound_i, note, exact, mc))
     finally:
         _CERTIFICATION.reset(token)
     return reports

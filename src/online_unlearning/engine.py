@@ -213,5 +213,6 @@ class StepEngine:
             rates=self.rates,
             events=tuple(events),
             grad_evals=self.grad_evals,
+            projection_bound_steps=self.bound_steps,
             **fields,
         )

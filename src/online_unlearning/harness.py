@@ -19,7 +19,7 @@ import numpy as np
 
 from .active import ActiveConfig, run_active, run_active_second_order
 from .baselines import run_discard_restart, run_retraining
-from .certifier import certify_passive_run
+from .certifier import certify_passive_run, series_certificates
 from .core import (
     BallDomain,
     CostStream,
@@ -36,7 +36,7 @@ from .ogd import (
     constant_rate_worst_case,
     gamma_nominal,
 )
-from .passive import UnlearnerConfig, run_passive, series_term
+from .passive import UnlearnerConfig, run_passive
 from .regret import (
     active_gap_sum,
     bound_rhs,
@@ -560,39 +560,21 @@ def _certify(cfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict:
             stream, sched, rates, ucfg, cls, dom,
             mc_samples=int(cfg.raw.get("mc_samples", 0)),
         )
-        payload = [r.to_dict() for r in reports]
-        all_pass = all(r.passes for r in reports)
-        margins = [
-            r.exact_divergence / r.analytic_bound
-            for r in reports
-            if r.exact_divergence is not None and r.analytic_bound > 0.0
-        ]
     else:
         # Active runs and adaptive rates: the series bound applies when the run
         # is certifiable; the quadratic oracle does not.
-        budget = ucfg.budget
-        bounds = list(np.cumsum([series_term(ucfg, j) for j in range(1, sched.k + 1)]))
-        payload = [
-            {
-                "interval": [sched.times[i - 1],
-                             sched.times[i] - 1 if i < sched.k else len(stream)],
-                "analytic_bound": float(bounds[i - 1]) if trace.certifiable else None,
-                "exact_divergence": None,
-                "mc_estimate": None,
-                "budget": budget,
-                "pass": bool(trace.certifiable and bounds[i - 1] <= budget + 1e-12),
-                "note": "series bound only; quadratic oracle not applicable"
-                if trace.certifiable else "certification void for this run",
-            }
-            for i in range(1, sched.k + 1)
-        ]
-        all_pass = all(entry["pass"] for entry in payload)
-        margins = []
+        reports = series_certificates(sched, ucfg, len(stream), trace.certifiable)
+    payload = [r.to_dict() for r in reports]
+    margins = [
+        r.exact_divergence / r.analytic_bound
+        for r in reports
+        if r.exact_divergence is not None and r.analytic_bound > 0.0
+    ]
     with open(seed_dir / "cert.json", "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
     return {
-        "all_pass": all_pass,
+        "all_pass": all(r.passes for r in reports),
         "intervals": len(payload),
         "max_divergence_margin": max(margins) if margins else None,
     }

@@ -186,7 +186,6 @@ def run_passive(
         "passive",
         seed,
         noise_events=tuple(noise_events),
-        projection_bound_steps=engine.bound_steps,
         certifiable=not warnings_log,
         warnings=tuple(warnings_log),
         config={} if cfg is None else {

@@ -62,7 +62,9 @@ class RunTrace:
     ``replay_costs``, every live slot of the retained prefix in
     ``grad_evals``) though it recomputes only ``u_i..tau_i``, and the active
     unlearner ``n`` per inner step on an average of ``n`` losses though
-    quadratics evaluate it in closed form.
+    quadratics evaluate it in closed form.  ``projection_bound_steps``, by
+    contrast, counts the projections the simulator computed that bound,
+    replayed steps included.
     """
 
     algorithm: str

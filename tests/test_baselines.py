@@ -166,6 +166,8 @@ class TestDiscardRestart:
 # Retraining as it was before it kept its trajectory: every deletion replays
 # the retained prefix from t = 1, and a second replay rebuilds the adaptive
 # state and its history.  The checkpointed runner must reproduce it bit for bit.
+# Bound projections are counted where the checkpointed runner computes them:
+# every forward step, and each replay's steps from the deleted index ``u_i`` on.
 
 @dataclass
 class AdaptiveState:
@@ -193,12 +195,16 @@ def _dim_of(stream: CostStream, z0: np.ndarray | None) -> int:
 
 
 def _replay(
-    items: Tuple, rates: RateSchedule, dom: BallDomain, z0: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """OGD endpoint over ``items`` with the rate clock starting at 1."""
+    items: Tuple, rates: RateSchedule, dom: BallDomain, z0: np.ndarray, count_from: int
+) -> tuple[np.ndarray, int, int]:
+    """OGD endpoint over ``items`` with the rate clock starting at 1.
+
+    Also returns the gradient evaluations and the bound projections at
+    steps ``count_from`` on.
+    """
     z = dom.project(np.array(z0, dtype=np.float64))
     adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
-    evals = 0
+    evals = binds = 0
     for t, item in enumerate(items, start=1):
         if is_skip(item):
             continue
@@ -206,8 +212,9 @@ def _replay(
         evals += 1
         if adapt is not None:
             adapt.add(float(grad @ grad))
-        z, _ = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
-    return z, evals
+        z, bound = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
+        binds += bound and t >= count_from
+    return z, evals, binds
 
 
 def reference_retraining(
@@ -240,7 +247,7 @@ def reference_retraining(
     rate_hist = np.empty(horizon)
     events = []
     replay_costs = []
-    grad_evals = 0
+    grad_evals = bound_steps = 0
     current = stream
 
     for t in range(1, horizon + 1):
@@ -256,7 +263,8 @@ def reference_retraining(
             if adapt is not None:
                 adapt.add(float(grad @ grad))
             eta_t = rate(rates, t, adapt)
-            z, _ = _projected_step(z, grad, eta_t, dom.radius)
+            z, bound = _projected_step(z, grad, eta_t, dom.radius)
+            bound_steps += bound
             event = EVENT_LEARN
         rate_hist[t - 1] = eta_t
         if adapt is not None:
@@ -265,8 +273,9 @@ def reference_retraining(
         if t in by_time:
             i = by_time[t]
             current = retained(stream, sched, upto=i)
-            z, evals = _replay(current.items[:t], rates, dom, start)
+            z, evals, binds = _replay(current.items[:t], rates, dom, start, sched.entries[i - 1][0])
             grad_evals += evals
+            bound_steps += binds
             replay_costs.append(t)
             if adapt is not None:
                 adapt = _rebuild_adaptive(current.items[:t], rates, dom, start)
@@ -288,6 +297,7 @@ def reference_retraining(
         p_history=np.array(adapt.history) if adapt is not None else None,
         grad_evals=grad_evals,
         replay_costs=tuple(replay_costs),
+        projection_bound_steps=bound_steps,
         config={},
     )
 
@@ -378,6 +388,21 @@ class TestCheckpointedRetraining:
             run_retraining(stream, sched, rates, dom, cls),
             reference_retraining(stream, sched, rates, dom, cls),
         )
+
+    def test_baselines_report_projection_binds(self):
+        # Centers at radius 2 in a radius-0.2 ball: plain OGD binds 14 times,
+        # and both baselines count their own binds, replays included.
+        rng = np.random.default_rng(61)
+        stream = stream_of(random_spd_quad(rng, 3, 1.0, 3.0, 2.0) for _ in range(40))
+        dom = BallDomain(0.2)
+        cls = FnClass(lipschitz=6.6, smoothness=3.0, strong_convexity=1.0)
+        rates = _RATES["sc-decreasing"]
+        sched = DeletionSchedule(_SCHEDULES["out-of-order"])
+        assert run_ogd(stream, rates, dom, cls).projection_bound_steps == 14
+        for runner in (run_retraining, run_discard_restart):
+            trace = runner(stream, sched, rates, dom, cls)
+            assert trace.projection_bound_steps > 0
+            assert trace.summary()["projection_bound_steps"] == trace.projection_bound_steps
 
     def test_matches_full_replay_on_custom_costs(self):
         quads = [random_spd_quad(np.random.default_rng(62 + t), 3, 1.0, 3.0, 0.8)

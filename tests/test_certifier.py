@@ -8,6 +8,7 @@ from online_unlearning import (
     SKIP,
     BallDomain,
     CertificationRefusedError,
+    CustomCost,
     DeletionSchedule,
     FnClass,
     OracleUnavailableError,
@@ -30,7 +31,14 @@ from online_unlearning.certifier import (
     propagate_gaussians,
     rates_array,
 )
-from online_unlearning.core import class_bound_lipschitz, is_skip, retained, stack_quadratics
+from online_unlearning.core import (
+    class_bound_lipschitz,
+    eval_grad,
+    is_skip,
+    retained,
+    stack_quadratics,
+)
+from online_unlearning.harness import build_schedule
 from online_unlearning.ogd import ConstantRate, ConvexDecreasing, SCDecreasing
 from online_unlearning.passive import deletion_calibration, run_passive
 from online_unlearning.rng import event_normals
@@ -392,15 +400,6 @@ class TestMonteCarlo:
         mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=1000, seed=2)
         assert calls == [1, 1]
 
-    def test_concurrent_shards_match_sequential(self, unit_ball):
-        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
-        seq = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                  n=4000, seed=5, shards=4, jobs=1)
-        par = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                  n=4000, seed=5, shards=4, jobs=4)
-        assert seq.estimate == par.estimate
-        assert np.array_equal(seq.mean_with_deleted, par.mean_with_deleted)
-
 
 def _full_batch_reference(stream, rates_arr, dom, sigmas, noise_times, tau_i, seed,
                           process_id, rows, row_offset, dim):
@@ -499,7 +498,7 @@ class TestCollapsedPrefix:
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
         n, shards = 3001, 3
         report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                     n=n, seed=6, shards=shards, jobs=2)
+                                     n=n, seed=6, shards=shards)
         rates_arr = rates_array(rates, len(stream))
         prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
         bounds = [round(s * n / shards) for s in range(shards + 1)]
@@ -734,7 +733,7 @@ class TestForwardPass:
                      for i in range(1, k + 1)]
             # One pass asked for its intervals in reverse order.
             token = certifier._CERTIFICATION.set(
-                certifier._Certification((stream, sched, rates_arr, cfg, cls, dom)))
+                certifier._ForwardPass((stream, sched, rates_arr, cfg, cls, dom), k))
             try:
                 backwards = {i: _outcome(original, stream, sched, rates_arr, cfg, cls, dom, i)
                              for i in range(k, 0, -1)}
@@ -763,6 +762,45 @@ class TestForwardPass:
         assert "answered" in seen
         assert any(text.startswith("projection binds") for text in seen)
         assert any(text.startswith("the two processes") for text in seen)
+
+    # The process-steps one certification takes, pinned so that a change to
+    # the pass can neither add nor drop one.  The pattern has u_i > tau_{i-1},
+    # so each retained process continues the previous one; adversarial-early
+    # (u_i = i) branches every one from the full process.
+    @pytest.mark.parametrize("spec, steps", [
+        ({"kind": "pattern", "k": 4, "gap": 10, "spacing": 25, "first_time": 30}, 191),
+        ({"kind": "adversarial-early", "k": 4, "spacing": 25, "first_time": 30}, 375),
+    ])
+    def test_certification_takes_the_same_steps(self, monkeypatch, spec, steps):
+        stream, cls, dom, rates_arr = self._setup(1.0)
+        sched = build_schedule(spec, 120)
+        taken = []
+        original = certifier._ForwardPass._steps
+
+        def counting(pass_, mean, prods, first, last, deleted):
+            taken.append(last - first + 1)
+            return original(pass_, mean, prods, first, last, deleted)
+
+        monkeypatch.setattr(certifier._ForwardPass, "_steps", counting)
+        certify_passive_run(stream, sched, rates_arr, _cfg(), cls, dom)
+        assert sum(taken) == steps
+
+    def test_custom_cost_keeps_its_oracle_note(self):
+        # The pass stacks the stream only when an interval is asked for, and
+        # the oracle refuses a custom cost before that.
+        rng = np.random.default_rng(3)
+        dom = BallDomain(1.0)
+        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(30)]
+        lipschitz = max(class_bound_lipschitz(f, dom) for f in quads)
+        cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
+        items = list(quads)
+        items[12] = CustomCost(evaluator=lambda z, f=quads[12]: eval_grad(f, z))
+        reports = certify_passive_run(stream_of(items), DeletionSchedule(((5, 10), (15, 20))),
+                                      SCDecreasing(mu=1.0), _cfg(), cls, dom)
+        assert len(reports) == 2
+        for report in reports:
+            assert report.note == "oracle unavailable: the exact oracle needs an all-quadratic stream"
+            assert report.exact_divergence is None
 
     @pytest.mark.parametrize("radius, name", [(0.1, "branching"), (1.0, "chained")])
     def test_refused_intervals_leave_no_cyclic_garbage(self, radius, name):

@@ -98,7 +98,7 @@ GOLDEN = {
         "0/regret_curve.csv":
             "ba32d95c6a7d7918e1be71876ae02edb1bc1ccd301b4ab741443f40594396b11",
         "0/run.json":
-            "910cbeb0cc999e7b77e68c8c4068e7d665a68bc778a22812dfceced1f1b6aad0",
+            "590b90cb464fa40b6e1a8f4e603641cd42f6714dd7091556cf1576dc4bfa13e7",
         "0/trace.csv":
             "da24565e606bb9b0a6d407f9b51928ce7c855a73962f268917d4c9aa2a71097a",
         "summary.json":
@@ -138,7 +138,7 @@ GOLDEN = {
         "0/regret_curve.csv":
             "3d71cdcfbb75af10abc34c19206551fde3ba21470da11d2ba619882cd71a267b",
         "0/run.json":
-            "9da72e9620faf4cf54484031ac189cfeac09688219f12eed8a440689bdf57fd3",
+            "02aec99e85de20d1ec7f2629235dfda5c7f10c5a202a6027808058409525be0b",
         "0/trace.csv":
             "a92505e8a6a60b2672f7e3c5f9f28f1bc332839a2194d8e8f69bc3aef1e594ff",
         "summary.json":
