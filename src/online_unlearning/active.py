@@ -8,6 +8,10 @@ use the fixed rate ``1 / (beta + mu)``; averaging keeps the inner objective's
 curvature inside ``[mu, beta]`` so that rate is valid regardless of how many
 losses have arrived.
 
+Losses are tracked by slot: the seen ones are the live slots up to ``tau_i``,
+the retained ones those less the deleted slots, and a loss object held at
+several slots counts at each.  Quadratic streams sum their stacked rows.
+
 A second-order variant replaces the retained-phase descent with one Newton
 correction built from exact quadratic Hessians.  It is experimental: its
 noise formula carries no certified budget and traces are flagged accordingly.
@@ -21,15 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (
-    BallDomain,
-    CostStream,
-    DeletionSchedule,
-    FnClass,
-    QuadraticCost,
-    eval_grad,
-    is_skip,
-)
+from .core import BallDomain, CostStream, DeletionSchedule, FnClass, stack_quadratics
 from .engine import StepEngine, _projected_step
 from .errors import (
     InvalidConfigError,
@@ -58,9 +54,9 @@ __all__ = [
 class ActiveConfig:
     """Active-run knobs on top of the (alpha, eps, omega) budget.
 
-    ``i1`` (per deletion) and ``i2`` default to the certified minimum counts
-    from :func:`required_iters`.  The inner rate is always ``1/(beta+mu)``
-    and ``gamma`` its contraction on the class.
+    ``i1`` (one count per deletion) and ``i2`` default to the certified
+    minimum counts from :func:`required_iters`.  The inner rate is always
+    ``1/(beta+mu)`` and ``gamma`` its contraction on the class.
     """
 
     base: UnlearnerConfig
@@ -130,7 +126,6 @@ def second_order_sigma(
     lipschitz: float,
     mu: float,
     beta: float,
-    hessian_lipschitz: float,
 ) -> float:
     """Noise scale of the Newton variant (experimental, no certified budget)."""
     if mu <= 0.0:
@@ -138,89 +133,71 @@ def second_order_sigma(
     if tau_i <= k or tau_i <= i:
         raise NumericError(f"noise formula undefined for tau_i={tau_i} with k={k}, i={i}")
     base = math.sqrt(cfg.alpha * cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
-    inner = 2.0 + k * beta * (hessian_lipschitz / mu - 1.0) / (mu * (tau_i - k))
+    inner = 2.0 - k * beta / (mu * (tau_i - k))  # quadratics: no Hessian-Lipschitz term
     return base * lipschitz * max(inner, 0.0) / (mu * (tau_i - i))
 
 
-class _AverageLoss:
-    """Running aggregate of seen and deleted losses for inner descent phases.
+class _SeenLosses:
+    """The losses an active run has seen, tracked by 1-based slot, for its inner phases.
 
-    Quadratic streams use closed-form sums (sum of curvatures and
-    curvature-weighted centers); anything else falls back to looping over the
-    retained items.
+    ``slots`` lists the live slots seen so far and ``deleted`` the deleted
+    live slots in deletion order, so a loss object held at several slots
+    counts once per slot.  On an all-quadratic stream each list also keeps
+    running sums of ``A_t`` and ``A_t c_t``, one stacked row at a time; any
+    other stream sums the engine's per-slot gradient ``grad_at`` instead.
     """
 
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.sum_matrix = np.zeros((dim, dim))
-        self.sum_mc = np.zeros(dim)
-        self.del_matrix = np.zeros((dim, dim))
-        self.del_mc = np.zeros(dim)
-        self.items: list = []
+    def __init__(self, stream: CostStream, grad_at, dim: int) -> None:
+        self.live = stream.live.tolist()
+        self.grad_at = grad_at
+        self.rows = stack_quadratics(stream)[:2] if stream.all_quadratic() else None
+        self.seen = 0
+        self.slots: list = []
         self.deleted: list = []
-        self.fast = True
+        self.sums = [np.zeros((dim, dim)), np.zeros(dim)]
+        self.deleted_sums = [np.zeros((dim, dim)), np.zeros(dim)]
 
-    def see(self, item) -> None:
-        if is_skip(item):
-            return
-        self.items.append(item)
-        if isinstance(item, QuadraticCost) and self.fast:
-            self.sum_matrix += item.matrix
-            self.sum_mc += item.matrix @ item.center
-        else:
-            self.fast = False
+    def _add(self, slots: list, sums: list, t: int) -> None:
+        if self.live[t - 1]:
+            slots.append(t)
+            if self.rows is not None:
+                mats, centers = self.rows
+                sums[0] += mats[t - 1]
+                sums[1] += mats[t - 1] @ centers[t - 1]
 
-    def delete(self, item) -> None:
-        if is_skip(item):
-            return
-        self.deleted.append(item)
-        if isinstance(item, QuadraticCost) and self.fast:
-            self.del_matrix += item.matrix
-            self.del_mc += item.matrix @ item.center
+    def see(self, tau: int) -> None:
+        """Take in the slots after the last one seen, up to ``tau``."""
+        for t in range(self.seen + 1, tau + 1):
+            self._add(self.slots, self.sums, t)
+        self.seen = tau
 
-    def grad(self, z: np.ndarray, retained_only: bool) -> Tuple[np.ndarray, int]:
-        """Average gradient of every seen loss, or of the retained ones, and their count."""
-        n = len(self.items) - (len(self.deleted) if retained_only else 0)
-        if n <= 0:
-            return np.zeros(self.dim), 0
-        if self.fast and retained_only:
-            return ((self.sum_matrix - self.del_matrix) @ z - (self.sum_mc - self.del_mc)) / n, n
-        if self.fast:
-            return (self.sum_matrix @ z - self.sum_mc) / n, n
-        skipped = set(map(id, self.deleted)) if retained_only else set()
-        total = np.zeros(self.dim)
-        for item in self.items:
-            if id(item) not in skipped:
-                total += eval_grad(item, z)[1]
-        return total / n, n
+    def delete(self, u: int) -> None:
+        self._add(self.deleted, self.deleted_sums, u)
 
-    def retained_hessian(self) -> np.ndarray:
-        if not self.fast:
-            raise UnsupportedCostError("the Newton correction needs quadratic losses")
-        return self.sum_matrix - self.del_matrix
+    def gradient_sum(self, z: np.ndarray, retained_only: bool) -> np.ndarray:
+        """Summed gradient at ``z`` of every seen loss, or of the retained ones."""
+        if self.rows is None:
+            skipped = set(self.deleted) if retained_only else ()
+            return self.slot_gradient_sum(z, [t for t in self.slots if t not in skipped])
+        (mat, mc), (dmat, dmc) = self.sums, self.deleted_sums
+        if retained_only:
+            return (mat - dmat) @ z - (mc - dmc)
+        return mat @ z - mc
 
-    def deleted_gradient_sum(self, z: np.ndarray) -> np.ndarray:
-        total = np.zeros(self.dim)
-        for item in self.deleted:
-            total += eval_grad(item, z)[1]
-        return total
+    def slot_gradient_sum(self, z: np.ndarray, slots: list) -> np.ndarray:
+        return sum((self.grad_at(t, z) for t in slots), np.zeros_like(z))
 
 
-def _check_schedule_shape(sched: DeletionSchedule, strict: bool) -> Tuple[bool, list]:
-    """Enforce tau_{i-1} <= u_i <= tau_i; the active guarantee needs this shape."""
-    ok = True
+def _check_schedule_shape(sched: DeletionSchedule, strict: bool) -> list:
+    """Enforce tau_{i-1} <= u_i <= tau_i (the active guarantee needs it); notes the misses."""
     notes = []
-    prev_tau = 0
-    for i, (u, tau) in enumerate(sched.entries, start=1):
+    for i, ((u, tau), prev_tau) in enumerate(zip(sched.entries, (0, *sched.times)), start=1):
         if not prev_tau <= u <= tau:
+            miss = f"deletion {i}: index {u} outside [{prev_tau}, {tau}]"
             if strict:
-                raise ScheduleShapeError(
-                    f"deletion {i}: index {u} outside [{prev_tau}, {tau}]"
-                )
-            ok = False
-            notes.append(f"deletion {i}: index {u} outside [{prev_tau}, {tau}]; certification void")
-        prev_tau = tau
-    return ok, notes
+                raise ScheduleShapeError(miss)
+            notes.append(f"{miss}; certification void")
+    return notes
 
 
 def _run_active(
@@ -235,10 +212,12 @@ def _run_active(
     strict_schedule: bool,
     second_order: bool,
 ) -> RunTrace:
+    if acfg.i1 is not None and len(acfg.i1) != sched.k:
+        raise InvalidConfigError(f"active.i1 has {len(acfg.i1)} entries for {sched.k} deletions")
     sched.validate_horizon(len(stream))
     if cls.strong_convexity <= 0.0:
         raise NotStronglyConvexError("the active unlearner requires mu > 0")
-    shape_ok, shape_notes = _check_schedule_shape(sched, strict_schedule)
+    shape_notes = _check_schedule_shape(sched, strict_schedule)
     if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
     engine = StepEngine(stream, sched, rates, dom, z0)
@@ -246,43 +225,38 @@ def _run_active(
     cfg = acfg.base
     inner_eta = 1.0 / (cls.smoothness + cls.strong_convexity)
     gamma = step_contraction(cls, inner_eta)
+    mu, diameter, lipschitz = cls.strong_convexity, dom.diameter, cls.lipschitz
+    i2 = acfg.i2
+    if i2 is None and sched.k:
+        i2 = required_iters(gamma, mu, diameter, lipschitz, sched.times[0], sched.k)[1]
 
     noise = NoiseSource(seed)
-    agg = _AverageLoss(engine.dim)
+    agg = _SeenLosses(stream, engine._grad, engine.dim)
     noise_events = []
     inner_steps = []
     i1_used = []
     warnings_log = list(shape_notes)
     if second_order:
         warnings_log.append("experimental: second-order unlearner has no certified budget")
-    seen = 0
-    i2_resolved = acfg.i2
-    certifiable = shape_ok and not second_order
+    certifiable = not shape_notes and not second_order
 
     def inner_descent(z: np.ndarray, steps: int, retained_only: bool) -> np.ndarray:
         """Projected descent on the averaged loss; each step costs one gradient per loss."""
+        n = len(agg.slots) - (len(agg.deleted) if retained_only else 0)
+        if n == 0:
+            return z
         for _ in range(steps):
-            avg_grad, n = agg.grad(z, retained_only)
-            if n == 0:
-                break
-            z, _ = _projected_step(z, avg_grad, inner_eta, dom.radius)
+            z, _ = _projected_step(z, agg.gradient_sum(z, retained_only) / n, inner_eta, dom.radius)
             engine.grad_evals += n
             inner_steps[-1] += 1
         return z
 
     def descend(i: int, u: int, tau: int) -> None:
-        nonlocal seen, i2_resolved, certifiable
+        nonlocal certifiable
         engine.advance(tau, tau)
-        for item in stream.items[seen:tau]:
-            agg.see(item)
-        seen = tau
-        needed_i1, needed_i2 = required_iters(
-            gamma, cls.strong_convexity, dom.diameter, cls.lipschitz, tau, sched.k
-        )
+        agg.see(tau)
+        needed_i1, needed_i2 = required_iters(gamma, mu, diameter, lipschitz, tau, sched.k)
         i1 = acfg.i1[i - 1] if acfg.i1 is not None else needed_i1
-        if i2_resolved is None:
-            i2_resolved = needed_i2
-        i2 = i2_resolved
         if i1 < needed_i1 or i2 < needed_i2:
             certifiable = False
             warnings_log.append(
@@ -292,27 +266,23 @@ def _run_active(
 
         inner_steps.append(0)
         z = inner_descent(engine.z, i1, retained_only=False)
-        agg.delete(stream.item_at(u))
+        agg.delete(u)
 
         if second_order:
-            hess = agg.retained_hessian()
+            if agg.rows is None:
+                raise UnsupportedCostError("the Newton correction needs quadratic losses")
+            hess = agg.sums[0] - agg.deleted_sums[0]
             eigs = np.linalg.eigvalsh(hess)
             if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
                 raise NumericError("retained Hessian is singular; Newton correction undefined")
-            correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
+            correction = np.linalg.solve(hess, agg.slot_gradient_sum(z, agg.deleted))
             engine.grad_evals += len(agg.deleted)
             z = dom.project(z + correction)
-            # The Newton path takes quadratics only, whose Hessian is constant.
-            sigma = second_order_sigma(
-                cfg, i, tau, sched.k, cls.lipschitz, cls.strong_convexity,
-                cls.smoothness, hessian_lipschitz=0.0,
-            )
+            sigma = second_order_sigma(cfg, i, tau, sched.k, lipschitz, mu, cls.smoothness)
         else:
             z = inner_descent(z, i2, retained_only=True)
-            sigma = active_sigma(
-                cfg, i, tau, u, float(engine.rates[u - 1]), cls.lipschitz,
-                cls.strong_convexity, gamma, i2,
-            )
+            eta_u = float(engine.rates[u - 1])
+            sigma = active_sigma(cfg, i, tau, u, eta_u, lipschitz, mu, gamma, i2)
 
         engine.z = z
         delta = deletion_calibration(stream, engine.rates, cls, cfg, i, u, tau)[0]
@@ -326,7 +296,7 @@ def _run_active(
         noise_events=tuple(noise_events),
         inner_steps=tuple(inner_steps),
         i1_per_deletion=tuple(i1_used),
-        i2=i2_resolved if sched.k else None,
+        i2=i2 if sched.k else None,
         certifiable=certifiable,
         warnings=tuple(warnings_log),
         config={

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import BallDomain, CostStream, DeletionSchedule, FnClass, retained
+from .core import BallDomain, CostStream, DeletionSchedule, FnClass
 from .engine import StepEngine
 from .errors import InvalidInputError
 from .ogd import RateSchedule, rate
@@ -64,13 +64,12 @@ def run_retraining(
         engine.advance(tau, tau)
         first_rates = engine.rates[u - 1:tau].copy()
         evals = engine.grad_evals
-        live = retained(stream, sched, upto=i).live
-        engine.live = live.tolist()
+        engine.live[u - 1] = False
         engine.restore(u - 1)
         engine.advance(u, tau)
         # The trace reports the rates each step ran with the first time.
         engine.rates[u - 1:tau] = first_rates
-        engine.grad_evals = evals + int(np.count_nonzero(live[:tau]))
+        engine.grad_evals = evals + sum(engine.live[:tau])
         replay_costs.append(tau)
 
     engine.run(replay)

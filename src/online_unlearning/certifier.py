@@ -656,7 +656,6 @@ class McDivergenceReport:
     mean_without_deleted: np.ndarray
     estimate: float
     std_error: float
-    mean_std_error: np.ndarray
     binding_events: int
 
     @property
@@ -785,7 +784,6 @@ def mc_divergence_check(
         mean_without_deleted=both[1],
         estimate=estimate,
         std_error=std_error,
-        mean_std_error=np.sqrt(np.clip(np.diag(cov), 0.0, None) * 2.0 / n),
         binding_events=binding,
     )
 

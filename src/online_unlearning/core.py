@@ -513,12 +513,6 @@ class DeletionSchedule:
     def times(self) -> Tuple[int, ...]:
         return tuple(tau for _, tau in self.entries)
 
-    def prefix(self, i: int) -> "DeletionSchedule":
-        """Schedule of the first ``i`` deletions."""
-        if not 0 <= i <= self.k:
-            raise InvalidScheduleError(f"prefix length {i} outside [0, {self.k}]")
-        return DeletionSchedule(self.entries[:i])
-
     def validate_horizon(self, horizon: int) -> None:
         if self.k and self.times[-1] > horizon:
             raise InvalidScheduleError(

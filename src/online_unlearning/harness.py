@@ -1,9 +1,11 @@
 """Experiment orchestration: synthetic streams, schedules, runs, and reports.
 
 Configs are strict JSON (unknown fields rejected with a field path).  Outputs
-land under ``out/<config-hash>/<seed>/`` as ``trace.csv``, ``regret.json``,
-and ``cert.json``, plus one ``summary.json`` per config.  Everything is a pure
-function of the config and seeds: rerunning reproduces every byte.
+land under ``out/<config-hash>/<seed>/`` as ``trace.csv``, ``run.json`` (the
+trace summary), ``regret.json``, ``regret_curve.csv`` and ``cert.json``, plus
+one ``config.json`` (the config as run) and one ``summary.json`` per config.
+Everything is a pure function of the config and seeds: rerunning reproduces
+every byte.
 """
 
 from __future__ import annotations

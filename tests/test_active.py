@@ -5,9 +5,12 @@ import pytest
 
 from online_unlearning import (
     ActiveConfig,
+    CustomCost,
     DeletionSchedule,
     FnClass,
+    InvalidConfigError,
     NotStronglyConvexError,
+    QuadraticCost,
     ScheduleShapeError,
     UnlearnerConfig,
     active_sigma,
@@ -18,8 +21,9 @@ from online_unlearning import (
     solve_erm,
 )
 from online_unlearning.active import second_order_sigma
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz
+from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, eval_grad
 from online_unlearning.errors import NumericError
+from online_unlearning.harness import gen_stream
 from online_unlearning.ogd import SCDecreasing, step_contraction
 
 from conftest import iso_quad, quad, random_spd_quad, stream_of
@@ -235,4 +239,47 @@ class TestSecondOrder:
 
     def test_sigma_formula_guard(self):
         with pytest.raises(NumericError):
-            second_order_sigma(_cfg(), 1, 1, 1, 1.0, 1.0, 2.0, 0.0)
+            second_order_sigma(_cfg(), 1, 1, 1, 1.0, 1.0, 2.0)
+
+
+class TestSlotTracking:
+    """The inner phases track losses by slot, not by loss object, and read stacked rows."""
+
+    C_A = np.array([0.4, 0.0])
+    C_B = np.array([-0.2, 0.3])
+
+    @pytest.mark.parametrize("custom", [True, False])
+    def test_reused_loss_object_deleted_at_one_slot(self, custom, unit_ball):
+        f_a, f_b = iso_quad(1.0, self.C_A), iso_quad(1.0, self.C_B)
+        if custom:
+            f_a, f_b = (CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in (f_a, f_b))
+        stream = stream_of([f_a, f_b] * 5)
+        cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=1.0)
+        acfg = ActiveConfig(base=_cfg(eps=1e12), i1=(0,), i2=60)
+        trace = run_active(stream, DeletionSchedule(((3, 8),)), SCDecreasing(mu=1.0), acfg,
+                           cls, unit_ball, seed=0, z0=np.zeros(2))
+        prenoise = trace.output_at(8) - trace.noise_events[0].xi
+        # Slots 1, 5, 7 hold f_a and slots 2, 4, 6, 8 hold f_b once slot 3 is deleted.
+        target = (3.0 * self.C_A + 4.0 * self.C_B) / 7.0
+        assert np.allclose(prenoise, target, rtol=0.0, atol=1e-9)
+
+    def test_runners_build_no_per_item_views(self, unit_ball, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-item QuadraticCost view was built")
+
+        monkeypatch.setattr(QuadraticCost, "_view", classmethod(refuse))
+        gs = gen_stream("sc-quadratic", dict(dimension=2, horizon=60, radius=1.0, mu=1.0,
+                                             beta=3.0), seed=0)
+        sched = DeletionSchedule(((10, 20), (25, 40)))
+        for runner in (run_active, run_active_second_order):
+            trace = runner(gs.stream, sched, SCDecreasing(mu=1.0), ActiveConfig(base=_cfg()),
+                           gs.fn_class, unit_ball, seed=0)
+            assert len(trace.noise_events) == 2
+
+    @pytest.mark.parametrize("i1", [(3,), (3, 3, 3, 3)])
+    def test_i1_must_match_the_deletion_count(self, i1, unit_ball):
+        stream, cls = _sc_stream(np.random.default_rng(39), 30, unit_ball)
+        sched = DeletionSchedule(((2, 5), (6, 12), (13, 20)))
+        with pytest.raises(InvalidConfigError, match="active.i1 has"):
+            run_active(stream, sched, SCDecreasing(mu=1.0), ActiveConfig(base=_cfg(), i1=i1),
+                       cls, unit_ball, seed=0)

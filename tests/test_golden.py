@@ -6,7 +6,10 @@ through ``run_experiment`` exactly as the CLI does.  The passive config also
 runs the Monte-Carlo check, so ``cert.json`` pins the MC estimates too.  Two
 more retrain configs pin the replay paths: adaptive rates with an explicit
 schedule whose second index precedes the first and whose third precedes the
-second deletion time, and ``adversarial-early`` (``u_i = i``).
+second deletion time, and ``adversarial-early`` (``u_i = i``).  The Newton
+variant ``active2`` has one config, and one more ``active`` config runs that
+explicit schedule with ``strict_schedule: false``, so two of its deletions lie
+outside the certified shape.
 
 The hashes were taken with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31,
 Haswell kernels).  Outputs are 17-significant-digit decimals of float64
@@ -61,9 +64,43 @@ CONFIGS = {
         algorithm="retrain",
         schedule={"kind": "adversarial-early", "k": 3, "spacing": 75, "first_time": 75},
     ),
+    "active2-sc": _config(algorithm="active2"),
+    "active-loose-shape": _config(
+        algorithm="active",
+        schedule={"kind": "explicit", "entries": [[100, 120], [40, 160], [150, 230]]},
+        active={"strict_schedule": False},
+    ),
 }
 
 GOLDEN = {
+    "active-loose-shape": {
+        "0/cert.json":
+            "f49af5db246490820d5e5dc89ddc70fbe78182c2219bb15a46fb2411bdc32eb8",
+        "0/regret.json":
+            "88e6c3afcfa640fd53e4c1e04d21b0619bfb07d746e516447e3ba46fe0f10d05",
+        "0/regret_curve.csv":
+            "d984b53c2a04d8d55eb3e12fdea2af6a9e5250345f0aa4b8583278518cbcf6ab",
+        "0/run.json":
+            "b720c0339b29cde36e7c4713747dce1179474e6af335d7c091918db7e39feb21",
+        "0/trace.csv":
+            "032fbd560300d54eec545c3129d5c3b853b10c0ecdfe9d4a4471adc783534d3e",
+        "summary.json":
+            "7f300a89ef56f742ce158c5054e2ded363529d3e51857e048683d35203c1e5eb",
+    },
+    "active2-sc": {
+        "0/cert.json":
+            "2568d60357a2724b7380eade6c23aaa8f4e9dad95ac83d0cb0162d21b82f2c8f",
+        "0/regret.json":
+            "c0d53c471b180f8a972ff7083c75045a2f1434943ae36b0dcc4f9307a54393b8",
+        "0/regret_curve.csv":
+            "f14ab6420b70a1b6a3a541e28f051667fec73fef907f254a7f9018ace90728ef",
+        "0/run.json":
+            "204a1ffddbd8de71785cf27869ee97b584946b93d72ad33b7f520ad4d12060c1",
+        "0/trace.csv":
+            "61832d4846dfbbb2cf4ef35e7235faece9e1127b67e2d52166b5ff9b60d03a8b",
+        "summary.json":
+            "8723defba30a21bdeb8395b7a5451c894715feb65823fec23b2ab454d75472de",
+    },
     "active-assumption2": {
         "0/cert.json":
             "57bf1781c00671d05689d4d7054516292c280d2ef0c3cda17953b44ea53db9cd",

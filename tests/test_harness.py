@@ -242,6 +242,17 @@ class TestSweepAndCli:
             json.dump({"nope": 1}, handle)
         assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
 
+    def test_cli_rejects_i1_of_the_wrong_length(self, tmp_path, capsys):
+        config_path = tmp_path / "active.json"
+        with open(config_path, "w") as handle:
+            json.dump(_base_config(
+                algorithm="active", seeds=[0],
+                schedule={"kind": "explicit", "entries": [[5, 12], [14, 25], [26, 30]]},
+                active={"i1": [3]},
+            ), handle)
+        assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert "error: active.i1 has 1 entries for 3 deletions" in capsys.readouterr().err
+
     def test_cli_certify_skips_regret(self, tmp_path):
         config_path = tmp_path / "config.json"
         with open(config_path, "w") as handle:
