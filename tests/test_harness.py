@@ -214,6 +214,42 @@ class TestRunExperiment:
         assert summary["cert_pass_rate"] == 1.0
 
 
+_GRID = ("passive", "active", "retrain", "discard")
+
+# Configs the CLI must refuse with exit 2; None stands for a file that is not JSON.
+_REFUSED = {
+    "active-shape": _base_config(algorithm="active"),
+    "explicit-tau-past-horizon": _base_config(
+        schedule={"kind": "explicit", "entries": [[5, 12], [14, 45]]}),
+    "explicit-u-after-tau": _base_config(schedule={"kind": "explicit", "entries": [[13, 12]]}),
+    "pattern-past-horizon": _base_config(
+        schedule={"kind": "pattern", "k": 3, "gap": 2, "spacing": 20}),
+    "active-on-convex-qg": _base_config(
+        algorithm="active", stream={"kind": "convex-qg", "beta": 1.0},
+        rate={"kind": "convex-decreasing"},
+        schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]}),
+    "mu-above-beta": _base_config(stream={"kind": "sc-quadratic", "mu": 3.0, "beta": 1.0}),
+    "active2-noise-undefined": _base_config(
+        algorithm="active2", schedule={"kind": "explicit", "entries": [[1, 2], [2, 3], [3, 4]]}),
+    "not-json": None,
+}
+
+
+def _grid_config() -> dict:
+    return _base_config(schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
+                        sweep={"algorithm": list(_GRID)})
+
+
+def _write_config(tmp_path, raw) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _tree(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestSweepAndCli:
     def test_sweep_expansion(self):
         raw = _base_config()
@@ -312,9 +348,58 @@ class TestSweepAndCli:
 
     def test_precondition_warning_blocks_claim(self, tmp_path):
         raw = _base_config(schedule={"kind": "explicit", "entries": [[1, 12]]}, seeds=[0])
-        with pytest.warns(RuntimeWarning):
-            summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert summary["per_seed"][0]["regret_pass"] is None
+        report = json.loads((tmp_path / summary["config_hash"] / "0" / "regret.json").read_text())
+        assert report["bound_preconditions_ok"] is False
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_cli_refusals_exit_2(self, tmp_path, capsys, name):
+        path = tmp_path / "config.json"
+        raw = _REFUSED[name]
+        path.write_text("{not json" if raw is None else json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_cli_run_on_a_grid_equals_sweep(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _grid_config())
+        codes = [cli_main([command, "--config", config, "--out", str(tmp_path / command)])
+                 for command in ("run", "sweep")]
+        assert codes[0] == codes[1]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * len(_GRID)
+        assert lines[:len(_GRID)] == lines[len(_GRID):]
+        assert _tree(tmp_path / "run") == _tree(tmp_path / "sweep")
+
+    def test_cli_certify_on_a_grid(self, tmp_path, capsys):
+        raw = _grid_config()
+        out = tmp_path / "out"
+        assert cli_main(["certify", "--config", _write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        points = sweep_points(ExperimentConfig.from_dict(raw))
+        assert [line["config_hash"] for line in lines] == [config_hash(p) for p in points]
+        for point in points:
+            seed_dir = out / config_hash(point) / "0"
+            certified = point.raw["algorithm"] in ("passive", "active")
+            assert (seed_dir / "cert.json").exists() == certified
+        assert not list(out.rglob("regret.json"))
+
+    def test_cli_sweep_point_pool_matches_serial(self, tmp_path):
+        config = _write_config(tmp_path, _grid_config())
+        for jobs in ("1", "2"):
+            cli_main(["sweep", "--config", config, "--out", str(tmp_path / jobs), "--jobs", jobs])
+        assert _tree(tmp_path / "1") == _tree(tmp_path / "2")
+
+    def test_cli_sweep_matches_library_path(self, tmp_path):
+        raw = _grid_config()
+        cli_main(["sweep", "--config", _write_config(tmp_path, raw),
+                  "--out", str(tmp_path / "cli")])
+        for point in sweep_points(ExperimentConfig.from_dict(raw)):
+            run_experiment(point, tmp_path / "lib")
+        assert _tree(tmp_path / "cli") == _tree(tmp_path / "lib")
 
     def test_cli_seed_override(self, tmp_path):
         config_path = tmp_path / "config.json"

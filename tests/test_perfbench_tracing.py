@@ -7,6 +7,7 @@ benchmark runs with ``--trace 1``.
 """
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -59,3 +60,25 @@ def test_every_wrapped_name_is_called_and_counted(tmp_path):
     for name in ("runner.steps", "certifier.ledger.rows", "certifier.propagate.steps",
                  "certifier.mc.samples", "regret.comparators.calls"):
         assert metrics[name] > 0, name
+
+
+def test_one_root_span_per_point(tmp_path, capsys):
+    """``run``, ``certify`` and ``sweep`` call ``cli.run_experiment`` once per point."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    grid = {**_config("active"), "sweep": {"algorithm": ["active", "retrain", "discard"]}}
+    cases = (("run", _config("passive"), 1), ("certify", _config("passive"), 1),
+             ("sweep", grid, 3))
+    try:
+        tracer.install()
+        for command, raw, points in cases:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(raw))
+            before = len(tracer.spans)
+            cli.main([command, "--config", str(path), "--out", str(tmp_path / command),
+                      "--jobs", "1"])
+            roots = [span for span in tracer.spans[before:] if span["name"] == tracing.ROOT]
+            assert len(roots) == points, command
+            assert all(span["parent"] is None for span in roots), command
+    finally:
+        tracer.uninstall()
