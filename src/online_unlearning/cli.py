@@ -16,9 +16,10 @@ from functools import partial
 from pathlib import Path
 
 from .errors import (GeneratorError, InvalidConfigError, InvalidScheduleError,
-                     NotStronglyConvexError, NumericError)
+                     NonContractiveStepError, NotStronglyConvexError, NumericError)
 from .harness import (
     ExperimentConfig,
+    SeedInputs,
     config_hash,
     recompute_regret,
     run_experiment,
@@ -28,8 +29,8 @@ from .harness import (
 __all__ = ["main"]
 
 # Errors a config or its file can raise; anything else is a bug and keeps its traceback.
-_REFUSALS = (InvalidConfigError, InvalidScheduleError, GeneratorError, NotStronglyConvexError,
-             NumericError, FileNotFoundError, json.JSONDecodeError)
+_REFUSALS = (InvalidConfigError, InvalidScheduleError, GeneratorError, NonContractiveStepError,
+             NotStronglyConvexError, NumericError, FileNotFoundError, json.JSONDecodeError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -50,7 +51,10 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_run(args, certify_only: bool = False) -> int:
-    """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point."""
+    """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point.
+
+    Points run in turn share each seed's generated inputs (``SeedInputs``).
+    """
     points = sweep_points(_load(args))
     run = partial(run_experiment, out_root=args.out, certify_only=certify_only)
     if args.jobs > 1 and len(points) > 1:
@@ -58,7 +62,8 @@ def _cmd_run(args, certify_only: bool = False) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             summaries = list(pool.map(run, points))
     else:
-        summaries = [run(p, jobs=args.jobs) for p in points]
+        inputs = SeedInputs(points)
+        summaries = [run(p, jobs=args.jobs, inputs=inputs) for p in points]
     ok = True
     for summary in summaries:
         if certify_only:
@@ -73,19 +78,23 @@ def _cmd_run(args, certify_only: bool = False) -> int:
 
 
 def _cmd_regret_report(args) -> int:
-    """Recompute regret from stored traces and check it against the stored reports."""
-    cfg = _load(args)
-    base = Path(args.out) / config_hash(cfg)
-    seed_dirs = sorted((p for p in base.glob("*") if (p / "trace.csv").exists()),
-                       key=lambda p: p.name)
-    if not seed_dirs:
-        print(f"no stored traces under {base}", file=sys.stderr)
-        return 1
+    """Recompute regret from stored traces and check it against the stored reports.
+
+    One line per stored seed of every grid point, as ``run`` wrote them.
+    """
     ok = True
-    for seed_dir in seed_dirs:
-        result = recompute_regret(cfg, args.out, int(seed_dir.name))
-        print(json.dumps(result))
-        ok = ok and result["matches"]
+    for point in sweep_points(_load(args)):
+        digest = config_hash(point)
+        base = Path(args.out) / digest
+        seed_dirs = sorted((p for p in base.glob("*") if (p / "trace.csv").exists()),
+                           key=lambda p: p.name)
+        if not seed_dirs:
+            print(f"no stored traces under {base}", file=sys.stderr)
+            ok = False
+        for seed_dir in seed_dirs:
+            result = recompute_regret(point, args.out, int(seed_dir.name))
+            print(json.dumps({"config_hash": digest, **result}))
+            ok = ok and result["matches"]
     return 0 if ok else 1
 
 

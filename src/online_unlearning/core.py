@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     InvalidInputError,
     InvalidScheduleError,
+    NumericError,
     UnsupportedCostError,
 )
 
@@ -118,11 +119,15 @@ def _into_ball(x: np.ndarray, radius: float) -> Tuple[np.ndarray, bool]:
     """Rescale ``x`` into the ball of ``radius`` iff it lies outside; reports whether it did.
 
     Rounding can leave the rescaled point an ulp outside, so the rescale
-    repeats until it is inside: projection is then exactly idempotent.
+    repeats until it is inside: projection is then exactly idempotent.  A
+    NaN or infinite norm never passes ``norm <= radius``, so the slow path
+    alone raises ``NumericError`` for it.
     """
     norm = _norm(x)
     if norm <= radius:
         return x, False
+    if not math.isfinite(norm):
+        raise NumericError("non-finite iterate")
     while norm > radius:
         x = x * (radius / norm)
         norm = _norm(x)
@@ -473,6 +478,18 @@ class CostStream:
         centers = rows.centers[self.live]
         bounds = rows.lam_max[self.live] * (dom.radius + np.sqrt(np.vecdot(centers, centers)))
         return float(np.max(bounds))
+
+    def gradient_bound(self, radius: float) -> float:
+        """``d * max_t lam_max(A_t) * (radius + max_t |c_t|)`` over every row.
+
+        For ``||z|| <= radius`` it bounds each entry of ``A_t (z - c_t)`` and
+        each partial sum that forms it (``|A_ij| <= lam_max`` for PSD ``A``),
+        so a finite value proves every gradient in the ball finite.
+        """
+        rows = self._quadratic_rows()
+        return rows.mats.shape[1] * float(np.max(rows.lam_max)) * (
+            radius + float(np.max(np.abs(rows.centers)))
+        )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ wherever their trajectories do.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -45,29 +46,25 @@ def _projected_step(
 
 
 def _step_evaluators(stream: CostStream):
-    """Per-step ``grad(t, z)`` and ``loss(t, z)`` for live 1-based slots, plus the dimension.
+    """Per-step ``grad(t, z)`` for live 1-based slots, the stacked rows, and the dimension.
 
-    Quadratic streams read their stacked rows, split once into per-step row
-    views (indexing the stacked arrays per step is slower); other costs go
-    through ``eval_grad``/``cost_value``.  The dimension is None when no
-    quadratic reveals it.
+    Quadratic streams read their rows ``(mats, centers, offsets)``, split once
+    into per-step row views (indexing the stacked arrays per step is slower);
+    other costs go through ``eval_grad`` and have no rows.  The dimension is
+    None when no quadratic reveals it.
     """
     if stream.all_quadratic() and stream.live.any():
-        mats, centers, offsets, _ = stack_quadratics(stream)
-        mats, centers, offsets = list(mats), list(centers), offsets.tolist()
+        rows = stack_quadratics(stream)[:3]
+        mats, centers = list(rows[0]), list(rows[1])
 
         def grad(t: int, z: np.ndarray) -> np.ndarray:
             return mats[t - 1] @ (z - centers[t - 1])
 
-        def loss(t: int, z: np.ndarray) -> float:
-            diff = z - centers[t - 1]
-            return 0.5 * float(diff @ (mats[t - 1] @ diff)) + offsets[t - 1]
-
-        return grad, loss, centers[0].size
+        return grad, rows, centers[0].size
     items = stream.items
     return (
         lambda t, z: eval_grad(items[t - 1], z)[1],
-        lambda t, z: cost_value(items[t - 1], z),
+        None,
         next((it.dim for it in items if isinstance(it, QuadraticCost)), None),
     )
 
@@ -82,6 +79,13 @@ class StepEngine:
     and ``p_hist[t-1]``, and the rate in ``rates[t-1]``; ``outputs`` holds what
     the run emitted.  ``grad_evals`` counts gradient evaluations of stream
     losses and ``bound_steps`` the steps whose projection bound.
+
+    Each ``advance`` checks that its first gradient is finite, since the
+    handlers (noise, restore, reset) may leave ``z`` anywhere.  Later steps
+    start in the ball, where a quadratic stream with a finite
+    ``gradient_bound`` has only finite gradients, so only custom costs (or
+    an unbounded stack) check every step.  A non-finite iterate raises in the
+    projection.
 
     The start point is ``z0`` projected, or the origin in the dimension the
     stream's quadratics reveal.
@@ -99,7 +103,7 @@ class StepEngine:
         sched.validate_horizon(horizon)
         if horizon == 0:
             raise InvalidInputError("stream is empty")
-        self._grad, self._loss, dim = _step_evaluators(stream)
+        self._grad, self._rows, dim = _step_evaluators(stream)
         if z0 is not None:
             start = as_point(z0, dim)
         elif dim is None:
@@ -113,8 +117,11 @@ class StepEngine:
         self.sched = sched
         self.rate_schedule = rates
         self.radius = dom.radius
-        self._live0 = stream.live
-        self.live = self._live0.tolist()
+        self._check_every_step = self._rows is None or not math.isfinite(
+            stream.gradient_bound(dom.radius)
+        )
+        self._stream = stream
+        self.live = stream.live.tolist()
         self.adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
         self.clock0 = 0
         self.z = start
@@ -133,11 +140,14 @@ class StepEngine:
         radius, clock0 = self.radius, self.clock0
         z = self.z
         evals = binds = 0
+        check = True
         for t in range(lo, hi + 1):
             if live[t - 1]:
                 grad = grad_at(t, z)
-                if not np.isfinite(grad).all():
-                    raise NumericError(f"non-finite gradient at step {t}")
+                if check:
+                    if not np.isfinite(grad).all():
+                        raise NumericError(f"non-finite gradient at step {t}")
+                    check = self._check_every_step
                 evals += 1
                 if adapt is not None:
                     adapt.add(float(grad @ grad))
@@ -196,12 +206,29 @@ class StepEngine:
 
         Each slot is scored against the loss it held when the run stepped
         past it.  A slot is deleted no earlier than that (``u_i <= tau_i``),
-        so the mask it was scored under is the stream's own.
+        so the mask it was scored under is the stream's own.  Quadratic
+        rows are scored in one batch, bit for bit the per-slot
+        ``0.5 * diff @ (A @ diff) + o`` (``einsum`` or ``sum`` would not be);
+        only a stream with SKIP slots copies its live rows.
         """
+        live = self._stream.live
         losses = np.zeros(len(self.live))
-        events = [EVENT_LEARN if keep else EVENT_SKIP for keep in self._live0.tolist()]
-        for t in (np.flatnonzero(self._live0) + 1).tolist():
-            losses[t - 1] = self._loss(t, self.outputs[t - 1])
+        events = [EVENT_LEARN if keep else EVENT_SKIP for keep in live.tolist()]
+        if self._rows is None:
+            items = self._stream.items
+            for t in (np.flatnonzero(live) + 1).tolist():
+                losses[t - 1] = cost_value(items[t - 1], self.outputs[t - 1])
+        else:
+            mats, centers, offsets = self._rows
+            outputs = self.outputs
+            if not live.all():
+                mats, centers, offsets, outputs = (
+                    rows[live] for rows in (mats, centers, offsets, outputs)
+                )
+            diff = outputs - centers
+            losses[live] = (
+                0.5 * np.vecdot(diff, np.matmul(mats, diff[..., None])[..., 0]) + offsets
+            )
         for tau in self.sched.times:
             events[tau - 1] = EVENT_UNLEARN
         fields.setdefault("p_history", self.p_hist.copy() if self.adapt is not None else None)

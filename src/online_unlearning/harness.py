@@ -6,13 +6,16 @@ trace summary), ``regret.json``, ``regret_curve.csv`` and ``cert.json``, plus
 one ``config.json`` (the config as run) and one ``summary.json`` per config.
 Everything is a pure function of the config and seeds: rerunning reproduces
 every byte.  ``run_experiment`` validates the config once per call, and each
-seed's domain, stream and schedule are built once, by ``_seed_inputs``.
+seed's domain, stream and schedule are built once, by ``_seed_inputs``; a
+``SeedInputs`` shares them between the grid points of one command that agree
+on the fields they are built from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +40,7 @@ from .ogd import (
     RateSchedule,
     SCDecreasing,
     constant_rate_worst_case,
+    contraction_coeff,
     gamma_nominal,
 )
 from .passive import UnlearnerConfig, run_passive
@@ -53,6 +57,7 @@ __all__ = [
     "CONFIG_SCHEMA",
     "ExperimentConfig",
     "GeneratedStream",
+    "SeedInputs",
     "build_schedule",
     "config_hash",
     "gen_stream",
@@ -331,17 +336,19 @@ def _resolve_rate(cfg: ExperimentConfig, cls: FnClass, dom: BallDomain,
         return ConvexDecreasing(diameter=dom.diameter, lipschitz=cls.lipschitz)
     if kind == "adaptive":
         return AdaptiveRate(diameter=dom.diameter, warm_floor=cls.smoothness / 2.0)
-    if kind == "constant":
-        if "eta" not in spec:
-            raise InvalidConfigError("constant rate needs eta")
-        return ConstantRate(eta=float(spec["eta"]))
     if kind == "constant-worst-case":
         eta = constant_rate_worst_case(
             dom.diameter, cls.lipschitz, horizon, k,
             int(cfg.raw["dimension"]), float(cfg.raw["unlearner"]["eps"]),
         )
-        return ConstantRate(eta=eta)
-    raise InvalidConfigError(f"unknown rate kind {kind!r}")
+    elif kind == "constant":
+        if "eta" not in spec:
+            raise InvalidConfigError("constant rate needs eta")
+        eta = float(spec["eta"])
+    else:
+        raise InvalidConfigError(f"unknown rate kind {kind!r}")
+    contraction_coeff(cls, eta)  # refuses eta > 2/beta
+    return ConstantRate(eta=eta)
 
 
 def _run_algorithm(
@@ -488,19 +495,55 @@ def _bound_curve(report: dict, horizon: int) -> np.ndarray:
     return np.full(horizon, bound["value"])
 
 
+# The config fields ``_seed_inputs`` reads, and so the key it is shared under.
+_INPUT_FIELDS = ("stream", "dimension", "horizon", "radius", "schedule")
+
+
+def _input_fields(cfg: ExperimentConfig) -> dict:
+    return {name: cfg.raw[name] for name in _INPUT_FIELDS}
+
+
 def _seed_inputs(cfg: ExperimentConfig, seed: int) -> tuple:
     """``(dom, generated, sched)``: the domain, generated stream and schedule of one seed."""
-    raw = cfg.raw
+    raw = _input_fields(cfg)
     params = {key: value for key, value in raw["stream"].items() if key != "kind"}
     params.update(dimension=raw["dimension"], horizon=raw["horizon"], radius=raw["radius"])
     dom = BallDomain(float(raw["radius"]))
     generated = gen_stream(raw["stream"]["kind"], params, seed)
-    sched = build_schedule(cfg.raw["schedule"], len(generated.stream))
+    sched = build_schedule(raw["schedule"], len(generated.stream))
     return dom, generated, sched
 
 
-def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: bool = False) -> dict:
-    dom, generated, sched = _seed_inputs(cfg, seed)
+class SeedInputs:
+    """Each seed's ``_seed_inputs`` for a list of grid points, built once and shared.
+
+    Points that agree on ``_INPUT_FIELDS`` take the same inputs for a seed.
+    The inputs are values nothing mutates, and they are dropped when the last
+    point that needs them has taken them, so one point holds nothing beyond
+    the seed it runs.
+    """
+
+    def __init__(self, points: list[ExperimentConfig]) -> None:
+        self._pending = Counter((self._key(p), seed) for p in points for seed in p.raw["seeds"])
+        self._held: dict = {}
+
+    @staticmethod
+    def _key(cfg: ExperimentConfig) -> str:
+        return json.dumps(_input_fields(cfg), sort_keys=True)
+
+    def take(self, cfg: ExperimentConfig, seed: int) -> tuple:
+        """``_seed_inputs(cfg, seed)``, built on the first point that asks for it."""
+        key = (self._key(cfg), seed)
+        inputs = self._held.pop(key, None) or _seed_inputs(cfg, seed)
+        self._pending[key] -= 1
+        if self._pending[key] > 0:
+            self._held[key] = inputs
+        return inputs
+
+
+def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: bool = False,
+                  inputs: SeedInputs | None = None) -> dict:
+    dom, generated, sched = inputs.take(cfg, seed) if inputs else _seed_inputs(cfg, seed)
     stream, cls = generated.stream, generated.fn_class
     rates = _resolve_rate(cfg, cls, dom, len(stream), sched.k)
     ucfg = _unlearner_config(cfg)
@@ -564,9 +607,14 @@ def _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_root: str | Path, jobs: int = 1, certify_only: bool = False
+    cfg: ExperimentConfig, out_root: str | Path, jobs: int = 1, certify_only: bool = False,
+    inputs: SeedInputs | None = None,
 ) -> dict:
-    """Run every seed of a config; returns (and writes) the aggregate summary."""
+    """Run every seed of a config; returns (and writes) the aggregate summary.
+
+    ``inputs`` shares each seed's generated inputs with the other points of
+    a grid; seeds run in a process pool (``jobs > 1``) build their own.
+    """
     _validate_config(cfg.raw)
     if cfg.sweep_axes():
         raise InvalidConfigError("expand sweeps before running (use sweep_points)")
@@ -586,7 +634,7 @@ def run_experiment(
             results = [f.result() for f in futures]
     else:
         results = [
-            _run_one_seed(cfg, seed, str(base / str(seed)), certify_only)
+            _run_one_seed(cfg, seed, str(base / str(seed)), certify_only, inputs)
             for seed in seeds
         ]
     results.sort(key=lambda r: r["seed"])

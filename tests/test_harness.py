@@ -246,6 +246,20 @@ def _write_config(tmp_path, raw) -> str:
     return str(path)
 
 
+def _count_gen_stream(monkeypatch) -> list:
+    """Record ``(seed, mu)`` of every ``gen_stream`` call the harness makes."""
+    import online_unlearning.harness as harness
+
+    calls, original = [], harness.gen_stream
+
+    def counted(kind, params, seed):
+        calls.append((seed, params["mu"]))
+        return original(kind, params, seed)
+
+    monkeypatch.setattr(harness, "gen_stream", counted)
+    return calls
+
+
 def _tree(root) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -400,6 +414,49 @@ class TestSweepAndCli:
         for point in sweep_points(ExperimentConfig.from_dict(raw)):
             run_experiment(point, tmp_path / "lib")
         assert _tree(tmp_path / "cli") == _tree(tmp_path / "lib")
+
+    def test_cli_refuses_a_non_contractive_constant_rate(self, tmp_path, capsys):
+        # eta = 10 against beta = 3 (2/beta = 0.67): refused before anything runs.
+        config = _write_config(tmp_path, _base_config(rate={"kind": "constant", "eta": 10.0}))
+        assert cli_main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta=10.0 exceeds 2/beta")
+        assert "Traceback" not in err
+
+    def test_regret_report_follows_run_onto_a_grid(self, tmp_path, capsys):
+        raw = _base_config(sweep={"algorithm": ["passive", "retrain"]})
+        config, out = _write_config(tmp_path, raw), str(tmp_path / "out")
+        assert cli_main(["run", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli_main(["regret-report", "--config", config, "--out", out]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        expected = [(config_hash(p), seed)
+                    for p in sweep_points(ExperimentConfig.from_dict(raw)) for seed in (0, 1)]
+        assert [(line["config_hash"], line["seed"]) for line in lines] == expected
+        assert all(line["matches"] and line["recomputed"] == line["stored"] for line in lines)
+
+    def test_algorithm_sweep_generates_each_seed_once(self, tmp_path, monkeypatch):
+        raw = _base_config(schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
+                           sweep={"algorithm": ["active", "retrain", "discard"]})
+        calls = _count_gen_stream(monkeypatch)
+        assert cli_main(["sweep", "--config", _write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "grid")]) == 0
+        assert calls == [(0, 1.0), (1, 1.0)]
+        # Each point run on its own writes the same bytes.
+        for point in sweep_points(ExperimentConfig.from_dict(raw)):
+            single = tmp_path / point.raw["algorithm"]
+            single.mkdir()
+            assert cli_main(["run", "--config", _write_config(single, point.raw),
+                             "--out", str(tmp_path / "single")]) == 0
+        assert len(calls) == 2 + 3 * 2
+        assert _tree(tmp_path / "grid") == _tree(tmp_path / "single")
+
+    def test_stream_sweep_generates_per_point(self, tmp_path, monkeypatch):
+        raw = _base_config(seeds=[0], sweep={"stream.mu": [1.0, 2.0]})
+        calls = _count_gen_stream(monkeypatch)
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(0, 1.0), (0, 2.0)]
 
     def test_cli_seed_override(self, tmp_path):
         config_path = tmp_path / "config.json"
