@@ -479,18 +479,6 @@ class CostStream:
         bounds = rows.lam_max[self.live] * (dom.radius + np.sqrt(np.vecdot(centers, centers)))
         return float(np.max(bounds))
 
-    def gradient_bound(self, radius: float) -> float:
-        """``d * max_t lam_max(A_t) * (radius + max_t |c_t|)`` over every row.
-
-        For ``||z|| <= radius`` it bounds each entry of ``A_t (z - c_t)`` and
-        each partial sum that forms it (``|A_ij| <= lam_max`` for PSD ``A``),
-        so a finite value proves every gradient in the ball finite.
-        """
-        rows = self._quadratic_rows()
-        return rows.mats.shape[1] * float(np.max(rows.lam_max)) * (
-            radius + float(np.max(np.abs(rows.centers)))
-        )
-
 
 @dataclass(frozen=True)
 class DeletionSchedule:

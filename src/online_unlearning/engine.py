@@ -10,7 +10,6 @@ wherever their trajectories do.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -80,12 +79,9 @@ class StepEngine:
     the run emitted.  ``grad_evals`` counts gradient evaluations of stream
     losses and ``bound_steps`` the steps whose projection bound.
 
-    Each ``advance`` checks that its first gradient is finite, since the
-    handlers (noise, restore, reset) may leave ``z`` anywhere.  Later steps
-    start in the ball, where a quadratic stream with a finite
-    ``gradient_bound`` has only finite gradients, so only custom costs (or
-    an unbounded stack) check every step.  A non-finite iterate raises in the
-    projection.
+    A non-finite gradient makes the step's iterate non-finite (``0 * inf``
+    is NaN too), and the projection raises ``NumericError`` for it, so the
+    loop tests no gradient; ``advance`` adds the step to the message.
 
     The start point is ``z0`` projected, or the origin in the dimension the
     stream's quadratics reveal.
@@ -117,9 +113,6 @@ class StepEngine:
         self.sched = sched
         self.rate_schedule = rates
         self.radius = dom.radius
-        self._check_every_step = self._rows is None or not math.isfinite(
-            stream.gradient_bound(dom.radius)
-        )
         self._stream = stream
         self.live = stream.live.tolist()
         self.adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
@@ -140,26 +133,24 @@ class StepEngine:
         radius, clock0 = self.radius, self.clock0
         z = self.z
         evals = binds = 0
-        check = True
-        for t in range(lo, hi + 1):
-            if live[t - 1]:
-                grad = grad_at(t, z)
-                if check:
-                    if not np.isfinite(grad).all():
-                        raise NumericError(f"non-finite gradient at step {t}")
-                    check = self._check_every_step
-                evals += 1
+        try:
+            for t in range(lo, hi + 1):
+                if live[t - 1]:
+                    grad = grad_at(t, z)
+                    evals += 1
+                    if adapt is not None:
+                        adapt.add(float(grad @ grad))
+                    eta = rate(sched, t - clock0, adapt)
+                    z, bound = _projected_step(z, grad, eta, radius)
+                    binds += bound
+                else:
+                    eta = rate(sched, t - clock0, adapt)
+                rates[t - 1] = eta
+                path[t] = z
                 if adapt is not None:
-                    adapt.add(float(grad @ grad))
-                eta = rate(sched, t - clock0, adapt)
-                z, bound = _projected_step(z, grad, eta, radius)
-                binds += bound
-            else:
-                eta = rate(sched, t - clock0, adapt)
-            rates[t - 1] = eta
-            path[t] = z
-            if adapt is not None:
-                p_hist[t - 1] = adapt.p
+                    p_hist[t - 1] = adapt.p
+        except NumericError as err:
+            raise NumericError(f"{err} at step {t}") from None
         self.z = z
         self.grad_evals += evals
         self.bound_steps += binds

@@ -519,8 +519,9 @@ class SeedInputs:
 
     Points that agree on ``_INPUT_FIELDS`` take the same inputs for a seed.
     The inputs are values nothing mutates, and they are dropped when the last
-    point that needs them has taken them, so one point holds nothing beyond
-    the seed it runs.
+    point that needs them has taken them: a single point holds nothing beyond
+    the seed it runs, but a grid whose points share inputs holds every seed's
+    until its last sharing point runs, since each point runs all its seeds.
     """
 
     def __init__(self, points: list[ExperimentConfig]) -> None:

@@ -1,4 +1,4 @@
-"""The shared step loop: batched loss scoring and where it checks finiteness."""
+"""The shared step loop: batched loss scoring and the refusal of non-finite steps."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from online_unlearning.core import EMPTY_SCHEDULE, stack_quadratics
 from online_unlearning.engine import StepEngine
 from online_unlearning.errors import NumericError
 from online_unlearning.harness import gen_stream
-from online_unlearning.ogd import ConstantRate, SCDecreasing
+from online_unlearning.ogd import AdaptiveRate, ConstantRate, SCDecreasing
 from online_unlearning.passive import UnlearnerConfig, run_ogd, run_passive
 
 _DOM = BallDomain(1.0)
@@ -63,29 +63,36 @@ class TestBatchedLosses:
 
 
 class TestFiniteness:
-    def test_custom_gradient_turning_nan_mid_run(self):
-        def evaluator(bad: bool):
+    # An adaptive rate turns NaN (NaN gradient) or 0 (infinite gradient);
+    # the step is NaN either way.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rates", [ConstantRate(eta=0.5),
+                                       AdaptiveRate(diameter=2.0, warm_floor=0.5)],
+                             ids=["constant", "adaptive"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_custom_gradient_turning_non_finite_mid_run(self, rates, bad):
+        def evaluator(at_bad_step: bool):
             def fn(z):
-                grad = np.full_like(z, np.nan) if bad else z - 0.5
+                grad = np.full_like(z, bad) if at_bad_step else z - 0.5
                 return float(0.5 * (z - 0.5) @ (z - 0.5)), grad
             return fn
 
         stream = CostStream([CustomCost(evaluator(t == 7)) for t in range(1, 13)])
         cls = FnClass(lipschitz=1.5, smoothness=1.0, strong_convexity=1.0)
-        with pytest.raises(NumericError, match="non-finite gradient at step 7"):
-            run_ogd(stream, ConstantRate(eta=0.5), _DOM, cls, z0=np.zeros(2))
+        with pytest.raises(NumericError, match="non-finite iterate at step 7"):
+            run_ogd(stream, rates, _DOM, cls, z0=np.zeros(2))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_constant_step_on_quadratics(self):
         # eta far past 2/beta, built directly: the step leaves the float range.
         stream = _stream(0, 3)
-        with pytest.raises(NumericError, match="non-finite iterate"):
+        with pytest.raises(NumericError, match="non-finite iterate at step 1"):
             run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_first_step_after_a_handler_is_checked(self):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_point_left_by_a_handler(self):
         engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
         engine.advance(1, 5)
-        engine.z = np.full(3, 1e308)     # as a handler may leave it
-        with pytest.raises(NumericError, match="non-finite gradient at step 6"):
+        engine.z = np.full(3, np.inf)    # as a handler's noise may leave it
+        with pytest.raises(NumericError, match="non-finite iterate at step 6"):
             engine.advance(6, 10)
