@@ -64,7 +64,7 @@ from .ogd import (
     rate,
     sensitivity,
 )
-from .passive import UnlearnerConfig, passive_sigma, run_ogd, run_passive
+from .passive import UnlearnerConfig, run_ogd, run_passive
 from .regret import (
     BoundResult,
     GValues,

@@ -9,14 +9,16 @@
    which never exceeds ``alpha * eps``.  Each ledger is stored as columns;
    between event steps the residual only contracts, so each such stretch is
    one cumulative product.
-2. **Exact oracle**: on all-quadratic streams with non-binding projections
-   both output laws are Gaussian with a shared covariance, so the interval
-   divergence collapses to the closed form at the deletion time.  Each
-   certification keeps one forward pass, run lazily, that holds every
-   interval's result: the full process runs once to the last noise time,
-   and each interval's retained process branches from it at the
-   interval's first deleted index, or continues the previous interval's
-   retained process when its own deleted index comes later.
+2. **Exact oracle**: on all-quadratic streams whose projections do not bind
+   between the first deleted index and the deletion time, both output laws
+   at ``tau_i`` are Gaussian with a shared covariance, and the closed form
+   there bounds the whole interval: every later step applies the same map
+   to both processes, which cannot raise a Rényi divergence
+   (post-processing).  Each certification keeps one forward pass, run
+   lazily, that holds every interval's result: the full process runs once
+   to the last noise time, and each interval's retained process branches
+   from it at the interval's first deleted index, or continues the previous
+   interval's retained process when its own deleted index comes later.
 3. **Monte-Carlo cross-check**: vectorized paired simulations estimate the
    output means and plug them into the same closed form.  Every sample
    follows the same deterministic path until the first noise event
@@ -41,17 +43,24 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
-    _norm,
     retained,
     stack_quadratics,
 )
 from .errors import (
     CertificationRefusedError,
+    InvalidConfigError,
     InvalidInputError,
     OracleUnavailableError,
     UnsupportedCostError,
 )
-from .ogd import AdaptiveRate, RateSchedule, rate, step_contraction
+from .ogd import (
+    AdaptiveRate,
+    ConstantRate,
+    ConvexDecreasing,
+    RateSchedule,
+    SCDecreasing,
+    step_contraction,
+)
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
 from .rng import event_normals
 
@@ -67,7 +76,6 @@ __all__ = [
     "certify_passive_run",
     "exact_divergence_quadratic",
     "gaussian_renyi",
-    "interval_sequence_divergence",
     "mc_divergence_check",
     "per_step_gammas",
     "propagate_gaussians",
@@ -175,12 +183,23 @@ class AnalyticCertificate:
 
 
 def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
-    """Learning rates ``eta_1..eta_T`` for a clock-driven (non-adaptive) schedule."""
+    """Learning rates ``eta_1..eta_T`` for a clock-driven (non-adaptive) schedule.
+
+    Each entry is ``ogd.rate(rates, t)`` bit for bit: the same IEEE
+    operations on ``t`` as a float.
+    """
     if isinstance(rates, AdaptiveRate):
         raise OracleUnavailableError(
             "adaptive rates depend on the realized gradients; pass a trace's recorded rates"
         )
-    return np.array([rate(rates, t) for t in range(1, horizon + 1)])
+    t = np.arange(1, horizon + 1, dtype=np.float64)
+    if isinstance(rates, SCDecreasing):
+        return 1.0 / (rates.mu * t)
+    if isinstance(rates, ConvexDecreasing):
+        return rates.diameter / (rates.lipschitz * np.sqrt(t))
+    if isinstance(rates, ConstantRate):
+        return np.full(horizon, rates.eta, dtype=np.float64)
+    raise InvalidConfigError(f"unknown rate schedule {rates!r}")
 
 
 def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> np.ndarray:
@@ -349,8 +368,6 @@ class PropagationResult:
     with_deleted: GaussianSummary
     without_deleted: GaussianSummary
     sigmas: Tuple[float, ...]
-    post_jacobians: Tuple[np.ndarray, ...]
-    post_means: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tuple[int, int]:
@@ -361,21 +378,28 @@ def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tup
     return start, min(end, horizon)
 
 
+# Steps of ``I - eta_t A_t`` that ``_ForwardPass._steps`` forms at once.
+_LINEAR_BLOCK = 256
+
+
 class _ForwardPass:
     """One certification's exact oracle: both processes of intervals ``1..upto``.
 
     ``result(i)`` computes interval ``i``'s ``PropagationResult``, or the
     text of its refusal, on first request and keeps it; nothing runs
-    before the first request.  The full process (nothing deleted) runs once
-    to ``tau_upto`` and keeps its state (mean plus one linear-part product
-    per noise event, started at injection) at every ``tau_j``, and its mean
-    at every branch point ``min(u_1..u_i) - 1``.  The retained processes
-    (interval ``i``'s skips ``u_1..u_i``) run in interval order: interval
-    ``i``'s continues interval ``i - 1``'s when ``u_i > tau_{i-1}`` and
-    otherwise branches from the full process at its branch point.  Every
-    process takes the steps a separate simulation from ``t = 1`` would
-    take, in the same order, so each state at ``tau_i`` is that
-    simulation's, bit for bit.
+    before the first request.  A process's state is its mean plus a
+    ``(J, d, d)`` stack holding one linear-part product per noise event
+    ``1..J`` it has passed, each started at its injection.  The full
+    process (nothing deleted) runs once to ``tau_upto`` and keeps its state
+    at every ``tau_j``, and its mean at every branch point
+    ``min(u_1..u_i) - 1``.  The retained processes (interval ``i``'s skips
+    ``u_1..u_i``) run in interval order: interval ``i``'s continues
+    interval ``i - 1``'s when ``u_i > tau_{i-1}`` and otherwise branches
+    from the full process at its branch point.  Every process stops at
+    ``tau_i``: after it both processes apply the same maps, bound or not,
+    so nothing later can raise the divergence.  Every process takes the
+    steps a separate simulation from ``t = 1`` would take, in the same
+    order, so each state at ``tau_i`` is that simulation's, bit for bit.
     """
 
     def __init__(self, inputs: tuple, upto: int) -> None:
@@ -414,80 +438,85 @@ class _ForwardPass:
         ]
         sched.validate_horizon(len(stream))
         mats, centers, _, live = stack_quadratics(stream)
+        self.mat_stack = mats
         self.mats, self.centers, self.live = list(mats), list(centers), live.tolist()
-        self.rates_arr = rates_arr
+        self.rates_arr, self.rates = rates_arr, rates_arr.tolist()
         self.radius = dom.radius
-        self.eye = np.eye(centers.shape[1])
-        self.eye.flags.writeable = False
+        dim = centers.shape[1]
+        self.eye = np.eye(dim)[None]
 
         # Full-process states by step, and the steps at which it bound.
         self.full_binds: list = []
-        mean, prods, done = np.zeros(centers.shape[1]), {}, 0
+        mean, stack, done = np.zeros(dim), np.empty((0, dim, dim)), 0
         for stop in sorted({u - 1 for u in self.u_min} | {tau for _, tau in self.entries}):
             if stop > done:
-                mean, binds = self._steps(mean, prods, done + 1, stop, ())
+                mean, stack, binds = self._steps(mean, stack, done + 1, stop, ())
                 self.full_binds += binds
                 done = stop
-            self.full[stop] = (mean, dict(prods))
+            self.full[stop] = (mean, stack)
 
-    def _steps(self, mean: np.ndarray, prods: dict, first: int, last: int, deleted) -> tuple:
+    def _steps(self, mean: np.ndarray, stack: np.ndarray, first: int, last: int,
+               deleted) -> tuple:
         """Steps ``first..last`` of the process that skips ``deleted``.
 
-        Updates ``prods`` in place and returns the mean after ``last`` and
-        the steps at which the projection bound.  A bound step is rescaled,
-        which is exact before the first deleted index; from there on a bind
-        refuses the interval.
+        Returns the mean and product stack after ``last`` and the steps at
+        which the projection bound.  A bound step is rescaled, which is
+        exact before the first deleted index; from there up to ``tau_i`` a
+        bind refuses the interval.  A live step multiplies every product by
+        its ``I - eta_t A_t`` in one batched matmul (bit for bit the
+        per-product one); those factors are formed ``_LINEAR_BLOCK`` steps
+        at a time.
         """
-        mats, centers, live, eye = self.mats, self.centers, self.live, self.eye
-        rates_arr, radius = self.rates_arr, self.radius
+        mats, centers, live, rates = self.mats, self.centers, self.live, self.rates
+        radius = self.radius
         limit = radius * (1.0 + 1e-12)
         binds = []
+        linears, base = (), first
         for t in range(first, last + 1):
             if live[t - 1] and t not in deleted:
-                eta = float(rates_arr[t - 1])
-                mat = mats[t - 1]
-                grad = mat @ (mean - centers[t - 1])
+                eta = rates[t - 1]
+                grad = mats[t - 1] @ (mean - centers[t - 1])
                 moved = mean - eta * grad
-                norm = _norm(moved)
+                norm = math.sqrt(float(moved.dot(moved)))
                 if norm > limit:
                     binds.append(t)
                     moved = moved * (radius / norm)
                 mean = moved
-                if prods:
-                    linear = eye - eta * mat
-                    for j in prods:
-                        prods[j] = linear @ prods[j]
-            j = self.noise_at.get(t)
-            if j is not None:
-                prods[j] = eye
-        return mean, binds
+                if len(stack):
+                    if t - base >= len(linears):
+                        base, hi = t, min(t - 1 + _LINEAR_BLOCK, last)
+                        block = self.rates_arr[t - 1:hi, None, None] * self.mat_stack[t - 1:hi]
+                        linears = self.eye - block
+                    stack = linears[t - base] @ stack
+            if t in self.noise_at:
+                stack = np.concatenate((stack, self.eye))
+        return mean, stack, binds
 
     def _run_retained(self, i: int) -> None:
-        """Keep interval ``i``'s retained process at ``tau_i``: ``(mean, prods, first bound step)``.
+        """Keep interval ``i``'s retained process at ``tau_i``: ``(mean, stack, first bound step)``.
 
         A process whose projection bound is neither used nor run on.
         """
         u, tau = self.entries[i - 1]
         if i > 1 and u > self.entries[i - 2][1]:
-            mean, prods, bound = self.retained[i - 2]
+            mean, stack, bound = self.retained[i - 2]
             start = self.entries[i - 2][1] + 1
         else:
             # No noise event precedes a branch point: every u is at most tau_1.
             start, bound = self.u_min[i - 1], None
-            mean, prods = self.full[start - 1]
-        prods = dict(prods)
+            mean, stack = self.full[start - 1]
         if bound is None:
-            mean, binds = self._steps(mean, prods, start, tau, {v for v, _ in self.entries[:i]})
+            mean, stack, binds = self._steps(mean, stack, start, tau,
+                                             {v for v, _ in self.entries[:i]})
             bound = binds[0] if binds else None
-        self.retained.append((mean, prods, bound))
+        self.retained.append((mean, stack, bound))
 
     def _finish(self, i: int) -> PropagationResult | str:
         """Interval ``i``'s result from both processes at ``tau_i``, or why it is refused."""
         stream, sched = self.inputs[:2]
-        start, end = _interval_bounds(sched, i, len(stream))
         tau, u_min = self.entries[i - 1][1], self.u_min[i - 1]
-        mean1, prods1, bound = self.retained[i - 1]
-        # The earliest step at or after min(u_1..u_i) at which either projection binds.
+        mean1, stack1, bound = self.retained[i - 1]
+        # The earliest step in [min(u_1..u_i), tau_i] at which either projection binds.
         k = bisect_left(self.full_binds, u_min)
         if k < len(self.full_binds) and self.full_binds[k] <= tau:
             bound = self.full_binds[k] if bound is None else min(bound, self.full_binds[k])
@@ -496,17 +525,16 @@ class _ForwardPass:
                 f"projection binds at t={bound} (>= first deleted index {u_min}); "
                 "the output law is not Gaussian"
             )
-        mean0, prods0 = self.full[tau]
+        mean0, stack0 = self.full[tau]
 
         sigmas = self.sigmas[:i]
-        eye = self.eye
-        dim = eye.shape[0]
+        dim = mean0.shape[0]
         covs = []
-        for prods in (prods0, prods1):
+        for stack in (stack0, stack1):
             cov = np.zeros((dim, dim))
-            for j, sigma in enumerate(sigmas, start=1):
+            for prod, sigma in zip(stack, sigmas):
                 if sigma > 0.0:
-                    cov += sigma**2 * (prods[j] @ prods[j].T)
+                    cov += sigma**2 * (prod @ prod.T)
             covs.append(cov)
         cov_scale = max((s**2 for s in sigmas), default=0.0)
         gap = float(np.linalg.norm(covs[0] - covs[1], ord="fro"))
@@ -517,36 +545,13 @@ class _ForwardPass:
                 "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
             )
 
-        # Continue both means through the (identical) post-deletion maps, keeping
-        # the interval's deterministic Jacobians for the sequence-collapse witness.
-        mats, centers, live, rates_arr = self.mats, self.centers, self.live, self.rates_arr
-        post_jacobians = [eye]
-        post_means = [(mean0.copy(), mean1.copy())]
-        jac = eye
-        post0, post1 = mean0.copy(), mean1.copy()
-        for t in range(tau + 1, end + 1):
-            if live[t - 1]:
-                eta = float(rates_arr[t - 1])
-                mat = mats[t - 1]
-                linear = eye - eta * mat
-                shift = eta * (mat @ centers[t - 1])
-                post0 = linear @ post0 + shift
-                post1 = linear @ post1 + shift
-                if any(_norm(m) > self.radius * (1.0 + 1e-12) for m in (post0, post1)):
-                    return f"projection binds at t={t} inside the interval; law is not Gaussian"
-                jac = linear @ jac
-            post_jacobians.append(jac.copy())
-            post_means.append((post0.copy(), post1.copy()))
-
         matrix = covs[0] / cov_scale if cov_scale > 0.0 else np.zeros((dim, dim))
         return PropagationResult(
             ordinal=i,
-            interval=(start, end),
+            interval=_interval_bounds(sched, i, len(stream)),
             with_deleted=GaussianSummary(mean=mean0, cov_scale=cov_scale, matrix=matrix),
             without_deleted=GaussianSummary(mean=mean1, cov_scale=cov_scale, matrix=matrix),
             sigmas=tuple(sigmas),
-            post_jacobians=tuple(post_jacobians),
-            post_means=tuple(post_means),
         )
 
 
@@ -566,11 +571,12 @@ def propagate_gaussians(
     """Propagate both processes' means and noise covariance up to ``tau_i``.
 
     Requires an all-quadratic stream.  Refuses (``OracleUnavailableError``)
-    when a projection binds at or after the first deleted index, or when the
-    two processes would not share an output covariance: in either case the
-    output law is no longer the shared-covariance Gaussian this oracle
-    computes.  Inside ``certify_passive_run`` this reads the certification's
-    forward pass; alone it runs a pass over intervals ``1..ordinal``.
+    when a projection binds between the first deleted index and ``tau_i``,
+    or when the two processes would not share an output covariance: in
+    either case the output law is no longer the shared-covariance Gaussian
+    this oracle computes.  Inside ``certify_passive_run`` this reads the
+    certification's forward pass; alone it runs a pass over intervals
+    ``1..ordinal``.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
@@ -626,19 +632,6 @@ def exact_divergence_quadratic(
     prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
     diff = prop.with_deleted.mean - prop.without_deleted.mean
     return _shared_cov_divergence(cfg.alpha, diff, prop.with_deleted.covariance)
-
-
-def interval_sequence_divergence(prop: PropagationResult, alpha: float) -> float:
-    """Divergence of the full stacked output sequence over the interval.
-
-    Post-processing witness: this must equal the collapsed value at ``tau_i``
-    whenever the post-deletion maps are identical and deterministic.
-    """
-    dim = prop.with_deleted.mean.size
-    stack = np.concatenate([jac for jac in prop.post_jacobians], axis=0)
-    diff = np.concatenate([m0 - m1 for m0, m1 in prop.post_means])
-    cov = stack @ prop.with_deleted.covariance @ stack.T
-    return _shared_cov_divergence(alpha, diff, cov)
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,7 @@ def _regret_report(
 ) -> dict:
     horizon = len(stream)
     k = sched.k
-    regret = regret_dynamic(trace, stream, sched, dom)
+    regret = regret_dynamic(trace, stream, sched, dom, cls.smoothness)
     gamma = gamma_nominal(cls)
     gvals = g_functions(
         sched, gamma,
@@ -563,7 +563,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: 
             cfg, ucfg, trace, stream, sched, cls, dom, generated.kappa_aggregate
         )
         write_json(seed_dir / "regret.json", regret_report)
-        curve = cumulative_regret_curve(trace, stream, sched, dom)
+        curve = cumulative_regret_curve(trace, stream, sched, dom, cls.smoothness)
         bound_curve = _bound_curve(regret_report, len(stream))
         with open(seed_dir / "regret_curve.csv", "w") as handle:
             handle.write("t,cumulative_regret,bound_rhs\n")
@@ -678,7 +678,8 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
         algorithm=cfg.raw["algorithm"], seed=seed, outputs=outputs, losses=losses,
         rates=rates, events=tuple(["learn"] * outputs.shape[0]),
     )
-    recomputed = regret_dynamic(shell, generated.stream, sched, dom)
+    recomputed = regret_dynamic(shell, generated.stream, sched, dom,
+                                generated.fn_class.smoothness)
     stored = None
     report_path = base / "regret.json"
     if report_path.exists():

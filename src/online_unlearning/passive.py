@@ -41,7 +41,6 @@ __all__ = [
     "calibrated_sigma",
     "deletion_calibration",
     "noise_multiplier",
-    "passive_sigma",
     "run_ogd",
     "run_passive",
     "series_term",
@@ -103,15 +102,6 @@ def series_term(cfg: UnlearnerConfig, j: int) -> float:
     The terms sum to at most ``alpha * eps`` over any number of deletions.
     """
     return cfg.alpha * cfg.eps * (cfg.omega - 1.0) / (cfg.omega * j**cfg.omega)
-
-
-def passive_sigma(cfg: UnlearnerConfig, i: int, gap: int, delta_u: float, gamma: float) -> float:
-    """Noise scale ``sqrt(omega i^omega / (2(omega-1) eps)) * gamma^gap * Delta_u``."""
-    if gap < 0:
-        raise InvalidInputError(f"gap must be >= 0, got {gap}")
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
-    return calibrated_sigma(cfg, i, gamma**gap, delta_u)
 
 
 def deletion_calibration(

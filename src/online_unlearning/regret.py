@@ -113,13 +113,16 @@ def solve_erm(
 
 
 def comparators(
-    stream: CostStream, sched: DeletionSchedule, dom: BallDomain, dim: int | None = None
+    stream: CostStream, sched: DeletionSchedule, dom: BallDomain, dim: int | None = None,
+    smoothness: float = 1.0,
 ) -> list[np.ndarray]:
     """Best-in-hindsight points ``z_0*, ..., z_k*`` (one per deletion epoch).
 
     ``z_i*`` minimizes the full-horizon objective minus the first ``i``
     deleted losses, so learner and comparator share the same history.
     ``dim`` is the points' dimension, needed when no quadratic loss reveals it.
+    ``smoothness`` bounds each loss's smoothness: a sum of ``n`` opaque
+    losses is minimized with steps ``1 / (n * smoothness)``.
     """
     sched.validate_horizon(len(stream))
     if not stream.live.any():
@@ -150,7 +153,7 @@ def comparators(
             f for t, f in enumerate(stream.items, start=1)
             if not is_skip(f) and t not in removed
         ]
-        out.append(solve_erm(losses, dom, dim=dim))
+        out.append(solve_erm(losses, dom, dim=dim, curvature=len(losses) * smoothness))
         if i < sched.k:
             removed.add(sched.indices[i])
     return out
@@ -179,7 +182,8 @@ def _solve_quadratic_erm(
 # ---------------------------------------------------------------------------
 
 def _per_step_regret(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
+    smoothness: float,
 ) -> Tuple[np.ndarray, list]:
     """``f_t(z_t) - f_t(z_i*)`` per step (0 on SKIP) and each epoch's window of steps.
 
@@ -189,7 +193,7 @@ def _per_step_regret(
     horizon = len(stream)
     if trace.horizon != horizon:
         raise InvalidInputError("trace and stream cover different horizons")
-    comps = comparators(stream, sched, dom, trace.dim)
+    comps = comparators(stream, sched, dom, trace.dim, smoothness)
     edges = (0,) + sched.times + (horizon,)
     windows = [slice(edges[i], min(edges[i + 1], horizon)) for i in range(sched.k + 1)]
     live = stream.live
@@ -213,7 +217,8 @@ def _per_step_regret(
 
 
 def regret_dynamic(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
+    smoothness: float = 1.0,
 ) -> float:
     """Dynamic regret of a trace against the per-epoch comparators.
 
@@ -221,18 +226,20 @@ def regret_dynamic(
     ``tau_0 = 0`` and ``tau_{k+1} = T``; SKIP steps contribute nothing.  The
     losses are recomputed from the stream and the trace outputs, so the same
     metric applies to every algorithm regardless of what it logged.
+    ``smoothness`` is passed to ``comparators``.
     """
-    per_step, windows = _per_step_regret(trace, stream, sched, dom)
+    per_step, windows = _per_step_regret(trace, stream, sched, dom, smoothness)
     live = stream.live
     # Summing only each window's live steps keeps quadratic streams' regret bit for bit.
     return sum((float(np.sum(per_step[w][live[w]])) for w in windows), 0.0)
 
 
 def cumulative_regret_curve(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
+    smoothness: float = 1.0,
 ) -> np.ndarray:
     """Running partial sums of the dynamic regret, one value per step."""
-    return np.cumsum(_per_step_regret(trace, stream, sched, dom)[0])
+    return np.cumsum(_per_step_regret(trace, stream, sched, dom, smoothness)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from online_unlearning import (
     gaussian_renyi,
     gen_stream,
     ogd_step,
-    passive_sigma,
     required_iters,
     retained,
     run_active,
@@ -46,6 +45,7 @@ from online_unlearning.ogd import (
     gamma_nominal,
     step_contraction,
 )
+from online_unlearning.passive import calibrated_sigma
 from online_unlearning.regret import regret_dynamic
 from online_unlearning.trace import load_summary
 
@@ -375,11 +375,11 @@ def test_criterion_10_formula_unit_tests():
             got == want or (want != 0 and abs(got - want) <= 1e-12 * abs(want))
         )
 
-    # passive_sigma
-    close(passive_sigma(cfg, 1, 7, 1.0, 1.0), math.sqrt(1.2 / 0.4))
+    # calibrated_sigma with the nominal decay gamma ** gap
+    close(calibrated_sigma(cfg, 1, 1.0**7, 1.0), math.sqrt(1.2 / 0.4))
     cfg_half = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
-    close(passive_sigma(cfg_half, 1, 2, 0.8, 0.5), math.sqrt(1.2 / 0.2) * 0.25 * 0.8)
-    close(passive_sigma(cfg, 1, 3, 0.0, 0.9), 0.0)
+    close(calibrated_sigma(cfg_half, 1, 0.5**2, 0.8), math.sqrt(1.2 / 0.2) * 0.25 * 0.8)
+    close(calibrated_sigma(cfg, 1, 0.9**3, 0.0), 0.0)
     # active_sigma
     cfg_a = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2)
     close(
@@ -470,7 +470,7 @@ def test_criterion_11_erm_stability_lemmas():
 
 def test_criterion_12_noise_decay_and_g3_replay(tmp_path):
     cfg = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2)
-    sigmas = [passive_sigma(cfg, 1, gap, 0.7, 0.5) for gap in range(1, 22)]
+    sigmas = [calibrated_sigma(cfg, 1, 0.5**gap, 0.7) for gap in range(1, 22)]
     decay_exact = all(
         sigmas[idx + 1] / sigmas[idx] == 0.5 for idx in range(20)
     )

@@ -27,7 +27,6 @@ from online_unlearning.certifier import (
     PropagationResult,
     _interval_bounds,
     _simulate_batch,
-    interval_sequence_divergence,
     propagate_gaussians,
     rates_array,
 )
@@ -39,8 +38,8 @@ from online_unlearning.core import (
     stack_quadratics,
 )
 from online_unlearning.harness import build_schedule
-from online_unlearning.ogd import ConstantRate, ConvexDecreasing, SCDecreasing
-from online_unlearning.passive import deletion_calibration, run_passive
+from online_unlearning.ogd import AdaptiveRate, ConstantRate, ConvexDecreasing, SCDecreasing, rate
+from online_unlearning.passive import deletion_calibration, run_ogd, run_passive
 from online_unlearning.rng import event_normals
 
 from conftest import iso_quad, random_spd_quad, stream_of
@@ -330,17 +329,20 @@ class TestExactOracle:
             exact_divergence_quadratic(stream, sched, ConstantRate(eta=1.9),
                                        _cfg(), cls, dom, 1)
 
-    def test_sequence_collapse_witness(self, unit_ball):
-        """Divergence of the whole interval sequence equals the value at tau_i."""
-        rng = np.random.default_rng(6)
-        stream, cls = _sc_stream(rng, 14, unit_ball)
-        sched = DeletionSchedule(((3, 6),))
+    def test_bind_after_tau_answers_as_the_truncated_stream(self):
+        # The projection binds only after tau = 40.  Every later step applies
+        # the same map to both processes, so the interval is answered (it was
+        # refused while the pass ran on to the interval's end), with the value
+        # of the stream cut at tau.
+        stream, cls, dom, _ = TestForwardPass._setup(0.1)
+        sched = DeletionSchedule(((40, 40),))
         rates = SCDecreasing(mu=1.0)
-        cfg = _cfg()
-        prop = propagate_gaussians(stream, sched, rates, cfg, cls, unit_ball, 1)
-        collapsed = exact_divergence_quadratic(stream, sched, rates, cfg, cls, unit_ball, 1)
-        stacked = interval_sequence_divergence(prop, cfg.alpha)
-        assert stacked == pytest.approx(collapsed, rel=1e-9)
+        assert run_ogd(stream, rates, dom, cls).projection_bound_steps > 0
+        value = exact_divergence_quadratic(stream, sched, rates, _cfg(), cls, dom, 1)
+        truncated = stream_of(list(stream.items[:40]))
+        assert value == exact_divergence_quadratic(truncated, sched, rates, _cfg(), cls, dom, 1)
+        assert value > 0.0
+        assert certify_passive_run(stream, sched, rates, _cfg(), cls, dom)[0].note == ""
 
 
 class TestMonteCarlo:
@@ -531,7 +533,7 @@ def _well_conditioned_setup(dom):
 # ---------------------------------------------------------------------------
 
 def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal):
-    """Both processes simulated from t = 1 for this interval alone (verbatim)."""
+    """Both processes simulated from t = 1 to ``tau_i`` for this interval alone."""
     if not stream.all_quadratic():
         raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
     horizon = len(stream)
@@ -598,29 +600,6 @@ def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
             "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
         )
 
-    # Continue both means through the (identical) post-deletion maps, keeping
-    # the interval's deterministic Jacobians for the sequence-collapse witness.
-    post_jacobians = [eye]
-    post_means = [(means[0].copy(), means[1].copy())]
-    jac = eye
-    mean0, mean1 = means[0].copy(), means[1].copy()
-    for t in range(tau_i + 1, end + 1):
-        if lives[0][t - 1]:
-            eta = float(rates_arr[t - 1])
-            mat = mats[t - 1]
-            linear = eye - eta * mat
-            shift = eta * (mat @ centers[t - 1])
-            mean0 = linear @ mean0 + shift
-            mean1 = linear @ mean1 + shift
-            for m in (mean0, mean1):
-                if float(np.linalg.norm(m)) > dom.radius * (1.0 + 1e-12):
-                    raise OracleUnavailableError(
-                        f"projection binds at t={t} inside the interval; law is not Gaussian"
-                    )
-            jac = linear @ jac
-        post_jacobians.append(jac.copy())
-        post_means.append((mean0.copy(), mean1.copy()))
-
     if cov_scale > 0.0:
         matrix = covs[0] / cov_scale
     else:
@@ -631,8 +610,6 @@ def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
         with_deleted=GaussianSummary(mean=means[0], cov_scale=cov_scale, matrix=matrix),
         without_deleted=GaussianSummary(mean=means[1], cov_scale=cov_scale, matrix=matrix),
         sigmas=tuple(sigmas),
-        post_jacobians=tuple(post_jacobians),
-        post_means=tuple(post_means),
     )
 
 
@@ -676,11 +653,6 @@ def _assert_same_propagation(got, ref):
         assert np.array_equal(a.mean, b.mean)
         assert a.cov_scale == b.cov_scale
         assert np.array_equal(a.matrix, b.matrix)
-    assert len(got.post_jacobians) == len(ref.post_jacobians)
-    for a, b in zip(got.post_jacobians, ref.post_jacobians):
-        assert np.array_equal(a, b)
-    for (a0, a1), (b0, b1) in zip(got.post_means, ref.post_means):
-        assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
 
 
 # u_i > tau_{i-1} (each retained process continues the previous one);
@@ -785,6 +757,22 @@ class TestForwardPass:
         certify_passive_run(stream, sched, rates_arr, _cfg(), cls, dom)
         assert sum(taken) == steps
 
+    @pytest.mark.parametrize("name", ["chained", "branching"])
+    def test_never_steps_past_the_last_noise_time(self, monkeypatch, name):
+        stream, cls, dom, rates_arr = self._setup(1.0)
+        sched = DeletionSchedule(_PASS_SCHEDULES[name])
+        ranges = []
+        original = certifier._ForwardPass._steps
+
+        def recording(pass_, mean, stack, first, last, deleted):
+            ranges.append((first, last))
+            return original(pass_, mean, stack, first, last, deleted)
+
+        monkeypatch.setattr(certifier._ForwardPass, "_steps", recording)
+        certify_passive_run(stream, sched, rates_arr, _cfg(), cls, dom)
+        assert ranges and all(1 <= first <= last for first, last in ranges)
+        assert max(last for _, last in ranges) == sched.times[-1]
+
     def test_custom_cost_keeps_its_oracle_note(self):
         # The pass stacks the stream only when an interval is asked for, and
         # the oracle refuses a custom cost before that.
@@ -815,6 +803,23 @@ class TestForwardPass:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestRatesArray:
+    @pytest.mark.parametrize("schedule", [
+        SCDecreasing(mu=0.7),
+        ConvexDecreasing(diameter=2.0, lipschitz=3.3),
+        ConstantRate(eta=0.37),
+    ])
+    def test_matches_the_scalar_rate(self, schedule):
+        horizon = 10_000
+        got = rates_array(schedule, horizon)
+        assert got.dtype == np.float64
+        assert got.tolist() == [rate(schedule, t) for t in range(1, horizon + 1)]
+
+    def test_adaptive_refused(self):
+        with pytest.raises(OracleUnavailableError, match="realized gradients"):
+            rates_array(AdaptiveRate(diameter=2.0, warm_floor=1.5), 10)
 
 
 class TestColumnLedger:

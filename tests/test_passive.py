@@ -12,13 +12,13 @@ from online_unlearning import (
     FnClass,
     InvalidConfigError,
     UnlearnerConfig,
-    passive_sigma,
     run_ogd,
     run_passive,
 )
 from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, encode_vector
 from online_unlearning.errors import InvalidInputError
 from online_unlearning.ogd import SCDecreasing
+from online_unlearning.passive import calibrated_sigma
 from online_unlearning.trace import load_trace_outputs
 
 from conftest import random_spd_quad, stream_of
@@ -37,16 +37,18 @@ def _sc_stream(rng, horizon, dom, mu=1.0, beta=3.0):
 
 
 class TestPassiveSigma:
+    """``calibrated_sigma`` with the nominal decay ``gamma ** gap``."""
+
     def test_unit_case(self):
-        sigma = passive_sigma(_cfg(eps=1.0), 1, 5, 1.0, 1.0)
+        sigma = calibrated_sigma(_cfg(eps=1.0), 1, 1.0**5, 1.0)
         assert sigma == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_decorated_case(self):
-        sigma = passive_sigma(_cfg(eps=0.5), 1, 2, 0.8, 0.5)
+        sigma = calibrated_sigma(_cfg(eps=0.5), 1, 0.5**2, 0.8)
         assert sigma == pytest.approx(math.sqrt(6.0) * 0.25 * 0.8, rel=1e-12)
 
     def test_zero_sensitivity(self):
-        assert passive_sigma(_cfg(), 1, 3, 0.0, 0.9) == 0.0
+        assert calibrated_sigma(_cfg(), 1, 0.9**3, 0.0) == 0.0
 
     def test_bad_omega_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -56,17 +58,17 @@ class TestPassiveSigma:
         with pytest.raises(InvalidConfigError):
             UnlearnerConfig(alpha=2.0, eps=0.0)
 
-    def test_bad_gamma_rejected(self):
+    def test_negative_decay_rejected(self):
         with pytest.raises(InvalidInputError):
-            passive_sigma(_cfg(), 1, 2, 1.0, 0.0)
+            calibrated_sigma(_cfg(), 1, -0.5, 1.0)
 
     def test_monotone_in_ordinal(self):
-        values = [passive_sigma(_cfg(), i, 2, 1.0, 0.5) for i in range(1, 8)]
+        values = [calibrated_sigma(_cfg(), i, 0.5**2, 1.0) for i in range(1, 8)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_decay_law_exact(self):
         cfg = _cfg()
-        sigmas = [passive_sigma(cfg, 1, gap, 0.7, 0.5) for gap in range(0, 22)]
+        sigmas = [calibrated_sigma(cfg, 1, 0.5**gap, 0.7) for gap in range(0, 22)]
         for gap in range(21):
             assert sigmas[gap + 1] / sigmas[gap] == 0.5
 
@@ -100,7 +102,7 @@ class TestRunPassive:
         assert [e.ordinal for e in trace.noise_events] == [1, 2]
         # sigma matches the hand formula with the nominal decay
         e = trace.noise_events[0]
-        expected = passive_sigma(_cfg(), 1, e.gap, e.delta, 0.5)
+        expected = calibrated_sigma(_cfg(), 1, 0.5**e.gap, e.delta)
         assert e.sigma == pytest.approx(expected, rel=1e-12)
         assert trace.events[8] == "unlearn"
         assert trace.events[0] == "learn"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,26 @@ class TestRegretDynamic:
                             seed=0, z0=np.zeros(2))
         value = regret_dynamic(trace, stream, sched, unit_ball)
         assert math.isfinite(value)
+        assert value == pytest.approx(
+            regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
+        )
+
+    def test_custom_stream_steps_by_its_smoothness(self, unit_ball):
+        # Curvatures up to 3: steps of 1 / n overshoot and projected GD runs to
+        # max_iter (past 100 s on 40 steps); 1 / (n * beta) converges at once.
+        rng = np.random.default_rng(60)
+        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(40)]
+        stream = stream_of(CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads)
+        sched = DeletionSchedule(((5, 12), (20, 30)))
+        cls = FnClass(lipschitz=4.0, smoothness=3.0, strong_convexity=1.0)
+        trace = run_passive(stream, sched, SCDecreasing(mu=1.0), UnlearnerConfig(alpha=2.0, eps=1.0),
+                            cls, unit_ball, seed=0, z0=np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = comparators(stream, sched, unit_ball, dim=2, smoothness=cls.smoothness)
+            value = regret_dynamic(trace, stream, sched, unit_ball, cls.smoothness)
+        for a, b in zip(got, comparators(stream_of(quads), sched, unit_ball)):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-6)
         assert value == pytest.approx(
             regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
         )
