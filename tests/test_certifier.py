@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,7 +497,73 @@ class TestCollapsedPrefix:
         _simulate_batch(stream, rates_arr, dom, (0.0, 0.2), {15: 1, 25: 2}, 25, 9, 0, 257, 0, 5)
         assert calls == [(0, 2)]
 
-    def test_threaded_shards_match_full_batch(self, unit_ball):
+    # Each case: setup arguments, sigmas and the interval simulated.
+    _BLOCK_CASES = {
+        "prefix-binds": ((5, 30, ((6, 12),), 0.05, 0.9, 1), (0.3,), 1),
+        "both-noisy": ((5, 40, ((4, 15), (9, 25))), (0.3, 0.2), 2),
+        "first-silent": ((5, 40, ((4, 15), (9, 25))), (0.0, 0.2), 2),
+        "all-silent": ((5, 40, ((4, 15), (9, 25))), (0.0, 0.0), 2),
+        "binds-after-noise": ((5, 40, ((4, 15), (9, 25)), 0.05, 0.9, 1), (0.3, 0.2), 2),
+        "one-dim": ((1, 40, ((4, 15), (9, 25))), (0.3, 0.2), 2),
+    }
+
+    @pytest.mark.parametrize("block", [2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+    def test_blocks_match_full_batch(self, monkeypatch, block, case):
+        monkeypatch.setattr(certifier, "_MC_BLOCK", block)
+        setup, sigmas, ordinal = self._BLOCK_CASES[case]
+        stream, sched, rates_arr, dom = self._setup(*setup)
+        for rows in sorted({1, 2, 3, block + 1, 2 * block, 2 * block + 1, 257}):
+            for (got, got_bind), (ref, ref_bind) in self._both(
+                    stream, sched, rates_arr, dom, sigmas, ordinal, rows, row_offset=3):
+                assert np.array_equal(got, ref)
+                assert got_bind == ref_bind
+
+    def test_binds_after_noise_case_binds_after_fan_out(self):
+        # The case above is only a test of the blocked step's bind count if
+        # rows bind after the first noise event, not just in the prefix.
+        setup, sigmas, _ = self._BLOCK_CASES["binds-after-noise"]
+        stream, sched, rates_arr, dom = self._setup(*setup)
+        rows = 257
+        _, prefix_steps = _full_batch_reference(stream, rates_arr, dom, sigmas, {}, 15, 9, 0,
+                                                1, 0, 5)
+        _, bound = _full_batch_reference(stream, rates_arr, dom, sigmas, {15: 1, 25: 2}, 25, 9,
+                                         0, rows, 3, 5)
+        assert bound > rows * prefix_steps
+
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_buffered_row_norm_is_linalg_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = 1000
+        z = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 1)))
+        mat, center = rng.standard_normal((dim, dim)), rng.standard_normal(dim)
+        eta, radius = 0.37, 1.0
+        moved = z - eta * ((z - center) @ mat)
+        expected = np.linalg.norm(moved, axis=1)
+        norms = np.empty(rows)
+        scratch = (np.empty_like(z), np.empty_like(z), norms, np.empty(rows, dtype=bool))
+        bound = certifier._projected_step(z, scratch, mat, center, eta, radius)
+        assert np.array_equal(norms, expected)
+        assert bound == int(np.sum(expected > radius))
+        inside = expected <= radius
+        assert np.array_equal(z[inside], moved[inside])
+        projected = moved[~inside] * (radius / expected[~inside])[:, None]
+        assert np.array_equal(z[~inside], projected)
+
+    def test_traced_peak_is_flat_in_n(self, unit_ball):
+        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=n, seed=6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+    def test_shards_match_full_batch(self, unit_ball):
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
         n, shards = 3001, 3
         report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
