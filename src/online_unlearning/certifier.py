@@ -24,7 +24,9 @@
    follows the same deterministic path until the first noise event
    ``tau_1``, so that prefix is simulated once and broadcast: an interval
    costs one path to ``tau_1`` plus ``n`` rows from ``tau_1`` to ``tau_i``,
-   run in fixed row blocks so memory stays flat in ``n``.
+   run in fixed row blocks so memory stays flat in ``n``.  A row draws the
+   same noise in any block, so the blocks reproduce one full batch bit for
+   bit.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ __all__ = [
 
 _FEAS_TOL = 1e-9
 _EXACT_TOL = 1e-9
+# Slack on ``bound <= budget``: the series sum may round just past ``alpha * eps``.
+_BUDGET_TOL = 1e-12
 
 
 def gaussian_renyi(alpha: float, m0: np.ndarray, m1: np.ndarray, sigma2: float) -> float:
@@ -180,7 +184,7 @@ class AnalyticCertificate:
 
     @property
     def within_budget(self) -> bool:
-        return self.max_bound <= self.budget + 1e-12
+        return self.max_bound <= self.budget + _BUDGET_TOL
 
 
 def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
@@ -556,7 +560,8 @@ class _ForwardPass:
         )
 
 
-# The running ``certify_passive_run`` call's pass, for its oracle and Monte-Carlo calls.
+# The running ``certify_passive_run`` call's pass.  ``propagate_gaussians`` reads
+# it for the oracle and for Monte-Carlo alike.
 _CERTIFICATION: ContextVar[_ForwardPass | None] = ContextVar("_CERTIFICATION", default=None)
 
 
@@ -591,28 +596,24 @@ def propagate_gaussians(
     return forward.result(ordinal)
 
 
-def _interval_propagation(inputs: tuple, ordinal: int) -> PropagationResult:
-    """Interval ``ordinal``'s result: the running certification's own when it runs on ``inputs``."""
-    forward = _CERTIFICATION.get()
-    if forward is not None and forward.serves(*inputs):
-        return forward.result(ordinal)
-    return propagate_gaussians(*inputs, ordinal)
+def _shared_cov_form(diff: np.ndarray, cov: np.ndarray) -> Tuple[float, int]:
+    """``q = diff^T cov^+ diff`` and the rank of ``cov``.
 
-
-def _shared_cov_divergence(alpha: float, diff: np.ndarray, cov: np.ndarray) -> float:
-    """``(alpha/2) diff^T cov^+ diff``; infinite if ``diff`` leaves the support."""
+    ``q`` is infinite when ``diff`` leaves the support of ``cov``.  The exact
+    divergence is ``alpha q / 2``; Monte-Carlo also reads the rank.
+    """
     norm_diff = float(np.linalg.norm(diff))
     eigvals, eigvecs = np.linalg.eigh(cov)
     lam_max = float(eigvals[-1]) if eigvals.size else 0.0
     if lam_max <= 0.0:
-        return 0.0 if norm_diff <= 1e-12 else math.inf
-    rank_tol = lam_max * 1e-12
+        return (0.0 if norm_diff <= 1e-12 else math.inf), 0
     coords = eigvecs.T @ diff
-    null = eigvals <= rank_tol
-    if np.any(np.abs(coords[null]) > 1e-9 * (1.0 + norm_diff)):
-        return math.inf
+    null = eigvals <= lam_max * 1e-12
     supported = ~null
-    return 0.5 * alpha * float(np.sum(coords[supported] ** 2 / eigvals[supported]))
+    rank = int(np.count_nonzero(supported))
+    if np.any(np.abs(coords[null]) > 1e-9 * (1.0 + norm_diff)):
+        return math.inf, rank
+    return float(np.sum(coords[supported] ** 2 / eigvals[supported])), rank
 
 
 def exact_divergence_quadratic(
@@ -632,7 +633,7 @@ def exact_divergence_quadratic(
     """
     prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
     diff = prop.with_deleted.mean - prop.without_deleted.mean
-    return _shared_cov_divergence(cfg.alpha, diff, prop.with_deleted.covariance)
+    return 0.5 * cfg.alpha * _shared_cov_form(diff, prop.with_deleted.covariance)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +646,6 @@ class McDivergenceReport:
 
     ordinal: int
     n: int
-    shards: int
     mean_with_deleted: np.ndarray
     mean_without_deleted: np.ndarray
     estimate: float
@@ -698,7 +698,6 @@ def _simulate_batch(
     seed: int,
     process_id: int,
     rows: int,
-    row_offset: int,
     dim: int,
 ) -> Tuple[np.ndarray, int]:
     """Vectorized projected-OGD sample paths; returns (sum of z_tau rows, bindings).
@@ -707,13 +706,14 @@ def _simulate_batch(
     event with ``sigma > 0``, so that prefix runs once on ``min(rows, 2)``
     identical rows; while collapsed, a bound step counts ``rows`` binding
     events.  From that event on the rows run in blocks of ``_MC_BLOCK`` in
-    buffers allocated once, and each block draws its own noise at
-    ``row_offset + lo``.  A one-row tail joins the block before it, so every
-    matrix product has at least two rows and stays on the full batch's BLAS
-    kernel.  Each block's sum starts from the running total, which makes the
-    result the row-by-row sum of a full ``(rows, dim)`` batch run from
-    ``t = 1``, bit for bit.  With ``dim == 1`` numpy sums the single column
-    pairwise instead, so such rows stay in one block.
+    buffers allocated once, and each block draws its noise from its start
+    row ``lo`` on, so a row gets the same draws in any block.  A one-row
+    tail joins the block before it, so every matrix product has at least
+    two rows and stays on the full batch's BLAS kernel.  Each block's sum
+    starts from the running total, which makes the result the row-by-row
+    sum of a full ``(rows, dim)`` batch run from ``t = 1``, bit for bit.
+    With ``dim == 1`` numpy sums the single column pairwise instead, so
+    such rows stay in one block.
     """
     mats, centers, _, live = stack_quadratics(stream)
     mats, centers, live = list(mats[:tau_i]), list(centers[:tau_i]), live[:tau_i].tolist()
@@ -749,7 +749,7 @@ def _simulate_batch(
                                            etas[t - 1], dom.radius)
             j = noise_times.get(t)
             if j is not None and sigmas[j - 1] > 0.0:
-                noise = event_normals(seed, (process_id, j), m, dim, row_offset + lo)
+                noise = event_normals(seed, (process_id, j), m, dim, lo)
                 noise *= sigmas[j - 1]
                 z += noise
         if total is not None:
@@ -769,66 +769,43 @@ def mc_divergence_check(
     ordinal: int,
     n: int,
     seed: int,
-    shards: int = 1,
 ) -> McDivergenceReport:
     """Estimate the interval divergence by sampling both processes.
 
-    Sample ``r`` of each process always consumes the same draws no matter how
-    the work is sharded, so partial sums merge associatively (in shard order)
-    and the estimate is independent of ``shards`` up to float reassociation.
-    Each shard runs its rows in blocks of ``_MC_BLOCK`` that reuse one set of
-    buffers, so memory does not grow with ``n``.
+    Each process runs its ``n`` rows in blocks of ``_MC_BLOCK`` that reuse
+    one set of buffers, so memory does not grow with ``n``.  Sample row
+    ``r`` always consumes the same draws, whatever block it runs in, so the
+    sums are those of one full batch bit for bit.
     """
     if not stream.all_quadratic():
         raise UnsupportedCostError("the Monte-Carlo check needs an all-quadratic stream")
-    if n < 1 or shards < 1 or shards > n:
-        raise InvalidInputError("need n >= 1 and 1 <= shards <= n")
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1, got {n}")
     horizon = len(stream)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    prop = _interval_propagation((stream, sched, rates_arr, cfg, cls, dom), ordinal)
+    prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, dom, ordinal)
     tau_i = sched.times[ordinal - 1]
     noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
     dim = stack_quadratics(stream)[1].shape[1]
 
-    bounds = [round(s * n / shards) for s in range(shards + 1)]
-    both = []
+    means = []
     binding = 0
     for process_id, proc_stream in enumerate((stream, retained(stream, sched, upto=ordinal))):
-        total = np.zeros(dim)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                part, bound_count = _simulate_batch(proc_stream, rates_arr, dom, prop.sigmas,
-                                                    noise_times, tau_i, seed, process_id,
-                                                    hi - lo, lo, dim)
-                total = total + part
-                binding += bound_count
-        both.append(total / n)
+        total, bound_count = _simulate_batch(proc_stream, rates_arr, dom, prop.sigmas,
+                                             noise_times, tau_i, seed, process_id, n, dim)
+        means.append(total / n)
+        binding += bound_count
 
-    diff = both[0] - both[1]
-    cov = prop.with_deleted.covariance
-    raw = _shared_cov_divergence(cfg.alpha, diff, cov)
+    q, rank = _shared_cov_form(means[0] - means[1], prop.with_deleted.covariance)
     # Each mean estimate carries cov/n of sampling noise, which inflates the
     # plug-in quadratic form by alpha * rank / n in expectation; subtract it.
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-    if lam_max > 0.0 and math.isfinite(raw):
-        keep = eigvals > lam_max * 1e-12
-        rank = int(np.sum(keep))
-        estimate = max(raw - cfg.alpha * rank / n, 0.0)
-        coords = (eigvecs.T @ diff)[keep]
-        grad_sq = cfg.alpha**2 * float(np.sum(coords**2 / eigvals[keep]))
-        std_error = math.sqrt(2.0 * grad_sq / n)
-    else:
-        estimate = raw
-        std_error = math.inf if not math.isfinite(raw) else 0.0
     return McDivergenceReport(
         ordinal=ordinal,
         n=n,
-        shards=shards,
-        mean_with_deleted=both[0],
-        mean_without_deleted=both[1],
-        estimate=estimate,
-        std_error=std_error,
+        mean_with_deleted=means[0],
+        mean_without_deleted=means[1],
+        estimate=max(0.5 * cfg.alpha * q - cfg.alpha * rank / n, 0.0),
+        std_error=math.sqrt(2.0 * (cfg.alpha**2 * q) / n),
         binding_events=binding,
     )
 
@@ -872,7 +849,7 @@ def _certificate(
         exact_divergence=exact,
         mc_estimate=mc,
         budget=budget,
-        passes=bound is not None and bound <= budget + 1e-12
+        passes=bound is not None and bound <= budget + _BUDGET_TOL
         and (exact is None or exact <= bound + _EXACT_TOL),
         note=note,
     )

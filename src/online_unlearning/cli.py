@@ -51,30 +51,39 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_run(args, certify_only: bool = False) -> int:
-    """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point.
-
-    Points run in turn share each seed's generated inputs (``SeedInputs``).
-    """
+    """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point."""
     points = sweep_points(_load(args))
     run = partial(run_experiment, out_root=args.out, certify_only=certify_only)
-    if args.jobs > 1 and len(points) > 1:
-        # One process per point; each point runs its seeds in turn.
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(run, points))
-    else:
-        inputs = SeedInputs(points)
-        summaries = [run(p, jobs=args.jobs, inputs=inputs) for p in points]
     ok = True
-    for summary in summaries:
+    for summary in _summaries(points, run, args.jobs):
         if certify_only:
             passed = all(r["cert"]["all_pass"] for r in summary["per_seed"] if r["cert"])
             line = {"config_hash": summary["config_hash"], "cert_pass": passed}
         else:
             passed = summary["all_pass"]
             line = {key: summary[key] for key in ("config_hash", "mean_regret", "all_pass")}
-        print(json.dumps(line))
+        print(json.dumps(line), flush=True)
         ok = ok and passed
     return 0 if ok else 1
+
+
+def _summaries(points: list, run, jobs: int):
+    """Each point's summary in grid order, as soon as it and the points before it are done.
+
+    Points run in turn share each seed's generated inputs (``SeedInputs``),
+    and a refusal ends the grid.  With ``jobs > 1`` each point runs in its own
+    process and every point runs; the first failure is raised after the rest.
+    """
+    if jobs > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run, p) for p in points]
+            yield from (f.result() for f in futures if f.exception() is None)
+        failures = [f.exception() for f in futures if f.exception() is not None]
+        if failures:
+            raise failures[0]
+    else:
+        inputs = SeedInputs(points)
+        yield from (run(p, jobs=jobs, inputs=inputs) for p in points)
 
 
 def _cmd_regret_report(args) -> int:

@@ -621,8 +621,6 @@ def run_experiment(
         raise InvalidConfigError("expand sweeps before running (use sweep_points)")
     digest = config_hash(cfg)
     base = Path(out_root) / digest
-    base.mkdir(parents=True, exist_ok=True)
-    write_json(base / "config.json", cfg.raw)
 
     seeds = list(cfg.raw["seeds"])
     results = []
@@ -660,6 +658,9 @@ def run_experiment(
         "all_pass": bool(all(flags) if flags else True) and bool(all(cert_flags) if cert_flags else True),
         "per_seed": results,
     }
+    # Written after every seed has run: a point refused while a seed runs leaves no config.json.
+    base.mkdir(parents=True, exist_ok=True)
+    write_json(base / "config.json", cfg.raw)
     write_json(base / "summary.json", summary)
     return summary
 

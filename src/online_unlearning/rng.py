@@ -1,10 +1,10 @@
-"""Seeded Gaussian noise with replayable, shardable draws.
+"""Seeded Gaussian noise with replayable draws addressable by sample row.
 
 Noise uses a counter-based Philox generator keyed by ``(seed, *stream)`` and
 converts uniforms to standard normals through the inverse CDF.  Each noise
 event consumes exactly ``d`` uniforms in event order, so a trace replays
-bit-for-bit from its seed, and Monte-Carlo shards can jump to any sample row
-with ``Philox.advance`` without generating the rows before it.
+bit-for-bit from its seed, and a Monte-Carlo row block can jump to its first
+sample row with ``Philox.advance`` without generating the rows before it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def event_normals(
     """Standard normals for ``rows`` samples of one noise event, ``dim`` each.
 
     Sample ``r`` always receives the same draws regardless of how callers
-    shard the row range.  ``Philox.advance`` jumps whole 4-word counter
-    blocks, so each row is padded to a multiple of 4 uniforms and shard
-    starts land exactly on block boundaries.
+    split the row range into blocks.  ``Philox.advance`` jumps whole 4-word
+    counter blocks, so each row is padded to a multiple of 4 uniforms and
+    block starts land exactly on counter-block boundaries.
     """
     pad = 4 * ((dim + 3) // 4)
     bitgen = np.random.Philox(np.random.SeedSequence([int(seed), *map(int, stream)]))

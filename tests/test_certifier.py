@@ -12,6 +12,7 @@ from online_unlearning import (
     CustomCost,
     DeletionSchedule,
     FnClass,
+    InvalidInputError,
     OracleUnavailableError,
     UnlearnerConfig,
     UnsupportedCostError,
@@ -378,23 +379,38 @@ class TestMonteCarlo:
         assert abs(report.estimate - exact) <= 0.1 * exact
         assert abs(report.estimate - exact) <= 4.0 * report.std_error
 
-    def test_shard_count_invariance(self, unit_ball):
+    def test_matches_full_batch(self, unit_ball, monkeypatch):
+        # Blocks of 1000 rows plus a one-row tail give the means of one full batch.
+        monkeypatch.setattr(certifier, "_MC_BLOCK", 1000)
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
-        one = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                  n=5000, seed=4, shards=1)
-        many = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                   n=5000, seed=4, shards=6)
-        assert one.estimate == pytest.approx(many.estimate, rel=1e-12)
+        n = 3001
+        report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=n, seed=6)
+        rates_arr = rates_array(rates, len(stream))
+        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
+        binding = 0
+        for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
+            total, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
+                                                 {20: 1}, 20, 6, process_id, n, 0, 2)
+            mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
+            assert np.array_equal(mean, total / n)
+            binding += bound
+        assert report.binding_events == binding
+
+    def test_refuses_no_samples(self, unit_ball):
+        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
+        with pytest.raises(InvalidInputError):
+            mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=0, seed=0)
 
     def test_certification_propagates_each_interval_once(self, unit_ball, monkeypatch):
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
         calls = []
+        finish = certifier._ForwardPass._finish
 
-        def counting(*args):
-            calls.append(args[-1])
-            return propagate_gaussians(*args)
+        def counting(self, i):
+            calls.append(i)
+            return finish(self, i)
 
-        monkeypatch.setattr(certifier, "propagate_gaussians", counting)
+        monkeypatch.setattr(certifier._ForwardPass, "_finish", counting)
         reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball,
                                       mc_samples=1000, seed=2)
         assert reports[0].mc_estimate is not None
@@ -441,21 +457,20 @@ class TestCollapsedPrefix:
         return stream_of(items), sched, rates_arr, BallDomain(radius)
 
     @staticmethod
-    def _both(stream, sched, rates_arr, dom, sigmas, ordinal, rows, row_offset=0, seed=9):
+    def _both(stream, sched, rates_arr, dom, sigmas, ordinal, rows, seed=9):
         noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
         tau_i = sched.times[ordinal - 1]
         dim = stream.items[0].dim
         for process_id, proc in enumerate((stream, retained(stream, sched, upto=ordinal))):
-            args = (proc, rates_arr, dom, sigmas, noise_times, tau_i, seed,
-                    process_id, rows, row_offset, dim)
-            yield _simulate_batch(*args), _full_batch_reference(*args)
+            args = (proc, rates_arr, dom, sigmas, noise_times, tau_i, seed, process_id, rows)
+            yield _simulate_batch(*args, dim), _full_batch_reference(*args, 0, dim)
 
     @pytest.mark.parametrize("dim", [2, 5])
     @pytest.mark.parametrize("rows", [1, 2, 3, 257])
     def test_matches_full_batch(self, dim, rows):
         stream, sched, rates_arr, dom = self._setup(dim, 30, ((6, 12),))
         for (got, got_bind), (ref, ref_bind) in self._both(
-                stream, sched, rates_arr, dom, (0.3,), 1, rows, row_offset=5):
+                stream, sched, rates_arr, dom, (0.3,), 1, rows):
             assert np.array_equal(got, ref)
             assert got_bind == ref_bind
 
@@ -472,7 +487,7 @@ class TestCollapsedPrefix:
         _, bound_steps = _full_batch_reference(stream, rates_arr, dom, (0.3,), noise_times,
                                                12, 9, 0, 1, 0, 5)
         _, binding = _simulate_batch(stream, rates_arr, dom, (0.3,), noise_times,
-                                     12, 9, 0, rows, 0, 5)
+                                     12, 9, 0, rows, 5)
         assert bound_steps > 0
         assert binding == rows * bound_steps
 
@@ -481,7 +496,7 @@ class TestCollapsedPrefix:
         # u_2 < tau_1: rows fan out at the first noisy event and run to tau_2.
         stream, sched, rates_arr, dom = self._setup(5, 40, ((4, 15), (9, 25)))
         for (got, got_bind), (ref, ref_bind) in self._both(
-                stream, sched, rates_arr, dom, sigmas, 2, 257, row_offset=3):
+                stream, sched, rates_arr, dom, sigmas, 2, 257):
             assert np.array_equal(got, ref)
             assert got_bind == ref_bind
 
@@ -494,7 +509,7 @@ class TestCollapsedPrefix:
             return event_normals(seed, stream_key, *args)
 
         monkeypatch.setattr(certifier, "event_normals", counting)
-        _simulate_batch(stream, rates_arr, dom, (0.0, 0.2), {15: 1, 25: 2}, 25, 9, 0, 257, 0, 5)
+        _simulate_batch(stream, rates_arr, dom, (0.0, 0.2), {15: 1, 25: 2}, 25, 9, 0, 257, 5)
         assert calls == [(0, 2)]
 
     # Each case: setup arguments, sigmas and the interval simulated.
@@ -515,7 +530,7 @@ class TestCollapsedPrefix:
         stream, sched, rates_arr, dom = self._setup(*setup)
         for rows in sorted({1, 2, 3, block + 1, 2 * block, 2 * block + 1, 257}):
             for (got, got_bind), (ref, ref_bind) in self._both(
-                    stream, sched, rates_arr, dom, sigmas, ordinal, rows, row_offset=3):
+                    stream, sched, rates_arr, dom, sigmas, ordinal, rows):
                 assert np.array_equal(got, ref)
                 assert got_bind == ref_bind
 
@@ -528,7 +543,7 @@ class TestCollapsedPrefix:
         _, prefix_steps = _full_batch_reference(stream, rates_arr, dom, sigmas, {}, 15, 9, 0,
                                                 1, 0, 5)
         _, bound = _full_batch_reference(stream, rates_arr, dom, sigmas, {15: 1, 25: 2}, 25, 9,
-                                         0, rows, 3, 5)
+                                         0, rows, 0, 5)
         assert bound > rows * prefix_steps
 
     @pytest.mark.parametrize("dim", [2, 5, 9])
@@ -562,26 +577,6 @@ class TestCollapsedPrefix:
                 tracemalloc.stop()
         assert peaks[1] < 4 * 2**20
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-
-    def test_shards_match_full_batch(self, unit_ball):
-        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
-        n, shards = 3001, 3
-        report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
-                                     n=n, seed=6, shards=shards)
-        rates_arr = rates_array(rates, len(stream))
-        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
-        bounds = [round(s * n / shards) for s in range(shards + 1)]
-        binding = 0
-        for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
-            total = np.zeros(2)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                part, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
-                                                    {20: 1}, 20, 6, process_id, hi - lo, lo, 2)
-                total = total + part
-                binding += bound
-            mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
-            assert np.array_equal(mean, total / n)
-        assert report.binding_events == binding
 
 
 def _well_conditioned_setup(dom):

@@ -423,6 +423,25 @@ class TestSweepAndCli:
         assert err.startswith("error: eta=10.0 exceeds 2/beta")
         assert "Traceback" not in err
 
+    def test_refused_point_leaves_nothing_under_out(self, tmp_path):
+        config = _write_config(tmp_path, _base_config(rate={"kind": "constant", "eta": 10.0}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists() or not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_refused_grid_prints_the_points_that_finished(self, tmp_path, capsys, jobs):
+        raw = _base_config(rate={"kind": "constant", "eta": 0.1},
+                           sweep={"rate.eta": [0.1, 10.0]})
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out),
+                         "--jobs", jobs]) == 2
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        finished, refused = sweep_points(ExperimentConfig.from_dict(raw))
+        assert [line["config_hash"] for line in lines] == [config_hash(finished)]
+        assert (out / config_hash(finished) / "summary.json").exists()
+        assert not (out / config_hash(refused)).exists()
+
     def test_regret_report_follows_run_onto_a_grid(self, tmp_path, capsys):
         raw = _base_config(sweep={"algorithm": ["passive", "retrain"]})
         config, out = _write_config(tmp_path, raw), str(tmp_path / "out")

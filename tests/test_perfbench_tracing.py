@@ -82,3 +82,27 @@ def test_one_root_span_per_point(tmp_path, capsys):
             assert all(span["parent"] is None for span in roots), command
     finally:
         tracer.uninstall()
+
+
+def test_monte_carlo_reads_the_pass_through_propagate_gaussians(tmp_path):
+    """Each Monte-Carlo check looks its interval up with one ``propagate_gaussians`` call."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    start = time.perf_counter()
+    try:
+        tracer.install()
+        cli.run_experiment(ExperimentConfig.from_dict(_config("passive")), tmp_path,
+                           certify_only=True)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    checks = [i for i, span in enumerate(spans)
+              if span["name"] == "certifier.mc_divergence_check"]
+    assert checks
+    for i in checks:
+        children = [span for span in spans
+                    if span["parent"] == i and span["name"] == "certifier.propagate_gaussians"]
+        assert len(children) == 1
+    metrics = tracing.layer_metrics(spans, time.perf_counter() - start)
+    assert metrics["certifier.propagate.calls"] == (
+        metrics["certifier.oracle.attempts"] + len(checks))
