@@ -379,22 +379,17 @@ class TestMonteCarlo:
         assert abs(report.estimate - exact) <= 0.1 * exact
         assert abs(report.estimate - exact) <= 4.0 * report.std_error
 
-    def test_matches_full_batch(self, unit_ball, monkeypatch):
-        # Blocks of 1000 rows plus a one-row tail give the means of one full batch.
-        monkeypatch.setattr(certifier, "_MC_BLOCK", 1000)
+    def test_shard_count_invariance(self, unit_ball, monkeypatch):
+        # How the rows are split into blocks does not change the estimate.
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
-        n = 3001
-        report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=n, seed=6)
-        rates_arr = rates_array(rates, len(stream))
-        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
-        binding = 0
-        for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
-            total, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
-                                                 {20: 1}, 20, 6, process_id, n, 0, 2)
-            mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
-            assert np.array_equal(mean, total / n)
-            binding += bound
-        assert report.binding_events == binding
+        one = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
+                                  n=5000, seed=4)
+        monkeypatch.setattr(certifier, "_MC_BLOCK", 833)
+        many = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1,
+                                   n=5000, seed=4)
+        assert one.estimate == many.estimate
+        assert np.array_equal(one.mean_with_deleted, many.mean_with_deleted)
+        assert np.array_equal(one.mean_without_deleted, many.mean_without_deleted)
 
     def test_refuses_no_samples(self, unit_ball):
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
@@ -564,6 +559,23 @@ class TestCollapsedPrefix:
         assert np.array_equal(z[inside], moved[inside])
         projected = moved[~inside] * (radius / expected[~inside])[:, None]
         assert np.array_equal(z[~inside], projected)
+
+    def test_shards_match_full_batch(self, unit_ball, monkeypatch):
+        # Blocks of 1000 rows plus a one-row tail give the means of one full batch.
+        monkeypatch.setattr(certifier, "_MC_BLOCK", 1000)
+        stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
+        n = 3001
+        report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=n, seed=6)
+        rates_arr = rates_array(rates, len(stream))
+        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
+        binding = 0
+        for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
+            total, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
+                                                 {20: 1}, 20, 6, process_id, n, 0, 2)
+            mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
+            assert np.array_equal(mean, total / n)
+            binding += bound
+        assert report.binding_events == binding
 
     def test_traced_peak_is_flat_in_n(self, unit_ball):
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
