@@ -43,6 +43,7 @@ from .trace import RunTrace
 __all__ = [
     "ActiveConfig",
     "active_sigma",
+    "check_active_run",
     "required_iters",
     "run_active",
     "run_active_second_order",
@@ -143,12 +144,13 @@ class _SeenLosses:
     ``slots`` lists the live slots seen so far and ``deleted`` the deleted
     live slots in deletion order, so a loss object held at several slots
     counts once per slot.  On an all-quadratic stream each list also keeps
-    running sums of ``A_t`` and ``A_t c_t``, one stacked row at a time; any
-    other stream sums the engine's per-slot gradient ``grad_at`` instead.
+    running sums of ``A_t`` and ``A_t c_t``, added in slot order one block of
+    stacked rows per call; any other stream sums the engine's per-slot
+    gradient ``grad_at`` instead.
     """
 
     def __init__(self, stream: CostStream, grad_at, dim: int) -> None:
-        self.live = stream.live.tolist()
+        self.live = stream.live
         self.grad_at = grad_at
         self.rows = stack_quadratics(stream)[:2] if stream.all_quadratic() else None
         self.seen = 0
@@ -157,22 +159,27 @@ class _SeenLosses:
         self.sums = [np.zeros((dim, dim)), np.zeros(dim)]
         self.deleted_sums = [np.zeros((dim, dim)), np.zeros(dim)]
 
-    def _add(self, slots: list, sums: list, t: int) -> None:
-        if self.live[t - 1]:
-            slots.append(t)
-            if self.rows is not None:
-                mats, centers = self.rows
-                sums[0] += mats[t - 1]
-                sums[1] += mats[t - 1] @ centers[t - 1]
+    def _add(self, slots: list, sums: list, lo: int, hi: int) -> None:
+        """Take in the live slots ``lo..hi``, adding their rows to ``sums``.
+
+        The running sum leads the block and ``np.add.accumulate`` adds in slot
+        order, so the sums are bit for bit those of adding one row at a time.
+        """
+        index = np.flatnonzero(self.live[lo - 1:hi]) + (lo - 1)
+        slots.extend((index + 1).tolist())
+        if self.rows is not None and index.size:
+            mats, centers = self.rows[0][index], self.rows[1][index]
+            for k, rows in enumerate((mats, np.matmul(mats, centers[..., None])[..., 0])):
+                block = np.concatenate((sums[k][None], rows))
+                sums[k] = np.add.accumulate(block, axis=0, out=block)[-1].copy()
 
     def see(self, tau: int) -> None:
         """Take in the slots after the last one seen, up to ``tau``."""
-        for t in range(self.seen + 1, tau + 1):
-            self._add(self.slots, self.sums, t)
+        self._add(self.slots, self.sums, self.seen + 1, tau)
         self.seen = tau
 
     def delete(self, u: int) -> None:
-        self._add(self.deleted, self.deleted_sums, u)
+        self._add(self.deleted, self.deleted_sums, u, u)
 
     def gradient_sum(self, z: np.ndarray, retained_only: bool) -> np.ndarray:
         """Summed gradient at ``z`` of every seen loss, or of the retained ones."""
@@ -188,13 +195,23 @@ class _SeenLosses:
         return sum((self.grad_at(t, z) for t in slots), np.zeros_like(z))
 
 
-def _check_schedule_shape(sched: DeletionSchedule, strict: bool) -> list:
-    """Enforce tau_{i-1} <= u_i <= tau_i (the active guarantee needs it); notes the misses."""
+def check_active_run(sched: DeletionSchedule, acfg: ActiveConfig, mu: float,
+                     strict_schedule: bool) -> list:
+    """Refuse an active run its inputs rule out; returns the schedule-shape notes.
+
+    ``i1`` needs one count per deletion and the class mu > 0.  Each deletion
+    must satisfy tau_{i-1} <= u_i <= tau_i (the active guarantee needs it):
+    a miss is refused under ``strict_schedule`` and noted otherwise.
+    """
+    if acfg.i1 is not None and len(acfg.i1) != sched.k:
+        raise InvalidConfigError(f"active.i1 has {len(acfg.i1)} entries for {sched.k} deletions")
+    if mu <= 0.0:
+        raise NotStronglyConvexError("the active unlearner requires mu > 0")
     notes = []
     for i, ((u, tau), prev_tau) in enumerate(zip(sched.entries, (0, *sched.times)), start=1):
         if not prev_tau <= u <= tau:
             miss = f"deletion {i}: index {u} outside [{prev_tau}, {tau}]"
-            if strict:
+            if strict_schedule:
                 raise ScheduleShapeError(miss)
             notes.append(f"{miss}; certification void")
     return notes
@@ -212,12 +229,8 @@ def _run_active(
     strict_schedule: bool,
     second_order: bool,
 ) -> RunTrace:
-    if acfg.i1 is not None and len(acfg.i1) != sched.k:
-        raise InvalidConfigError(f"active.i1 has {len(acfg.i1)} entries for {sched.k} deletions")
     sched.validate_horizon(len(stream))
-    if cls.strong_convexity <= 0.0:
-        raise NotStronglyConvexError("the active unlearner requires mu > 0")
-    shape_notes = _check_schedule_shape(sched, strict_schedule)
+    shape_notes = check_active_run(sched, acfg, cls.strong_convexity, strict_schedule)
     if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
     engine = StepEngine(stream, sched, rates, dom, z0)

@@ -3,7 +3,8 @@
 ``run`` and ``sweep`` are one command: both run every point of the config's
 ``sweep`` grid, and ``certify`` runs the same grid without regret reports.
 Exit code 0 means every printed pass flag is true; a config the tool refuses
-exits 2 with ``error: ...``.  Outputs are plain CSV/JSON under ``--out``.
+exits 2 with ``error: ...``, and a grid with a point refused on its config
+alone runs no point.  Outputs are plain CSV/JSON under ``--out``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from .errors import (GeneratorError, InvalidConfigError, InvalidScheduleError,
 from .harness import (
     ExperimentConfig,
     SeedInputs,
+    check_runnable,
     config_hash,
     recompute_regret,
     run_experiment,
@@ -53,6 +54,8 @@ def _load(args) -> ExperimentConfig:
 def _cmd_run(args, certify_only: bool = False) -> int:
     """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point."""
     points = sweep_points(_load(args))
+    for point in points:  # a point refused on its config alone refuses the grid before any runs
+        check_runnable(point)
     run = partial(run_experiment, out_root=args.out, certify_only=certify_only)
     ok = True
     for summary in _summaries(points, run, args.jobs):
@@ -75,6 +78,8 @@ def _summaries(points: list, run, jobs: int):
     process and every point runs; the first failure is raised after the rest.
     """
     if jobs > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run, p) for p in points]
             yield from (f.result() for f in futures if f.exception() is None)

@@ -1,7 +1,9 @@
 """Experiment orchestration: synthetic streams, schedules, runs, and reports.
 
-Configs are strict JSON (unknown fields rejected with a field path).  Outputs
-land under ``out/<config-hash>/<seed>/`` as ``trace.csv``, ``run.json`` (the
+Configs are strict JSON, checked against ``CONFIG_SCHEMA`` (unknown fields
+rejected with a field path); ``check_runnable`` then refuses what the config
+alone rules out, before any stream is generated.  Outputs land under
+``out/<config-hash>/<seed>/`` as ``trace.csv``, ``run.json`` (the
 trace summary), ``regret.json``, ``regret_curve.csv`` and ``cert.json``, plus
 one ``config.json`` (the config as run) and one ``summary.json`` per config.
 Everything is a pure function of the config and seeds: rerunning reproduces
@@ -15,15 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from .active import ActiveConfig, run_active, run_active_second_order
+from .active import ActiveConfig, check_active_run, run_active, run_active_second_order
 from .baselines import run_discard_restart, run_retraining
 from .certifier import certify_passive_run, series_certificates
 from .core import (
@@ -59,6 +61,7 @@ __all__ = [
     "GeneratedStream",
     "SeedInputs",
     "build_schedule",
+    "check_runnable",
     "config_hash",
     "gen_stream",
     "run_experiment",
@@ -92,6 +95,23 @@ def _centers_in_half_ball(rng: np.random.Generator, dim: int, count: int, radius
     return directions / norms * radii
 
 
+def _curvature(kind: str, params: dict) -> tuple[float, float]:
+    """``(mu, beta)`` of the streams of ``kind`` that ``params`` ask for; refuses impossible ones."""
+    if kind == "convex-qg":
+        beta = float(params.get("beta", 1.0))
+        if beta <= 0.0:
+            raise GeneratorError("convex-qg needs beta > 0")
+        return 0.0, beta
+    if kind not in ("sc-quadratic", "assumption2-segments"):
+        raise GeneratorError(f"unknown stream kind {kind!r}")
+    if "mu" not in params or "beta" not in params:
+        raise GeneratorError(f"{kind} streams need mu and beta")
+    mu, beta = float(params["mu"]), float(params["beta"])
+    if not 0.0 < mu <= beta:
+        raise GeneratorError("sc streams need 0 < mu <= beta")
+    return mu, beta
+
+
 def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
     """Synthesize a loss stream of the requested kind.
 
@@ -108,12 +128,9 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
     if dim < 1 or horizon < 1 or radius <= 0.0:
         raise GeneratorError("need dimension >= 1, horizon >= 1, radius > 0")
     dom = BallDomain(radius)
+    mu, beta = _curvature(kind, params)
 
     if kind in ("sc-quadratic", "assumption2-segments"):
-        mu = float(params["mu"])
-        beta = float(params["beta"])
-        if not 0.0 < mu <= beta:
-            raise GeneratorError("sc streams need 0 < mu <= beta")
         if mu == beta:
             mats = np.broadcast_to(mu * np.eye(dim), (horizon, dim, dim)).copy()
         else:
@@ -137,19 +154,16 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
 
     if kind == "convex-qg":
-        curvature = float(params.get("beta", 1.0))
-        if curvature <= 0.0:
-            raise GeneratorError("convex-qg needs beta > 0")
         basis = _random_orthogonal(rng, dim, 1)[0]
         centers = _centers_in_half_ball(rng, dim, horizon, radius)
         # Step t uses the rank-one curvature along basis column t mod d.
         columns = basis.T
-        per_column = curvature * (columns[:, :, None] * columns[:, None, :])
+        per_column = beta * (columns[:, :, None] * columns[:, None, :])
         per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
         mats = per_column[np.arange(horizon) % dim]
         stream = CostStream.from_arrays(mats, centers)
         cls = FnClass(
-            lipschitz=stream.lipschitz_bound(dom), smoothness=curvature, strong_convexity=0.0
+            lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=0.0
         )
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         target = params.get("kappa_rate")
@@ -158,8 +172,6 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
                 f"aggregate growth rate {kappa} misses the target {target}"
             )
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
-
-    raise GeneratorError(f"unknown stream kind {kind!r}")
 
 
 def build_schedule(spec: dict, horizon: int) -> DeletionSchedule:
@@ -274,12 +286,79 @@ CONFIG_SCHEMA = {
 }
 
 
+# Draft 2020-12 types: a bool is neither an integer nor a number, and 1.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _child_path(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    if _PLAIN_KEY.match(key):
+        return f"{path}.{key}"
+    return "%s['%s']" % (path, key.replace("\\", "\\\\").replace("'", "\\'"))
+
+
+def _schema_errors(schema: dict, value, path: str = "$"):
+    """``(json_path, message)`` for each way ``value`` breaks ``schema``, as Draft 2020-12 says.
+
+    Only the keywords ``CONFIG_SCHEMA`` uses are known.  Errors come keyword by
+    keyword in the schema's order, each keyword applying only to its own
+    instance type, with the JSON paths and message texts of the reference
+    Draft 2020-12 validator (``tests/test_config_schema.py`` holds them equal).
+    """
+    for key, rule in schema.items():
+        if key == "type" and not _TYPES[rule](value):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and not any(
+            v == value and isinstance(v, bool) == isinstance(value, bool) for v in rule
+        ):
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif isinstance(value, dict):
+            if key == "required":
+                yield from ((path, f"{name!r} is a required property")
+                            for name in rule if name not in value)
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], _child_path(path, name))
+            elif key == "additionalProperties":
+                extras = sorted((k for k in value if k not in schema.get("properties", {})),
+                                key=str)
+                if isinstance(rule, dict):
+                    for name in extras:
+                        yield from _schema_errors(rule, value[name], _child_path(path, name))
+                elif not rule and extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    names = ", ".join(map(repr, extras))
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif isinstance(value, list):
+            if key == "items":
+                for index, item in enumerate(value):
+                    yield from _schema_errors(rule, item, _child_path(path, index))
+            elif key == "minItems" and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+        elif _TYPES["number"](value):
+            if key == "minimum" and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+            elif key == "exclusiveMinimum" and value <= rule:
+                yield path, f"{value!r} is less than or equal to the minimum of {rule!r}"
+
+
 def _validate_config(raw: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
-    if errors:
-        err = errors[0]
-        raise InvalidConfigError(f"config invalid at {err.json_path}: {err.message}")
+    """Raise the config's first schema error, taken in order of its JSON path."""
+    first = min(_schema_errors(CONFIG_SCHEMA, raw), key=lambda err: err[0], default=None)
+    if first is not None:
+        raise InvalidConfigError(f"config invalid at {first[0]}: {first[1]}")
 
 
 @dataclass(frozen=True)
@@ -329,26 +408,21 @@ def _resolve_rate(cfg: ExperimentConfig, cls: FnClass, dom: BallDomain,
     spec = cfg.raw["rate"]
     kind = spec["kind"]
     if kind == "sc-decreasing":
-        if cls.strong_convexity <= 0.0:
-            raise InvalidConfigError("sc-decreasing rate needs a strongly convex class")
         return SCDecreasing(mu=cls.strong_convexity)
     if kind == "convex-decreasing":
         return ConvexDecreasing(diameter=dom.diameter, lipschitz=cls.lipschitz)
     if kind == "adaptive":
         return AdaptiveRate(diameter=dom.diameter, warm_floor=cls.smoothness / 2.0)
+    if kind == "constant":
+        return ConstantRate(eta=float(spec["eta"]))  # checked by check_runnable
     if kind == "constant-worst-case":
         eta = constant_rate_worst_case(
             dom.diameter, cls.lipschitz, horizon, k,
             int(cfg.raw["dimension"]), float(cfg.raw["unlearner"]["eps"]),
         )
-    elif kind == "constant":
-        if "eta" not in spec:
-            raise InvalidConfigError("constant rate needs eta")
-        eta = float(spec["eta"])
-    else:
-        raise InvalidConfigError(f"unknown rate kind {kind!r}")
-    contraction_coeff(cls, eta)  # refuses eta > 2/beta
-    return ConstantRate(eta=eta)
+        contraction_coeff(cls, eta)  # refuses eta > 2/beta
+        return ConstantRate(eta=eta)
+    raise InvalidConfigError(f"unknown rate kind {kind!r}")
 
 
 def _run_algorithm(
@@ -365,13 +439,7 @@ def _run_algorithm(
     if algo == "passive":
         return run_passive(stream, sched, rates, ucfg, cls, dom, seed)
     if algo in ("active", "active2"):
-        aspec = cfg.raw.get("active", {})
-        acfg = ActiveConfig(
-            base=ucfg,
-            i1=tuple(aspec["i1"]) if "i1" in aspec else None,
-            i2=aspec.get("i2"),
-        )
-        strict = aspec.get("strict_schedule", True)
+        acfg, strict = _active_config(cfg, ucfg)
         runner = run_active if algo == "active" else run_active_second_order
         return runner(stream, sched, rates, acfg, cls, dom, seed, strict_schedule=strict)
     if algo == "retrain":
@@ -379,6 +447,41 @@ def _run_algorithm(
     if algo == "discard":
         return run_discard_restart(stream, sched, rates, dom, cls, seed)
     raise InvalidConfigError(f"unknown algorithm {algo!r}")
+
+
+def _active_config(cfg: ExperimentConfig, ucfg: UnlearnerConfig) -> tuple[ActiveConfig, bool]:
+    """The run's ``ActiveConfig`` and whether its schedule shape is enforced."""
+    aspec = cfg.raw.get("active", {})
+    acfg = ActiveConfig(base=ucfg, i1=tuple(aspec["i1"]) if "i1" in aspec else None,
+                        i2=aspec.get("i2"))
+    return acfg, aspec.get("strict_schedule", True)
+
+
+def check_runnable(cfg: ExperimentConfig) -> None:
+    """Raise every refusal the config decides before a stream is generated.
+
+    The stream kind's curvature, the schedule, the rate (``sc-decreasing``
+    needs mu > 0, a ``constant`` eta must be given and contract) and an active
+    run (mu > 0, one ``i1`` per deletion, the schedule shape) are checked
+    here, so a grid refused on a point's config runs none of its points.  A
+    ``constant-worst-case`` eta depends on the stream's L and is checked when
+    the rate is resolved.
+    """
+    raw = cfg.raw
+    mu, beta = _curvature(raw["stream"]["kind"], raw["stream"])
+    sched = build_schedule(raw["schedule"], int(raw["horizon"]))
+    rate = raw["rate"]
+    if rate["kind"] == "sc-decreasing" and mu <= 0.0:
+        raise InvalidConfigError("sc-decreasing rate needs a strongly convex class")
+    if rate["kind"] == "constant":
+        if "eta" not in rate:
+            raise InvalidConfigError("constant rate needs eta")
+        # Only the curvature enters the step factor; L waits for the stream.
+        contraction_coeff(FnClass(lipschitz=0.0, smoothness=beta, strong_convexity=mu),
+                          float(rate["eta"]))
+    if raw["algorithm"] in ("active", "active2"):
+        acfg, strict = _active_config(cfg, _unlearner_config(cfg))
+        check_active_run(sched, acfg, mu, strict)
 
 
 def _unlearner_config(cfg: ExperimentConfig) -> UnlearnerConfig:
@@ -619,12 +722,15 @@ def run_experiment(
     _validate_config(cfg.raw)
     if cfg.sweep_axes():
         raise InvalidConfigError("expand sweeps before running (use sweep_points)")
+    check_runnable(cfg)
     digest = config_hash(cfg)
     base = Path(out_root) / digest
 
     seeds = list(cfg.raw["seeds"])
     results = []
     if jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_run_one_seed, cfg, seed, str(base / str(seed)), certify_only)

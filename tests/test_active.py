@@ -20,8 +20,9 @@ from online_unlearning import (
     run_ogd,
     solve_erm,
 )
-from online_unlearning.active import second_order_sigma
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, eval_grad
+from online_unlearning.active import _SeenLosses, second_order_sigma
+from online_unlearning.core import (EMPTY_SCHEDULE, CostStream, class_bound_lipschitz, eval_grad,
+                                    retained, stack_quadratics)
 from online_unlearning.errors import NumericError
 from online_unlearning.harness import gen_stream
 from online_unlearning.ogd import SCDecreasing, step_contraction
@@ -262,6 +263,36 @@ class TestSlotTracking:
         # Slots 1, 5, 7 hold f_a and slots 2, 4, 6, 8 hold f_b once slot 3 is deleted.
         target = (3.0 * self.C_A + 4.0 * self.C_B) / 7.0
         assert np.allclose(prenoise, target, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_block_sums_match_the_slot_by_slot_loop(self, dim):
+        # Up to 1e4 rows with SKIP slots, seen in random ranges: every sum is bit for bit
+        # the one of adding each live row in turn.
+        rng = np.random.default_rng(dim)
+        horizon = 10_000
+        raw = rng.standard_normal((horizon, dim, dim))
+        stream = CostStream.from_arrays(raw @ np.swapaxes(raw, 1, 2), rng.standard_normal((horizon, dim)))
+        skipped = np.sort(rng.choice(np.arange(1, horizon + 1), size=700, replace=False))
+        stream = retained(stream, DeletionSchedule(tuple((int(u), int(u)) for u in skipped)))
+        mats, centers, _, live = stack_quadratics(stream)
+        agg = _SeenLosses(stream, None, dim)
+        sums = [np.zeros((dim, dim)), np.zeros(dim)]
+        deleted = [np.zeros((dim, dim)), np.zeros(dim)]
+        cuts = np.sort(rng.choice(np.arange(1, horizon), size=40, replace=False)).tolist()
+        for tau in cuts + [horizon]:
+            for t in range(agg.seen + 1, tau + 1):
+                if live[t - 1]:
+                    sums[0] += mats[t - 1]
+                    sums[1] += mats[t - 1] @ centers[t - 1]
+            agg.see(tau)
+            u = int(rng.integers(1, tau + 1))
+            if live[u - 1]:
+                deleted[0] += mats[u - 1]
+                deleted[1] += mats[u - 1] @ centers[u - 1]
+            agg.delete(u)
+            for got, want in zip(agg.sums + agg.deleted_sums, sums + deleted):
+                assert got.tobytes() == want.tobytes()
+        assert agg.slots == (np.flatnonzero(live) + 1).tolist()
 
     def test_runners_build_no_per_item_views(self, unit_ball, monkeypatch):
         def refuse(*args):

@@ -56,6 +56,11 @@ class TestGenerators:
             assert eigs[0] >= 1.0 - 1e-9 and eigs[-1] <= 3.0 + 1e-9
             assert np.linalg.norm(item.center) <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("params", [dict(mu=1.0), dict(beta=3.0), dict(mu=0.0, beta=3.0)])
+    def test_sc_streams_need_mu_and_beta(self, params):
+        with pytest.raises(GeneratorError, match="sc"):
+            gen_stream("sc-quadratic", dict(dimension=2, horizon=5, radius=1.0, **params), seed=0)
+
     def test_isotropic_degenerate_class(self):
         gs = gen_stream("sc-quadratic",
                         dict(dimension=2, horizon=5, radius=1.0, mu=1.0, beta=1.0), seed=0)
@@ -430,13 +435,58 @@ class TestSweepAndCli:
         assert not out.exists() or not list(out.rglob("*"))
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_refused_grid_prints_the_points_that_finished(self, tmp_path, capsys, jobs):
+    def test_refused_grid_runs_no_point(self, tmp_path, capsys, jobs):
+        # The second point's eta = 10 breaks 2/beta: its config alone refuses the grid.
         raw = _base_config(rate={"kind": "constant", "eta": 0.1},
                            sweep={"rate.eta": [0.1, 10.0]})
         out = tmp_path / "out"
         assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out),
                          "--jobs", jobs]) == 2
-        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta=10.0 exceeds 2/beta")
+        assert not out.exists() or not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(sweep={"schedule.entries": [[[5, 12], [7, 25]], [[5, 12], [7, 50]]]}),
+         "error: deletion time 50"),
+        (dict(sweep={"rate": [{"kind": "sc-decreasing"}, {"kind": "constant"}]}),
+         "error: constant rate needs eta"),
+        (dict(sweep={"stream": [{"kind": "sc-quadratic", "mu": 1.0, "beta": 3.0},
+                                {"kind": "convex-qg"}]}),
+         "error: sc-decreasing rate needs a strongly convex class"),
+        (dict(algorithm="active", rate={"kind": "convex-decreasing"},
+              schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
+              sweep={"stream": [{"kind": "sc-quadratic", "mu": 1.0, "beta": 3.0},
+                                {"kind": "convex-qg"}]}),
+         "error: the active unlearner requires mu > 0"),
+        (dict(algorithm="active",
+              sweep={"schedule.entries": [[[5, 12], [14, 25]], [[5, 12], [7, 25]]]}),
+         "error: deletion 2: index 7 outside [12, 25]"),
+        (dict(algorithm="active", schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
+              sweep={"active.i1": [[3, 3], [3]]}),
+         "error: active.i1 has 1 entries for 2 deletions"),
+    ])
+    def test_each_config_refusal_refuses_the_grid(self, tmp_path, capsys, overrides, error):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, _base_config(**overrides)),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+        assert not out.exists() or not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_refused_grid_prints_the_points_that_finished(self, tmp_path, capsys, jobs):
+        # The second point misses its kappa_rate target, which only its generated stream shows.
+        raw = _base_config(stream={"kind": "convex-qg", "beta": 1.0, "kappa_rate": 0.1},
+                           rate={"kind": "convex-decreasing"},
+                           sweep={"stream.kappa_rate": [0.1, 10.0]})
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out),
+                         "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "misses the target 10.0" in captured.err
+        lines = [json.loads(line) for line in captured.out.splitlines()]
         finished, refused = sweep_points(ExperimentConfig.from_dict(raw))
         assert [line["config_hash"] for line in lines] == [config_hash(finished)]
         assert (out / config_hash(finished) / "summary.json").exists()
