@@ -51,19 +51,11 @@ from .core import (
 )
 from .errors import (
     CertificationRefusedError,
-    InvalidConfigError,
     InvalidInputError,
     OracleUnavailableError,
     UnsupportedCostError,
 )
-from .ogd import (
-    AdaptiveRate,
-    ConstantRate,
-    ConvexDecreasing,
-    RateSchedule,
-    SCDecreasing,
-    step_contraction,
-)
+from .ogd import RateSchedule, rates_array, step_contraction
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
 from .rng import event_normals
 
@@ -82,7 +74,6 @@ __all__ = [
     "mc_divergence_check",
     "per_step_gammas",
     "propagate_gaussians",
-    "rates_array",
     "series_certificates",
 ]
 
@@ -185,26 +176,6 @@ class AnalyticCertificate:
     @property
     def within_budget(self) -> bool:
         return self.max_bound <= self.budget + _BUDGET_TOL
-
-
-def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
-    """Learning rates ``eta_1..eta_T`` for a clock-driven (non-adaptive) schedule.
-
-    Each entry is ``ogd.rate(rates, t)`` bit for bit: the same IEEE
-    operations on ``t`` as a float.
-    """
-    if isinstance(rates, AdaptiveRate):
-        raise OracleUnavailableError(
-            "adaptive rates depend on the realized gradients; pass a trace's recorded rates"
-        )
-    t = np.arange(1, horizon + 1, dtype=np.float64)
-    if isinstance(rates, SCDecreasing):
-        return 1.0 / (rates.mu * t)
-    if isinstance(rates, ConvexDecreasing):
-        return rates.diameter / (rates.lipschitz * np.sqrt(t))
-    if isinstance(rates, ConstantRate):
-        return np.full(horizon, rates.eta, dtype=np.float64)
-    raise InvalidConfigError(f"unknown rate schedule {rates!r}")
 
 
 def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> np.ndarray:
@@ -383,6 +354,13 @@ def _interval_bounds(sched: DeletionSchedule, ordinal: int, horizon: int) -> Tup
     return start, min(end, horizon)
 
 
+def _step_rows(mats: np.ndarray, centers: np.ndarray, live: np.ndarray,
+               rates_arr: np.ndarray, first: int, last: int):
+    """``(t, A_t, c_t, live_t, eta_t)`` for steps ``first..last``, read from slices."""
+    return zip(range(first, last + 1), mats[first - 1:last], centers[first - 1:last],
+               live[first - 1:last].tolist(), rates_arr[first - 1:last].tolist())
+
+
 # Steps of ``I - eta_t A_t`` that ``_ForwardPass._steps`` forms at once.
 _LINEAR_BLOCK = 256
 
@@ -442,12 +420,10 @@ class _ForwardPass:
             for j, (u, tau) in enumerate(self.entries, start=1)
         ]
         sched.validate_horizon(len(stream))
-        mats, centers, _, live = stack_quadratics(stream)
-        self.mat_stack = mats
-        self.mats, self.centers, self.live = list(mats), list(centers), live.tolist()
-        self.rates_arr, self.rates = rates_arr, rates_arr.tolist()
+        self.mats, self.centers, _, self.live = stack_quadratics(stream)
+        self.rates_arr = rates_arr
         self.radius = dom.radius
-        dim = centers.shape[1]
+        dim = self.centers.shape[1]
         self.eye = np.eye(dim)[None]
 
         # Full-process states by step, and the steps at which it bound.
@@ -472,17 +448,15 @@ class _ForwardPass:
         per-product one); those factors are formed ``_LINEAR_BLOCK`` steps
         at a time.
         """
-        mats, centers, live, rates = self.mats, self.centers, self.live, self.rates
         radius = self.radius
         limit = radius * (1.0 + 1e-12)
         binds = []
         linears, base = (), first
-        for t in range(first, last + 1):
-            if live[t - 1] and t not in deleted:
-                eta = rates[t - 1]
-                grad = mats[t - 1] @ (mean - centers[t - 1])
-                moved = mean - eta * grad
-                norm = math.sqrt(float(moved.dot(moved)))
+        rows = _step_rows(self.mats, self.centers, self.live, self.rates_arr, first, last)
+        for t, mat, center, keep, eta in rows:
+            if keep and t not in deleted:
+                moved = mean - eta * mat.dot(mean - center)
+                norm = math.sqrt(moved.dot(moved))
                 if norm > limit:
                     binds.append(t)
                     moved = moved * (radius / norm)
@@ -490,7 +464,7 @@ class _ForwardPass:
                 if len(stack):
                     if t - base >= len(linears):
                         base, hi = t, min(t - 1 + _LINEAR_BLOCK, last)
-                        block = self.rates_arr[t - 1:hi, None, None] * self.mat_stack[t - 1:hi]
+                        block = self.rates_arr[t - 1:hi, None, None] * self.mats[t - 1:hi]
                         linears = self.eye - block
                     stack = linears[t - base] @ stack
             if t in self.noise_at:
@@ -716,8 +690,6 @@ def _simulate_batch(
     such rows stay in one block.
     """
     mats, centers, _, live = stack_quadratics(stream)
-    mats, centers, live = list(mats[:tau_i]), list(centers[:tau_i]), live[:tau_i].tolist()
-    etas = rates_arr[:tau_i].tolist()
     fan_out = min((t for t, j in noise_times.items() if t <= tau_i and sigmas[j - 1] > 0.0),
                   default=tau_i)
     block = _MC_BLOCK if dim > 1 else rows
@@ -729,9 +701,8 @@ def _simulate_batch(
 
     binding = 0
     z = zbuf[1:min(rows, 2) + 1]
-    for t in range(1, fan_out + 1):
-        if live[t - 1] and _projected_step(z, scratch, mats[t - 1], centers[t - 1],
-                                           etas[t - 1], dom.radius):
+    for _, mat, center, keep, eta in _step_rows(mats, centers, live, rates_arr, 1, fan_out):
+        if keep and _projected_step(z, scratch, mat, center, eta, dom.radius):
             binding += rows
     start = z[0].copy()
 
@@ -743,10 +714,10 @@ def _simulate_batch(
         m = hi - lo
         z = zbuf[1:m + 1]
         z[...] = start
-        for t in range(fan_out, tau_i + 1):
-            if t > fan_out and live[t - 1]:
-                binding += _projected_step(z, scratch, mats[t - 1], centers[t - 1],
-                                           etas[t - 1], dom.radius)
+        for t, mat, center, keep, eta in _step_rows(mats, centers, live, rates_arr,
+                                                    fan_out, tau_i):
+            if t > fan_out and keep:
+                binding += _projected_step(z, scratch, mat, center, eta, dom.radius)
             j = noise_times.get(t)
             if j is not None and sigmas[j - 1] > 0.0:
                 noise = event_normals(seed, (process_id, j), m, dim, lo)

@@ -8,9 +8,10 @@ values can be shared freely between concurrent runs.
 A quadratic stream is one stacked, read-only array form: curvatures
 ``mats (T, d, d)``, ``centers (T, d)``, ``offsets (T,)`` and a ``live (T,)``
 mask that is False at SKIP slots.  ``CostStream.from_arrays`` validates the
-whole batch at once (finite, square, symmetric, PSD, ``offset >= 0``).  The
-per-step ``QuadraticCost`` objects that ``items`` and ``item_at`` hand out
-are views of the rows, built once on first access and shared, unvalidated
+whole batch once, in row blocks (finite, square, symmetric, PSD,
+``offset >= 0``).  The per-step ``QuadraticCost`` objects that ``items``
+and ``item_at`` hand out are views of the rows, built once on first access
+and shared, unvalidated
 (their rows already were), by every stream retained from this one; so
 ``retained`` copies only the ``live`` mask, and a kept slot yields the very
 same object in both streams.  Hot loops read the arrays and the mask
@@ -174,25 +175,40 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Matrices per block when a stack of curvatures is generated or checked, so
+# the temporaries stay a fixed size whatever the horizon.
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(count: int) -> list:
+    return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, count, _ROW_BLOCK)]
+
+
 def _check_curvatures(mats: np.ndarray) -> np.ndarray:
     """Validate a stack of curvature matrices ``(T, d, d)``; returns their eigenvalues.
 
     Each matrix must be finite, symmetric and PSD within ``1e-10 * scale``,
-    where ``scale = max(1, max|A|)`` is taken per matrix.
+    where ``scale = max(1, max|A|)`` is taken per matrix.  Each check covers
+    the whole stack before the next starts, and runs ``_ROW_BLOCK`` matrices
+    at a time (``eigvalsh`` works matrix by matrix, so the values are the
+    whole batch's).
     """
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise InvalidInputError(f"curvature matrix must be square, got shape {mats.shape[1:]}")
-    if not np.all(np.isfinite(mats)):
+    blocks = _row_blocks(len(mats))
+    if not all(np.isfinite(mats[rows]).all() for rows in blocks):
         raise InvalidInputError("curvature matrix has non-finite entries")
     if mats.size == 0:
         return np.zeros(mats.shape[:2])
-    # max|A| as max(max A, -min A), |A - A^T| in place: one stack-sized temporary, not three.
     scale = np.maximum(1.0, np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2))))
-    asym = mats - np.swapaxes(mats, 1, 2)
-    np.abs(asym, out=asym)
-    if np.any(asym.max(axis=(1, 2)) > 1e-10 * scale):
-        raise InvalidInputError("curvature matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(mats)
+    for rows in blocks:
+        asym = mats[rows] - np.swapaxes(mats[rows], 1, 2)
+        np.abs(asym, out=asym)
+        if np.any(asym.max(axis=(1, 2)) > 1e-10 * scale[rows]):
+            raise InvalidInputError("curvature matrix must be symmetric")
+    eigs = np.empty(mats.shape[:2])
+    for rows in blocks:
+        eigs[rows] = np.linalg.eigvalsh(mats[rows])
     if np.any(eigs[:, 0] < -1e-10 * scale):
         raise InvalidInputError("curvature matrix must be positive semidefinite")
     return eigs
@@ -371,22 +387,35 @@ class CostStream:
     ) -> "CostStream":
         """All-live quadratic stream ``f_t(z) = 0.5 (z - c_t)^T A_t (z - c_t) + o_t``.
 
-        The arrays are copied and validated once for the whole batch, with
-        the same checks and errors as ``QuadraticCost``.
+        The arrays are copied and validated once for the whole batch, in
+        row blocks, with the same checks and errors as ``QuadraticCost``.
         """
-        mats = np.array(mats, dtype=np.float64, copy=True)
+        return cls._adopt(mats, centers, offsets, copy=True)
+
+    @classmethod
+    def _adopt(
+        cls, mats: np.ndarray, centers: np.ndarray, offsets: np.ndarray | None = None,
+        copy: bool | None = None,
+    ) -> "CostStream":
+        """``from_arrays`` for float64 arrays the caller hands over: it keeps them, uncopied.
+
+        ``copy`` is ``np.array``'s (``None`` copies only what is not float64
+        already).  The stream freezes what it keeps, so the caller gives up
+        writing to it.
+        """
+        mats = np.array(mats, dtype=np.float64, copy=copy)
         eigs = _check_curvatures(mats)
         horizon, dim = mats.shape[0], mats.shape[1]
         if horizon < 1 or dim < 1:
             raise InvalidInputError(f"need at least one d >= 1 loss, got shape {mats.shape}")
-        centers = np.array(centers, dtype=np.float64, copy=True)
+        centers = np.array(centers, dtype=np.float64, copy=copy)
         if centers.shape != (horizon, dim):
             raise InvalidInputError(f"expected centers of shape {(horizon, dim)}, got {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise InvalidInputError("vector has non-finite coordinates")
         if offsets is None:
             offsets = np.zeros(horizon)
-        offsets = np.array(offsets, dtype=np.float64, copy=True)
+        offsets = np.array(offsets, dtype=np.float64, copy=copy)
         if offsets.shape != (horizon,):
             raise InvalidInputError(f"expected offsets of shape {(horizon,)}, got {offsets.shape}")
         bad = ~(np.isfinite(offsets) & (offsets >= 0.0))

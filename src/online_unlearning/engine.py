@@ -10,6 +10,7 @@ wherever their trajectories do.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     stack_quadratics,
 )
 from .errors import InvalidInputError, NumericError
-from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate
+from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, rates_array
 from .rng import NoiseSource
 from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
@@ -45,21 +46,22 @@ def _projected_step(
 
 
 def _step_evaluators(stream: CostStream):
-    """Per-step ``grad(t, z)`` for live 1-based slots, the stacked rows, and the dimension.
+    """Per-slot ``grad(t, z)`` for live 1-based slots, the stacked rows, and the dimension.
 
-    Quadratic streams read their rows ``(mats, centers, offsets)``, split once
-    into per-step row views (indexing the stacked arrays per step is slower);
-    other costs go through ``eval_grad`` and have no rows.  The dimension is
-    None when no quadratic reveals it.
+    Quadratic streams hand out their stacked rows ``(mats, centers, offsets)``,
+    which ``StepEngine.advance`` reads as slices, one stretch of steps at a
+    time; ``grad`` indexes them for a single slot.  Other costs go through
+    ``eval_grad`` and have no rows.  The dimension is None when no quadratic
+    reveals it.
     """
     if stream.all_quadratic() and stream.live.any():
         rows = stack_quadratics(stream)[:3]
-        mats, centers = list(rows[0]), list(rows[1])
+        mats, centers = rows[0], rows[1]
 
         def grad(t: int, z: np.ndarray) -> np.ndarray:
             return mats[t - 1] @ (z - centers[t - 1])
 
-        return grad, rows, centers[0].size
+        return grad, rows, centers.shape[1]
     items = stream.items
     return (
         lambda t, z: eval_grad(items[t - 1], z)[1],
@@ -127,27 +129,45 @@ class StepEngine:
         self.bound_steps = 0
 
     def advance(self, lo: int, hi: int) -> None:
-        """Take the steps at slots ``lo..hi`` from the current state."""
-        grad_at, live, adapt, sched = self._grad, self.live, self.adapt, self.rate_schedule
+        """Take the steps at slots ``lo..hi`` from the current state.
+
+        A quadratic step is ``z - eta * A_t (z - c_t)`` projected, with its
+        rows read from slices of the stacked arrays.  A clock-driven
+        schedule takes the stretch's rates from one ``rates_array`` call;
+        adaptive rates depend on the gradients, so they and opaque costs
+        take ``rate`` and ``eval_grad`` step by step.
+        """
+        adapt, sched = self.adapt, self.rate_schedule
         path, p_hist, rates = self.path, self.p_hist, self.rates
         radius, clock0 = self.radius, self.clock0
+        if self._rows is not None:
+            costs, centers = self._rows[0][lo - 1:hi], self._rows[1][lo - 1:hi]
+        else:
+            costs, centers = self._stream.items[lo - 1:hi], repeat(None)
+        if adapt is None:
+            rates[lo - 1:hi] = rates_array(sched, hi - clock0)[lo - 1 - clock0:]
+            etas = rates[lo - 1:hi].tolist()
+        else:
+            etas = repeat(None)
         z = self.z
         evals = binds = 0
         try:
-            for t in range(lo, hi + 1):
-                if live[t - 1]:
-                    grad = grad_at(t, z)
+            for t, cost, center, keep, eta in zip(
+                range(lo, hi + 1), costs, centers, self.live[lo - 1:hi], etas
+            ):
+                if keep:
+                    grad = eval_grad(cost, z)[1] if center is None else cost.dot(z - center)
                     evals += 1
                     if adapt is not None:
                         adapt.add(float(grad @ grad))
-                    eta = rate(sched, t - clock0, adapt)
-                    z, bound = _projected_step(z, grad, eta, radius)
+                        eta = rate(sched, t - clock0, adapt)
+                    z, bound = _into_ball(z - eta * grad, radius)
                     binds += bound
-                else:
+                elif adapt is not None:
                     eta = rate(sched, t - clock0, adapt)
-                rates[t - 1] = eta
                 path[t] = z
                 if adapt is not None:
+                    rates[t - 1] = eta
                     p_hist[t - 1] = adapt.p
         except NumericError as err:
             raise NumericError(f"{err} at step {t}") from None

@@ -33,6 +33,7 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
+    _row_blocks,
 )
 from .errors import GeneratorError, InvalidConfigError
 from .ogd import (
@@ -80,11 +81,17 @@ class GeneratedStream:
 
 
 def _random_orthogonal(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    raw = rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(raw)
-    signs = np.sign(np.einsum("tii->ti", r))
-    signs[signs == 0.0] = 1.0
-    return q * signs[:, None, :]
+    """``count`` random orthogonal matrices from one normal draw, made in place block by block.
+
+    ``qr`` factors matrix by matrix, so each block's bits are the whole batch's.
+    """
+    basis = rng.standard_normal((count, dim, dim))
+    for rows in _row_blocks(count):
+        q, r = np.linalg.qr(basis[rows])
+        signs = np.sign(np.einsum("tii->ti", r))
+        signs[signs == 0.0] = 1.0
+        np.multiply(q, signs[:, None, :], out=basis[rows])
+    return basis
 
 
 def _centers_in_half_ball(rng: np.random.Generator, dim: int, count: int, radius: float) -> np.ndarray:
@@ -134,21 +141,22 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         if mu == beta:
             mats = np.broadcast_to(mu * np.eye(dim), (horizon, dim, dim)).copy()
         else:
-            basis = _random_orthogonal(rng, dim, horizon)
+            mats = _random_orthogonal(rng, dim, horizon)
             eigs = rng.uniform(mu, beta, size=(horizon, dim))
-            raw = np.einsum("tij,tj,tkj->tik", basis, eigs, basis)
-            del basis
-            # Symmetrise in place (same bits as 0.5 * (raw + raw^T)): each
-            # (T, d, d) temporary freed here lowers the run's peak memory.
-            mats = raw + np.transpose(raw, (0, 2, 1))
-            del raw
-            mats *= 0.5
+            # Each block of bases becomes its curvatures in place, symmetrised
+            # as 0.5 * (raw + raw^T); the temporaries stay block-sized.
+            for rows in _row_blocks(horizon):
+                basis = mats[rows]
+                raw = np.einsum("tij,tj,tkj->tik", basis, eigs[rows], basis)
+                np.add(raw, np.transpose(raw, (0, 2, 1)), out=basis)
+                basis *= 0.5
+            del eigs
         if kind == "assumption2-segments":
             common = _centers_in_half_ball(rng, dim, 1, radius)[0]
             centers = np.broadcast_to(common, (horizon, dim)).copy()
         else:
             centers = _centers_in_half_ball(rng, dim, horizon, radius)
-        stream = CostStream.from_arrays(mats, centers)
+        stream = CostStream._adopt(mats, centers)
         cls = FnClass(lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=mu)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
@@ -161,7 +169,7 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         per_column = beta * (columns[:, :, None] * columns[:, None, :])
         per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
         mats = per_column[np.arange(horizon) % dim]
-        stream = CostStream.from_arrays(mats, centers)
+        stream = CostStream._adopt(mats, centers)
         cls = FnClass(
             lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=0.0
         )
@@ -391,6 +399,10 @@ class ExperimentConfig:
             parts = dotted.split(".")
             for part in parts[:-1]:
                 node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise InvalidConfigError(
+                        f"sweep key {dotted!r}: {part!r} is not an object"
+                    )
             node[parts[-1]] = value
         return ExperimentConfig.from_dict(new_raw)
 

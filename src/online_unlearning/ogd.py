@@ -28,6 +28,7 @@ from .errors import (
     InvalidInputError,
     NonContractiveStepError,
     NumericError,
+    OracleUnavailableError,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "gamma_nominal",
     "ogd_step",
     "rate",
+    "rates_array",
     "sensitivity",
     "step_contraction",
 ]
@@ -128,6 +130,26 @@ def rate(sched: RateSchedule, t: int, adapt: AdaptiveState | None = None) -> flo
     if isinstance(sched, ConstantRate):
         return sched.eta
     raise InvalidConfigError(f"unknown rate schedule {sched!r}")
+
+
+def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
+    """Learning rates ``eta_1..eta_T`` for a clock-driven (non-adaptive) schedule.
+
+    Each entry is ``rate(rates, t)`` bit for bit: the same IEEE operations
+    on ``t`` as a float.
+    """
+    if isinstance(rates, AdaptiveRate):
+        raise OracleUnavailableError(
+            "adaptive rates depend on the realized gradients; pass a trace's recorded rates"
+        )
+    t = np.arange(1, horizon + 1, dtype=np.float64)
+    if isinstance(rates, SCDecreasing):
+        return 1.0 / (rates.mu * t)
+    if isinstance(rates, ConvexDecreasing):
+        return rates.diameter / (rates.lipschitz * np.sqrt(t))
+    if isinstance(rates, ConstantRate):
+        return np.full(horizon, rates.eta, dtype=np.float64)
+    raise InvalidConfigError(f"unknown rate schedule {rates!r}")
 
 
 def constant_rate_worst_case(

@@ -22,6 +22,7 @@ from .core import (
     BallDomain,
     CostFn,
     CostStream,
+    CustomCost,
     DeletionSchedule,
     QuadraticCost,
     cost_value,
@@ -100,6 +101,13 @@ def solve_erm(
 
     if dim is None:
         raise InvalidInputError("opaque losses need an explicit dimension")
+    return _opaque_erm(live, dom, tol, curvature if curvature else float(len(live)),
+                       np.zeros(dim))
+
+
+def _opaque_erm(live: Sequence[CostFn], dom: BallDomain, tol: float, curvature: float,
+                start: np.ndarray) -> np.ndarray:
+    """Projected GD on the summed opaque losses ``live`` from ``start``."""
 
     def grad_fn(p):
         g = np.zeros_like(p)
@@ -107,9 +115,7 @@ def solve_erm(
             g += eval_grad(f, p)[1]
         return g
 
-    return _projected_gd(
-        grad_fn, np.zeros(dim), dom, curvature if curvature else float(len(live)), tol
-    )
+    return _projected_gd(grad_fn, start, dom, curvature, tol)
 
 
 def comparators(
@@ -122,7 +128,8 @@ def comparators(
     deleted losses, so learner and comparator share the same history.
     ``dim`` is the points' dimension, needed when no quadratic loss reveals it.
     ``smoothness`` bounds each loss's smoothness: a sum of ``n`` opaque
-    losses is minimized with steps ``1 / (n * smoothness)``.
+    losses is minimized with steps ``1 / (n * smoothness)``, each epoch's
+    projected GD starting from the comparator before it.
     """
     sched.validate_horizon(len(stream))
     if not stream.live.any():
@@ -145,15 +152,19 @@ def comparators(
         return out
     out = []
     removed: set = set()
-    live = [f for f in stream.items if not is_skip(f)]
     if dim is None:
-        dim = next((f.dim for f in live if isinstance(f, QuadraticCost)), None)
+        dim = next((f.dim for f in stream.items if isinstance(f, QuadraticCost)), None)
     for i in range(sched.k + 1):
         losses = [
             f for t, f in enumerate(stream.items, start=1)
             if not is_skip(f) and t not in removed
         ]
-        out.append(solve_erm(losses, dom, dim=dim, curvature=len(losses) * smoothness))
+        curvature = len(losses) * smoothness
+        if out and any(isinstance(f, CustomCost) for f in losses):
+            # An epoch drops a few losses from the last one: start from its comparator.
+            out.append(_opaque_erm(losses, dom, _ERM_TOL, curvature, out[-1]))
+        else:
+            out.append(solve_erm(losses, dom, dim=dim, curvature=curvature))
         if i < sched.k:
             removed.add(sched.indices[i])
     return out

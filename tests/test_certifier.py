@@ -30,7 +30,6 @@ from online_unlearning.certifier import (
     _interval_bounds,
     _simulate_batch,
     propagate_gaussians,
-    rates_array,
 )
 from online_unlearning.core import (
     class_bound_lipschitz,
@@ -40,7 +39,14 @@ from online_unlearning.core import (
     stack_quadratics,
 )
 from online_unlearning.harness import build_schedule
-from online_unlearning.ogd import AdaptiveRate, ConstantRate, ConvexDecreasing, SCDecreasing, rate
+from online_unlearning.ogd import (
+    AdaptiveRate,
+    ConstantRate,
+    ConvexDecreasing,
+    SCDecreasing,
+    rate,
+    rates_array,
+)
 from online_unlearning.passive import deletion_calibration, run_ogd, run_passive
 from online_unlearning.rng import event_normals
 

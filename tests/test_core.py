@@ -20,7 +20,12 @@ from online_unlearning import (
     project,
     retained,
 )
-from online_unlearning.core import decode_vector, encode_vector, stack_quadratics
+from online_unlearning.core import (
+    _check_curvatures,
+    decode_vector,
+    encode_vector,
+    stack_quadratics,
+)
 
 from conftest import iso_quad, quad, random_spd_quad, stream_of
 
@@ -219,6 +224,57 @@ class TestStackedStream:
             assert ret.item_at(t) is stream.item_at(t)
         assert is_skip(ret.item_at(2)) and is_skip(ret.item_at(5))
         assert retained(ret, sched, upto=1).live.tolist() == ret.live.tolist()
+
+
+def _whole_batch_check(mats):
+    """``_check_curvatures`` on the whole stack at once, without row blocks."""
+    if not np.all(np.isfinite(mats)):
+        raise InvalidInputError("curvature matrix has non-finite entries")
+    scale = np.maximum(1.0, np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2))))
+    if np.any(np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale):
+        raise InvalidInputError("curvature matrix must be symmetric")
+    eigs = np.linalg.eigvalsh(mats)
+    if np.any(eigs[:, 0] < -1e-10 * scale):
+        raise InvalidInputError("curvature matrix must be positive semidefinite")
+    return eigs
+
+
+class TestRowBlockCheck:
+    """``_check_curvatures`` runs in row blocks yet answers as the whole batch does."""
+
+    @staticmethod
+    def _psd_stack(horizon, dim, seed):
+        raw = np.random.default_rng(seed).standard_normal((horizon, dim, dim))
+        mats = raw @ np.swapaxes(raw, 1, 2)
+        return 0.5 * (mats + np.swapaxes(mats, 1, 2))
+
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
+    def test_eigenvalues_match_the_whole_batch(self, horizon, dim):
+        mats = self._psd_stack(horizon, dim, horizon + dim)
+        assert _check_curvatures(mats).tobytes() == _whole_batch_check(mats).tobytes()
+
+    @pytest.mark.parametrize("defects", [
+        {2100: "indefinite"},
+        {2100: "asymmetric"},
+        {300: "indefinite", 2100: "asymmetric"},
+        {300: "asymmetric", 2100: "non-finite"},
+        {1024: "indefinite", 2499: "non-finite"},
+    ])
+    def test_a_later_block_keeps_the_order_of_the_checks(self, defects):
+        mats = self._psd_stack(2500, 5, 11)
+        for row, defect in defects.items():
+            if defect == "indefinite":
+                mats[row] = np.diag([1.0, 1.0, 1.0, 1.0, -1e-3])
+            elif defect == "asymmetric":
+                mats[row, 0, 1] += 1e-3
+            else:
+                mats[row, 2, 2] = np.nan
+        with pytest.raises(InvalidInputError) as want:
+            _whole_batch_check(mats)
+        with pytest.raises(InvalidInputError) as got:
+            _check_curvatures(mats)
+        assert str(got.value) == str(want.value)
 
 
 class TestStreamAndSchedule:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +12,20 @@ from online_unlearning import (
     eval_grad,
     measure_qg,
 )
+from online_unlearning.certifier import certify_passive_run
 from online_unlearning.cli import main as cli_main
-from online_unlearning.core import project
+from online_unlearning.core import project, stack_quadratics
 from online_unlearning.harness import (
     ExperimentConfig,
+    _centers_in_half_ball,
     build_schedule,
     config_hash,
     gen_stream,
     run_experiment,
     sweep_points,
 )
+from online_unlearning.ogd import SCDecreasing
+from online_unlearning.passive import UnlearnerConfig, run_passive
 
 
 def _base_config(**overrides):
@@ -475,6 +480,16 @@ class TestSweepAndCli:
         assert captured.out == "" and captured.err.startswith(error)
         assert not out.exists() or not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("key, part", [("dimension.x", "dimension"), ("seeds.x", "seeds")])
+    def test_sweep_key_through_a_non_object_is_refused(self, tmp_path, capsys, key, part):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, _base_config(sweep={key: [1]})),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep key {key!r}: {part!r} is not an object\n"
+        assert not out.exists() or not list(out.rglob("*"))
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_refused_grid_prints_the_points_that_finished(self, tmp_path, capsys, jobs):
         # The second point misses its kappa_rate target, which only its generated stream shows.
@@ -556,3 +571,79 @@ class TestBatchedGeneration:
             for f in items:
                 total += f.matrix
             assert gs.kappa_aggregate == float(np.linalg.eigvalsh(total)[0]) / len(items)
+
+
+def _whole_batch_arrays(kind, params, seed):
+    """``gen_stream``'s curvatures and centers drawn and built in one batch, without row blocks."""
+    rng = np.random.default_rng(seed)
+    dim, horizon = params["dimension"], params["horizon"]
+
+    def orthogonal(count):
+        q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+        signs = np.sign(np.einsum("tii->ti", r))
+        signs[signs == 0.0] = 1.0
+        return q * signs[:, None, :]
+
+    if kind == "convex-qg":
+        columns = orthogonal(1)[0].T
+        centers = _centers_in_half_ball(rng, dim, horizon, params["radius"])
+        per_column = params["beta"] * (columns[:, :, None] * columns[:, None, :])
+        per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
+        return per_column[np.arange(horizon) % dim], centers
+    basis = orthogonal(horizon)
+    eigs = rng.uniform(params["mu"], params["beta"], size=(horizon, dim))
+    raw = np.einsum("tij,tj,tkj->tik", basis, eigs, basis)
+    mats = (raw + np.transpose(raw, (0, 2, 1))) * 0.5
+    if kind == "assumption2-segments":
+        common = _centers_in_half_ball(rng, dim, 1, params["radius"])[0]
+        return mats, np.broadcast_to(common, (horizon, dim))
+    return mats, _centers_in_half_ball(rng, dim, horizon, params["radius"])
+
+
+class TestRowBlockGeneration:
+    """Streams built in row blocks are the one-batch streams bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["sc-quadratic", "convex-qg", "assumption2-segments"])
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
+    def test_matches_the_whole_batch(self, kind, horizon, dim):
+        params = dict(dimension=dim, horizon=horizon, radius=1.0, mu=0.5, beta=3.0)
+        seed = 7 * horizon + dim
+        gs = gen_stream(kind, params, seed)
+        mats, centers, offsets, live = stack_quadratics(gs.stream)
+        want_mats, want_centers = _whole_batch_arrays(kind, params, seed)
+        assert mats.tobytes() == want_mats.tobytes()
+        assert centers.tobytes() == want_centers.tobytes()
+        assert not offsets.any() and live.all()
+        lam_max = np.linalg.eigvalsh(want_mats)[:, -1]
+        assert gs.stream._rows.lam_max.tobytes() == lam_max.tobytes()
+        assert gs.kappa_aggregate == float(np.linalg.eigvalsh(want_mats.sum(axis=0))[0]) / horizon
+
+
+class TestSeedMemory:
+    """One T = 1e4 seed works in memory close to the size of its stream's arrays."""
+
+    def test_generation_run_and_certification_stay_flat(self):
+        horizon = 10_000
+        params = dict(dimension=5, horizon=horizon, radius=1.0, mu=1.0, beta=3.0)
+        dom = BallDomain(1.0)
+        sched = build_schedule({"kind": "pattern", "k": 3, "gap": 40, "spacing": 1000}, horizon)
+        rates = SCDecreasing(mu=1.0)
+        cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2, gamma_mode="per-step-product")
+        tracemalloc.start()
+        try:
+            gs = gen_stream("sc-quadratic", params, 3)
+            held, gen_peak = tracemalloc.get_traced_memory()
+            own = sum(rows.nbytes for rows in stack_quadratics(gs.stream))
+            tracemalloc.reset_peak()
+            trace = run_passive(gs.stream, sched, rates, cfg, gs.fn_class, dom, 3)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            del trace
+            tracemalloc.reset_peak()
+            certify_passive_run(gs.stream, sched, rates, cfg, gs.fn_class, dom)
+            cert_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen_peak <= 2 * own
+        assert run_peak - held <= 2.5 * 2**20
+        assert cert_peak - held <= 2.5 * 2**20

@@ -22,7 +22,7 @@ from online_unlearning import (
 )
 from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, cost_value, eval_grad
 from online_unlearning.ogd import SCDecreasing
-from online_unlearning.regret import active_gap_sum
+from online_unlearning.regret import _ERM_TOL, active_gap_sum
 
 from conftest import iso_quad, quad, random_spd_quad, stream_of
 
@@ -167,6 +167,30 @@ class TestRegretDynamic:
         assert value == pytest.approx(
             regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
         )
+
+    def test_custom_comparators_start_from_the_last_epoch(self, unit_ball):
+        # An epoch drops one loss from the last, so z_i* starts beside z_{i-1}*:
+        # the same points as starting from the origin, in fewer iterations.
+        rng = np.random.default_rng(61)
+        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(300)]
+        evaluations = [0]
+
+        def counted(f):
+            def evaluator(z):
+                evaluations[0] += 1
+                return eval_grad(f, z)
+            return CustomCost(evaluator=evaluator)
+
+        stream = stream_of(counted(f) for f in quads)
+        sched = DeletionSchedule(((5, 60), (70, 150), (100, 200)))
+        warm = comparators(stream, sched, unit_ball, dim=2, smoothness=3.0)
+        warm_evaluations, evaluations[0] = evaluations[0], 0
+        for i, comp in enumerate(warm):
+            losses = [f for t, f in enumerate(stream.items, start=1)
+                      if t not in sched.indices[:i]]
+            cold = solve_erm(losses, unit_ball, dim=2, curvature=len(losses) * 3.0)
+            assert np.linalg.norm(comp - cold) <= _ERM_TOL
+        assert warm_evaluations < evaluations[0]
 
     def test_comparator_kkt(self, unit_ball):
         rng = np.random.default_rng(52)
