@@ -188,10 +188,11 @@ def _check_curvatures(mats: np.ndarray) -> np.ndarray:
     """Validate a stack of curvature matrices ``(T, d, d)``; returns their eigenvalues.
 
     Each matrix must be finite, symmetric and PSD within ``1e-10 * scale``,
-    where ``scale = max(1, max|A|)`` is taken per matrix.  Each check covers
-    the whole stack before the next starts, and runs ``_ROW_BLOCK`` matrices
-    at a time (``eigvalsh`` works matrix by matrix, so the values are the
-    whole batch's).
+    where ``scale = max(1, max|A|)`` is taken per matrix.  The checks run
+    ``_ROW_BLOCK`` matrices at a time yet fail in the whole batch's order:
+    every matrix is tested finite, then symmetric, before any is tested PSD
+    (``eigvalsh`` works matrix by matrix, so the values are the whole
+    batch's).
     """
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise InvalidInputError(f"curvature matrix must be square, got shape {mats.shape[1:]}")
@@ -201,13 +202,13 @@ def _check_curvatures(mats: np.ndarray) -> np.ndarray:
     if mats.size == 0:
         return np.zeros(mats.shape[:2])
     scale = np.maximum(1.0, np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2))))
+    eigs = np.empty(mats.shape[:2])
     for rows in blocks:
         asym = mats[rows] - np.swapaxes(mats[rows], 1, 2)
         np.abs(asym, out=asym)
         if np.any(asym.max(axis=(1, 2)) > 1e-10 * scale[rows]):
             raise InvalidInputError("curvature matrix must be symmetric")
-    eigs = np.empty(mats.shape[:2])
-    for rows in blocks:
+        del asym  # eigvalsh's workspace takes its place
         eigs[rows] = np.linalg.eigvalsh(mats[rows])
     if np.any(eigs[:, 0] < -1e-10 * scale):
         raise InvalidInputError("curvature matrix must be positive semidefinite")
