@@ -54,7 +54,6 @@ from .ogd import (
     AdaptiveRate,
     AdaptiveState,
     ConstantRate,
-    ContractionInfo,
     ConvexDecreasing,
     SCDecreasing,
     check_conditions,

@@ -25,8 +25,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import BallDomain, CostStream, DeletionSchedule, FnClass, stack_quadratics
-from .engine import StepEngine, _projected_step
+from .core import BallDomain, CostStream, DeletionSchedule, FnClass, _into_ball, stack_quadratics
+from .engine import StepEngine
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -259,7 +259,8 @@ def _run_active(
         if n == 0:
             return z
         for _ in range(steps):
-            z, _ = _projected_step(z, agg.gradient_sum(z, retained_only) / n, inner_eta, dom.radius)
+            grad = agg.gradient_sum(z, retained_only) / n
+            z, _ = _into_ball(z - inner_eta * grad, dom.radius)
             engine.grad_evals += n
             inner_steps[-1] += 1
         return z

@@ -789,7 +789,7 @@ def mc_divergence_check(
 class IntervalCertificate:
     ordinal: int
     interval: Tuple[int, int]
-    analytic_bound: float
+    analytic_bound: float | None
     exact_divergence: float | None
     mc_estimate: float | None
     budget: float
@@ -878,7 +878,7 @@ def certify_passive_run(
         cert = analytic_bound(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)
     except CertificationRefusedError as err:
         return [
-            _certificate(sched, horizon, cfg.budget, i, math.inf, f"refused: {err}")
+            _certificate(sched, horizon, cfg.budget, i, None, f"refused: {err}")
             for i in range(1, sched.k + 1)
         ]
 

@@ -46,7 +46,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
+        try:
+            seeds = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError as err:
+            raise InvalidConfigError(f"--seeds {args.seeds!r}: {err}") from None
         cfg = ExperimentConfig.from_dict({**cfg.raw, "seeds": seeds})
     return cfg
 

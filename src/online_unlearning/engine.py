@@ -11,7 +11,7 @@ wherever their trajectories do.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,17 +32,6 @@ from .rng import NoiseSource
 from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
 __all__ = ["StepEngine"]
-
-
-def _projected_step(
-    z: np.ndarray, grad: np.ndarray, eta: float, radius: float
-) -> Tuple[np.ndarray, bool]:
-    """Gradient step then ball projection; reports whether the projection bound.
-
-    The projection is ``core.project``'s own (ulp nudge included), so runner
-    outputs agree bitwise with ``ogd_step``.
-    """
-    return _into_ball(z - eta * grad, radius)
 
 
 def _step_evaluators(stream: CostStream):

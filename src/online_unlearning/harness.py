@@ -272,7 +272,8 @@ CONFIG_SCHEMA = {
                 "alpha": {"type": "number", "exclusiveMinimum": 1},
                 "eps": {"type": "number", "exclusiveMinimum": 0},
                 "omega": {"type": "number", "exclusiveMinimum": 1},
-                "gamma_mode": {"enum": ["nominal", "per-step-product"]},
+                # Optional and one-valued: the per-step product is the only noise decay.
+                "gamma_mode": {"enum": ["per-step-product"]},
             },
         },
         "active": {
@@ -502,7 +503,6 @@ def _unlearner_config(cfg: ExperimentConfig) -> UnlearnerConfig:
         alpha=float(spec["alpha"]),
         eps=float(spec["eps"]),
         omega=float(spec.get("omega", 1.2)),
-        gamma_mode=spec.get("gamma_mode", "nominal"),
     )
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "AdaptiveState",
     "ConditionReport",
     "ConstantRate",
-    "ContractionInfo",
     "ConvexDecreasing",
     "RateSchedule",
     "SCDecreasing",
@@ -180,14 +179,6 @@ def ogd_step(z_prev: np.ndarray, item: StreamItem, eta: float, dom: BallDomain) 
     return project(np.asarray(z_prev, dtype=np.float64) - eta * grad, dom)
 
 
-@dataclass(frozen=True)
-class ContractionInfo:
-    """Per-step contraction factor plus the constant-rate reference value."""
-
-    gamma: float
-    gamma_nominal: float
-
-
 def gamma_nominal(cls: FnClass) -> float:
     """Reference contraction ``(beta/mu - 1) / (beta/mu + 1)``; 1 when mu = 0."""
     if cls.strong_convexity == 0.0:
@@ -219,10 +210,10 @@ def step_contraction(cls: FnClass, eta):
     return gamma if gamma.ndim else float(gamma)
 
 
-def contraction_coeff(cls: FnClass, eta: float) -> ContractionInfo:
-    """Contraction of one gradient step on the class, which needs ``eta <= 2/beta``.
+def contraction_coeff(cls: FnClass, eta: float) -> float:
+    """Contraction factor of one gradient step on the class, which needs ``eta <= 2/beta``.
 
-    At ``eta = 2 / (beta + mu)`` the factor equals the nominal constant.
+    At ``eta = 2 / (beta + mu)`` the factor equals ``gamma_nominal``.
     """
     gamma = step_contraction(cls, eta)
     if gamma > 1.0 + _CONTRACTION_TOL:
@@ -230,7 +221,7 @@ def contraction_coeff(cls: FnClass, eta: float) -> ContractionInfo:
             f"eta={eta} exceeds 2/beta={2.0 / cls.smoothness if cls.smoothness else math.inf}; "
             f"step factor {gamma} > 1"
         )
-    return ContractionInfo(gamma=min(gamma, 1.0), gamma_nominal=gamma_nominal(cls))
+    return min(gamma, 1.0)
 
 
 def sensitivity(cls: FnClass, eta):

@@ -5,10 +5,10 @@ The noise scale for the ``i``-th deletion is
     sigma_i = sqrt(omega * i**omega / (2 (omega - 1) eps)) * decay_i * Delta_{u_i}
 
 where ``Delta_{u_i} = eta_{u_i} * L`` is the displacement bound of the deleted
-step and ``decay_i`` accounts for the contraction accumulated between the
-deleted step and the deletion time: either ``gamma_nominal ** gap`` or the
-product of the honest per-step factors over ``(u_i, tau_i]``, per
-``gamma_mode``.  :func:`deletion_calibration` is the one implementation of
+step and ``decay_i``, the contraction accumulated between the deleted step
+and the deletion time, is the product of the honest per-step factors
+``max(|1 - eta_t mu|, |1 - eta_t beta|)`` over the live steps of
+``(u_i, tau_i]``.  :func:`deletion_calibration` is the one implementation of
 that calibration: the runner calls it at each deletion time and the
 certifier calls it for each deletion it checks.  Between deletions the run
 is plain projected OGD.
@@ -31,12 +31,11 @@ from .core import (
 )
 from .engine import StepEngine
 from .errors import InvalidConfigError, InvalidInputError
-from .ogd import _CONTRACTION_TOL, RateSchedule, gamma_nominal, sensitivity, step_contraction
+from .ogd import _CONTRACTION_TOL, RateSchedule, sensitivity, step_contraction
 from .rng import NoiseSource
 from .trace import RunTrace
 
 __all__ = [
-    "GAMMA_MODES",
     "UnlearnerConfig",
     "calibrated_sigma",
     "deletion_calibration",
@@ -46,22 +45,14 @@ __all__ = [
     "series_term",
 ]
 
-GAMMA_MODES = ("nominal", "per-step-product")
-
 
 @dataclass(frozen=True)
 class UnlearnerConfig:
-    """Indistinguishability budget (alpha, eps) and the series exponent omega.
-
-    ``gamma_mode`` selects the decay used in the noise calibration: the
-    constant-rate reference value, or the product of per-step factors (never
-    smaller than the truth, hence what the certifier can validate).
-    """
+    """Indistinguishability budget (alpha, eps) and the series exponent omega."""
 
     alpha: float
     eps: float
     omega: float = 1.2
-    gamma_mode: str = "nominal"
 
     def __post_init__(self) -> None:
         if not self.alpha > 1.0:
@@ -70,8 +61,6 @@ class UnlearnerConfig:
             raise InvalidConfigError(f"need eps > 0, got {self.eps}")
         if not self.omega > 1.0:
             raise InvalidConfigError(f"need omega > 1, got {self.omega}")
-        if self.gamma_mode not in GAMMA_MODES:
-            raise InvalidConfigError(f"gamma_mode must be one of {GAMMA_MODES}")
 
     @property
     def budget(self) -> float:
@@ -116,10 +105,9 @@ def deletion_calibration(
     """Calibration ``(delta, decay, sigma, contractive)`` of the ``i``-th deletion ``(u, tau)``.
 
     ``delta = eta_u * L`` is the deleted step's sensitivity, 0 for a SKIP
-    slot; ``decay`` is ``gamma_nominal ** (tau - u)`` or the product of the
-    per-step factors over the live steps of ``(u, tau]``, per
-    ``cfg.gamma_mode``; ``contractive`` is False when one of those factors
-    exceeds 1, and the calibration is then not certifiable.  ``rates`` needs
+    slot; ``decay`` is the product of the per-step factors over the live steps
+    of ``(u, tau]``; ``contractive`` is False when one of those factors exceeds
+    1, and the calibration is then not certifiable.  ``rates`` needs
     ``eta_1..eta_tau``.
     """
     if not 1 <= u <= tau <= len(stream):
@@ -127,10 +115,7 @@ def deletion_calibration(
     delta = sensitivity(cls, float(rates[u - 1])) if stream.live[u - 1] else 0.0
     factors = step_contraction(cls, rates[np.flatnonzero(stream.live[u:tau]) + u])
     contractive = not np.any(factors > 1.0 + _CONTRACTION_TOL)
-    if cfg.gamma_mode == "nominal":
-        decay = gamma_nominal(cls) ** (tau - u)
-    else:
-        decay = float(np.prod(factors))
+    decay = float(np.prod(factors))
     return delta, decay, calibrated_sigma(cfg, i, decay, delta), contractive
 
 
@@ -178,9 +163,10 @@ def run_passive(
         noise_events=tuple(noise_events),
         certifiable=not warnings_log,
         warnings=tuple(warnings_log),
+        # run.json names the decay rule; the per-step product is the only one.
         config={} if cfg is None else {
             "alpha": cfg.alpha, "eps": cfg.eps, "omega": cfg.omega,
-            "gamma_mode": cfg.gamma_mode,
+            "gamma_mode": "per-step-product",
         },
     )
 

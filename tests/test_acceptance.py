@@ -75,7 +75,7 @@ def _criterion1_setup():
     lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
-    cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2, gamma_mode="per-step-product")
+    cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
     return stream, cls, sched, SCDecreasing(mu=1.0), cfg, dom
 
 
@@ -104,7 +104,7 @@ def test_criterion_1_certification_sandwich_single_deletion():
 def test_criterion_2_certification_sandwich_multi_deletion():
     start = time.monotonic()
     dom = BallDomain(1.0)
-    cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2, gamma_mode="per-step-product")
+    cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
     rates = SCDecreasing(mu=1.0)
     rng = np.random.default_rng(0)
     checked = 0
@@ -200,7 +200,7 @@ def test_criterion_5_t2_bound_compliance():
     dom = BallDomain(1.0)
     horizon, k, dim = 10_000, 3, 5
     sched = DeletionSchedule(((5, 200), (7, 900), (11, 4000)))
-    cfg = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2, gamma_mode="nominal")
+    cfg = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2)
     rates = SCDecreasing(mu=1.0)
     regrets = []
     for seed in range(20):
@@ -211,6 +211,7 @@ def test_criterion_5_t2_bound_compliance():
         )
         assert all(u >= 0.5 + 3.0 for u in sched.indices)
         trace = run_passive(gs.stream, sched, rates, cfg, gs.fn_class, dom, seed=seed)
+        assert all(e.sigma > 0.0 for e in trace.noise_events), (seed, trace.noise_events)
         regret = regret_dynamic(trace, gs.stream, sched, dom)
         gvals = g_functions(sched, gamma_nominal(gs.fn_class))
         bound = bound_rhs("T2", dict(
@@ -241,7 +242,7 @@ def test_criterion_6_t3_bound_compliance():
     start = time.monotonic()
     dom = BallDomain(1.0)
     horizon, k, dim = 10_000, 2, 5
-    cfg = UnlearnerConfig(alpha=2.0, eps=0.1, omega=1.2, gamma_mode="nominal")
+    cfg = UnlearnerConfig(alpha=2.0, eps=0.1, omega=1.2)
     for seed in range(20):
         gs = gen_stream(
             "convex-qg", dict(dimension=dim, horizon=horizon, radius=1.0, beta=1.0),
@@ -277,7 +278,7 @@ def test_criterion_7_t5_worst_case():
     start = time.monotonic()
     dom = BallDomain(1.0)
     horizon, k, dim = 10_000, 3, 5
-    cfg = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2, gamma_mode="nominal")
+    cfg = UnlearnerConfig(alpha=2.0, eps=1.0, omega=1.2)
     sched = DeletionSchedule(((1, 1000), (2, 4000), (3, 7000)))
     for seed in range(20):
         gs = gen_stream(

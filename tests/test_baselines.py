@@ -25,13 +25,13 @@ from online_unlearning import (
 from online_unlearning.core import (
     EMPTY_SCHEDULE,
     CostStream,
+    _into_ball,
     as_point,
     class_bound_lipschitz,
     cost_value,
     eval_grad,
     is_skip,
 )
-from online_unlearning.engine import _projected_step
 from online_unlearning.errors import NumericError
 from online_unlearning.ogd import (
     AdaptiveRate,
@@ -212,7 +212,7 @@ def _replay(
         evals += 1
         if adapt is not None:
             adapt.add(float(grad @ grad))
-        z, bound = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
+        z, bound = _into_ball(z - rate(rates, t, adapt) * grad, dom.radius)
         binds += bound and t >= count_from
     return z, evals, binds
 
@@ -263,7 +263,7 @@ def reference_retraining(
             if adapt is not None:
                 adapt.add(float(grad @ grad))
             eta_t = rate(rates, t, adapt)
-            z, bound = _projected_step(z, grad, eta_t, dom.radius)
+            z, bound = _into_ball(z - eta_t * grad, dom.radius)
             bound_steps += bound
             event = EVENT_LEARN
         rate_hist[t - 1] = eta_t
@@ -312,7 +312,7 @@ def _rebuild_adaptive(items, rates, dom, z0) -> AdaptiveState:
             continue
         _, grad = eval_grad(item, z)
         adapt.add(float(grad @ grad))
-        z, _ = _projected_step(z, grad, rate(rates, t, adapt), dom.radius)
+        z, _ = _into_ball(z - rate(rates, t, adapt) * grad, dom.radius)
         adapt.record()
     return adapt
 

@@ -54,7 +54,7 @@ from conftest import iso_quad, random_spd_quad, stream_of
 
 
 def _cfg(**kw):
-    base = dict(alpha=2.0, eps=0.5, omega=1.2, gamma_mode="per-step-product")
+    base = dict(alpha=2.0, eps=0.5, omega=1.2)
     base.update(kw)
     return UnlearnerConfig(**base)
 
@@ -211,9 +211,8 @@ class TestSharedCalibration:
         certify_passive_run(stream, sched, rates, cfg, cls, dom)
         return seen
 
-    @pytest.mark.parametrize("gamma_mode", ["nominal", "per-step-product"])
     @pytest.mark.parametrize("kind", ["sc-decreasing", "convex-decreasing", "constant"])
-    def test_runner_and_certifier_agree_bitwise(self, monkeypatch, unit_ball, kind, gamma_mode):
+    def test_runner_and_certifier_agree_bitwise(self, monkeypatch, unit_ball, kind):
         stream, cls = self._stream(unit_ball)
         rates = {
             "sc-decreasing": SCDecreasing(mu=1.0),
@@ -222,7 +221,7 @@ class TestSharedCalibration:
         }[kind]
         # The first deletion removes the SKIP slot at t = 10.
         sched = DeletionSchedule(((10, 15), (4, 30), (25, 48)))
-        cfg = _cfg(gamma_mode=gamma_mode)
+        cfg = _cfg()
         trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
         seen = self._ledger_inputs(monkeypatch, stream, sched, rates, cfg, cls, unit_ball)
 
@@ -246,6 +245,7 @@ class TestSharedCalibration:
         assert "not contractive" in trace.warnings[0]
         reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball)
         assert [r.passes for r in reports] == [False]
+        assert reports[0].analytic_bound is None
         assert "non-contractive" in reports[0].note
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from online_unlearning.harness import (
     sweep_points,
 )
 from online_unlearning.ogd import SCDecreasing
-from online_unlearning.passive import UnlearnerConfig, run_passive
+from online_unlearning.passive import UnlearnerConfig, noise_multiplier, run_passive
 
 
 def _base_config(**overrides):
@@ -189,21 +191,19 @@ class TestRunExperiment:
         assert not (base / "0" / "cert.json").exists()
 
     def test_sigma_decays_with_gap_sweep(self, tmp_path):
-        """sigma_1 across a gap sweep decays like gamma^gap under the nominal mode."""
-        sigmas = {}
+        """sigma_1 / delta_1 across a gap sweep is the product of the step factors over the gap."""
+        # eta_t = 1/t on mu = 1, beta = 3: the factor at t is max(|1 - 1/t|, |1 - 3/t|).
+        multiplier = noise_multiplier(UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2), 1)
         for gap in range(1, 8):
-            raw = _base_config(
-                schedule={"kind": "explicit", "entries": [[12 - gap, 12]]},
-                unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1.2, "gamma_mode": "nominal"},
-                seeds=[0],
-            )
+            raw = _base_config(schedule={"kind": "explicit", "entries": [[12 - gap, 12]]},
+                               seeds=[0])
             summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
             run_json = tmp_path / summary["config_hash"] / "0" / "run.json"
             with open(run_json) as handle:
-                events = json.load(handle)["noise_events"]
-            sigmas[gap] = events[0]["sigma"] / events[0]["delta"]
-        for gap in range(1, 7):
-            assert sigmas[gap + 1] / sigmas[gap] == pytest.approx(0.5, rel=1e-12)
+                event = json.load(handle)["noise_events"][0]
+            decay = math.prod(max(abs(1.0 - 1.0 / t), abs(1.0 - 3.0 / t))
+                              for t in range(13 - gap, 13))
+            assert event["sigma"] / event["delta"] == pytest.approx(multiplier * decay, rel=1e-12)
 
     def test_retrain_and_discard_paths(self, tmp_path):
         for algo in ("retrain", "discard"):
@@ -241,8 +241,21 @@ _REFUSED = {
     "mu-above-beta": _base_config(stream={"kind": "sc-quadratic", "mu": 3.0, "beta": 1.0}),
     "active2-noise-undefined": _base_config(
         algorithm="active2", schedule={"kind": "explicit", "entries": [[1, 2], [2, 3], [3, 4]]}),
+    "gamma-mode-nominal": _base_config(
+        unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1.2, "gamma_mode": "nominal"}),
     "not-json": None,
 }
+# The start of the error line, where a refusal names the field at fault.
+_REFUSED_AT = {"gamma-mode-nominal": "error: config invalid at $.unlearner.gamma_mode: "}
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _grid_config() -> dict:
@@ -384,8 +397,45 @@ class TestSweepAndCli:
         path.write_text("{not json" if raw is None else json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(_REFUSED_AT.get(name, "error: "))
         assert "Traceback" not in err
+
+    def test_cli_seeds_that_are_not_integers_exit_2(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _base_config())
+        assert cli_main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                         "--seeds", "0,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds '0,x': ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    @pytest.mark.parametrize("keep_gamma_mode", [True, False])
+    def test_shipped_configs_certify(self, tmp_path, capsys, name, keep_gamma_mode):
+        raw = json.loads((CONFIGS / name).read_text())
+        if not keep_gamma_mode:
+            raw["unlearner"].pop("gamma_mode", None)
+        out = tmp_path / "out"
+        assert cli_main(["certify", "--config", _write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        for seed in raw["seeds"]:
+            cert = json.loads((out / config_hash(ExperimentConfig.from_dict(raw)) / str(seed)
+                               / "cert.json").read_text())
+            assert cert[0]["exact_divergence"] is not None
+
+    def test_refused_rows_write_strict_json(self, tmp_path, capsys):
+        # eta_1 = 1 > 2/beta: the first gap does not contract, so every row is refused.
+        raw = json.loads((CONFIGS / "passive_sc.json").read_text())
+        raw.update(stream={"kind": "sc-quadratic", "mu": 1.0, "beta": 10.0},
+                   schedule={"kind": "adversarial-early", "k": 3}, seeds=[0])
+        out = tmp_path / "out"
+        assert cli_main(["certify", "--config", _write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        cert = _strict_json((out / config_hash(ExperimentConfig.from_dict(raw)) / "0"
+                             / "cert.json").read_text())
+        assert len(cert) == 3
+        for row in cert:
+            assert row["analytic_bound"] is None and not row["pass"]
+            assert row["note"].startswith("refused: deletion 1: non-contractive step")
 
     def test_cli_run_on_a_grid_equals_sweep(self, tmp_path, capsys):
         config = _write_config(tmp_path, _grid_config())
@@ -626,7 +676,7 @@ class TestSeedMemory:
         dom = BallDomain(1.0)
         sched = build_schedule({"kind": "pattern", "k": 3, "gap": 40, "spacing": 1000}, horizon)
         rates = SCDecreasing(mu=1.0)
-        cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2, gamma_mode="per-step-product")
+        cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
         tracemalloc.start()
         try:
             gs = gen_stream("sc-quadratic", params, 3)

@@ -25,7 +25,7 @@ from conftest import random_spd_quad, stream_of
 
 
 def _cfg(**kw):
-    base = dict(alpha=2.0, eps=1.0, omega=1.2, gamma_mode="nominal")
+    base = dict(alpha=2.0, eps=1.0, omega=1.2)
     base.update(kw)
     return UnlearnerConfig(**base)
 
@@ -37,7 +37,7 @@ def _sc_stream(rng, horizon, dom, mu=1.0, beta=3.0):
 
 
 class TestPassiveSigma:
-    """``calibrated_sigma`` with the nominal decay ``gamma ** gap``."""
+    """``calibrated_sigma`` for given decay factors and sensitivities."""
 
     def test_unit_case(self):
         sigma = calibrated_sigma(_cfg(eps=1.0), 1, 1.0**5, 1.0)
@@ -100,10 +100,13 @@ class TestRunPassive:
         trace = run_passive(stream, sched, SCDecreasing(mu=1.0), _cfg(), cls, unit_ball, seed=2)
         assert [e.time for e in trace.noise_events] == [9, 20]
         assert [e.ordinal for e in trace.noise_events] == [1, 2]
-        # sigma matches the hand formula with the nominal decay
+        # sigma matches the hand formula: eta_t = 1/t, decay = product of the
+        # step factors max(|1 - eta_t mu|, |1 - eta_t beta|) over (4, 9]
         e = trace.noise_events[0]
-        expected = calibrated_sigma(_cfg(), 1, 0.5**e.gap, e.delta)
-        assert e.sigma == pytest.approx(expected, rel=1e-12)
+        decay = math.prod(max(abs(1.0 - 1.0 / t), abs(1.0 - 3.0 / t)) for t in range(5, 10))
+        assert e.delta == pytest.approx(cls.lipschitz / 4, rel=1e-12)
+        assert e.decay == pytest.approx(decay, rel=1e-12)
+        assert e.sigma == pytest.approx(calibrated_sigma(_cfg(), 1, decay, e.delta), rel=1e-12)
         assert trace.events[8] == "unlearn"
         assert trace.events[0] == "learn"
 
@@ -141,8 +144,7 @@ class TestRunPassive:
         stream, cls = _sc_stream(rng, 20, unit_ball)
         sched = DeletionSchedule(((6, 12),))
         trace = run_passive(
-            stream, sched, SCDecreasing(mu=1.0),
-            _cfg(gamma_mode="per-step-product"), cls, unit_ball, seed=4,
+            stream, sched, SCDecreasing(mu=1.0), _cfg(), cls, unit_ball, seed=4,
         )
         # product of |1 - eta_t mu| over (6, 12] for eta_t = 1/t is 6/12
         assert trace.noise_events[0].decay == pytest.approx(0.5, rel=1e-12)
@@ -153,7 +155,7 @@ class TestRunPassive:
         stream, cls = _sc_stream(rng, 15, unit_ball)
         sched = DeletionSchedule(((3, 10),))
         rates = SCDecreasing(mu=1.0)
-        cfg = _cfg(gamma_mode="per-step-product", eps=0.05)
+        cfg = _cfg(eps=0.05)
         base = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
         event = base.noise_events[0]
         prenoise = base.output_at(10) - event.xi
@@ -250,4 +252,4 @@ class TestTraceSerialization:
         assert len(summary["noise_events"]) == 1
         event = summary["noise_events"][0]
         assert event["t"] == 5 and event["u"] == 2
-        assert summary["config"]["gamma_mode"] == "nominal"
+        assert summary["config"]["gamma_mode"] == "per-step-product"
