@@ -57,7 +57,7 @@ from .errors import (
 )
 from .ogd import RateSchedule, rates_array, step_contraction
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
-from .rng import event_normals
+from .rng import event_buffers, event_normals
 
 __all__ = [
     "AnalyticCertificate",
@@ -632,10 +632,10 @@ class McDivergenceReport:
         return not (self.std_error < 0.5 * max(self.estimate, 1e-300))
 
 
-# Rows per Monte-Carlo block.  Every block reuses one set of buffers, so the
-# check's memory stays flat in ``n``.  On ``mc-crosscheck`` (d = 5) peak RSS
-# moved by under 2 MB between 4096 and 16384 rows, at the same speed.
-_MC_BLOCK = 8192
+# Rows per Monte-Carlo block.  Every block reuses one set of buffers, its
+# noise draws included, so the block size sets the check's whole working set
+# and memory stays flat in ``n``.
+_MC_BLOCK = 4096
 
 
 def _projected_step(z: np.ndarray, scratch: tuple, mat: np.ndarray, center: np.ndarray,
@@ -680,10 +680,10 @@ def _simulate_batch(
     event with ``sigma > 0``, so that prefix runs once on ``min(rows, 2)``
     identical rows; while collapsed, a bound step counts ``rows`` binding
     events.  From that event on the rows run in blocks of ``_MC_BLOCK`` in
-    buffers allocated once, and each block draws its noise from its start
-    row ``lo`` on, so a row gets the same draws in any block.  A one-row
-    tail joins the block before it, so every matrix product has at least
-    two rows and stays on the full batch's BLAS kernel.  Each block's sum
+    buffers allocated once, the noise draws' included, and each block draws
+    its noise from its start row ``lo`` on, so a row gets the same draws in
+    any block.  A one-row tail joins the block before it, so every matrix
+    product has at least two rows and stays on the full batch's BLAS kernel.  Each block's sum
     starts from the running total, which makes the result the row-by-row
     sum of a full ``(rows, dim)`` batch run from ``t = 1``, bit for bit.
     With ``dim == 1`` numpy sums the single column pairwise instead, so
@@ -698,6 +698,7 @@ def _simulate_batch(
     zbuf = np.zeros((size + 1, dim))
     scratch = (np.empty((size, dim)), np.empty((size, dim)), np.empty(size),
                np.empty(size, dtype=bool))
+    draws = event_buffers(size, dim)
 
     binding = 0
     z = zbuf[1:min(rows, 2) + 1]
@@ -720,7 +721,7 @@ def _simulate_batch(
                 binding += _projected_step(z, scratch, mat, center, eta, dom.radius)
             j = noise_times.get(t)
             if j is not None and sigmas[j - 1] > 0.0:
-                noise = event_normals(seed, (process_id, j), m, dim, lo)
+                noise = event_normals(seed, (process_id, j), m, dim, lo, draws)
                 noise *= sigmas[j - 1]
                 z += noise
         if total is not None:

@@ -16,7 +16,9 @@ on the fields they are built from.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import numbers
 import re
 from collections import Counter
@@ -363,9 +365,30 @@ def _schema_errors(schema: dict, value, path: str = "$"):
                 yield path, f"{value!r} is less than or equal to the minimum of {rule!r}"
 
 
+def _non_finite_errors(value, path: str = "$"):
+    """``(json_path, message)`` for each NaN or infinite float in ``value``.
+
+    ``json`` parses ``NaN``, ``Infinity`` and an overflowing literal such as
+    ``1e400`` without complaint, and every schema bound compares false
+    against NaN, so these are refused here rather than by the schema.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
+    elif isinstance(value, dict):
+        for name, item in value.items():
+            yield from _non_finite_errors(item, _child_path(path, name))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _non_finite_errors(item, _child_path(path, index))
+
+
 def _validate_config(raw: dict) -> None:
-    """Raise the config's first schema error, taken in order of its JSON path."""
-    first = min(_schema_errors(CONFIG_SCHEMA, raw), key=lambda err: err[0], default=None)
+    """Raise the config's first error, taken in order of its JSON path.
+
+    A non-finite number comes before a schema error at the same path.
+    """
+    errors = itertools.chain(_non_finite_errors(raw), _schema_errors(CONFIG_SCHEMA, raw))
+    first = min(errors, key=lambda err: err[0], default=None)
     if first is not None:
         raise InvalidConfigError(f"config invalid at {first[0]}: {first[1]}")
 
@@ -383,8 +406,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+        try:
+            with open(path) as handle:
+                raw = json.load(handle)
+        except OSError as err:
+            raise InvalidConfigError(f"cannot read config {str(path)!r}: {err.strerror}") from None
+        return cls.from_dict(raw)
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -134,6 +134,7 @@ def comparators(
     sched.validate_horizon(len(stream))
     if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
+    indices = sched.indices  # a new tuple on each access
     if stream.all_quadratic():
         mats, centers, _, live = stack_quadratics(stream)
         dim = centers.shape[1]
@@ -145,8 +146,8 @@ def comparators(
         out = []
         for i in range(sched.k + 1):
             out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
-            if i < sched.k and live[sched.indices[i] - 1]:
-                row = sched.indices[i] - 1
+            if i < sched.k and live[indices[i] - 1]:
+                row = indices[i] - 1
                 total = total - mats[row]
                 rhs = rhs - mats[row] @ centers[row]
         return out
@@ -166,7 +167,7 @@ def comparators(
         else:
             out.append(solve_erm(losses, dom, dim=dim, curvature=curvature))
         if i < sched.k:
-            removed.add(sched.indices[i])
+            removed.add(indices[i])
     return out
 
 

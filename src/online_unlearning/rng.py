@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["NoiseSource", "event_normals"]
+__all__ = ["NoiseSource", "event_buffers", "event_normals"]
 
 # Affine squeeze of [0, 1) into (0, 1) so ndtri never sees an endpoint.  The
 # distortion is one part in 2**53, far below any tolerance used here.
@@ -20,8 +20,11 @@ _SQUEEZE = 1.0 - 2.0 ** -53
 _OFFSET = 2.0 ** -54
 
 
-def _to_normals(uniforms: np.ndarray) -> np.ndarray:
-    return ndtri(uniforms * _SQUEEZE + _OFFSET)
+def _to_normals(uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ndtri(uniforms * _SQUEEZE + _OFFSET)`` written into ``out``, bit for bit."""
+    np.multiply(uniforms, _SQUEEZE, out=out)
+    out += _OFFSET
+    return ndtri(out, out=out)
 
 
 def _philox(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
@@ -37,7 +40,13 @@ class NoiseSource:
 
     def normals(self, count: int) -> np.ndarray:
         """Next ``count`` standard normals in the fixed consumption order."""
-        return _to_normals(self._gen.random(count))
+        draws = self._gen.random(count)
+        return _to_normals(draws, draws)
+
+
+def event_buffers(rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """An ``(uniforms, normals)`` pair that ``event_normals`` can draw up to ``rows`` rows into."""
+    return np.empty((rows, 4 * ((dim + 3) // 4))), np.empty((rows, dim))
 
 
 def event_normals(
@@ -46,6 +55,7 @@ def event_normals(
     rows: int,
     dim: int,
     row_offset: int = 0,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Standard normals for ``rows`` samples of one noise event, ``dim`` each.
 
@@ -53,10 +63,19 @@ def event_normals(
     split the row range into blocks.  ``Philox.advance`` jumps whole 4-word
     counter blocks, so each row is padded to a multiple of 4 uniforms and
     block starts land exactly on counter-block boundaries.
+
+    ``buffers`` is a pair from ``event_buffers`` with at least ``rows`` rows.
+    The draws land in it and the result is a view of its ``normals``, so a
+    caller that passes the same pair for every block allocates nothing per
+    block.  Without it a pair is allocated for this call; the draws are the
+    same bits either way.  The normals get a contiguous buffer of their own,
+    because the inverse CDF runs slower on the strided ``uniforms[:, :dim]``.
     """
-    pad = 4 * ((dim + 3) // 4)
+    uniforms, normals = buffers or event_buffers(rows, dim)
+    uniforms, normals = uniforms[:rows], normals[:rows]
+    pad = uniforms.shape[1]
     bitgen = np.random.Philox(np.random.SeedSequence([int(seed), *map(int, stream)]))
     if row_offset:
         bitgen.advance(row_offset * pad // 4)
-    gen = np.random.Generator(bitgen)
-    return _to_normals(gen.random((rows, pad))[:, :dim])
+    np.random.Generator(bitgen).random(out=uniforms)
+    return _to_normals(uniforms[:, :dim], normals)

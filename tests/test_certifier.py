@@ -1,6 +1,8 @@
 import gc
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from online_unlearning.core import (
     retained,
     stack_quadratics,
 )
-from online_unlearning.harness import build_schedule
+from online_unlearning.harness import build_schedule, gen_stream
 from online_unlearning.ogd import (
     AdaptiveRate,
     ConstantRate,
@@ -51,6 +53,8 @@ from online_unlearning.passive import deletion_calibration, run_ogd, run_passive
 from online_unlearning.rng import event_normals
 
 from conftest import iso_quad, random_spd_quad, stream_of
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cfg(**kw):
@@ -593,8 +597,31 @@ class TestCollapsedPrefix:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 4 * 2**20
+        # About 0.48 MiB with 4096-row blocks drawing into reused buffers
+        # (1.08 MiB when each block allocated its own draws).
+        assert peaks[1] < 0.6 * 2**20
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+    def test_traced_peak_on_shipped_config(self):
+        # configs/passive_sc.json (d = 5), seed 0, interval 1: about 1.00 MiB
+        # (2.47 MiB when each block allocated its own draws).
+        raw = json.loads((CONFIGS / "passive_sc.json").read_text())
+        dom = BallDomain(raw["radius"])
+        params = dict(raw["stream"], dimension=raw["dimension"], horizon=raw["horizon"],
+                      radius=raw["radius"])
+        generated = gen_stream(params.pop("kind"), params, 0)
+        stream, cls = generated.stream, generated.fn_class
+        sched = build_schedule(raw["schedule"], len(stream))
+        spec = raw["unlearner"]
+        cfg = UnlearnerConfig(alpha=spec["alpha"], eps=spec["eps"], omega=spec["omega"])
+        tracemalloc.start()
+        try:
+            mc_divergence_check(stream, sched, SCDecreasing(mu=cls.strong_convexity), cfg, cls,
+                                dom, 1, n=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
 
 def _well_conditioned_setup(dom):

@@ -226,7 +226,13 @@ class TestRunExperiment:
 
 _GRID = ("passive", "active", "retrain", "discard")
 
-# Configs the CLI must refuse with exit 2; None stands for a file that is not JSON.
+def _unlearner_eps(text: str) -> str:
+    """The base config's file text with ``unlearner.eps`` written as ``text``."""
+    raw = _base_config(unlearner={"alpha": 2.0, "eps": "EPS", "omega": 1.2})
+    return json.dumps(raw).replace('"EPS"', text)
+
+
+# Configs the CLI must refuse with exit 2; a string is the file's literal text.
 _REFUSED = {
     "active-shape": _base_config(algorithm="active"),
     "explicit-tau-past-horizon": _base_config(
@@ -243,10 +249,21 @@ _REFUSED = {
         algorithm="active2", schedule={"kind": "explicit", "entries": [[1, 2], [2, 3], [3, 4]]}),
     "gamma-mode-nominal": _base_config(
         unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1.2, "gamma_mode": "nominal"}),
-    "not-json": None,
+    "not-json": "{not json",
+    "eps-infinity": _unlearner_eps("Infinity"),
+    "eps-1e400": _unlearner_eps("1e400"),
+    "radius-nan": _base_config(radius=math.nan),
+    "beta-infinity": _base_config(stream={"kind": "sc-quadratic", "mu": 1.0,
+                                          "beta": math.inf}),
 }
 # The start of the error line, where a refusal names the field at fault.
-_REFUSED_AT = {"gamma-mode-nominal": "error: config invalid at $.unlearner.gamma_mode: "}
+_REFUSED_AT = {
+    "gamma-mode-nominal": "error: config invalid at $.unlearner.gamma_mode: ",
+    "eps-infinity": "error: config invalid at $.unlearner.eps: inf is not a finite number",
+    "eps-1e400": "error: config invalid at $.unlearner.eps: inf is not a finite number",
+    "radius-nan": "error: config invalid at $.radius: nan is not a finite number",
+    "beta-infinity": "error: config invalid at $.stream.beta: inf is not a finite number",
+}
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -394,10 +411,17 @@ class TestSweepAndCli:
     def test_cli_refusals_exit_2(self, tmp_path, capsys, name):
         path = tmp_path / "config.json"
         raw = _REFUSED[name]
-        path.write_text("{not json" if raw is None else json.dumps(raw))
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(_REFUSED_AT.get(name, "error: "))
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {str(tmp_path)!r}: ")
         assert "Traceback" not in err
 
     def test_cli_seeds_that_are_not_integers_exit_2(self, tmp_path, capsys):

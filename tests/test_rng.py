@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from scipy import stats
+from scipy.special import ndtri
 
-from online_unlearning.rng import NoiseSource, event_normals
+from online_unlearning.rng import NoiseSource, event_buffers, event_normals
 
 
 def test_noise_source_replays():
@@ -30,6 +32,38 @@ def test_event_normals_shard_alignment():
             for lo, hi in zip(cuts[:-1], cuts[1:])
         ])
         assert np.array_equal(full, rebuilt)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("rows", [1, 7, 4097])
+@pytest.mark.parametrize("row_offset", [0, 3])
+def test_event_normals_into_buffers(dim, rows, row_offset):
+    expected = event_normals(42, (1, 2), rows, dim, row_offset)
+    for spare in (0, 5):
+        buffers = event_buffers(rows + spare, dim)
+        got = event_normals(42, (1, 2), rows, dim, row_offset, buffers)
+        assert got.shape == (rows, dim)
+        assert got.tobytes() == expected.tobytes()
+        assert np.shares_memory(got, buffers[1])
+
+
+@pytest.mark.parametrize("dim", [1, 5, 9])
+def test_event_normals_are_the_allocating_formula(dim):
+    # The in-place steps equal ndtri(u * squeeze + offset) on fresh arrays, bit for bit.
+    pad = 4 * ((dim + 3) // 4)
+    bitgen = np.random.Philox(np.random.SeedSequence([42, 1, 2]))
+    bitgen.advance(3 * pad // 4)
+    uniforms = np.random.Generator(bitgen).random((257, pad))[:, :dim]
+    expected = ndtri(uniforms * (1.0 - 2.0 ** -53) + 2.0 ** -54)
+    got = event_normals(42, (1, 2), 257, dim, 3, event_buffers(257, dim))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_reused_buffers_carry_nothing_over():
+    buffers = event_buffers(300, 5)
+    event_normals(7, (0, 1), 300, 5, 0, buffers)
+    got = event_normals(7, (1, 1), 100, 5, 200, buffers)
+    assert got.tobytes() == event_normals(7, (1, 1), 100, 5, 200).tobytes()
 
 
 def test_draws_look_standard_normal():
