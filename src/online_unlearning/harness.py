@@ -409,8 +409,9 @@ class ExperimentConfig:
         try:
             with open(path) as handle:
                 raw = json.load(handle)
-        except OSError as err:
-            raise InvalidConfigError(f"cannot read config {str(path)!r}: {err.strerror}") from None
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else err
+            raise InvalidConfigError(f"cannot read config {str(path)!r}: {reason}") from None
         return cls.from_dict(raw)
 
     def canonical_json(self) -> str:

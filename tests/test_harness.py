@@ -418,10 +418,16 @@ class TestSweepAndCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_cli_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
-        assert cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_cli_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read config {str(tmp_path)!r}: ")
+        assert err.startswith(f"error: cannot read config {str(path)!r}: ")
         assert "Traceback" not in err
 
     def test_cli_seeds_that_are_not_integers_exit_2(self, tmp_path, capsys):
