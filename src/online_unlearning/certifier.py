@@ -683,9 +683,10 @@ def _simulate_batch(
     buffers allocated once, the noise draws' included, and each block draws
     its noise from its start row ``lo`` on, so a row gets the same draws in
     any block.  A one-row tail joins the block before it, so every matrix
-    product has at least two rows and stays on the full batch's BLAS kernel.  Each block's sum
-    starts from the running total, which makes the result the row-by-row
-    sum of a full ``(rows, dim)`` batch run from ``t = 1``, bit for bit.
+    product has at least two rows and stays on the full batch's BLAS kernel.
+    Each block's sum starts from the running total, which makes the result
+    the row-by-row sum of a full ``(rows, dim)`` batch run from ``t = 1``,
+    bit for bit.
     With ``dim == 1`` numpy sums the single column pairwise instead, so
     such rows stay in one block.
     """
