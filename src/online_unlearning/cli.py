@@ -2,9 +2,11 @@
 
 ``run`` and ``sweep`` are one command: both run every point of the config's
 ``sweep`` grid, and ``certify`` runs the same grid without regret reports.
-Exit code 0 means every printed pass flag is true; a config the tool refuses
-exits 2 with ``error: ...``, and a grid with a point refused on its config
-alone runs no point.  Outputs are plain CSV/JSON under ``--out``.
+One ``GridRuns`` runs its (point, seed) runs, and one ``run_experiment``
+call per point, in grid order, writes its summary.  Exit code 0 means every
+printed pass flag is true; a config the tool refuses exits 2 with
+``error: ...``, and at any ``--jobs`` the refusal ends the grid after the
+points before it have printed.  Outputs are plain CSV/JSON under ``--out``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .errors import (GeneratorError, InvalidConfigError, InvalidScheduleError,
                      NonContractiveStepError, NotStronglyConvexError, NumericError)
 from .harness import (
     ExperimentConfig,
-    SeedInputs,
-    check_runnable,
+    GridRuns,
     config_hash,
     recompute_regret,
     run_experiment,
@@ -40,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seeds", default=None,
                         help="comma-separated seed override, e.g. 0,1,2")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent seeds / sweep points")
+                        help="worker processes for the grid's (point, seed) runs")
 
 
 def _load(args) -> ExperimentConfig:
@@ -57,41 +58,19 @@ def _load(args) -> ExperimentConfig:
 def _cmd_run(args, certify_only: bool = False) -> int:
     """``run``, ``sweep`` and (with ``certify_only``) ``certify``: one line per grid point."""
     points = sweep_points(_load(args))
-    for point in points:  # a point refused on its config alone refuses the grid before any runs
-        check_runnable(point)
-    run = partial(run_experiment, out_root=args.out, certify_only=certify_only)
     ok = True
-    for summary in _summaries(points, run, args.jobs):
-        if certify_only:
-            passed = all(r["cert"]["all_pass"] for r in summary["per_seed"] if r["cert"])
-            line = {"config_hash": summary["config_hash"], "cert_pass": passed}
-        else:
-            passed = summary["all_pass"]
-            line = {key: summary[key] for key in ("config_hash", "mean_regret", "all_pass")}
-        print(json.dumps(line), flush=True)
-        ok = ok and passed
+    with GridRuns(points, args.out, args.jobs, certify_only) as runs:
+        for point in points:
+            summary = run_experiment(point, args.out, runs=runs)
+            if certify_only:
+                passed = all(r["cert"]["all_pass"] for r in summary["per_seed"] if r["cert"])
+                line = {"config_hash": summary["config_hash"], "cert_pass": passed}
+            else:
+                passed = summary["all_pass"]
+                line = {key: summary[key] for key in ("config_hash", "mean_regret", "all_pass")}
+            print(json.dumps(line), flush=True)
+            ok = ok and passed
     return 0 if ok else 1
-
-
-def _summaries(points: list, run, jobs: int):
-    """Each point's summary in grid order, as soon as it and the points before it are done.
-
-    Points run in turn share each seed's generated inputs (``SeedInputs``),
-    and a refusal ends the grid.  With ``jobs > 1`` each point runs in its own
-    process and every point runs; the first failure is raised after the rest.
-    """
-    if jobs > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, p) for p in points]
-            yield from (f.result() for f in futures if f.exception() is None)
-        failures = [f.exception() for f in futures if f.exception() is not None]
-        if failures:
-            raise failures[0]
-    else:
-        inputs = SeedInputs(points)
-        yield from (run(p, jobs=jobs, inputs=inputs) for p in points)
 
 
 def _cmd_regret_report(args) -> int:

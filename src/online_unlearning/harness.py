@@ -7,10 +7,11 @@ alone rules out, before any stream is generated.  Outputs land under
 trace summary), ``regret.json``, ``regret_curve.csv`` and ``cert.json``, plus
 one ``config.json`` (the config as run) and one ``summary.json`` per config.
 Everything is a pure function of the config and seeds: rerunning reproduces
-every byte.  ``run_experiment`` validates the config once per call, and each
-seed's domain, stream and schedule are built once, by ``_seed_inputs``; a
-``SeedInputs`` shares them between the grid points of one command that agree
-on the fields they are built from.
+every byte.  A ``GridRuns`` checks a grid's points once and runs its
+(point, seed) runs, in this process or in one process pool; each seed's
+domain, stream and schedule are built by ``_seed_inputs``, once for the
+points run in this process that agree on the fields they are built from.
+``run_experiment`` assembles one point's summary from its runs.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ __all__ = [
     "CONFIG_SCHEMA",
     "ExperimentConfig",
     "GeneratedStream",
-    "SeedInputs",
+    "GridRuns",
     "build_schedule",
     "check_runnable",
     "config_hash",
@@ -187,6 +188,10 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
 def build_schedule(spec: dict, horizon: int) -> DeletionSchedule:
     """Deletion schedule from an explicit list, a regular pattern, or early indices."""
     kind = spec["kind"]
+    needs = {"explicit": ("entries",), "pattern": ("k", "gap"), "adversarial-early": ("k",)}
+    for key in needs.get(kind, ()):
+        if key not in spec:
+            raise InvalidConfigError(f"config invalid at $.schedule.{key}: {kind!r} needs it")
     if kind == "explicit":
         entries = tuple((int(u), int(tau)) for u, tau in spec["entries"])
     elif kind == "pattern":
@@ -503,8 +508,7 @@ def check_runnable(cfg: ExperimentConfig) -> None:
 
     The stream kind's curvature, the schedule, the rate (``sc-decreasing``
     needs mu > 0, a ``constant`` eta must be given and contract) and an active
-    run (mu > 0, one ``i1`` per deletion, the schedule shape) are checked
-    here, so a grid refused on a point's config runs none of its points.  A
+    run (mu > 0, one ``i1`` per deletion, the schedule shape).  A
     ``constant-worst-case`` eta depends on the stream's L and is checked when
     the rate is resolved.
     """
@@ -612,7 +616,10 @@ def _bound_preconditions_ok(theorem, sched, cls, dom) -> bool:
     if theorem == "T2":
         floor = 0.5 + cls.smoothness / cls.strong_convexity
     elif theorem == "T3":
-        floor = cls.smoothness**2 * dom.diameter**2 / (4.0 * cls.lipschitz**2)
+        try:
+            floor = cls.smoothness**2 * dom.diameter**2 / (4.0 * cls.lipschitz**2)
+        except (ZeroDivisionError, OverflowError):  # L^2 underflows to 0, or a square overflows
+            raise InvalidConfigError(f"T3 floor out of range at L = {cls.lipschitz!r}") from None
     else:
         return True
     return all(u >= floor for u in sched.indices)
@@ -642,13 +649,13 @@ def _bound_curve(report: dict, horizon: int) -> np.ndarray:
 _INPUT_FIELDS = ("stream", "dimension", "horizon", "radius", "schedule")
 
 
-def _input_fields(cfg: ExperimentConfig) -> dict:
-    return {name: cfg.raw[name] for name in _INPUT_FIELDS}
+def _input_key(cfg: ExperimentConfig) -> str:
+    return json.dumps({name: cfg.raw[name] for name in _INPUT_FIELDS}, sort_keys=True)
 
 
 def _seed_inputs(cfg: ExperimentConfig, seed: int) -> tuple:
     """``(dom, generated, sched)``: the domain, generated stream and schedule of one seed."""
-    raw = _input_fields(cfg)
+    raw = cfg.raw
     params = {key: value for key, value in raw["stream"].items() if key != "kind"}
     params.update(dimension=raw["dimension"], horizon=raw["horizon"], radius=raw["radius"])
     dom = BallDomain(float(raw["radius"]))
@@ -657,37 +664,10 @@ def _seed_inputs(cfg: ExperimentConfig, seed: int) -> tuple:
     return dom, generated, sched
 
 
-class SeedInputs:
-    """Each seed's ``_seed_inputs`` for a list of grid points, built once and shared.
-
-    Points that agree on ``_INPUT_FIELDS`` take the same inputs for a seed.
-    The inputs are values nothing mutates, and they are dropped when the last
-    point that needs them has taken them: a single point holds nothing beyond
-    the seed it runs, but a grid whose points share inputs holds every seed's
-    until its last sharing point runs, since each point runs all its seeds.
-    """
-
-    def __init__(self, points: list[ExperimentConfig]) -> None:
-        self._pending = Counter((self._key(p), seed) for p in points for seed in p.raw["seeds"])
-        self._held: dict = {}
-
-    @staticmethod
-    def _key(cfg: ExperimentConfig) -> str:
-        return json.dumps(_input_fields(cfg), sort_keys=True)
-
-    def take(self, cfg: ExperimentConfig, seed: int) -> tuple:
-        """``_seed_inputs(cfg, seed)``, built on the first point that asks for it."""
-        key = (self._key(cfg), seed)
-        inputs = self._held.pop(key, None) or _seed_inputs(cfg, seed)
-        self._pending[key] -= 1
-        if self._pending[key] > 0:
-            self._held[key] = inputs
-        return inputs
-
-
 def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: bool = False,
-                  inputs: SeedInputs | None = None) -> dict:
-    dom, generated, sched = inputs.take(cfg, seed) if inputs else _seed_inputs(cfg, seed)
+                  inputs: tuple | None = None) -> dict:
+    """One (point, seed) run; ``inputs`` is its ``_seed_inputs``, built here when absent."""
+    dom, generated, sched = inputs or _seed_inputs(cfg, seed)
     stream, cls = generated.stream, generated.fn_class
     rates = _resolve_rate(cfg, cls, dom, len(stream), sched.k)
     ucfg = _unlearner_config(cfg)
@@ -750,50 +730,85 @@ def _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict
     }
 
 
+class GridRuns:
+    """A grid's (point, seed) runs, point-major; ``take(point)`` hands out a point's results.
+
+    Every point is checked up front.  With ``jobs > 1`` every run goes at once
+    to one pool of ``min(jobs, runs)`` processes, each building its own inputs;
+    otherwise ``take`` runs the point's seeds here, and points that agree on
+    ``_INPUT_FIELDS`` share a seed's inputs, held until the last one takes them.
+    Leaving the ``with`` block cancels the runs not yet started.
+    """
+
+    def __init__(self, points: list[ExperimentConfig], out_root: str | Path, jobs: int = 1,
+                 certify_only: bool = False) -> None:
+        for point in points:
+            _validate_config(point.raw)
+            if point.sweep_axes():
+                raise InvalidConfigError("expand sweeps before running (use sweep_points)")
+            check_runnable(point)
+        self._out_root, self._certify_only = Path(out_root), certify_only
+        runs = [(point, seed) for point in points for seed in point.raw["seeds"]]
+        self._pending, self._held = Counter((_input_key(point), seed) for point, seed in runs), {}
+        self._pool = None
+        if jobs > 1 and len(runs) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=min(jobs, len(runs)))
+            self._futures = {(config_hash(point), seed): self._pool.submit(
+                _run_one_seed, point, seed, self._seed_dir(point, seed), certify_only)
+                for point, seed in runs}
+
+    def __enter__(self) -> "GridRuns":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def _seed_dir(self, cfg: ExperimentConfig, seed: int) -> str:
+        return str(self._out_root / config_hash(cfg) / str(seed))
+
+    def _inputs(self, cfg: ExperimentConfig, seed: int) -> tuple:
+        """``_seed_inputs(cfg, seed)``, built on the first point that asks for it."""
+        key = (_input_key(cfg), seed)
+        inputs = self._held.pop(key, None) or _seed_inputs(cfg, seed)
+        self._pending[key] -= 1
+        if self._pending[key] > 0:
+            self._held[key] = inputs
+        return inputs
+
+    def take(self, cfg: ExperimentConfig) -> list[dict]:
+        """The per-seed results of the grid point ``cfg``; a run's refusal is raised here."""
+        if self._pool is not None:
+            return [self._futures[config_hash(cfg), seed].result() for seed in cfg.raw["seeds"]]
+        return [_run_one_seed(cfg, seed, self._seed_dir(cfg, seed), self._certify_only,
+                              self._inputs(cfg, seed))
+                for seed in cfg.raw["seeds"]]
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_root: str | Path, jobs: int = 1, certify_only: bool = False,
-    inputs: SeedInputs | None = None,
+    runs: GridRuns | None = None,
 ) -> dict:
     """Run every seed of a config; returns (and writes) the aggregate summary.
 
-    ``inputs`` shares each seed's generated inputs with the other points of
-    a grid; seeds run in a process pool (``jobs > 1``) build their own.
+    ``runs`` is the ``GridRuns`` the point belongs to, built with the same
+    ``out_root``; without it the point is a grid of its own, run with ``jobs``.
     """
-    _validate_config(cfg.raw)
-    if cfg.sweep_axes():
-        raise InvalidConfigError("expand sweeps before running (use sweep_points)")
-    check_runnable(cfg)
+    if runs is None:
+        with GridRuns([cfg], out_root, jobs, certify_only) as runs:
+            return run_experiment(cfg, out_root, runs=runs)
+    results = sorted(runs.take(cfg), key=lambda r: r["seed"])
     digest = config_hash(cfg)
-    base = Path(out_root) / digest
-
-    seeds = list(cfg.raw["seeds"])
-    results = []
-    if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_one_seed, cfg, seed, str(base / str(seed)), certify_only)
-                for seed in seeds
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _run_one_seed(cfg, seed, str(base / str(seed)), certify_only, inputs)
-            for seed in seeds
-        ]
-    results.sort(key=lambda r: r["seed"])
-
     regrets = [r["regret"] for r in results if r["regret"] is not None]
     flags = [r["regret_pass"] for r in results if r["regret_pass"] is not None]
-    cert_flags = [r["cert"]["all_pass"] for r in results if r["cert"] is not None]
-    margins = [
-        r["cert"]["max_divergence_margin"] for r in results
-        if r["cert"] is not None and r["cert"]["max_divergence_margin"] is not None
-    ]
+    certs = [r["cert"] for r in results if r["cert"] is not None]
+    cert_flags = [c["all_pass"] for c in certs]
+    margins = [c["max_divergence_margin"] for c in certs if c["max_divergence_margin"] is not None]
     summary = {
         "config_hash": digest,
-        "seeds": seeds,
+        "seeds": list(cfg.raw["seeds"]),
         "algorithm": cfg.raw["algorithm"],
         "mean_regret": float(np.mean(regrets)) if regrets else None,
         "max_regret": float(np.max(regrets)) if regrets else None,
@@ -801,10 +816,11 @@ def run_experiment(
         "bound_compliance_rate": float(np.mean(flags)) if flags else None,
         "cert_pass_rate": float(np.mean(cert_flags)) if cert_flags else None,
         "max_divergence_margin": max(margins) if margins else None,
-        "all_pass": bool(all(flags) if flags else True) and bool(all(cert_flags) if cert_flags else True),
+        "all_pass": all(flags) and all(cert_flags),
         "per_seed": results,
     }
     # Written after every seed has run: a point refused while a seed runs leaves no config.json.
+    base = Path(out_root) / digest
     base.mkdir(parents=True, exist_ok=True)
     write_json(base / "config.json", cfg.raw)
     write_json(base / "summary.json", summary)

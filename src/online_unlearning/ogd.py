@@ -164,7 +164,10 @@ def constant_rate_worst_case(
     if diameter <= 0.0 or lipschitz <= 0.0 or dim < 1 or k < 0:
         raise InvalidConfigError("worst-case rate needs positive D, L and d >= 1, k >= 0")
     inflation = 1.0 + 1.2 * k**2.2 * dim / (0.42 * eps)
-    return math.sqrt(2.0 * diameter**2 / (horizon * lipschitz**2 * inflation))
+    try:
+        return math.sqrt(2.0 * diameter**2 / (horizon * lipschitz**2 * inflation))
+    except (ZeroDivisionError, OverflowError):  # L^2 underflows to 0, or a square overflows
+        raise InvalidConfigError(f"worst-case rate out of range at L = {lipschitz!r}") from None
 
 
 def ogd_step(z_prev: np.ndarray, item: StreamItem, eta: float, dom: BallDomain) -> np.ndarray:

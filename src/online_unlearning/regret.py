@@ -275,10 +275,11 @@ def g_functions(
 
     ``G1 = sqrt(sum tau^2 gamma^{4(tau-u)} / u^4)`` (strongly convex),
     ``G2 = sqrt(sum tau / u^2)`` (convex), and with a recorded gradient-power
-    history ``G3 = sqrt(beta * sum p(tau) / p(u)^2)`` (adaptive).
+    history ``G3 = sqrt(beta * sum p(tau) / p(u)^2)`` (adaptive).  ``gamma = 0``
+    (mu = beta) keeps only the ``tau = u`` terms of G1, as ``0.0 ** 0`` is 1.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidInputError(f"gamma must lie in [0, 1], got {gamma}")
     g1_sq = 0.0
     g2_sq = 0.0
     for u, tau in sched.entries:
@@ -304,8 +305,8 @@ def g_functions(
 
 def active_gap_sum(sched: DeletionSchedule, gamma: float) -> float:
     """Active-run schedule factor ``sum_i gamma^{tau_i - tau_{i-1}} (tau_i - tau_{i-1})``."""
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidInputError(f"gamma must lie in [0, 1], got {gamma}")
     prev = 0
     total = 0.0
     for _, tau in sched.entries:

@@ -255,6 +255,16 @@ _REFUSED = {
     "radius-nan": _base_config(radius=math.nan),
     "beta-infinity": _base_config(stream={"kind": "sc-quadratic", "mu": 1.0,
                                           "beta": math.inf}),
+    "pattern-without-k": _base_config(schedule={"kind": "pattern", "gap": 2}),
+    "pattern-without-gap": _base_config(schedule={"kind": "pattern", "k": 2}),
+    "adversarial-early-without-k": _base_config(schedule={"kind": "adversarial-early"}),
+    "explicit-without-entries": _base_config(schedule={"kind": "explicit"}),
+    # L^2 underflows to 0 (beta 1e-300) or overflows (beta 1e300) in the worst-case eta.
+    "worst-case-rate-underflow": _base_config(stream={"kind": "convex-qg", "beta": 1e-300},
+                                              rate={"kind": "constant-worst-case"}),
+    "worst-case-rate-overflow": _base_config(stream={"kind": "sc-quadratic", "mu": 1e300,
+                                                     "beta": 1e300},
+                                             rate={"kind": "constant-worst-case"}),
 }
 # The start of the error line, where a refusal names the field at fault.
 _REFUSED_AT = {
@@ -263,6 +273,12 @@ _REFUSED_AT = {
     "eps-1e400": "error: config invalid at $.unlearner.eps: inf is not a finite number",
     "radius-nan": "error: config invalid at $.radius: nan is not a finite number",
     "beta-infinity": "error: config invalid at $.stream.beta: inf is not a finite number",
+    "pattern-without-k": "error: config invalid at $.schedule.k: ",
+    "pattern-without-gap": "error: config invalid at $.schedule.gap: ",
+    "adversarial-early-without-k": "error: config invalid at $.schedule.k: ",
+    "explicit-without-entries": "error: config invalid at $.schedule.entries: ",
+    "worst-case-rate-underflow": "error: worst-case rate out of range at L = ",
+    "worst-case-rate-overflow": "error: worst-case rate out of range at L = ",
 }
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -298,6 +314,44 @@ def _count_gen_stream(monkeypatch) -> list:
 
     monkeypatch.setattr(harness, "gen_stream", counted)
     return calls
+
+
+@pytest.fixture
+def in_process_pools(monkeypatch) -> list:
+    """Stand in for ``ProcessPoolExecutor`` with pools that run each submission at once, here.
+
+    Returns the pools built, each recording ``max_workers`` and its submissions;
+    no worker process is ever started.
+    """
+    import concurrent.futures
+
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.submissions = max_workers, 0
+            built.append(self)
+
+        def submit(self, fn, *args, **kwargs):
+            self.submissions += 1
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except Exception as err:
+                future.set_exception(err)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return built
 
 
 def _tree(root) -> dict:
@@ -586,6 +640,67 @@ class TestSweepAndCli:
         assert [line["config_hash"] for line in lines] == [config_hash(finished)]
         assert (out / config_hash(finished) / "summary.json").exists()
         assert not (out / config_hash(refused)).exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_refusal_ends_the_grid_at_any_jobs(self, tmp_path, capsys, jobs):
+        # The middle point misses its kappa_rate target; the third point is never reported.
+        raw = _base_config(stream={"kind": "convex-qg", "beta": 1.0, "kappa_rate": 0.1},
+                           rate={"kind": "convex-decreasing"},
+                           sweep={"stream.kappa_rate": [0.1, 10.0, 0.2]})
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out),
+                         "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "misses the target 10.0" in captured.err and "Traceback" not in captured.err
+        first, refused, later = sweep_points(ExperimentConfig.from_dict(raw))
+        lines = [json.loads(line) for line in captured.out.splitlines()]
+        assert [line["config_hash"] for line in lines] == [config_hash(first)]
+        assert (out / config_hash(first) / "summary.json").exists()
+        for point in (refused, later):
+            assert not (out / config_hash(point) / "summary.json").exists()
+            assert not (out / config_hash(point) / "config.json").exists()
+
+    def test_pool_workers_never_outnumber_the_runs(self, tmp_path, capsys, in_process_pools):
+        config = _write_config(tmp_path, _base_config(seeds=[0, 1]))
+        assert cli_main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                         "--jobs", "8"]) == 0
+        assert [pool.max_workers for pool in in_process_pools] == [2]
+
+    def test_a_grid_runs_through_one_pool(self, tmp_path, capsys, in_process_pools):
+        config = _write_config(tmp_path, _base_config(sweep={"algorithm": ["passive", "retrain"]}))
+        for jobs in ("1", "4"):
+            assert cli_main(["run", "--config", config, "--out", str(tmp_path / jobs),
+                             "--jobs", jobs]) == 0
+        assert [(pool.max_workers, pool.submissions) for pool in in_process_pools] == [(4, 4)]
+        assert _tree(tmp_path / "1") == _tree(tmp_path / "4")
+
+    @pytest.mark.parametrize("algorithm", ["passive", "active"])
+    def test_equal_curvatures_run(self, tmp_path, capsys, algorithm):
+        # mu == beta makes the nominal contraction 0: G1 keeps only deletions with tau == u.
+        raw = _base_config(stream={"kind": "sc-quadratic", "mu": 2.0, "beta": 2.0},
+                           schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
+                           algorithm=algorithm)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out)]) == 0
+        for seed in raw["seeds"]:
+            report = json.loads((out / config_hash(ExperimentConfig.from_dict(raw)) / str(seed)
+                                 / "regret.json").read_text())
+            assert report["G1"] == 0.0
+            assert report["pass"] is (True if algorithm == "passive" else None)  # T6 is order form
+
+    @pytest.mark.parametrize("overrides", [
+        # radius 1e-300 makes L ~ 1e-300, so the T3 index floor would divide by L^2 = 0.
+        dict(stream={"kind": "convex-qg", "beta": 1.0}, radius=1e-300),
+        # beta 1e300 makes L ~ 1e300, so L^2 and beta^2 overflow.
+        dict(stream={"kind": "sc-quadratic", "mu": 3.0, "beta": 1e300}, algorithm="retrain"),
+    ])
+    def test_a_t3_floor_out_of_range_is_refused(self, tmp_path, capsys, overrides):
+        raw = _base_config(rate={"kind": "convex-decreasing"}, **overrides)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: T3 floor out of range at L = ") and "Traceback" not in err
+        assert not list(out.rglob("summary.json"))
 
     def test_regret_report_follows_run_onto_a_grid(self, tmp_path, capsys):
         raw = _base_config(sweep={"algorithm": ["passive", "retrain"]})

@@ -249,6 +249,20 @@ class TestGFunctions:
         expected = 0.5**3 * 3 + 0.5**4 * 4
         assert active_gap_sum(sched, 0.5) == pytest.approx(expected, rel=1e-12)
 
+    def test_full_contraction_keeps_only_undelayed_deletions(self):
+        # gamma = 0 is mu == beta: a deletion decays away at once unless tau == u.
+        sched = DeletionSchedule(((3, 3), (5, 9)))
+        assert g_functions(sched, 0.0).g1 == math.sqrt(3**2 / 3**4)
+        assert active_gap_sum(sched, 0.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5])
+    def test_gamma_outside_the_unit_interval_is_refused(self, gamma):
+        sched = DeletionSchedule(((3, 9),))
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+            g_functions(sched, gamma)
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+            active_gap_sum(sched, gamma)
+
 
 class TestBoundRhs:
     def test_t2_example(self):
