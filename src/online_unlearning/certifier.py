@@ -52,6 +52,7 @@ from .core import (
 from .errors import (
     CertificationRefusedError,
     InvalidInputError,
+    NumericError,
     OracleUnavailableError,
     UnsupportedCostError,
 )
@@ -772,13 +773,20 @@ def mc_divergence_check(
     q, rank = _shared_cov_form(means[0] - means[1], prop.with_deleted.covariance)
     # Each mean estimate carries cov/n of sampling noise, which inflates the
     # plug-in quadratic form by alpha * rank / n in expectation; subtract it.
+    estimate = max(0.5 * cfg.alpha * q - cfg.alpha * rank / n, 0.0)
+    try:
+        std_error = math.sqrt(2.0 * (cfg.alpha**2 * q) / n)
+    except OverflowError:  # alpha ** 2
+        std_error = math.inf
+    if not math.isfinite(estimate + std_error):
+        raise NumericError(f"Monte-Carlo estimate out of range at alpha = {cfg.alpha!r}")
     return McDivergenceReport(
         ordinal=ordinal,
         n=n,
         mean_with_deleted=means[0],
         mean_without_deleted=means[1],
-        estimate=max(0.5 * cfg.alpha * q - cfg.alpha * rank / n, 0.0),
-        std_error=math.sqrt(2.0 * (cfg.alpha**2 * q) / n),
+        estimate=estimate,
+        std_error=std_error,
         binding_events=binding,
     )
 

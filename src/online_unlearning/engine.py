@@ -10,6 +10,7 @@ wherever their trajectories do.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Callable
 
@@ -124,7 +125,9 @@ class StepEngine:
         rows read from slices of the stacked arrays.  A clock-driven
         schedule takes the stretch's rates from one ``rates_array`` call;
         adaptive rates depend on the gradients, so they and opaque costs
-        take ``rate`` and ``eval_grad`` step by step.
+        take ``rate`` and ``eval_grad`` step by step.  An adaptive rate whose
+        sum of squared gradient norms overflows would be 0 from then on, so
+        the stretch is refused once it ends.
         """
         adapt, sched = self.adapt, self.rate_schedule
         path, p_hist, rates = self.path, self.p_hist, self.rates
@@ -160,6 +163,9 @@ class StepEngine:
                     p_hist[t - 1] = adapt.p
         except NumericError as err:
             raise NumericError(f"{err} at step {t}") from None
+        if adapt is not None and adapt.p == math.inf:
+            first = lo + int(np.argmax(p_hist[lo - 1:hi] == math.inf))
+            raise NumericError(f"adaptive rate's gradient sum out of range at step {first}")
         self.z = z
         self.grad_evals += evals
         self.bound_steps += binds
@@ -229,6 +235,8 @@ class StepEngine:
             losses[live] = (
                 0.5 * np.vecdot(diff, np.matmul(mats, diff[..., None])[..., 0]) + offsets
             )
+        if not math.isfinite(float(np.sum(losses))):
+            raise NumericError("the run's losses sum past the float range")
         for tau in self.sched.times:
             events[tau - 1] = EVENT_UNLEARN
         fields.setdefault("p_history", self.p_hist.copy() if self.adapt is not None else None)

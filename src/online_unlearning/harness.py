@@ -49,7 +49,7 @@ from .ogd import (
     contraction_coeff,
     gamma_nominal,
 )
-from .passive import UnlearnerConfig, run_passive
+from .passive import UnlearnerConfig, noise_multiplier, run_passive
 from .regret import (
     active_gap_sum,
     bound_rhs,
@@ -57,6 +57,7 @@ from .regret import (
     g_functions,
     regret_dynamic,
 )
+from .rng import bulk_ndtri
 from .trace import _CSV_CHUNK, RunTrace, load_trace_outputs, write_json
 
 __all__ = [
@@ -122,6 +123,16 @@ def _curvature(kind: str, params: dict) -> tuple[float, float]:
     return mu, beta
 
 
+def _fn_class(stream: CostStream, dom: BallDomain, mu: float, beta: float) -> FnClass:
+    """The stream's class constants; refuses a Lipschitz bound that overflows to infinity."""
+    with np.errstate(over="ignore"):
+        lipschitz = stream.lipschitz_bound(dom)
+    if not math.isfinite(lipschitz):
+        raise GeneratorError(
+            f"the Lipschitz bound overflows at radius {dom.radius!r} and beta {beta!r}")
+    return FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
+
+
 def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
     """Synthesize a loss stream of the requested kind.
 
@@ -160,7 +171,7 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         else:
             centers = _centers_in_half_ball(rng, dim, horizon, radius)
         stream = CostStream._adopt(mats, centers)
-        cls = FnClass(lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=mu)
+        cls = _fn_class(stream, dom, mu, beta)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
 
@@ -173,9 +184,7 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
         mats = per_column[np.arange(horizon) % dim]
         stream = CostStream._adopt(mats, centers)
-        cls = FnClass(
-            lipschitz=stream.lipschitz_bound(dom), smoothness=beta, strong_convexity=0.0
-        )
+        cls = _fn_class(stream, dom, 0.0, beta)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         target = params.get("kappa_rate")
         if target is not None and kappa < float(target) * 0.99:
@@ -407,6 +416,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _validate_config(raw)
+        if raw.get("mc_samples", 0) > 0:
+            bulk_ndtri()  # scipy's import belongs to loading a Monte-Carlo config, not to its runs
         return cls(raw=raw)
 
     @classmethod
@@ -507,8 +518,9 @@ def check_runnable(cfg: ExperimentConfig) -> None:
     """Raise every refusal the config decides before a stream is generated.
 
     The stream kind's curvature, the schedule, the rate (``sc-decreasing``
-    needs mu > 0, a ``constant`` eta must be given and contract) and an active
-    run (mu > 0, one ``i1`` per deletion, the schedule shape).  A
+    needs mu > 0, a ``constant`` eta must be given and contract), the noise
+    multiplier of the last deletion of an unlearner that adds noise (the
+    largest; its ``k ** omega`` also enters the series bound) and an active run (mu > 0, one ``i1`` per deletion, the schedule shape).  A
     ``constant-worst-case`` eta depends on the stream's L and is checked when
     the rate is resolved.
     """
@@ -524,6 +536,8 @@ def check_runnable(cfg: ExperimentConfig) -> None:
         # Only the curvature enters the step factor; L waits for the stream.
         contraction_coeff(FnClass(lipschitz=0.0, smoothness=beta, strong_convexity=mu),
                           float(rate["eta"]))
+    if raw["algorithm"] in ("passive", "active", "active2") and sched.k:
+        noise_multiplier(_unlearner_config(cfg), sched.k)
     if raw["algorithm"] in ("active", "active2"):
         acfg, strict = _active_config(cfg, _unlearner_config(cfg))
         check_active_run(sched, acfg, mu, strict)

@@ -71,9 +71,17 @@ class UnlearnerConfig:
 def noise_multiplier(cfg: UnlearnerConfig, i: int) -> float:
     """``sqrt(omega i^omega / (2 (omega - 1) eps))``, the ``i``-th deletion's share of the budget.
 
-    Both first-order unlearners scale their noise by it.
+    Both first-order unlearners scale their noise by it.  A multiplier past
+    the float range (a large ``omega`` or a tiny ``eps``) is refused.
     """
-    return math.sqrt(cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
+    try:
+        value = math.sqrt(cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
+    except (OverflowError, ZeroDivisionError):  # i ** omega overflows or the divisor underflows
+        value = math.inf
+    if value == math.inf:
+        raise InvalidConfigError(f"noise multiplier of deletion {i} out of range at "
+                                 f"omega = {cfg.omega!r}, eps = {cfg.eps!r}")
+    return value
 
 
 def calibrated_sigma(cfg: UnlearnerConfig, i: int, decay: float, delta: float) -> float:

@@ -31,7 +31,7 @@ from .core import (
     project,
     stack_quadratics,
 )
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, NumericError
 from .trace import RunTrace
 
 __all__ = [
@@ -298,7 +298,10 @@ def g_functions(
             if pu <= 0.0:
                 g3_sq = math.inf
                 break
-            g3_sq += float(p[tau - 1]) / pu**2
+            try:
+                g3_sq += float(p[tau - 1]) / pu**2
+            except (OverflowError, ZeroDivisionError):  # pu ** 2 leaves the float range
+                raise NumericError(f"G3 out of range at p_{u} = {pu!r}") from None
         g3 = math.sqrt(beta * g3_sq) if math.isfinite(g3_sq) else math.inf
     return GValues(g1=math.sqrt(g1_sq), g2=math.sqrt(g2_sq), g3=g3)
 
@@ -339,10 +342,22 @@ def bound_rhs(theorem: str, params: Mapping) -> BoundResult:
     ``theorem`` is one of ``T2``/``T3``/``T4``/``T5``/``T6`` or a survey-table
     row ``table2-{passive-sc, passive-c, active, discard-sc, discard-c, dp-sc,
     dp-c, retrain-sc, retrain-c}``.  T4, T6, and the table rows are order-form.
+    A bound past the float range (``L**2`` overflowing, or a noise term over
+    a tiny ``eps``) bounds nothing and raises ``NumericError``.
     """
     name = theorem.strip()
     key = name.upper() if name.upper() in {"T2", "T3", "T4", "T5", "T6"} else name.lower()
+    try:
+        result = _bound_rhs(key, params)
+    except (OverflowError, ZeroDivisionError):  # a square overflows or a divisor underflows
+        result = None
+    if result is None or not math.isfinite(result.value):
+        raise NumericError(f"{key} bound out of range at L = {params.get('L')!r}, "
+                           f"eps = {params.get('eps')!r}")
+    return result
 
+
+def _bound_rhs(key: str, params: Mapping) -> BoundResult:
     if key == "T2":
         L, mu, T, k, d, eps, g1 = _need(params, ["L", "mu", "T", "k", "d", "eps", "G1"], key)
         if mu <= 0.0:

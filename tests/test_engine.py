@@ -89,6 +89,29 @@ class TestFiniteness:
         with pytest.raises(NumericError, match="non-finite iterate at step 1"):
             run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_adaptive_gradient_sum_past_the_float_range(self):
+        # A finite gradient whose squared norm overflows: the rate would be 0 from there on.
+        def evaluator(t: int):
+            def fn(z):
+                grad = np.full_like(z, 1e200) if t == 4 else z - 0.5
+                return float(0.5 * (z - 0.5) @ (z - 0.5)), grad
+            return fn
+
+        stream = CostStream([CustomCost(evaluator(t)) for t in range(1, 13)])
+        cls = FnClass(lipschitz=1.5, smoothness=1.0, strong_convexity=1.0)
+        with pytest.raises(NumericError, match="gradient sum out of range at step 4"):
+            run_ogd(stream, AdaptiveRate(diameter=2.0, warm_floor=0.5), _DOM, cls,
+                    z0=np.zeros(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_losses_past_the_float_range(self):
+        engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
+        engine.run(lambda i, u, tau: None)
+        engine.outputs[5] = 1e200    # as a huge noise draw may leave an output
+        with pytest.raises(NumericError, match="losses sum past the float range"):
+            engine.trace("passive", 0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_point_left_by_a_handler(self):
         engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)

@@ -702,6 +702,48 @@ class TestSweepAndCli:
         assert err.startswith("error: T3 floor out of range at L = ") and "Traceback" not in err
         assert not list(out.rglob("summary.json"))
 
+    @pytest.mark.parametrize("overrides, error", [
+        # convex-qg at beta 1e300 makes L ~ 1e300, so the T5 shift's L**2 overflows.
+        (dict(stream={"kind": "convex-qg", "beta": 1e300}, radius=0.5, horizon=200,
+              rate={"kind": "constant", "eta": 1e-300},
+              schedule={"kind": "adversarial-early", "k": 15}),
+         "T5 bound out of range at L = "),
+        # Centers near 1e200 square past the float range in the Lipschitz bound
+        # (at radius 1e10 the bound is 4.5e10 and the run goes through).
+        (dict(radius=1e200, schedule={"kind": "pattern", "k": 1, "gap": 5}),
+         "the Lipschitz bound overflows at radius 1e+200 and beta 3.0"),
+        # 3 ** 1e12 in the noise multiplier of the last of the three deletions.
+        (dict(unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1e12}),
+         "noise multiplier of deletion 3 out of range at omega = 1000000000000.0"),
+        # The Newton variant's noise and every series bound take 3 ** omega too.
+        (dict(algorithm="active2", unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1e12}),
+         "noise multiplier of deletion 3 out of range at omega = 1000000000000.0"),
+        # Gradients near 1e300 square past the float range in the adaptive rate's sum.
+        (dict(stream={"kind": "sc-quadratic", "mu": 1.0, "beta": 1e300},
+              rate={"kind": "adaptive"}),
+         "adaptive rate's gradient sum out of range at step 1"),
+        # eps 1e-300 gives noise near 1e150, whose losses sum past the float range.
+        (dict(dimension=1, radius=1000.0, stream={"kind": "convex-qg", "beta": 1.0},
+              rate={"kind": "convex-decreasing"},
+              schedule={"kind": "pattern", "k": 11, "gap": 0, "first_time": 3, "spacing": 1},
+              unlearner={"alpha": 10.0, "eps": 1e-300, "omega": 2.0}),
+         "the run's losses sum past the float range"),
+        # Monte-Carlo's standard error squares alpha.
+        (dict(mc_samples=50, unlearner={"alpha": 1e300, "eps": 0.5, "omega": 1.2}),
+         "Monte-Carlo estimate out of range at alpha = 1e+300"),
+    ], ids=["t5-shift", "lipschitz-bound", "noise-multiplier", "active2-noise-multiplier",
+            "adaptive-gradient-sum", "losses", "monte-carlo-estimate"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_number_past_the_float_range_is_refused(self, tmp_path, capsys, overrides,
+                                                       error):
+        raw = {**json.loads((CONFIGS / "passive_sc.json").read_text()), "seeds": [0],
+               **overrides}
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", _write_config(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + error) and "Traceback" not in err
+        assert not list(out.rglob("summary.json"))
+
     def test_regret_report_follows_run_onto_a_grid(self, tmp_path, capsys):
         raw = _base_config(sweep={"algorithm": ["passive", "retrain"]})
         config, out = _write_config(tmp_path, raw), str(tmp_path / "out")

@@ -18,7 +18,7 @@ from online_unlearning import (
 from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, encode_vector
 from online_unlearning.errors import InvalidInputError
 from online_unlearning.ogd import SCDecreasing
-from online_unlearning.passive import calibrated_sigma
+from online_unlearning.passive import calibrated_sigma, noise_multiplier
 from online_unlearning.trace import load_trace_outputs
 
 from conftest import random_spd_quad, stream_of
@@ -57,6 +57,12 @@ class TestPassiveSigma:
     def test_bad_eps_rejected(self):
         with pytest.raises(InvalidConfigError):
             UnlearnerConfig(alpha=2.0, eps=0.0)
+
+    @pytest.mark.parametrize("omega, eps, i", [(1e12, 0.5, 2), (2.0, 5e-324, 1)],
+                             ids=["i-to-the-omega", "over-eps"])
+    def test_multiplier_past_the_float_range_rejected(self, omega, eps, i):
+        with pytest.raises(InvalidConfigError, match=f"noise multiplier of deletion {i} out of"):
+            noise_multiplier(_cfg(eps=eps, omega=omega), i)
 
     def test_negative_decay_rejected(self):
         with pytest.raises(InvalidInputError):

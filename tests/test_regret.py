@@ -21,6 +21,7 @@ from online_unlearning import (
     solve_erm,
 )
 from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, cost_value, eval_grad
+from online_unlearning.errors import NumericError
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.regret import _ERM_TOL, active_gap_sum
 
@@ -263,6 +264,11 @@ class TestGFunctions:
         with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
             active_gap_sum(sched, gamma)
 
+    def test_g3_past_the_float_range_refused(self):
+        sched = DeletionSchedule(((2, 3),))
+        with pytest.raises(NumericError, match="G3 out of range at p_2 = 1e[+]200"):
+            g_functions(sched, 0.5, p_history=[1.0, 1e200, 1e200], beta=1.0)
+
 
 class TestBoundRhs:
     def test_t2_example(self):
@@ -296,6 +302,19 @@ class TestBoundRhs:
                                   active_gap_sum=0.25))
         assert t6.order_form
         assert t6.components["schedule"] == 0.25
+
+    @pytest.mark.parametrize("theorem, params", [
+        ("T2", dict(L=1e300, mu=1.0, T=100, k=1, d=2, eps=1.0, G1=0.1)),
+        ("T3", dict(D=1.0, L=1e300, T=100, k=1, kappa=1.0, d=2, eps=1.0, G2=1.0)),
+        ("T4", dict(D=1.0, beta=2.0, d=3, k=2, L=1e300, eps=1.0, G3=0.5)),
+        ("T5", dict(L=1e300, D=1.0, k=15, T=200, d=5, eps=0.5, kappa=0.1)),
+        ("T6", dict(T=100, k=2, L=1e300, D=1.0, mu=1.0, eps=1.0, d=3, active_gap_sum=0.25)),
+        # No exception here: the noise term over a tiny eps is inf.
+        ("T3", dict(D=1.0, L=1.0, T=100, k=1, kappa=1.0, d=2, eps=1e-310, G2=1.0)),
+    ], ids=["T2-square", "T3-square", "T4-square", "T5-square", "T6-square", "T3-tiny-eps"])
+    def test_bound_past_the_float_range_refused(self, theorem, params):
+        with pytest.raises(NumericError, match=f"{theorem} bound out of range at L = "):
+            bound_rhs(theorem, params)
 
     def test_table2_rows(self):
         row = bound_rhs("table2-retrain-sc", dict(T=100, k=2, tau=50))

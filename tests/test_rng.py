@@ -1,9 +1,94 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from online_unlearning.rng import NoiseSource, event_buffers, event_normals
+from online_unlearning.rng import NoiseSource, _ndtri, event_buffers, event_normals
+
+ROOT = Path(__file__).resolve().parents[1]
+SQUEEZE, OFFSET = 1.0 - 2.0 ** -53, 2.0 ** -54
+
+
+def _assert_scalar_ndtri_is_scipys(ys: np.ndarray) -> None:
+    got = np.array([_ndtri(y) for y in ys.tolist()])
+    assert np.array_equal(got.view(np.int64), ndtri(ys).view(np.int64))
+
+
+def _with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, 1.0)])
+
+
+def test_scalar_ndtri_at_the_squeeze_endpoints():
+    _assert_scalar_ndtri_is_scipys(np.array([OFFSET, 1.0 - 2.0 ** -53]))
+
+
+def test_scalar_ndtri_at_the_branch_edges():
+    # exp(-2) and 1 - exp(-2) switch to the tail forms; exp(-32) is the x < 8 switch.
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), 0.13533528323661269189,
+             1.0 - 0.13533528323661269189, math.exp(-32.0), 1.0 - math.exp(-32.0)]
+    _assert_scalar_ndtri_is_scipys(_with_neighbours(edges))
+
+
+def test_scalar_ndtri_on_squeezed_uniforms():
+    uniforms = np.random.default_rng(0).random(100_000)
+    _assert_scalar_ndtri_is_scipys(uniforms * SQUEEZE + OFFSET)
+
+
+def test_scalar_ndtri_in_the_deep_tails():
+    tails = np.exp(-np.random.default_rng(1).uniform(0.0, 740.0, 20_000))
+    upper = 1.0 - tails
+    _assert_scalar_ndtri_is_scipys(np.concatenate([tails, upper[upper < 1.0]]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**40])
+def test_noise_source_is_the_old_vectorised_formula(seed):
+    noise = NoiseSource(seed)
+    uniforms = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    for count in (1, 2, 5, 20, 0, 3):
+        expected = ndtri(uniforms.random(count) * SQUEEZE + OFFSET)
+        got = noise.normals(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == expected.tobytes()
+
+
+def _imported_after(code: str) -> list:
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_a_run_without_monte_carlo_never_imports_scipy(tmp_path):
+    code = (
+        "import json\n"
+        "import online_unlearning.cli as cli\n"
+        f"code = cli.main(['run', '--config', {str(ROOT / 'configs' / 'passive_sc.json')!r},\n"
+        f"                 '--out', {str(tmp_path)!r}, '--seeds', '0'])\n"
+        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
+    )
+    assert _imported_after(code) == [0, False]
+
+
+def test_loading_a_monte_carlo_config_imports_scipy_special(tmp_path):
+    raw = json.loads((ROOT / "configs" / "passive_sc.json").read_text())
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({**raw, "mc_samples": 100}))
+    code = (
+        "import json\n"
+        "from online_unlearning.harness import ExperimentConfig\n"
+        "before = 'scipy' in sys.modules\n"
+        f"ExperimentConfig.from_file({str(path)!r})\n"
+        "print(json.dumps([before, 'scipy.special' in sys.modules]))\n"
+    )
+    assert _imported_after(code) == [False, True]
 
 
 def test_noise_source_replays():
