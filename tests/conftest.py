@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ def random_spd_quad(rng, dim, mu, beta, center_radius):
     direction /= max(np.linalg.norm(direction), 1e-12)
     center = direction * center_radius * rng.random()
     return quad(mat, center)
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def stream_of(items) -> CostStream:

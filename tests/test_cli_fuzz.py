@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from online_unlearning import cli
 from online_unlearning.harness import CONFIG_SCHEMA
 
+from conftest import strict_json
+
 _NUMBERS = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 1e3, 1e12, 1e300]
 
 # Sizes kept small so the whole search stays near a second; ``sweep`` is left
@@ -69,14 +71,6 @@ def _values(schema: dict, name: str | None = None):
     return st.booleans()
 
 
-def _refuse(constant: str):
-    raise ValueError(f"non-finite number {constant} in output")
-
-
-def _strict_json(text: str):
-    return json.loads(text, parse_constant=_refuse)
-
-
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(_values(CONFIG_SCHEMA))
@@ -91,6 +85,6 @@ def test_every_schema_valid_config_exits_0_1_or_2_with_strict_json(raw):
                 code = cli.main([command, "--config", str(config), "--out", str(out)])
             assert code in (0, 1, 2), (command, raw)
             for line in stdout.getvalue().splitlines():
-                _strict_json(line)
+                strict_json(line)
             for path in out.rglob("*.json"):
-                _strict_json(path.read_text())
+                strict_json(path.read_text())

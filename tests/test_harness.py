@@ -29,6 +29,8 @@ from online_unlearning.harness import (
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.passive import UnlearnerConfig, noise_multiplier, run_passive
 
+from conftest import strict_json
+
 
 def _base_config(**overrides):
     raw = {
@@ -284,13 +286,6 @@ _REFUSED_AT = {
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _strict_json(text: str):
-    """``json.loads`` that refuses the non-standard NaN and Infinity tokens."""
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-    return json.loads(text, parse_constant=refuse)
-
-
 def _grid_config() -> dict:
     return _base_config(schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]},
                         sweep={"algorithm": list(_GRID)})
@@ -514,7 +509,7 @@ class TestSweepAndCli:
         out = tmp_path / "out"
         assert cli_main(["certify", "--config", _write_config(tmp_path, raw),
                          "--out", str(out)]) == 1
-        cert = _strict_json((out / config_hash(ExperimentConfig.from_dict(raw)) / "0"
+        cert = strict_json((out / config_hash(ExperimentConfig.from_dict(raw)) / "0"
                              / "cert.json").read_text())
         assert len(cert) == 3
         for row in cert:

@@ -32,8 +32,7 @@ def test_scalar_ndtri_at_the_squeeze_endpoints():
 
 def test_scalar_ndtri_at_the_branch_edges():
     # exp(-2) and 1 - exp(-2) switch to the tail forms; exp(-32) is the x < 8 switch.
-    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), 0.13533528323661269189,
-             1.0 - 0.13533528323661269189, math.exp(-32.0), 1.0 - math.exp(-32.0)]
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)]
     _assert_scalar_ndtri_is_scipys(_with_neighbours(edges))
 
 
