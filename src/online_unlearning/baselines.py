@@ -56,11 +56,20 @@ def run_retraining(
     keeps its trajectory and replays only ``u_i..tau_i`` from the state at
     ``u_i - 1``; the counters still charge a replay from ``t = 1``
     (``replay_costs`` gets ``tau_i``, ``grad_evals`` every live slot up to it).
+    A replay rewrites emitted rows ``u_i..tau_i - 1`` of the engine's one
+    trajectory, which later replays restore from: each row's emitted value
+    is saved before the first replay that rewrites it and written back
+    after the last replay.
     """
     engine = StepEngine(stream, sched, rates, dom, z0)
     replay_costs = []
+    saved = np.zeros(len(stream) + 1, dtype=bool)
+    emitted = []  # (rows, their emitted values)
 
     def replay(i: int, u: int, tau: int) -> None:
+        fresh = np.flatnonzero(~saved[u:tau]) + u
+        saved[fresh] = True
+        emitted.append((fresh, engine.path[fresh]))
         engine.advance(tau, tau)
         first_rates = engine.rates[u - 1:tau].copy()
         evals = engine.grad_evals
@@ -71,6 +80,9 @@ def run_retraining(
         engine.rates[u - 1:tau] = first_rates
         engine.grad_evals = evals + sum(engine.live[:tau])
         replay_costs.append(tau)
+        if i == sched.k:
+            for rows, values in emitted:
+                engine.path[rows] = values
 
     engine.run(replay)
     return engine.trace("retrain", seed, replay_costs=tuple(replay_costs), config={})

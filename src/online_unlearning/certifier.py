@@ -509,17 +509,32 @@ class _ForwardPass:
 
         sigmas = self.sigmas[:i]
         dim = mean0.shape[0]
+        not_finite = (
+            "an output covariance entry is past the float range; "
+            "no Gaussian form can be computed"
+        )
+        try:
+            variances = [s**2 for s in sigmas]
+        except OverflowError:  # a float's ** raises where * would give inf
+            return not_finite
         covs = []
         for stack in (stack0, stack1):
             cov = np.zeros((dim, dim))
-            for prod, sigma in zip(stack, sigmas):
+            for prod, sigma, var in zip(stack, sigmas, variances):
                 if sigma > 0.0:
-                    cov += sigma**2 * (prod @ prod.T)
+                    cov += var * (prod @ prod.T)
             covs.append(cov)
-        cov_scale = max((s**2 for s in sigmas), default=0.0)
-        gap = float(np.linalg.norm(covs[0] - covs[1], ord="fro"))
-        ref = max(float(np.linalg.norm(covs[0], ord="fro")), float(np.linalg.norm(covs[1], ord="fro")))
-        if gap > 1e-9 * max(ref, 1e-300):
+        if not all(np.isfinite(cov).all() for cov in covs):
+            return not_finite
+        cov_scale = max(variances, default=0.0)
+        # Compared after an exact power-of-two rescale that puts the largest
+        # entry in [0.5, 1), so the norms cannot overflow; the decision is
+        # the unscaled one's wherever that one's norms are finite.
+        shift = -math.frexp(max(float(np.max(np.abs(cov))) for cov in covs))[1]
+        scaled = [np.ldexp(cov, shift) for cov in covs]
+        gap = float(np.linalg.norm(scaled[0] - scaled[1], ord="fro"))
+        ref = max(float(np.linalg.norm(cov, ord="fro")) for cov in scaled)
+        if gap > 1e-9 * max(ref, math.ldexp(1e-300, shift)):
             return (
                 "the two processes have different output covariances over this interval "
                 "(a deleted index falls after an earlier noise time); no shared-covariance form exists"
@@ -885,7 +900,10 @@ def certify_passive_run(
                 )
             decays.append(decay)
             sigmas.append(sigma)
-        cert = analytic_bound(sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas)
+        # Only the bounds are kept: the ledgers' columns go before the oracle runs.
+        per_interval = analytic_bound(
+            sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas
+        ).per_interval
     except CertificationRefusedError as err:
         return [
             _certificate(sched, horizon, cfg.budget, i, None, f"refused: {err}")
@@ -895,7 +913,7 @@ def certify_passive_run(
     reports = []
     token = _CERTIFICATION.set(_ForwardPass((stream, sched, rates_arr, cfg, cls, dom), sched.k))
     try:
-        for i, bound_i in enumerate(cert.per_interval, start=1):
+        for i, bound_i in enumerate(per_interval, start=1):
             note = ""
             exact: float | None = None
             mc: float | None = None

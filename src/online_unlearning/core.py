@@ -175,13 +175,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-# Matrices per block when a stack of curvatures is generated or checked, so
-# the temporaries stay a fixed size whatever the horizon.
+# Rows per block wherever arithmetic runs over every step (generating and
+# checking curvatures, scoring losses and regret, summing comparator terms),
+# so the temporaries stay a fixed size whatever the horizon.
 _ROW_BLOCK = 1024
 
 
 def _row_blocks(count: int) -> list:
     return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, count, _ROW_BLOCK)]
+
+
+def _row_sum(count: int, width: int, term: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """``term(rows)`` summed over rows ``0..count-1``, ``_ROW_BLOCK`` rows at a time.
+
+    Along a stacked axis numpy adds row after row, so the running total
+    leads each block and the bits are the one-batch ``sum(axis=0,
+    initial=0.0)``.  A single column (``width`` 1) numpy sums pairwise
+    instead, so it is summed in one batch.
+    """
+    if width == 1:
+        return term(slice(0, count)).sum(axis=0, initial=0.0)
+    total = None
+    for rows in _row_blocks(count):
+        block = term(rows)
+        if total is not None:
+            block = np.concatenate((total[None], block))
+        total = block.sum(axis=0, initial=0.0)
+    return total
 
 
 def _check_curvatures(mats: np.ndarray) -> np.ndarray:
@@ -505,8 +525,10 @@ class CostStream:
         ``np.linalg.norm(c)`` (``norm(centers, axis=1)`` would not).
         """
         rows = self._quadratic_rows()
-        centers = rows.centers[self.live]
-        bounds = rows.lam_max[self.live] * (dom.radius + np.sqrt(np.vecdot(centers, centers)))
+        every = self.live.all()
+        centers = rows.centers if every else rows.centers[self.live]
+        lam_max = rows.lam_max if every else rows.lam_max[self.live]
+        bounds = lam_max * (dom.radius + np.sqrt(np.vecdot(centers, centers)))
         return float(np.max(bounds))
 
 

@@ -25,6 +25,7 @@ from .core import (
     cost_value,
     eval_grad,
     _into_ball,
+    _row_blocks,
     stack_quadratics,
 )
 from .errors import InvalidInputError, NumericError
@@ -66,10 +67,12 @@ class StepEngine:
     The state is the iterate ``z`` and, for adaptive rates, the accumulator
     ``adapt.p``.  Steps read the slot mask ``live`` (a SKIP holds ``z`` while
     the rate clock ``t - clock0`` still advances).  For every step ``t`` the
-    engine keeps the trajectory, ``path[t]`` (``path[0]`` is the start point)
-    and ``p_hist[t-1]``, and the rate in ``rates[t-1]``; ``outputs`` holds what
-    the run emitted.  ``grad_evals`` counts gradient evaluations of stream
-    losses and ``bound_steps`` the steps whose projection bound.
+    engine keeps the trajectory, ``path[t]`` (``path[0]`` is the start point),
+    the rate in ``rates[t-1]`` and, for adaptive rates, ``p_hist[t-1]``.  The
+    trajectory is what the run emitted: ``outputs`` is ``path[1:]``, and a
+    runner that rewrites history puts the emitted rows back before it is
+    traced.  ``grad_evals`` counts gradient evaluations of stream losses and
+    ``bound_steps`` the steps whose projection bound.
 
     A non-finite gradient makes the step's iterate non-finite (``0 * inf``
     is NaN too), and the projection raises ``NumericError`` for it, so the
@@ -112,9 +115,8 @@ class StepEngine:
         self.z = start
         self.path = np.empty((horizon + 1, self.dim))
         self.path[0] = start
-        self.p_hist = np.zeros(horizon)
+        self.p_hist = np.zeros(horizon) if self.adapt is not None else None
         self.rates = np.empty(horizon)
-        self.outputs = np.empty((horizon, self.dim))
         self.grad_evals = 0
         self.bound_steps = 0
 
@@ -170,6 +172,11 @@ class StepEngine:
         self.grad_evals += evals
         self.bound_steps += binds
 
+    @property
+    def outputs(self) -> np.ndarray:
+        """The emitted points ``z_1..z_T``, a view of ``path``."""
+        return self.path[1:]
+
     def restore(self, t: int) -> None:
         """Return ``z`` and ``p`` to their state after step ``t`` of the kept trajectory."""
         self.z = self.path[t].copy()
@@ -198,14 +205,12 @@ class StepEngine:
         done = 0
         for i, (u, tau) in enumerate(self.sched.entries, start=1):
             self.advance(done + 1, tau - 1)
-            self.outputs[done:tau - 1] = self.path[done + 1:tau]
             on_delete(i, u, tau)
-            self.path[tau] = self.outputs[tau - 1] = self.z
+            self.path[tau] = self.z
             if self.adapt is not None:
                 self.p_hist[tau - 1] = self.adapt.p
             done = tau
         self.advance(done + 1, len(self.live))
-        self.outputs[done:] = self.path[done + 1:]
 
     def trace(self, algorithm: str, seed: int, **fields) -> RunTrace:
         """The run's trace: outputs, their losses on the slots live in the stream, rates, events.
@@ -213,37 +218,35 @@ class StepEngine:
         Each slot is scored against the loss it held when the run stepped
         past it.  A slot is deleted no earlier than that (``u_i <= tau_i``),
         so the mask it was scored under is the stream's own.  Quadratic
-        rows are scored in one batch, bit for bit the per-slot
-        ``0.5 * diff @ (A @ diff) + o`` (``einsum`` or ``sum`` would not be);
-        only a stream with SKIP slots copies its live rows.
+        rows are scored ``_ROW_BLOCK`` at a time, bit for bit the per-slot
+        ``0.5 * diff @ (A @ diff) + o`` (``einsum`` or ``sum`` would not be).
         """
         live = self._stream.live
+        outputs = self.outputs
         losses = np.zeros(len(self.live))
         events = [EVENT_LEARN if keep else EVENT_SKIP for keep in live.tolist()]
         if self._rows is None:
             items = self._stream.items
             for t in (np.flatnonzero(live) + 1).tolist():
-                losses[t - 1] = cost_value(items[t - 1], self.outputs[t - 1])
+                losses[t - 1] = cost_value(items[t - 1], outputs[t - 1])
         else:
             mats, centers, offsets = self._rows
-            outputs = self.outputs
-            if not live.all():
-                mats, centers, offsets, outputs = (
-                    rows[live] for rows in (mats, centers, offsets, outputs)
-                )
-            diff = outputs - centers
-            losses[live] = (
-                0.5 * np.vecdot(diff, np.matmul(mats, diff[..., None])[..., 0]) + offsets
-            )
+            every = live.all()
+            for rows in _row_blocks(len(losses)):
+                keep = slice(None) if every else live[rows]
+                diff = outputs[rows][keep] - centers[rows][keep]
+                losses[rows][keep] = 0.5 * np.vecdot(
+                    diff, np.matmul(mats[rows][keep], diff[..., None])[..., 0]
+                ) + offsets[rows][keep]
         if not math.isfinite(float(np.sum(losses))):
             raise NumericError("the run's losses sum past the float range")
         for tau in self.sched.times:
             events[tau - 1] = EVENT_UNLEARN
-        fields.setdefault("p_history", self.p_hist.copy() if self.adapt is not None else None)
+        fields.setdefault("p_history", self.p_hist)
         return RunTrace(
             algorithm=algorithm,
             seed=seed,
-            outputs=self.outputs,
+            outputs=outputs,
             losses=losses,
             rates=self.rates,
             events=tuple(events),

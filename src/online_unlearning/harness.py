@@ -99,11 +99,18 @@ def _random_orthogonal(rng: np.random.Generator, dim: int, count: int) -> np.nda
 
 
 def _centers_in_half_ball(rng: np.random.Generator, dim: int, count: int, radius: float) -> np.ndarray:
+    """``count`` random points in the ball of radius ``radius / 2``, scaled in place block by block."""
     directions = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = 0.5 * radius * rng.random((count, 1)) ** (1.0 / dim)
-    return directions / norms * radii
+    radii = rng.random((count, 1))
+    radii **= 1.0 / dim
+    radii *= 0.5 * radius
+    for rows in _row_blocks(count):
+        block = directions[rows]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        block /= norms
+        block *= radii[rows]
+    return directions
 
 
 def _curvature(kind: str, params: dict) -> tuple[float, float]:
@@ -639,15 +646,18 @@ def _bound_preconditions_ok(theorem, sched, cls, dom) -> bool:
     return all(u >= floor for u in sched.indices)
 
 
-def _bound_curve(report: dict, horizon: int) -> np.ndarray:
-    """Bound right-hand side as a function of the step, for plot-ready output."""
+def _bound_curve(report: dict, horizon: int) -> np.ndarray | None:
+    """Bound right-hand side as a function of the step, for plot-ready output; None without a bound."""
     bound = report.get("bound")
-    ts = np.arange(1, horizon + 1, dtype=np.float64)
     if bound is None:
-        return np.full(horizon, np.nan)
+        return None
+    ts = np.arange(1, horizon + 1, dtype=np.float64)
     comp = bound["components"]
     if bound["theorem"] == "T2":
-        growth = comp["log_term"] * np.log(ts) / np.log(horizon)
+        if horizon == 1:  # log(t) / log(T) is 0 / 0; the one step is the whole horizon
+            growth = np.full(1, comp["log_term"])
+        else:
+            growth = comp["log_term"] * np.log(ts) / np.log(horizon)
         return growth + comp["comparator_shift"] + comp["noise"]
     if bound["theorem"] == "T3":
         return (
@@ -702,14 +712,17 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: 
         write_json(seed_dir / "regret.json", regret_report)
         curve = cumulative_regret_curve(trace, stream, sched, dom, cls.smoothness)
         bound_curve = _bound_curve(regret_report, len(stream))
+        # Without a bound the ``bound_rhs`` field is left empty.
+        columns = (curve,) if bound_curve is None else (curve, bound_curve)
+        row = "%d,%.17g," + ("%.17g\n" if bound_curve is not None else "\n")
         with open(seed_dir / "regret_curve.csv", "w") as handle:
             handle.write("t,cumulative_regret,bound_rhs\n")
             for lo in range(0, len(stream), _CSV_CHUNK):
                 hi = min(lo + _CSV_CHUNK, len(stream))
                 handle.write("".join([
-                    "%d,%.17g,%.17g\n" % row
-                    for row in zip(range(lo + 1, hi + 1), curve[lo:hi].tolist(),
-                                   bound_curve[lo:hi].tolist())
+                    row % values
+                    for values in zip(range(lo + 1, hi + 1),
+                                      *(column[lo:hi].tolist() for column in columns))
                 ]))
         result["regret"] = regret_report["regret"]
         result["regret_pass"] = regret_report["pass"]

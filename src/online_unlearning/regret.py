@@ -25,6 +25,8 @@ from .core import (
     CustomCost,
     DeletionSchedule,
     QuadraticCost,
+    _row_blocks,
+    _row_sum,
     cost_value,
     eval_grad,
     is_skip,
@@ -138,11 +140,16 @@ def comparators(
     if stream.all_quadratic():
         mats, centers, _, live = stack_quadratics(stream)
         dim = centers.shape[1]
-        kept = slice(None) if live.all() else live
+        every = live.all()
+
+        def kept(rows: slice) -> slice | np.ndarray:
+            return slice(None) if every else live[rows]
+
         # Summing along the stacked axis adds row after row, as a per-item
         # loop would, so the sums keep their bits.
-        total = mats[kept].sum(axis=0, initial=0.0)
-        rhs = (mats[kept] @ centers[kept][..., None])[..., 0].sum(axis=0, initial=0.0)
+        total = _row_sum(len(live), dim, lambda rows: mats[rows][kept(rows)])
+        rhs = _row_sum(len(live), dim, lambda rows: (
+            mats[rows][kept(rows)] @ centers[rows][kept(rows)][..., None])[..., 0])
         out = []
         for i in range(sched.k + 1):
             out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
@@ -211,14 +218,20 @@ def _per_step_regret(
     live = stream.live
     if stream.all_quadratic():
         mats, centers, offsets, _ = stack_quadratics(stream)
-        diffs = trace.outputs - centers
-        per_step = 0.5 * np.einsum("ti,tij,tj->t", diffs, mats, diffs) + offsets
-        for comp, window in zip(comps, windows):
-            comp_diffs = comp - centers[window]
-            per_step[window] -= 0.5 * np.einsum(
-                "ti,tij,tj->t", comp_diffs, mats[window], comp_diffs
-            ) + offsets[window]
-        per_step[~live] = 0.0
+        comps_at = np.array(comps)
+        per_step = np.empty(horizon)
+        for rows in _row_blocks(horizon):
+            steps = np.arange(rows.start, min(rows.stop, horizon))
+            diffs = trace.outputs[rows] - centers[rows]
+            comp_diffs = comps_at[np.searchsorted(sched.times, steps, side="right")]
+            comp_diffs -= centers[rows]
+            per_step[rows] = (
+                0.5 * np.einsum("ti,tij,tj->t", diffs, mats[rows], diffs) + offsets[rows]
+            ) - (
+                0.5 * np.einsum("ti,tij,tj->t", comp_diffs, mats[rows], comp_diffs)
+                + offsets[rows]
+            )
+            per_step[rows][~live[rows]] = 0.0
         return per_step, windows
     per_step = np.zeros(horizon)
     for comp, window in zip(comps, windows):

@@ -19,7 +19,7 @@ EVENT_UNLEARN = "unlearn"
 EVENT_SKIP = "skip"
 
 _CSV_COLUMNS = ("t", "z", "eta", "loss", "event", "sigma")
-_CSV_CHUNK = 1024  # rows per write
+_CSV_CHUNK = 256  # rows per write
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,23 @@ class TestRetraining:
         oracle1 = run_ogd(retained(stream, sched, upto=1), rates, unit_ball, cls)
         assert np.array_equal(tr.outputs[8:16], oracle1.outputs[8:16])
 
+    @pytest.mark.parametrize("rates", [SCDecreasing(mu=1.0),
+                                       AdaptiveRate(diameter=2.0, warm_floor=1.5)],
+                             ids=["sc-decreasing", "adaptive"])
+    def test_every_row_is_what_its_epoch_emitted(self, unit_ball, rates):
+        # Each replay rewrites rows an earlier one rewrote (u_2 < tau_1, u_3 < u_2),
+        # yet every emitted row is the retained OGD of the epoch that emitted it.
+        rng = np.random.default_rng(50)
+        stream, cls = _stream(rng, 40, unit_ball)
+        sched = DeletionSchedule(((6, 12), (4, 20), (2, 31)))
+        tr = run_retraining(stream, sched, rates, unit_ball, cls)
+        # Epoch i emits steps tau_i..tau_{i+1} - 1, with tau_0 = 1 and tau_4 = T + 1.
+        edges = (1,) + sched.times + (41,)
+        for i in range(sched.k + 1):
+            oracle = run_ogd(retained(stream, sched, upto=i), rates, unit_ball, cls)
+            rows = slice(edges[i] - 1, edges[i + 1] - 1)
+            assert np.array_equal(tr.outputs[rows], oracle.outputs[rows]), i
+
     def test_adaptive_rates_replayed(self, unit_ball):
         rng = np.random.default_rng(43)
         stream, cls = _stream(rng, 25, unit_ball)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,40 @@ class TestExactOracle:
         with pytest.raises(OracleUnavailableError):
             exact_divergence_quadratic(stream, sched, SCDecreasing(mu=1.0),
                                        _cfg(), cls, unit_ball, 2)
+
+    @staticmethod
+    def _golden_base(radius: float = 1.0):
+        """The golden tests' base stream: d = 3, T = 300, pattern k = 3, gap 20, spacing 75."""
+        gs = gen_stream("sc-quadratic",
+                        dict(dimension=3, horizon=300, radius=radius, mu=1.0, beta=3.0), 0)
+        sched = build_schedule(
+            {"kind": "pattern", "k": 3, "gap": 20, "spacing": 75, "first_time": 75}, 300)
+        return gs.stream, sched, gs.fn_class, BallDomain(radius)
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-100, 1e-250, 1e-300])
+    def test_covariance_mismatch_refused_at_every_noise_scale(self, eps):
+        # At eps 1e-250 the noise is near 1e125 and the covariances' Frobenius
+        # norms used to overflow, so intervals 2-3 were answered (2.69e-253, 1.04e-253).
+        stream, sched, cls, dom = self._golden_base()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = certify_passive_run(stream, sched, SCDecreasing(mu=1.0), _cfg(eps=eps),
+                                          cls, dom)
+        assert reports[0].exact_divergence is not None and reports[0].note == ""
+        for report in reports[1:]:
+            assert report.exact_divergence is None
+            assert report.note.startswith(
+                "oracle unavailable: the two processes have different output covariances")
+
+    def test_covariance_past_the_float_range_refused(self):
+        # At radius 1000 and eps 1e-305 the noise scale squares past the float range.
+        stream, sched, cls, dom = self._golden_base(radius=1000.0)
+        reports = certify_passive_run(stream, sched, SCDecreasing(mu=1.0), _cfg(eps=1e-305),
+                                      cls, dom)
+        for report in reports:
+            assert report.exact_divergence is None
+            assert report.note == ("oracle unavailable: an output covariance entry is past "
+                                   "the float range; no Gaussian form can be computed")
 
     def test_first_interval_always_available(self, unit_ball):
         rng = np.random.default_rng(5)

@@ -6,15 +6,18 @@ minimum and numbers from zero and 1e-300 up to 1e300, with T <= 60, d <= 4
 and mu <= 1 <= beta mostly, so each command is quick.  About one config in
 five runs to a verdict; the rest are refused.
 Each config goes through ``run`` and ``certify`` as ``cli.main`` runs them.
-The exit status must be 0, 1 or 2, and every line printed and every JSON
-file written must be strict JSON: no ``NaN`` or ``Infinity``.  The search is
+The exit status must be 0, 1 or 2, every line printed and every JSON
+file written must be strict JSON (no ``NaN`` or ``Infinity``), and no CSV
+field may hold a NaN or an infinity.  The search is
 derandomised and keeps no example database, so every run tries the same
 configs and writes nothing outside its temporary directory.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -71,6 +74,18 @@ def _values(schema: dict, name: str | None = None):
     return st.booleans()
 
 
+def _finite_csv(path: Path) -> None:
+    """Every field of a CSV, and every ``;``-separated entry of a vector field, is finite."""
+    with open(path, newline="") as handle:
+        for row in csv.reader(handle):
+            for entry in (part for field in row for part in field.split(";")):
+                try:
+                    value = float(entry)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, row)
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(_values(CONFIG_SCHEMA))
@@ -88,3 +103,5 @@ def test_every_schema_valid_config_exits_0_1_or_2_with_strict_json(raw):
                 strict_json(line)
             for path in out.rglob("*.json"):
                 strict_json(path.read_text())
+            for path in out.rglob("*.csv"):
+                _finite_csv(path)

@@ -1,8 +1,9 @@
-"""The shared step loop: batched loss scoring and the refusal of non-finite steps."""
+"""The shared step loop: one trajectory, blocked loss scoring, and the refusal of non-finite steps."""
 
 import numpy as np
 import pytest
 
+from online_unlearning import core
 from online_unlearning import (
     BallDomain,
     CostStream,
@@ -14,7 +15,7 @@ from online_unlearning import (
 from online_unlearning.core import EMPTY_SCHEDULE, stack_quadratics
 from online_unlearning.engine import StepEngine
 from online_unlearning.errors import NumericError
-from online_unlearning.harness import gen_stream
+from online_unlearning.harness import build_schedule, gen_stream
 from online_unlearning.ogd import AdaptiveRate, ConstantRate, SCDecreasing
 from online_unlearning.passive import UnlearnerConfig, run_ogd, run_passive
 
@@ -119,3 +120,34 @@ class TestFiniteness:
         engine.z = np.full(3, np.inf)    # as a handler's noise may leave it
         with pytest.raises(NumericError, match="non-finite iterate at step 6"):
             engine.advance(6, 10)
+
+
+class TestOneTrajectory:
+    def test_trace_outputs_are_the_engine_path(self):
+        engine = StepEngine(_stream(0, 3), _SCHED, SCDecreasing(mu=1.0), _DOM, None)
+        engine.run(lambda i, u, tau: engine.advance(tau, tau))
+        trace = engine.trace("passive", 0)
+        assert trace.outputs.base is engine.path
+        assert engine.p_hist is None and trace.p_history is None
+
+
+class TestBlockedLosses:
+    """Losses scored ``_ROW_BLOCK`` rows at a time are the one-batch losses bit for bit."""
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    @pytest.mark.parametrize("skips", [False, True], ids=["live", "skips"])
+    @pytest.mark.parametrize("horizon", [1023, 1024, 2500])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_matches_one_batch(self, monkeypatch, dim, horizon, skips, block):
+        gs = gen_stream("sc-quadratic",
+                        dict(dimension=dim, horizon=horizon, radius=1.0, mu=1.0, beta=3.0), dim)
+        sched = build_schedule({"kind": "pattern", "k": 3, "gap": 40, "spacing": 300}, horizon)
+        stream = retained(gs.stream, sched) if skips else gs.stream
+        cfg = UnlearnerConfig(alpha=2.0, eps=0.5)
+
+        def losses(rows: int) -> bytes:
+            monkeypatch.setattr(core, "_ROW_BLOCK", rows)
+            return run_passive(stream, sched, SCDecreasing(mu=1.0), cfg, gs.fn_class, _DOM,
+                               0).losses.tobytes()
+
+        assert losses(block) == losses(horizon)

@@ -28,6 +28,7 @@ from online_unlearning.harness import (
 )
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.passive import UnlearnerConfig, noise_multiplier, run_passive
+from online_unlearning.regret import cumulative_regret_curve, regret_dynamic
 
 from conftest import strict_json
 
@@ -449,6 +450,29 @@ class TestSweepAndCli:
         with open(tmp_path / summary["config_hash"] / "0" / "regret.json") as handle:
             assert final == pytest.approx(json.load(handle)["regret"], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("overrides, bounded", [
+        # T2 at T = 1, where log(t) / log(T) is 0 / 0.
+        (dict(horizon=1, schedule={"kind": "explicit", "entries": [[1, 1]]}), True),
+        # kappa is 0 here, so T3 refuses and the run has no bound.
+        (dict(dimension=4, horizon=3, stream={"kind": "convex-qg", "beta": 1.0},
+              rate={"kind": "convex-decreasing"},
+              schedule={"kind": "explicit", "entries": [[1, 2]]}), False),
+    ], ids=["t2-horizon-1", "no-bound"])
+    @pytest.mark.filterwarnings("ignore:singular curvature sum:RuntimeWarning")
+    def test_regret_curve_csv_holds_no_nan(self, tmp_path, overrides, bounded):
+        raw = _base_config(seeds=[0], **overrides)
+        summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        seed_dir = tmp_path / summary["config_hash"] / "0"
+        rows = [row.split(",") for row in
+                (seed_dir / "regret_curve.csv").read_text().splitlines()[1:]]
+        bound = json.loads((seed_dir / "regret.json").read_text()).get("bound")
+        assert (bound is not None) == bounded
+        assert len(rows) == raw["horizon"]
+        if bounded:
+            assert float(rows[-1][2]) == pytest.approx(bound["value"], rel=1e-12)
+        else:
+            assert [row[2] for row in rows] == [""] * raw["horizon"]
+
     def test_precondition_warning_blocks_claim(self, tmp_path):
         raw = _base_config(schedule={"kind": "explicit", "entries": [[1, 12]]}, seeds=[0])
         summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
@@ -832,6 +856,18 @@ def _whole_batch_arrays(kind, params, seed):
     return mats, _centers_in_half_ball(rng, dim, horizon, params["radius"])
 
 
+@pytest.mark.parametrize("count", [1, 1023, 1025, 2500])
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
+def test_centers_in_half_ball_are_the_one_batch_formula(dim, count):
+    got = _centers_in_half_ball(np.random.default_rng(count + dim), dim, count, 2.0)
+    rng = np.random.default_rng(count + dim)
+    directions = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = 0.5 * 2.0 * rng.random((count, 1)) ** (1.0 / dim)
+    assert got.tobytes() == (directions / norms * radii).tobytes()
+
+
 class TestRowBlockGeneration:
     """Streams built in row blocks are the one-batch streams bit for bit."""
 
@@ -852,7 +888,12 @@ class TestRowBlockGeneration:
 class TestSeedMemory:
     """One T = 1e4 seed works in memory close to the size of its stream's arrays."""
 
-    def test_generation_run_and_certification_stay_flat(self):
+    def test_generation_run_and_certification_stay_flat(self, tmp_path):
+        """Each phase's peak above what it starts with, in MiB at T = 1e4, d = 5.
+
+        The run holds one ``(T + 1, d)`` trajectory (0.38 MiB) and its
+        per-step columns; every other temporary is block-sized.
+        """
         horizon = 10_000
         params = dict(dimension=5, horizon=horizon, radius=1.0, mu=1.0, beta=3.0)
         dom = BallDomain(1.0)
@@ -866,13 +907,22 @@ class TestSeedMemory:
             own = sum(rows.nbytes for rows in stack_quadratics(gs.stream))
             tracemalloc.reset_peak()
             trace = run_passive(gs.stream, sched, rates, cfg, gs.fn_class, dom, 3)
-            run_peak = tracemalloc.get_traced_memory()[1]
-            del trace
+            traced, run_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace.write_csv(tmp_path / "trace.csv")
+            csv_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            regret_dynamic(trace, gs.stream, sched, dom, 3.0)
+            curve = cumulative_regret_curve(trace, gs.stream, sched, dom, 3.0)
+            regret_peak = tracemalloc.get_traced_memory()[1]
+            del trace, curve
             tracemalloc.reset_peak()
             certify_passive_run(gs.stream, sched, rates, cfg, gs.fn_class, dom)
             cert_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert gen_peak <= 2 * own
-        assert run_peak - held <= 2.5 * 2**20
-        assert cert_peak - held <= 2.5 * 2**20
+        assert run_peak - held <= 1.3 * 2**20
+        assert csv_peak - traced <= 0.25 * 2**20
+        assert regret_peak - traced <= 0.5 * 2**20
+        assert cert_peak - held <= 0.6 * 2**20

@@ -20,10 +20,20 @@ from online_unlearning import (
     run_passive,
     solve_erm,
 )
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, cost_value, eval_grad
+from online_unlearning import core
+from online_unlearning.core import (
+    EMPTY_SCHEDULE,
+    _row_sum,
+    class_bound_lipschitz,
+    cost_value,
+    eval_grad,
+    retained,
+    stack_quadratics,
+)
 from online_unlearning.errors import NumericError
 from online_unlearning.ogd import SCDecreasing
-from online_unlearning.regret import _ERM_TOL, active_gap_sum
+from online_unlearning.harness import build_schedule, gen_stream
+from online_unlearning.regret import _ERM_TOL, _per_step_regret, active_gap_sum
 
 from conftest import iso_quad, quad, random_spd_quad, stream_of
 
@@ -210,6 +220,52 @@ class TestRegretDynamic:
                 from online_unlearning.core import project
                 moved = project(comp - grad / len(live), unit_ball)
                 assert np.linalg.norm(moved - comp) * len(live) < 1e-6
+
+
+class TestRowBlocks:
+    """Regret and comparator sums taken ``_ROW_BLOCK`` rows at a time are the one-batch ones."""
+
+    @staticmethod
+    def _setup(dim, horizon, skips):
+        gs = gen_stream("sc-quadratic",
+                        dict(dimension=dim, horizon=horizon, radius=1.0, mu=1.0, beta=3.0), dim)
+        sched = build_schedule({"kind": "pattern", "k": 3, "gap": 40, "spacing": 300}, horizon)
+        stream = retained(gs.stream, sched, upto=1) if skips else gs.stream
+        return stream, sched, gs.fn_class
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    @pytest.mark.parametrize("skips", [False, True], ids=["live", "skips"])
+    @pytest.mark.parametrize("horizon", [1023, 1024, 2500])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_per_step_regret_and_comparators(self, monkeypatch, dim, horizon, skips, block):
+        stream, sched, cls = self._setup(dim, horizon, skips)
+        dom = BallDomain(1.0)
+        trace = run_passive(stream, sched, SCDecreasing(mu=1.0),
+                            UnlearnerConfig(alpha=2.0, eps=0.5), cls, dom, 0)
+
+        def computed(rows: int) -> tuple:
+            monkeypatch.setattr(core, "_ROW_BLOCK", rows)
+            per_step = _per_step_regret(trace, stream, sched, dom, cls.smoothness)[0]
+            comps = comparators(stream, sched, dom)
+            return per_step.tobytes(), [comp.tobytes() for comp in comps]
+
+        assert computed(block) == computed(horizon)
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    @pytest.mark.parametrize("skips", [False, True], ids=["live", "skips"])
+    @pytest.mark.parametrize("horizon", [1023, 1024, 2500])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_comparator_sums_are_the_one_batch_sums(self, monkeypatch, dim, horizon, skips,
+                                                    block):
+        stream, _, _ = self._setup(dim, horizon, skips)
+        mats, centers, _, live = stack_quadratics(stream)
+        monkeypatch.setattr(core, "_ROW_BLOCK", block)
+        total = _row_sum(horizon, dim, lambda rows: mats[rows][live[rows]])
+        rhs = _row_sum(horizon, dim, lambda rows: (
+            mats[rows][live[rows]] @ centers[rows][live[rows]][..., None])[..., 0])
+        assert total.tobytes() == mats[live].sum(axis=0, initial=0.0).tobytes()
+        want = (mats[live] @ centers[live][..., None])[..., 0].sum(axis=0, initial=0.0)
+        assert rhs.tobytes() == want.tobytes()
 
 
 class TestGFunctions:
