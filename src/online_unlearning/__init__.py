@@ -26,7 +26,6 @@ from .core import (
     SKIP,
     BallDomain,
     CostStream,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     QuadraticCost,
@@ -47,7 +46,6 @@ from .errors import (
     NumericError,
     OracleUnavailableError,
     ScheduleShapeError,
-    UnsupportedCostError,
 )
 from .harness import ExperimentConfig, build_schedule, gen_stream, run_experiment
 from .ogd import (

@@ -10,7 +10,7 @@ losses have arrived.
 
 Losses are tracked by slot: the seen ones are the live slots up to ``tau_i``,
 the retained ones those less the deleted slots, and a loss object held at
-several slots counts at each.  Quadratic streams sum their stacked rows.
+several slots counts at each.  The phases sum the stream's stacked rows.
 
 A second-order variant replaces the retained-phase descent with one Newton
 correction built from exact quadratic Hessians.  It is experimental: its
@@ -33,7 +33,6 @@ from .errors import (
     NotStronglyConvexError,
     NumericError,
     ScheduleShapeError,
-    UnsupportedCostError,
 )
 from .ogd import RateSchedule, step_contraction
 from .passive import UnlearnerConfig, deletion_calibration, noise_multiplier
@@ -143,16 +142,13 @@ class _SeenLosses:
 
     ``slots`` lists the live slots seen so far and ``deleted`` the deleted
     live slots in deletion order, so a loss object held at several slots
-    counts once per slot.  On an all-quadratic stream each list also keeps
-    running sums of ``A_t`` and ``A_t c_t``, added in slot order one block of
-    stacked rows per call; any other stream sums the engine's per-slot
-    gradient ``grad_at`` instead.
+    counts once per slot.  Each list also keeps running sums of ``A_t`` and
+    ``A_t c_t``, added in slot order one block of stacked rows per call.
     """
 
-    def __init__(self, stream: CostStream, grad_at, dim: int) -> None:
+    def __init__(self, stream: CostStream, dim: int) -> None:
         self.live = stream.live
-        self.grad_at = grad_at
-        self.rows = stack_quadratics(stream)[:2] if stream.all_quadratic() else None
+        self.rows = stack_quadratics(stream)[:2]
         self.seen = 0
         self.slots: list = []
         self.deleted: list = []
@@ -167,7 +163,7 @@ class _SeenLosses:
         """
         index = np.flatnonzero(self.live[lo - 1:hi]) + (lo - 1)
         slots.extend((index + 1).tolist())
-        if self.rows is not None and index.size:
+        if index.size:
             mats, centers = self.rows[0][index], self.rows[1][index]
             for k, rows in enumerate((mats, np.matmul(mats, centers[..., None])[..., 0])):
                 block = np.concatenate((sums[k][None], rows))
@@ -183,16 +179,15 @@ class _SeenLosses:
 
     def gradient_sum(self, z: np.ndarray, retained_only: bool) -> np.ndarray:
         """Summed gradient at ``z`` of every seen loss, or of the retained ones."""
-        if self.rows is None:
-            skipped = set(self.deleted) if retained_only else ()
-            return self.slot_gradient_sum(z, [t for t in self.slots if t not in skipped])
         (mat, mc), (dmat, dmc) = self.sums, self.deleted_sums
         if retained_only:
             return (mat - dmat) @ z - (mc - dmc)
         return mat @ z - mc
 
-    def slot_gradient_sum(self, z: np.ndarray, slots: list) -> np.ndarray:
-        return sum((self.grad_at(t, z) for t in slots), np.zeros_like(z))
+    def deleted_gradient_sum(self, z: np.ndarray) -> np.ndarray:
+        """Summed gradient at ``z`` of the deleted slots' losses, one slot at a time."""
+        mats, centers = self.rows
+        return sum((mats[t - 1] @ (z - centers[t - 1]) for t in self.deleted), np.zeros_like(z))
 
 
 def check_active_run(sched: DeletionSchedule, acfg: ActiveConfig, mu: float,
@@ -231,8 +226,6 @@ def _run_active(
 ) -> RunTrace:
     sched.validate_horizon(len(stream))
     shape_notes = check_active_run(sched, acfg, cls.strong_convexity, strict_schedule)
-    if not stream.live.any():
-        raise InvalidInputError("stream has no cost items")
     engine = StepEngine(stream, sched, rates, dom, z0)
 
     cfg = acfg.base
@@ -244,7 +237,7 @@ def _run_active(
         i2 = required_iters(gamma, mu, diameter, lipschitz, sched.times[0], sched.k)[1]
 
     noise = NoiseSource(seed)
-    agg = _SeenLosses(stream, engine._grad, engine.dim)
+    agg = _SeenLosses(stream, engine.dim)
     noise_events = []
     inner_steps = []
     i1_used = []
@@ -283,13 +276,11 @@ def _run_active(
         agg.delete(u)
 
         if second_order:
-            if agg.rows is None:
-                raise UnsupportedCostError("the Newton correction needs quadratic losses")
             hess = agg.sums[0] - agg.deleted_sums[0]
             eigs = np.linalg.eigvalsh(hess)
             if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
                 raise NumericError("retained Hessian is singular; Newton correction undefined")
-            correction = np.linalg.solve(hess, agg.slot_gradient_sum(z, agg.deleted))
+            correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
             engine.grad_evals += len(agg.deleted)
             z = dom.project(z + correction)
             sigma = second_order_sigma(cfg, i, tau, sched.k, lipschitz, mu, cls.smoothness)

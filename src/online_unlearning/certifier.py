@@ -9,9 +9,9 @@
    which never exceeds ``alpha * eps``.  Each ledger is stored as columns;
    between event steps the residual only contracts, so each such stretch is
    one cumulative product.
-2. **Exact oracle**: on all-quadratic streams whose projections do not bind
-   between the first deleted index and the deletion time, both output laws
-   at ``tau_i`` are Gaussian with a shared covariance, and the closed form
+2. **Exact oracle**: on streams whose projections do not bind between the
+   first deleted index and the deletion time, both output laws at
+   ``tau_i`` are Gaussian with a shared covariance, and the closed form
    there bounds the whole interval: every later step applies the same map
    to both processes, which cannot raise a Rényi divergence
    (post-processing).  Each certification keeps one forward pass, run
@@ -54,7 +54,6 @@ from .errors import (
     InvalidInputError,
     NumericError,
     OracleUnavailableError,
-    UnsupportedCostError,
 )
 from .ogd import RateSchedule, rates_array, step_contraction
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
@@ -566,16 +565,13 @@ def propagate_gaussians(
 ) -> PropagationResult:
     """Propagate both processes' means and noise covariance up to ``tau_i``.
 
-    Requires an all-quadratic stream.  Refuses (``OracleUnavailableError``)
-    when a projection binds between the first deleted index and ``tau_i``,
-    or when the two processes would not share an output covariance: in
-    either case the output law is no longer the shared-covariance Gaussian
-    this oracle computes.  Inside ``certify_passive_run`` this reads the
+    Refuses (``OracleUnavailableError``) when a projection binds between the
+    first deleted index and ``tau_i``, or when the two processes would not
+    share an output covariance: in either case the output law is no longer
+    the shared-covariance Gaussian this oracle computes.  Inside ``certify_passive_run`` this reads the
     certification's forward pass; alone it runs a pass over intervals
     ``1..ordinal``.
     """
-    if not stream.all_quadratic():
-        raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
     horizon = len(stream)
     _interval_bounds(sched, ordinal, horizon)  # rejects an ordinal outside [1, k]
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
@@ -766,8 +762,6 @@ def mc_divergence_check(
     ``r`` always consumes the same draws, whatever block it runs in, so the
     sums are those of one full batch bit for bit.
     """
-    if not stream.all_quadratic():
-        raise UnsupportedCostError("the Monte-Carlo check needs an all-quadratic stream")
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
     horizon = len(stream)
@@ -919,7 +913,7 @@ def certify_passive_run(
             mc: float | None = None
             try:
                 exact = exact_divergence_quadratic(stream, sched, rates_arr, cfg, cls, dom, i)
-            except (OracleUnavailableError, UnsupportedCostError) as err:
+            except OracleUnavailableError as err:
                 note = f"oracle unavailable: {err}"
             if mc_samples > 0 and exact is not None:
                 mc = mc_divergence_check(

@@ -17,6 +17,7 @@ and shared, unvalidated
 same object in both streams.  Hot loops read the arrays and the mask
 directly (``stack_quadratics``, ``CostStream.live``).  A stream built from
 items stacks itself on first use; its views are the items themselves.
+Every stream is of this form: its items are ``QuadraticCost`` or ``SKIP``.
 
 Time indices are 1-based throughout the public API (step ``t`` runs from 1 to
 ``T``); only raw array access converts to 0-based offsets.
@@ -30,18 +31,12 @@ from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    InvalidScheduleError,
-    NumericError,
-    UnsupportedCostError,
-)
+from .errors import InvalidInputError, InvalidScheduleError, NumericError
 
 __all__ = [
     "BallDomain",
     "CostFn",
     "CostStream",
-    "CustomCost",
     "DeletionSchedule",
     "FnClass",
     "QuadraticCost",
@@ -280,18 +275,6 @@ class QuadraticCost:
         return self.matrix @ diff
 
 
-@dataclass(frozen=True, eq=False)
-class CustomCost:
-    """Opaque convex loss given by an evaluator ``z -> (value, gradient)``.
-
-    Custom costs run through every simulator but receive no closed-form
-    certification oracle; the caller must supply class constants.
-    """
-
-    evaluator: Callable[[np.ndarray], Tuple[float, np.ndarray]]
-    name: str = "custom"
-
-
 class _Skip:
     """Deleted-slot marker: the learner holds its output and ignores the slot."""
 
@@ -308,8 +291,8 @@ class _Skip:
 
 SKIP = _Skip()
 
-CostFn = Union[QuadraticCost, CustomCost]
-StreamItem = Union[QuadraticCost, CustomCost, _Skip]
+CostFn = QuadraticCost
+StreamItem = Union[QuadraticCost, _Skip]
 
 
 def is_skip(item: StreamItem) -> bool:
@@ -320,24 +303,19 @@ def eval_grad(f: CostFn, z: np.ndarray) -> Tuple[float, np.ndarray]:
     """Evaluate a cost and its gradient at ``z`` (caller projects first)."""
     if is_skip(f):
         raise InvalidInputError("cannot evaluate the skip marker")
-    if isinstance(f, QuadraticCost):
-        z_arr = np.asarray(z, dtype=np.float64)
-        if z_arr.shape != f.center.shape:
-            raise InvalidInputError(
-                f"dimension mismatch: point has shape {z_arr.shape}, cost expects {f.center.shape}"
-            )
-        diff = z_arr - f.center
-        grad = f.matrix @ diff
-        return 0.5 * float(diff @ grad) + f.offset, grad
-    value, grad = f.evaluator(np.asarray(z, dtype=np.float64))
-    return float(value), np.asarray(grad, dtype=np.float64)
+    z_arr = np.asarray(z, dtype=np.float64)
+    if z_arr.shape != f.center.shape:
+        raise InvalidInputError(
+            f"dimension mismatch: point has shape {z_arr.shape}, cost expects {f.center.shape}"
+        )
+    diff = z_arr - f.center
+    grad = f.matrix @ diff
+    return 0.5 * float(diff @ grad) + f.offset, grad
 
 
 def cost_value(f: CostFn, z: np.ndarray) -> float:
     """Evaluate a cost without forming its gradient."""
-    if isinstance(f, QuadraticCost):
-        return f.value(z)
-    return float(f.evaluator(np.asarray(z, dtype=np.float64))[0])
+    return f.value(z)
 
 
 def class_bound_lipschitz(f: CostFn, dom: BallDomain) -> float:
@@ -345,8 +323,6 @@ def class_bound_lipschitz(f: CostFn, dom: BallDomain) -> float:
 
     ``sup_{z in K} ||A (z - c)|| <= lambda_max(A) * (R + ||c||)``.
     """
-    if not isinstance(f, QuadraticCost):
-        raise UnsupportedCostError("Lipschitz bound is only computed for quadratics; supply one")
     lam_max = float(np.linalg.eigvalsh(f.matrix)[-1])
     return lam_max * (dom.radius + float(np.linalg.norm(f.center)))
 
@@ -387,20 +363,22 @@ class _Rows:
 
 
 class CostStream:
-    """Ordered losses (or SKIP markers) revealed one per time step.
+    """Ordered quadratic losses (or SKIP markers) revealed one per time step.
 
-    Built from items (``CostStream(items)``) or, for quadratic losses, from
-    stacked arrays (``CostStream.from_arrays``); either way an all-quadratic
-    stream reads as the stacked form of the module docstring.
+    Built from items (``CostStream(items)``) or from stacked arrays
+    (``CostStream.from_arrays``); either way the stream reads as the stacked
+    form of the module docstring.
     """
 
-    __slots__ = ("_items", "_rows", "_live", "_quadratic")
+    __slots__ = ("_items", "_rows", "_live")
 
     def __init__(self, items: Iterable[StreamItem]) -> None:
         self._items = tuple(items)
+        for t, item in enumerate(self._items, start=1):
+            if not (is_skip(item) or isinstance(item, QuadraticCost)):
+                raise InvalidInputError(f"stream item {t} is not a QuadraticCost or SKIP: {item!r}")
         self._rows: _Rows | None = None
         self._live: np.ndarray | None = None
-        self._quadratic: bool | None = None
 
     @classmethod
     def from_arrays(
@@ -452,7 +430,6 @@ class CostStream:
         stream._items = None
         stream._rows = rows
         stream._live = live
-        stream._quadratic = True
         return stream
 
     @property
@@ -485,13 +462,6 @@ class CostStream:
             raise InvalidInputError(f"time {t} outside the horizon [1, {len(self)}]")
         return self.items[t - 1]
 
-    def all_quadratic(self) -> bool:
-        if self._quadratic is None:
-            self._quadratic = all(
-                is_skip(it) or isinstance(it, QuadraticCost) for it in self._items
-            )
-        return self._quadratic
-
     def _quadratic_rows(self) -> _Rows:
         """The stacked rows; a stream built from items stacks itself here, once."""
         if self._rows is not None:
@@ -499,8 +469,6 @@ class CostStream:
         probe = next((it for it in self._items if not is_skip(it)), None)
         if probe is None:
             raise InvalidInputError("stream has no cost items")
-        if not self.all_quadratic():
-            raise UnsupportedCostError("stacking requires an all-quadratic stream")
         horizon = len(self)
         dim = probe.dim
         mats = np.zeros((horizon, dim, dim))
@@ -585,7 +553,7 @@ def stack_quadratics(stream: CostStream) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Rows of SKIP slots carry no meaning (a retained stream keeps the deleted
     rows and clears only ``live``), so read them through ``live``.  Raises
-    for opaque costs; callers needing them must loop.
+    for a stream with no cost items.
     """
     rows = stream._quadratic_rows()
     return rows.mats, rows.centers, rows.offsets, stream.live
@@ -594,8 +562,8 @@ def stack_quadratics(stream: CostStream) -> tuple[np.ndarray, np.ndarray, np.nda
 def retained(stream: CostStream, schedule: DeletionSchedule, upto: int | None = None) -> CostStream:
     """Stream with the first ``upto`` deleted indices replaced by SKIP (all by default).
 
-    A quadratic stream shares its rows and views with the result, which gets
-    its own copy of the ``live`` mask only.
+    The result shares the stream's rows and views and gets its own copy of
+    the ``live`` mask only.  A stream with no cost items is its own result.
     """
     count = schedule.k if upto is None else upto
     if not 0 <= count <= schedule.k:
@@ -605,11 +573,8 @@ def retained(stream: CostStream, schedule: DeletionSchedule, upto: int | None = 
     for u in schedule.indices[:count]:
         if u > len(stream):
             raise InvalidScheduleError(f"deleted index {u} beyond the stream length {len(stream)}")
-    if stream.all_quadratic() and stream.live.any():
-        live = stream.live.copy()
-        live[dropped] = False
-        return CostStream._stacked(stream._quadratic_rows(), live)
-    items = list(stream.items)
-    for i in dropped:
-        items[i] = SKIP
-    return CostStream(items)
+    if not stream.live.any():
+        return stream
+    live = stream.live.copy()
+    live[dropped] = False
+    return CostStream._stacked(stream._quadratic_rows(), live)

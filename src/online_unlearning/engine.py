@@ -20,10 +20,7 @@ from .core import (
     BallDomain,
     CostStream,
     DeletionSchedule,
-    QuadraticCost,
     as_point,
-    cost_value,
-    eval_grad,
     _into_ball,
     _row_blocks,
     stack_quadratics,
@@ -34,31 +31,6 @@ from .rng import NoiseSource
 from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
 __all__ = ["StepEngine"]
-
-
-def _step_evaluators(stream: CostStream):
-    """Per-slot ``grad(t, z)`` for live 1-based slots, the stacked rows, and the dimension.
-
-    Quadratic streams hand out their stacked rows ``(mats, centers, offsets)``,
-    which ``StepEngine.advance`` reads as slices, one stretch of steps at a
-    time; ``grad`` indexes them for a single slot.  Other costs go through
-    ``eval_grad`` and have no rows.  The dimension is None when no quadratic
-    reveals it.
-    """
-    if stream.all_quadratic() and stream.live.any():
-        rows = stack_quadratics(stream)[:3]
-        mats, centers = rows[0], rows[1]
-
-        def grad(t: int, z: np.ndarray) -> np.ndarray:
-            return mats[t - 1] @ (z - centers[t - 1])
-
-        return grad, rows, centers.shape[1]
-    items = stream.items
-    return (
-        lambda t, z: eval_grad(items[t - 1], z)[1],
-        None,
-        next((it.dim for it in items if isinstance(it, QuadraticCost)), None),
-    )
 
 
 class StepEngine:
@@ -78,8 +50,8 @@ class StepEngine:
     is NaN too), and the projection raises ``NumericError`` for it, so the
     loop tests no gradient; ``advance`` adds the step to the message.
 
-    The start point is ``z0`` projected, or the origin in the dimension the
-    stream's quadratics reveal.
+    The start point is ``z0`` projected, or the origin in the stream's
+    dimension.  A stream with no cost items is refused.
     """
 
     def __init__(
@@ -94,16 +66,11 @@ class StepEngine:
         sched.validate_horizon(horizon)
         if horizon == 0:
             raise InvalidInputError("stream is empty")
-        self._grad, self._rows, dim = _step_evaluators(stream)
-        if z0 is not None:
-            start = as_point(z0, dim)
-        elif dim is None:
-            raise InvalidInputError(
-                "cannot infer the dimension: the stream holds no quadratic loss; pass z0"
-            )
-        else:
-            start = np.zeros(dim)
-        start = dom.project(start)
+        if not stream.live.any():
+            raise InvalidInputError("stream has no cost items")
+        self._rows = stack_quadratics(stream)[:3]
+        dim = self._rows[1].shape[1]
+        start = dom.project(np.zeros(dim) if z0 is None else as_point(z0, dim))
         self.dim = start.size
         self.sched = sched
         self.rate_schedule = rates
@@ -123,21 +90,18 @@ class StepEngine:
     def advance(self, lo: int, hi: int) -> None:
         """Take the steps at slots ``lo..hi`` from the current state.
 
-        A quadratic step is ``z - eta * A_t (z - c_t)`` projected, with its
-        rows read from slices of the stacked arrays.  A clock-driven
-        schedule takes the stretch's rates from one ``rates_array`` call;
-        adaptive rates depend on the gradients, so they and opaque costs
-        take ``rate`` and ``eval_grad`` step by step.  An adaptive rate whose
-        sum of squared gradient norms overflows would be 0 from then on, so
-        the stretch is refused once it ends.
+        A step is ``z - eta * A_t (z - c_t)`` projected, with its rows read
+        from slices of the stacked arrays.  A clock-driven schedule takes the
+        stretch's rates from one ``rates_array`` call; adaptive rates depend
+        on the gradients, so they take ``rate`` step by step.  An adaptive
+        rate whose sum of squared gradient norms overflows would be 0 from
+        then on, so the stretch is refused once it ends.  Numpy warns of
+        none of these overflows.
         """
         adapt, sched = self.adapt, self.rate_schedule
         path, p_hist, rates = self.path, self.p_hist, self.rates
         radius, clock0 = self.radius, self.clock0
-        if self._rows is not None:
-            costs, centers = self._rows[0][lo - 1:hi], self._rows[1][lo - 1:hi]
-        else:
-            costs, centers = self._stream.items[lo - 1:hi], repeat(None)
+        mats, centers = self._rows[0][lo - 1:hi], self._rows[1][lo - 1:hi]
         if adapt is None:
             rates[lo - 1:hi] = rates_array(sched, hi - clock0)[lo - 1 - clock0:]
             etas = rates[lo - 1:hi].tolist()
@@ -145,26 +109,29 @@ class StepEngine:
             etas = repeat(None)
         z = self.z
         evals = binds = 0
-        try:
-            for t, cost, center, keep, eta in zip(
-                range(lo, hi + 1), costs, centers, self.live[lo - 1:hi], etas
-            ):
-                if keep:
-                    grad = eval_grad(cost, z)[1] if center is None else cost.dot(z - center)
-                    evals += 1
-                    if adapt is not None:
-                        adapt.add(float(grad @ grad))
+        # Whatever overflows in a step ends in a refusal: a non-finite iterate,
+        # or the adaptive sum below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for t, mat, center, keep, eta in zip(
+                    range(lo, hi + 1), mats, centers, self.live[lo - 1:hi], etas
+                ):
+                    if keep:
+                        grad = mat.dot(z - center)
+                        evals += 1
+                        if adapt is not None:
+                            adapt.add(float(grad @ grad))
+                            eta = rate(sched, t - clock0, adapt)
+                        z, bound = _into_ball(z - eta * grad, radius)
+                        binds += bound
+                    elif adapt is not None:
                         eta = rate(sched, t - clock0, adapt)
-                    z, bound = _into_ball(z - eta * grad, radius)
-                    binds += bound
-                elif adapt is not None:
-                    eta = rate(sched, t - clock0, adapt)
-                path[t] = z
-                if adapt is not None:
-                    rates[t - 1] = eta
-                    p_hist[t - 1] = adapt.p
-        except NumericError as err:
-            raise NumericError(f"{err} at step {t}") from None
+                    path[t] = z
+                    if adapt is not None:
+                        rates[t - 1] = eta
+                        p_hist[t - 1] = adapt.p
+            except NumericError as err:
+                raise NumericError(f"{err} at step {t}") from None
         if adapt is not None and adapt.p == math.inf:
             first = lo + int(np.argmax(p_hist[lo - 1:hi] == math.inf))
             raise NumericError(f"adaptive rate's gradient sum out of range at step {first}")
@@ -217,28 +184,26 @@ class StepEngine:
 
         Each slot is scored against the loss it held when the run stepped
         past it.  A slot is deleted no earlier than that (``u_i <= tau_i``),
-        so the mask it was scored under is the stream's own.  Quadratic
-        rows are scored ``_ROW_BLOCK`` at a time, bit for bit the per-slot
+        so the mask it was scored under is the stream's own.  The rows are
+        scored ``_ROW_BLOCK`` at a time, bit for bit the per-slot
         ``0.5 * diff @ (A @ diff) + o`` (``einsum`` or ``sum`` would not be).
         """
         live = self._stream.live
         outputs = self.outputs
         losses = np.zeros(len(self.live))
         events = [EVENT_LEARN if keep else EVENT_SKIP for keep in live.tolist()]
-        if self._rows is None:
-            items = self._stream.items
-            for t in (np.flatnonzero(live) + 1).tolist():
-                losses[t - 1] = cost_value(items[t - 1], outputs[t - 1])
-        else:
-            mats, centers, offsets = self._rows
-            every = live.all()
+        mats, centers, offsets = self._rows
+        every = live.all()
+        # A loss or a sum that overflows is refused below, without numpy's warning.
+        with np.errstate(over="ignore", invalid="ignore"):
             for rows in _row_blocks(len(losses)):
                 keep = slice(None) if every else live[rows]
                 diff = outputs[rows][keep] - centers[rows][keep]
                 losses[rows][keep] = 0.5 * np.vecdot(
                     diff, np.matmul(mats[rows][keep], diff[..., None])[..., 0]
                 ) + offsets[rows][keep]
-        if not math.isfinite(float(np.sum(losses))):
+            total = float(np.sum(losses))
+        if not math.isfinite(total):
             raise NumericError("the run's losses sum past the float range")
         for tau in self.sched.times:
             events[tau - 1] = EVENT_UNLEARN

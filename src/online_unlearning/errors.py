@@ -17,10 +17,6 @@ class ScheduleShapeError(InvalidScheduleError):
     """Deletion index falls outside the window required by the active unlearner."""
 
 
-class UnsupportedCostError(TypeError):
-    """Operation requires a quadratic cost but received an opaque one."""
-
-
 class NonContractiveStepError(ValueError):
     """Step size exceeds 2/beta, so a gradient step may expand distances."""
 

@@ -571,7 +571,7 @@ def _regret_report(
 ) -> dict:
     horizon = len(stream)
     k = sched.k
-    regret = regret_dynamic(trace, stream, sched, dom, cls.smoothness)
+    regret = regret_dynamic(trace, stream, sched, dom)
     gamma = gamma_nominal(cls)
     gvals = g_functions(
         sched, gamma,
@@ -710,7 +710,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: 
             cfg, ucfg, trace, stream, sched, cls, dom, generated.kappa_aggregate
         )
         write_json(seed_dir / "regret.json", regret_report)
-        curve = cumulative_regret_curve(trace, stream, sched, dom, cls.smoothness)
+        curve = cumulative_regret_curve(trace, stream, sched, dom)
         bound_curve = _bound_curve(regret_report, len(stream))
         # Without a bound the ``bound_rhs`` field is left empty.
         columns = (curve,) if bound_curve is None else (curve, bound_curve)
@@ -868,8 +868,7 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
         algorithm=cfg.raw["algorithm"], seed=seed, outputs=outputs, losses=losses,
         rates=rates, events=tuple(["learn"] * outputs.shape[0]),
     )
-    recomputed = regret_dynamic(shell, generated.stream, sched, dom,
-                                generated.fn_class.smoothness)
+    recomputed = regret_dynamic(shell, generated.stream, sched, dom)
     stored = None
     report_path = base / "regret.json"
     if report_path.exists():

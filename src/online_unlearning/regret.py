@@ -22,13 +22,10 @@ from .core import (
     BallDomain,
     CostFn,
     CostStream,
-    CustomCost,
     DeletionSchedule,
-    QuadraticCost,
     _row_blocks,
     _row_sum,
     cost_value,
-    eval_grad,
     is_skip,
     project,
     stack_quadratics,
@@ -73,108 +70,55 @@ def _projected_gd(grad_fn, z0, dom: BallDomain, curvature: float, tol: float,
 _ERM_TOL = 1e-8
 
 
-def solve_erm(
-    losses: Sequence[CostFn],
-    dom: BallDomain,
-    tol: float = _ERM_TOL,
-    dim: int | None = None,
-    curvature: float | None = None,
-) -> np.ndarray:
-    """Minimizer of the summed losses over the ball.
+def solve_erm(losses: Sequence[CostFn], dom: BallDomain, tol: float = _ERM_TOL) -> np.ndarray:
+    """Minimizer of the summed quadratic losses over the ball.
 
-    Quadratics solve in closed form, refined by projected gradient descent
-    when the unconstrained minimizer falls outside the ball.  A singular
-    curvature sum (mu = 0 with flat directions) is broken toward the
-    minimum-norm minimizer with a 1e-12 ridge and flagged.  Opaque losses run
-    projected GD from the origin and need ``dim`` (and ideally a ``curvature``
-    bound for the step size).
+    Solved in closed form, refined by projected gradient descent when the
+    unconstrained minimizer falls outside the ball.  A singular curvature
+    sum (mu = 0 with flat directions) is broken toward the minimum-norm
+    minimizer with a 1e-12 ridge and flagged.
     """
     live = [f for f in losses if not is_skip(f)]
     if not live:
         raise InvalidInputError("cannot solve ERM over an empty loss list")
-    if all(isinstance(f, QuadraticCost) for f in live):
-        qdim = live[0].dim
-        total = np.zeros((qdim, qdim))
-        rhs = np.zeros(qdim)
-        for f in live:
-            total += f.matrix
-            rhs += f.matrix @ f.center
-        return _solve_quadratic_erm(total, rhs, qdim, dom, tol)
-
-    if dim is None:
-        raise InvalidInputError("opaque losses need an explicit dimension")
-    return _opaque_erm(live, dom, tol, curvature if curvature else float(len(live)),
-                       np.zeros(dim))
+    dim = live[0].dim
+    total = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+    for f in live:
+        total += f.matrix
+        rhs += f.matrix @ f.center
+    return _solve_quadratic_erm(total, rhs, dim, dom, tol)
 
 
-def _opaque_erm(live: Sequence[CostFn], dom: BallDomain, tol: float, curvature: float,
-                start: np.ndarray) -> np.ndarray:
-    """Projected GD on the summed opaque losses ``live`` from ``start``."""
-
-    def grad_fn(p):
-        g = np.zeros_like(p)
-        for f in live:
-            g += eval_grad(f, p)[1]
-        return g
-
-    return _projected_gd(grad_fn, start, dom, curvature, tol)
-
-
-def comparators(
-    stream: CostStream, sched: DeletionSchedule, dom: BallDomain, dim: int | None = None,
-    smoothness: float = 1.0,
-) -> list[np.ndarray]:
+def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) -> list[np.ndarray]:
     """Best-in-hindsight points ``z_0*, ..., z_k*`` (one per deletion epoch).
 
     ``z_i*`` minimizes the full-horizon objective minus the first ``i``
     deleted losses, so learner and comparator share the same history.
-    ``dim`` is the points' dimension, needed when no quadratic loss reveals it.
-    ``smoothness`` bounds each loss's smoothness: a sum of ``n`` opaque
-    losses is minimized with steps ``1 / (n * smoothness)``, each epoch's
-    projected GD starting from the comparator before it.
     """
     sched.validate_horizon(len(stream))
     if not stream.live.any():
         raise InvalidInputError("stream has no cost items")
     indices = sched.indices  # a new tuple on each access
-    if stream.all_quadratic():
-        mats, centers, _, live = stack_quadratics(stream)
-        dim = centers.shape[1]
-        every = live.all()
+    mats, centers, _, live = stack_quadratics(stream)
+    dim = centers.shape[1]
+    every = live.all()
 
-        def kept(rows: slice) -> slice | np.ndarray:
-            return slice(None) if every else live[rows]
+    def kept(rows: slice) -> slice | np.ndarray:
+        return slice(None) if every else live[rows]
 
-        # Summing along the stacked axis adds row after row, as a per-item
-        # loop would, so the sums keep their bits.
-        total = _row_sum(len(live), dim, lambda rows: mats[rows][kept(rows)])
-        rhs = _row_sum(len(live), dim, lambda rows: (
-            mats[rows][kept(rows)] @ centers[rows][kept(rows)][..., None])[..., 0])
-        out = []
-        for i in range(sched.k + 1):
-            out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
-            if i < sched.k and live[indices[i] - 1]:
-                row = indices[i] - 1
-                total = total - mats[row]
-                rhs = rhs - mats[row] @ centers[row]
-        return out
+    # Summing along the stacked axis adds row after row, as a per-item
+    # loop would, so the sums keep their bits.
+    total = _row_sum(len(live), dim, lambda rows: mats[rows][kept(rows)])
+    rhs = _row_sum(len(live), dim, lambda rows: (
+        mats[rows][kept(rows)] @ centers[rows][kept(rows)][..., None])[..., 0])
     out = []
-    removed: set = set()
-    if dim is None:
-        dim = next((f.dim for f in stream.items if isinstance(f, QuadraticCost)), None)
     for i in range(sched.k + 1):
-        losses = [
-            f for t, f in enumerate(stream.items, start=1)
-            if not is_skip(f) and t not in removed
-        ]
-        curvature = len(losses) * smoothness
-        if out and any(isinstance(f, CustomCost) for f in losses):
-            # An epoch drops a few losses from the last one: start from its comparator.
-            out.append(_opaque_erm(losses, dom, _ERM_TOL, curvature, out[-1]))
-        else:
-            out.append(solve_erm(losses, dom, dim=dim, curvature=curvature))
-        if i < sched.k:
-            removed.add(indices[i])
+        out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
+        if i < sched.k and live[indices[i] - 1]:
+            row = indices[i] - 1
+            total = total - mats[row]
+            rhs = rhs - mats[row] @ centers[row]
     return out
 
 
@@ -201,8 +145,7 @@ def _solve_quadratic_erm(
 # ---------------------------------------------------------------------------
 
 def _per_step_regret(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
-    smoothness: float,
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> Tuple[np.ndarray, list]:
     """``f_t(z_t) - f_t(z_i*)`` per step (0 on SKIP) and each epoch's window of steps.
 
@@ -212,38 +155,28 @@ def _per_step_regret(
     horizon = len(stream)
     if trace.horizon != horizon:
         raise InvalidInputError("trace and stream cover different horizons")
-    comps = comparators(stream, sched, dom, trace.dim, smoothness)
+    comps_at = np.array(comparators(stream, sched, dom))
     edges = (0,) + sched.times + (horizon,)
     windows = [slice(edges[i], min(edges[i + 1], horizon)) for i in range(sched.k + 1)]
-    live = stream.live
-    if stream.all_quadratic():
-        mats, centers, offsets, _ = stack_quadratics(stream)
-        comps_at = np.array(comps)
-        per_step = np.empty(horizon)
-        for rows in _row_blocks(horizon):
-            steps = np.arange(rows.start, min(rows.stop, horizon))
-            diffs = trace.outputs[rows] - centers[rows]
-            comp_diffs = comps_at[np.searchsorted(sched.times, steps, side="right")]
-            comp_diffs -= centers[rows]
-            per_step[rows] = (
-                0.5 * np.einsum("ti,tij,tj->t", diffs, mats[rows], diffs) + offsets[rows]
-            ) - (
-                0.5 * np.einsum("ti,tij,tj->t", comp_diffs, mats[rows], comp_diffs)
-                + offsets[rows]
-            )
-            per_step[rows][~live[rows]] = 0.0
-        return per_step, windows
-    per_step = np.zeros(horizon)
-    for comp, window in zip(comps, windows):
-        for t in (np.flatnonzero(live[window]) + window.start + 1).tolist():
-            item = stream.item_at(t)
-            per_step[t - 1] = cost_value(item, trace.output_at(t)) - cost_value(item, comp)
+    mats, centers, offsets, live = stack_quadratics(stream)
+    per_step = np.empty(horizon)
+    for rows in _row_blocks(horizon):
+        steps = np.arange(rows.start, min(rows.stop, horizon))
+        diffs = trace.outputs[rows] - centers[rows]
+        comp_diffs = comps_at[np.searchsorted(sched.times, steps, side="right")]
+        comp_diffs -= centers[rows]
+        per_step[rows] = (
+            0.5 * np.einsum("ti,tij,tj->t", diffs, mats[rows], diffs) + offsets[rows]
+        ) - (
+            0.5 * np.einsum("ti,tij,tj->t", comp_diffs, mats[rows], comp_diffs)
+            + offsets[rows]
+        )
+        per_step[rows][~live[rows]] = 0.0
     return per_step, windows
 
 
 def regret_dynamic(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
-    smoothness: float = 1.0,
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> float:
     """Dynamic regret of a trace against the per-epoch comparators.
 
@@ -251,20 +184,18 @@ def regret_dynamic(
     ``tau_0 = 0`` and ``tau_{k+1} = T``; SKIP steps contribute nothing.  The
     losses are recomputed from the stream and the trace outputs, so the same
     metric applies to every algorithm regardless of what it logged.
-    ``smoothness`` is passed to ``comparators``.
     """
-    per_step, windows = _per_step_regret(trace, stream, sched, dom, smoothness)
+    per_step, windows = _per_step_regret(trace, stream, sched, dom)
     live = stream.live
-    # Summing only each window's live steps keeps quadratic streams' regret bit for bit.
+    # Summing only each window's live steps keeps the regret bit for bit.
     return sum((float(np.sum(per_step[w][live[w]])) for w in windows), 0.0)
 
 
 def cumulative_regret_curve(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain,
-    smoothness: float = 1.0,
+    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> np.ndarray:
     """Running partial sums of the dynamic regret, one value per step."""
-    return np.cumsum(_per_step_regret(trace, stream, sched, dom, smoothness)[0])
+    return np.cumsum(_per_step_regret(trace, stream, sched, dom)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +418,10 @@ def _active_cost(params: Mapping, tau) -> float:
 
 @dataclass(frozen=True)
 class QgEstimate:
-    """Sampled quadratic-growth modulus, with the eigenvalue answer for quadratics."""
+    """Sampled quadratic-growth modulus, with the eigenvalue answer alongside."""
 
     kappa_hat: float
-    kappa_exact: float | None
+    kappa_exact: float
     samples: int
 
 
@@ -522,10 +453,8 @@ def measure_qg(
         used += 1
         gap = sum(cost_value(f, z) for f in live) - f_star
         kappa_hat = min(kappa_hat, 2.0 * gap / dist_sq)
-    exact = None
-    if all(isinstance(f, QuadraticCost) for f in live):
-        total = np.zeros((live[0].dim, live[0].dim))
-        for f in live:
-            total += f.matrix
-        exact = float(np.linalg.eigvalsh(total)[0])
+    total = np.zeros((dim, dim))
+    for f in live:
+        total += f.matrix
+    exact = float(np.linalg.eigvalsh(total)[0])
     return QgEstimate(kappa_hat=max(kappa_hat, 0.0), kappa_exact=exact, samples=used)

@@ -5,7 +5,6 @@ import pytest
 
 from online_unlearning import (
     ActiveConfig,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidConfigError,
@@ -21,8 +20,8 @@ from online_unlearning import (
     solve_erm,
 )
 from online_unlearning.active import _SeenLosses, second_order_sigma
-from online_unlearning.core import (EMPTY_SCHEDULE, CostStream, class_bound_lipschitz, eval_grad,
-                                    retained, stack_quadratics)
+from online_unlearning.core import (EMPTY_SCHEDULE, CostStream, class_bound_lipschitz, retained,
+                                    stack_quadratics)
 from online_unlearning.errors import NumericError
 from online_unlearning.harness import gen_stream
 from online_unlearning.ogd import SCDecreasing, step_contraction
@@ -249,11 +248,8 @@ class TestSlotTracking:
     C_A = np.array([0.4, 0.0])
     C_B = np.array([-0.2, 0.3])
 
-    @pytest.mark.parametrize("custom", [True, False])
-    def test_reused_loss_object_deleted_at_one_slot(self, custom, unit_ball):
+    def test_reused_loss_object_deleted_at_one_slot(self, unit_ball):
         f_a, f_b = iso_quad(1.0, self.C_A), iso_quad(1.0, self.C_B)
-        if custom:
-            f_a, f_b = (CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in (f_a, f_b))
         stream = stream_of([f_a, f_b] * 5)
         cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=1.0)
         acfg = ActiveConfig(base=_cfg(eps=1e12), i1=(0,), i2=60)
@@ -275,7 +271,7 @@ class TestSlotTracking:
         skipped = np.sort(rng.choice(np.arange(1, horizon + 1), size=700, replace=False))
         stream = retained(stream, DeletionSchedule(tuple((int(u), int(u)) for u in skipped)))
         mats, centers, _, live = stack_quadratics(stream)
-        agg = _SeenLosses(stream, None, dim)
+        agg = _SeenLosses(stream, dim)
         sums = [np.zeros((dim, dim)), np.zeros(dim)]
         deleted = [np.zeros((dim, dim)), np.zeros(dim)]
         cuts = np.sort(rng.choice(np.arange(1, horizon), size=40, replace=False)).tolist()

@@ -8,7 +8,6 @@ from online_unlearning import (
     SKIP,
     ActiveConfig,
     BallDomain,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidInputError,
@@ -202,15 +201,6 @@ class AdaptiveState:
         self.history.append(self.p)
 
 
-def _dim_of(stream: CostStream, z0: np.ndarray | None) -> int:
-    probe = next((it for it in stream.items if not is_skip(it)), None)
-    if probe is not None and hasattr(probe, "dim"):
-        return probe.dim
-    if z0 is not None:
-        return as_point(z0).size
-    raise InvalidInputError("cannot infer dimension from an all-SKIP stream without z0")
-
-
 def _replay(
     items: Tuple, rates: RateSchedule, dom: BallDomain, z0: np.ndarray, count_from: int
 ) -> tuple[np.ndarray, int, int]:
@@ -252,7 +242,7 @@ def reference_retraining(
     """
     horizon = len(stream)
     sched.validate_horizon(horizon)
-    dim = _dim_of(stream, z0)
+    dim = next(it for it in stream.items if not is_skip(it)).dim
     start = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
     z = start
 
@@ -421,26 +411,9 @@ class TestCheckpointedRetraining:
             assert trace.projection_bound_steps > 0
             assert trace.summary()["projection_bound_steps"] == trace.projection_bound_steps
 
-    def test_matches_full_replay_on_custom_costs(self):
-        quads = [random_spd_quad(np.random.default_rng(62 + t), 3, 1.0, 3.0, 0.8)
-                 for t in range(30)]
-        items = [CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads]
-        stream = stream_of(items)
-        dom = BallDomain(1.0)
-        cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
-        sched = DeletionSchedule(((10, 14), (3, 22)))
-        z0 = np.full(3, 0.1)
-        for rates in (_RATES["sc-decreasing"], _RATES["adaptive"]):
-            _assert_traces_equal(
-                run_retraining(stream, sched, rates, dom, cls, z0=z0),
-                reference_retraining(stream, sched, rates, dom, cls, z0=z0),
-            )
-
-
-def _custom_stream(horizon: int = 12) -> CostStream:
+def _quad_stream(horizon: int = 12) -> CostStream:
     rng = np.random.default_rng(63)
-    quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(horizon)]
-    return stream_of(CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads)
+    return stream_of(random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(horizon))
 
 
 _CLS = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
@@ -458,14 +431,21 @@ _RUNNERS = {
 }
 
 
-class TestDimensionInference:
+class TestStartPoint:
+    @pytest.mark.parametrize("z0", [None, np.full(2, 0.1)], ids=["origin", "z0"])
     @pytest.mark.parametrize("name", sorted(_RUNNERS))
-    def test_custom_costs_without_z0_refused_for_the_real_cause(self, name):
-        with pytest.raises(InvalidInputError, match="holds no quadratic loss; pass z0"):
-            _RUNNERS[name](_custom_stream(), DeletionSchedule(((3, 6),)), None)
+    def test_all_skip_stream_refused(self, name, z0):
+        stream = CostStream([SKIP] * 12)
+        with pytest.raises(InvalidInputError, match="stream has no cost items"):
+            _RUNNERS[name](stream, DeletionSchedule(((3, 6),)), z0)
 
     @pytest.mark.parametrize("name", sorted(_RUNNERS))
-    def test_custom_costs_with_z0_run(self, name):
-        trace = _RUNNERS[name](_custom_stream(), DeletionSchedule(((3, 6),)), np.full(2, 0.1))
+    def test_z0_sets_the_start_point(self, name):
+        # Slot 1 is deleted at time 1, so no runner moves off its start point there.
+        z0 = np.array([0.3, -0.2])
+        stream = retained(_quad_stream(), DeletionSchedule(((1, 1),)))
+        trace = _RUNNERS[name](stream, DeletionSchedule(((2, 2),)), z0)
         assert trace.outputs.shape == (12, 2)
-        assert np.all(np.isfinite(trace.outputs))
+        assert trace.outputs[0].tolist() == z0.tolist()
+        origin = _RUNNERS[name](stream, DeletionSchedule(((2, 2),)), None)
+        assert origin.outputs[0].tolist() == [0.0, 0.0]

@@ -12,13 +12,11 @@ from online_unlearning import (
     SKIP,
     BallDomain,
     CertificationRefusedError,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidInputError,
     OracleUnavailableError,
     UnlearnerConfig,
-    UnsupportedCostError,
     analytic_bound,
     certify_passive_run,
     exact_divergence_quadratic,
@@ -36,7 +34,6 @@ from online_unlearning.certifier import (
 )
 from online_unlearning.core import (
     class_bound_lipschitz,
-    eval_grad,
     is_skip,
     retained,
     stack_quadratics,
@@ -676,8 +673,6 @@ def _well_conditioned_setup(dom):
 
 def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal):
     """Both processes simulated from t = 1 to ``tau_i`` for this interval alone."""
-    if not stream.all_quadratic():
-        raise UnsupportedCostError("the exact oracle needs an all-quadratic stream")
     horizon = len(stream)
     start, end = _interval_bounds(sched, ordinal, horizon)
     rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
@@ -914,23 +909,6 @@ class TestForwardPass:
         certify_passive_run(stream, sched, rates_arr, _cfg(), cls, dom)
         assert ranges and all(1 <= first <= last for first, last in ranges)
         assert max(last for _, last in ranges) == sched.times[-1]
-
-    def test_custom_cost_keeps_its_oracle_note(self):
-        # The pass stacks the stream only when an interval is asked for, and
-        # the oracle refuses a custom cost before that.
-        rng = np.random.default_rng(3)
-        dom = BallDomain(1.0)
-        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(30)]
-        lipschitz = max(class_bound_lipschitz(f, dom) for f in quads)
-        cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
-        items = list(quads)
-        items[12] = CustomCost(evaluator=lambda z, f=quads[12]: eval_grad(f, z))
-        reports = certify_passive_run(stream_of(items), DeletionSchedule(((5, 10), (15, 20))),
-                                      SCDecreasing(mu=1.0), _cfg(), cls, dom)
-        assert len(reports) == 2
-        for report in reports:
-            assert report.note == "oracle unavailable: the exact oracle needs an all-quadratic stream"
-            assert report.exact_divergence is None
 
     @pytest.mark.parametrize("radius, name", [(0.1, "branching"), (1.0, "chained")])
     def test_refused_intervals_leave_no_cyclic_garbage(self, radius, name):

@@ -7,13 +7,11 @@ from online_unlearning import (
     SKIP,
     BallDomain,
     CostStream,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidInputError,
     InvalidScheduleError,
     QuadraticCost,
-    UnsupportedCostError,
     class_bound_lipschitz,
     eval_grad,
     is_skip,
@@ -91,12 +89,6 @@ class TestEvalGrad:
         with pytest.raises(InvalidInputError):
             eval_grad(f, np.zeros(3))
 
-    def test_custom_cost_roundtrip(self):
-        f = CustomCost(evaluator=lambda z: (float(z @ z), 2.0 * z), name="sq")
-        value, grad = eval_grad(f, np.array([1.0, 2.0]))
-        assert value == 5.0
-        assert np.array_equal(grad, [2.0, 4.0])
-
     def test_curvature_witnesses(self):
         """mu ||dz|| <= ||dgrad|| <= beta ||dz|| for spectra inside [mu, beta]."""
         rng = np.random.default_rng(1)
@@ -131,11 +123,6 @@ class TestClassBound:
         for _ in range(500):
             z = project(rng.standard_normal(4) * 2.0, dom)
             assert np.linalg.norm(eval_grad(f, z)[1]) <= bound + 1e-12
-
-    def test_custom_unsupported(self):
-        f = CustomCost(evaluator=lambda z: (0.0, np.zeros(2)))
-        with pytest.raises(UnsupportedCostError):
-            class_bound_lipschitz(f, BallDomain(1.0))
 
 
 class TestCostValidation:
@@ -312,6 +299,12 @@ class TestStreamAndSchedule:
         stream = stream_of([iso_quad(1.0, [0.0, 0.0])] * 3)
         with pytest.raises(InvalidScheduleError):
             retained(stream, DeletionSchedule(((1, 5),)))
+
+    @pytest.mark.parametrize("item", [None, 1.0, np.eye(2), "loss", lambda z: (0.0, z)],
+                             ids=["none", "float", "array", "str", "callable"])
+    def test_stream_refuses_an_item_that_is_neither_quadratic_nor_skip(self, item):
+        with pytest.raises(InvalidInputError, match=r"stream item 2 is not a QuadraticCost or SKIP"):
+            CostStream([iso_quad(1.0, [0.0, 0.0]), item, SKIP])
 
     def test_stack_quadratics(self):
         items = [iso_quad(2.0, [0.5, 0.0]), SKIP, quad(np.diag([1.0, 3.0]), [0.0, 0.1])]

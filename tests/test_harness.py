@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -285,6 +288,24 @@ _REFUSED_AT = {
 }
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Overrides of the shipped config whose run overflows in the step loop or
+# its losses, with the refusal each must end in.
+_OVERFLOWS = {
+    # Gradients near 1e300 square past the float range in the adaptive rate's sum.
+    "adaptive-gradient-sum": (
+        dict(stream={"kind": "sc-quadratic", "mu": 1.0, "beta": 1e300},
+             rate={"kind": "adaptive"}),
+        "adaptive rate's gradient sum out of range at step 1"),
+    # eps 1e-300 gives noise near 1e150, whose losses sum past the float range.
+    "losses": (
+        dict(dimension=1, radius=1000.0, stream={"kind": "convex-qg", "beta": 1.0},
+             rate={"kind": "convex-decreasing"},
+             schedule={"kind": "pattern", "k": 11, "gap": 0, "first_time": 3, "spacing": 1},
+             unlearner={"alpha": 10.0, "eps": 1e-300, "omega": 2.0}),
+        "the run's losses sum past the float range"),
+}
 
 
 def _grid_config() -> dict:
@@ -737,22 +758,13 @@ class TestSweepAndCli:
         # The Newton variant's noise and every series bound take 3 ** omega too.
         (dict(algorithm="active2", unlearner={"alpha": 2.0, "eps": 0.5, "omega": 1e12}),
          "noise multiplier of deletion 3 out of range at omega = 1000000000000.0"),
-        # Gradients near 1e300 square past the float range in the adaptive rate's sum.
-        (dict(stream={"kind": "sc-quadratic", "mu": 1.0, "beta": 1e300},
-              rate={"kind": "adaptive"}),
-         "adaptive rate's gradient sum out of range at step 1"),
-        # eps 1e-300 gives noise near 1e150, whose losses sum past the float range.
-        (dict(dimension=1, radius=1000.0, stream={"kind": "convex-qg", "beta": 1.0},
-              rate={"kind": "convex-decreasing"},
-              schedule={"kind": "pattern", "k": 11, "gap": 0, "first_time": 3, "spacing": 1},
-              unlearner={"alpha": 10.0, "eps": 1e-300, "omega": 2.0}),
-         "the run's losses sum past the float range"),
+        _OVERFLOWS["adaptive-gradient-sum"],
+        _OVERFLOWS["losses"],
         # Monte-Carlo's standard error squares alpha.
         (dict(mc_samples=50, unlearner={"alpha": 1e300, "eps": 0.5, "omega": 1.2}),
          "Monte-Carlo estimate out of range at alpha = 1e+300"),
     ], ids=["t5-shift", "lipschitz-bound", "noise-multiplier", "active2-noise-multiplier",
             "adaptive-gradient-sum", "losses", "monte-carlo-estimate"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_a_number_past_the_float_range_is_refused(self, tmp_path, capsys, overrides,
                                                        error):
         raw = {**json.loads((CONFIGS / "passive_sc.json").read_text()), "seeds": [0],
@@ -762,6 +774,21 @@ class TestSweepAndCli:
         err = capsys.readouterr().err
         assert err.startswith("error: " + error) and "Traceback" not in err
         assert not list(out.rglob("summary.json"))
+
+    @pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+    def test_an_overflow_refusal_prints_its_error_line_alone(self, tmp_path, name):
+        # A separate process, as the command runs: numpy's warnings would reach its stderr.
+        overrides, error = _OVERFLOWS[name]
+        raw = {**json.loads((CONFIGS / "passive_sc.json").read_text()), "seeds": [0],
+               **overrides}
+        code = "import sys\nfrom online_unlearning.cli import main\nsys.exit(main())\n"
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", _write_config(tmp_path, raw),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        lines = out.stderr.splitlines()
+        assert out.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error: " + error), lines
 
     def test_regret_report_follows_run_onto_a_grid(self, tmp_path, capsys):
         raw = _base_config(sweep={"algorithm": ["passive", "retrain"]})
@@ -912,8 +939,8 @@ class TestSeedMemory:
             trace.write_csv(tmp_path / "trace.csv")
             csv_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            regret_dynamic(trace, gs.stream, sched, dom, 3.0)
-            curve = cumulative_regret_curve(trace, gs.stream, sched, dom, 3.0)
+            regret_dynamic(trace, gs.stream, sched, dom)
+            curve = cumulative_regret_curve(trace, gs.stream, sched, dom)
             regret_peak = tracemalloc.get_traced_memory()[1]
             del trace, curve
             tracemalloc.reset_peak()

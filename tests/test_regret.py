@@ -1,12 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from online_unlearning import (
     BallDomain,
-    CustomCost,
     DeletionSchedule,
     FnClass,
     InvalidConfigError,
@@ -26,14 +24,13 @@ from online_unlearning.core import (
     _row_sum,
     class_bound_lipschitz,
     cost_value,
-    eval_grad,
     retained,
     stack_quadratics,
 )
 from online_unlearning.errors import NumericError
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.harness import build_schedule, gen_stream
-from online_unlearning.regret import _ERM_TOL, _per_step_regret, active_gap_sum
+from online_unlearning.regret import _per_step_regret, active_gap_sum
 
 from conftest import iso_quad, quad, random_spd_quad, stream_of
 
@@ -143,66 +140,6 @@ class TestRegretDynamic:
         )
         assert np.all(np.isfinite(curve))
 
-    def test_all_custom_stream_scored_with_the_trace_dimension(self, unit_ball):
-        # No quadratic reveals the dimension; the trace's z0-seeded outputs do.
-        rng = np.random.default_rng(59)
-        quads = [random_spd_quad(rng, 2, 0.5, 1.0, 0.5) for _ in range(40)]
-        stream = stream_of(CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads)
-        sched = DeletionSchedule(((5, 12), (20, 30)))
-        cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=0.5)
-        cfg = UnlearnerConfig(alpha=2.0, eps=1.0)
-        trace = run_passive(stream, sched, SCDecreasing(mu=0.5), cfg, cls, unit_ball,
-                            seed=0, z0=np.zeros(2))
-        value = regret_dynamic(trace, stream, sched, unit_ball)
-        assert math.isfinite(value)
-        assert value == pytest.approx(
-            regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
-        )
-
-    def test_custom_stream_steps_by_its_smoothness(self, unit_ball):
-        # Curvatures up to 3: steps of 1 / n overshoot and projected GD runs to
-        # max_iter (past 100 s on 40 steps); 1 / (n * beta) converges at once.
-        rng = np.random.default_rng(60)
-        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(40)]
-        stream = stream_of(CustomCost(evaluator=lambda z, f=f: eval_grad(f, z)) for f in quads)
-        sched = DeletionSchedule(((5, 12), (20, 30)))
-        cls = FnClass(lipschitz=4.0, smoothness=3.0, strong_convexity=1.0)
-        trace = run_passive(stream, sched, SCDecreasing(mu=1.0), UnlearnerConfig(alpha=2.0, eps=1.0),
-                            cls, unit_ball, seed=0, z0=np.zeros(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = comparators(stream, sched, unit_ball, dim=2, smoothness=cls.smoothness)
-            value = regret_dynamic(trace, stream, sched, unit_ball, cls.smoothness)
-        for a, b in zip(got, comparators(stream_of(quads), sched, unit_ball)):
-            assert np.allclose(a, b, rtol=0.0, atol=1e-6)
-        assert value == pytest.approx(
-            regret_dynamic(trace, stream_of(quads), sched, unit_ball), rel=1e-6, abs=1e-9
-        )
-
-    def test_custom_comparators_start_from_the_last_epoch(self, unit_ball):
-        # An epoch drops one loss from the last, so z_i* starts beside z_{i-1}*:
-        # the same points as starting from the origin, in fewer iterations.
-        rng = np.random.default_rng(61)
-        quads = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(300)]
-        evaluations = [0]
-
-        def counted(f):
-            def evaluator(z):
-                evaluations[0] += 1
-                return eval_grad(f, z)
-            return CustomCost(evaluator=evaluator)
-
-        stream = stream_of(counted(f) for f in quads)
-        sched = DeletionSchedule(((5, 60), (70, 150), (100, 200)))
-        warm = comparators(stream, sched, unit_ball, dim=2, smoothness=3.0)
-        warm_evaluations, evaluations[0] = evaluations[0], 0
-        for i, comp in enumerate(warm):
-            losses = [f for t, f in enumerate(stream.items, start=1)
-                      if t not in sched.indices[:i]]
-            cold = solve_erm(losses, unit_ball, dim=2, curvature=len(losses) * 3.0)
-            assert np.linalg.norm(comp - cold) <= _ERM_TOL
-        assert warm_evaluations < evaluations[0]
-
     def test_comparator_kkt(self, unit_ball):
         rng = np.random.default_rng(52)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(12)]
@@ -245,7 +182,7 @@ class TestRowBlocks:
 
         def computed(rows: int) -> tuple:
             monkeypatch.setattr(core, "_ROW_BLOCK", rows)
-            per_step = _per_step_regret(trace, stream, sched, dom, cls.smoothness)[0]
+            per_step = _per_step_regret(trace, stream, sched, dom)[0]
             comps = comparators(stream, sched, dom)
             return per_step.tobytes(), [comp.tobytes() for comp in comps]
 
