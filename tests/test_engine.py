@@ -1,7 +1,5 @@
 """The shared step loop: one trajectory, blocked loss scoring, and the refusal of non-finite steps."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -74,20 +72,19 @@ def _scaled_row(step: int, scale: float, center: float | None = None) -> CostStr
     return CostStream.from_arrays(mats, centers)
 
 
+# Every refusal below comes without numpy's overflow warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFiniteness:
     # A gradient past the float range makes the step non-finite: an adaptive
-    # rate turns 0 and ``0 * inf`` is NaN.  The refusal comes with no warning.
+    # rate turns 0 and ``0 * inf`` is NaN.
     @pytest.mark.parametrize("rates", [ConstantRate(eta=0.5),
                                        AdaptiveRate(diameter=2.0, warm_floor=0.5)],
                              ids=["constant", "adaptive"])
     def test_gradient_past_the_float_range_mid_run(self, rates):
         stream = _scaled_row(7, 1e300, center=1e10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NumericError, match="non-finite iterate at step 7"):
-                run_ogd(stream, rates, _DOM, _CLS, z0=np.zeros(2))
+        with pytest.raises(NumericError, match="non-finite iterate at step 7"):
+            run_ogd(stream, rates, _DOM, _CLS, z0=np.zeros(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_constant_step_on_quadratics(self):
         # eta far past 2/beta, built directly: the step leaves the float range.
         stream = _stream(0, 3)
@@ -97,13 +94,10 @@ class TestFiniteness:
     def test_adaptive_gradient_sum_past_the_float_range(self):
         # A finite gradient whose squared norm overflows: the rate would be 0 from there on.
         stream = _scaled_row(4, 1e200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NumericError, match="gradient sum out of range at step 4"):
-                run_ogd(stream, AdaptiveRate(diameter=2.0, warm_floor=0.5), _DOM, _CLS,
-                        z0=np.zeros(2))
+        with pytest.raises(NumericError, match="gradient sum out of range at step 4"):
+            run_ogd(stream, AdaptiveRate(diameter=2.0, warm_floor=0.5), _DOM, _CLS,
+                    z0=np.zeros(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_losses_past_the_float_range(self):
         engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
         engine.run(lambda i, u, tau: None)
@@ -111,7 +105,6 @@ class TestFiniteness:
         with pytest.raises(NumericError, match="losses sum past the float range"):
             engine.trace("passive", 0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_point_left_by_a_handler(self):
         engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
         engine.advance(1, 5)
