@@ -9,7 +9,7 @@ streams).
 """
 
 from .active import ActiveConfig, active_sigma, required_iters, run_active, run_active_second_order
-from .baselines import dp_to_olu, run_discard_restart, run_retraining
+from .baselines import run_discard_restart, run_retraining
 from .certifier import (
     AnalyticCertificate,
     GaussianSummary,
@@ -22,19 +22,7 @@ from .certifier import (
     gaussian_renyi,
     mc_divergence_check,
 )
-from .core import (
-    SKIP,
-    BallDomain,
-    CostStream,
-    DeletionSchedule,
-    FnClass,
-    QuadraticCost,
-    class_bound_lipschitz,
-    eval_grad,
-    is_skip,
-    project,
-    retained,
-)
+from .core import BallDomain, CostStream, DeletionSchedule, FnClass, project, retained
 from .errors import (
     CertificationRefusedError,
     GeneratorError,
@@ -54,10 +42,8 @@ from .ogd import (
     ConstantRate,
     ConvexDecreasing,
     SCDecreasing,
-    check_conditions,
     constant_rate_worst_case,
     contraction_coeff,
-    ogd_step,
     rate,
     sensitivity,
 )
@@ -65,13 +51,10 @@ from .passive import UnlearnerConfig, run_ogd, run_passive
 from .regret import (
     BoundResult,
     GValues,
-    QgEstimate,
     bound_rhs,
     comparators,
     g_functions,
-    measure_qg,
     regret_dynamic,
-    solve_erm,
 )
 from .trace import NoiseEvent, RunTrace
 

@@ -9,33 +9,14 @@ the noisy unlearners, with zero noise events.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .core import BallDomain, CostStream, DeletionSchedule, FnClass
 from .engine import StepEngine
-from .errors import InvalidInputError
 from .ogd import RateSchedule, rate
 from .trace import RunTrace
 
-__all__ = ["dp_to_olu", "run_discard_restart", "run_retraining"]
-
-
-def dp_to_olu(alpha: float, eps: float, k: int) -> Tuple[float, float]:
-    """Convert a private online learner's (alpha, eps) guarantee to a deletion one.
-
-    An (alpha, eps) Renyi-DP online learner handles any ``k`` deletions as an
-    ``(alpha / k, k^1.6 eps)`` unlearner, provided ``alpha >= 2k`` (group
-    privacy at order alpha/k).
-    """
-    if k < 1:
-        raise InvalidInputError(f"need k >= 1, got {k}")
-    if alpha < 2.0 * k:
-        raise InvalidInputError(f"conversion requires alpha >= 2k, got alpha={alpha}, k={k}")
-    if eps < 0.0:
-        raise InvalidInputError(f"need eps >= 0, got {eps}")
-    return alpha / k, k**1.6 * eps
+__all__ = ["run_discard_restart", "run_retraining"]
 
 
 def run_retraining(

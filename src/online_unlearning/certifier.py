@@ -179,7 +179,7 @@ class AnalyticCertificate:
 
 
 def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> np.ndarray:
-    """Honest per-step contraction factors; SKIP steps are the identity."""
+    """Honest per-step contraction factors; deleted slots are the identity."""
     out = np.ones(len(stream))
     out[stream.live] = step_contraction(cls, rates_arr[stream.live])
     return out
@@ -276,7 +276,7 @@ def analytic_bound(
     entries = sched.entries
     deltas_at = {u: float(deltas[u - 1]) for u, _ in entries}
     if decays is None:
-        # The same gap product as ``deletion_calibration``: SKIP steps carry 1.
+        # The same gap product as ``deletion_calibration``: deleted slots carry 1.
         decays = [float(np.prod(gammas[u:tau])) for u, tau in entries]
     decays = [float(x) for x in decays]
     if len(decays) != sched.k:

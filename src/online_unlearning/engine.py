@@ -28,7 +28,7 @@ from .core import (
 from .errors import InvalidInputError, NumericError
 from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, rates_array
 from .rng import NoiseSource
-from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
+from .trace import EVENT_LEARN, EVENT_HOLD, EVENT_UNLEARN, NoiseEvent, RunTrace
 
 __all__ = ["StepEngine"]
 
@@ -37,14 +37,14 @@ class StepEngine:
     """One projected-OGD run over ``stream`` with deletions ``sched``.
 
     The state is the iterate ``z`` and, for adaptive rates, the accumulator
-    ``adapt.p``.  Steps read the slot mask ``live`` (a SKIP holds ``z`` while
-    the rate clock ``t - clock0`` still advances).  For every step ``t`` the
-    engine keeps the trajectory, ``path[t]`` (``path[0]`` is the start point),
-    the rate in ``rates[t-1]`` and, for adaptive rates, ``p_hist[t-1]``.  The
-    trajectory is what the run emitted: ``outputs`` is ``path[1:]``, and a
-    runner that rewrites history puts the emitted rows back before it is
-    traced.  ``grad_evals`` counts gradient evaluations of stream losses and
-    ``bound_steps`` the steps whose projection bound.
+    ``adapt.p``.  Steps read the slot mask ``live`` (a deleted slot holds
+    ``z`` while the rate clock ``t - clock0`` still advances).  For every
+    step ``t`` the engine keeps the trajectory, ``path[t]`` (``path[0]`` is
+    the start point), the rate in ``rates[t-1]`` and, for adaptive rates,
+    ``p_hist[t-1]``.  The trajectory is what the run emitted: ``outputs`` is
+    ``path[1:]``, and a runner that rewrites history puts the emitted rows
+    back before it is traced.  ``grad_evals`` counts gradient evaluations of
+    stream losses and ``bound_steps`` the steps whose projection bound.
 
     A non-finite gradient makes the step's iterate non-finite (``0 * inf``
     is NaN too), and the projection raises ``NumericError`` for it, so the
@@ -64,8 +64,6 @@ class StepEngine:
     ) -> None:
         horizon = len(stream)
         sched.validate_horizon(horizon)
-        if horizon == 0:
-            raise InvalidInputError("stream is empty")
         if not stream.live.any():
             raise InvalidInputError("stream has no cost items")
         self._rows = stack_quadratics(stream)[:3]
@@ -191,7 +189,7 @@ class StepEngine:
         live = self._stream.live
         outputs = self.outputs
         losses = np.zeros(len(self.live))
-        events = [EVENT_LEARN if keep else EVENT_SKIP for keep in live.tolist()]
+        events = [EVENT_LEARN if keep else EVENT_HOLD for keep in live.tolist()]
         mats, centers, offsets = self._rows
         every = live.all()
         # A loss or a sum that overflows is refused below, without numpy's warning.

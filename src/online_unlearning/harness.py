@@ -177,7 +177,7 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
             centers = np.broadcast_to(common, (horizon, dim)).copy()
         else:
             centers = _centers_in_half_ball(rng, dim, horizon, radius)
-        stream = CostStream._adopt(mats, centers)
+        stream = CostStream(mats, centers)
         cls = _fn_class(stream, dom, mu, beta)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         return GeneratedStream(stream=stream, fn_class=cls, kappa_aggregate=kappa)
@@ -190,7 +190,7 @@ def gen_stream(kind: str, params: dict, seed: int) -> GeneratedStream:
         per_column = beta * (columns[:, :, None] * columns[:, None, :])
         per_column = 0.5 * (per_column + np.transpose(per_column, (0, 2, 1)))
         mats = per_column[np.arange(horizon) % dim]
-        stream = CostStream._adopt(mats, centers)
+        stream = CostStream(mats, centers)
         cls = _fn_class(stream, dom, 0.0, beta)
         kappa = float(np.linalg.eigvalsh(mats.sum(axis=0))[0]) / horizon
         target = params.get("kappa_rate")
@@ -524,14 +524,17 @@ def _active_config(cfg: ExperimentConfig, ucfg: UnlearnerConfig) -> tuple[Active
 def check_runnable(cfg: ExperimentConfig) -> None:
     """Raise every refusal the config decides before a stream is generated.
 
-    The stream kind's curvature, the schedule, the rate (``sc-decreasing``
-    needs mu > 0, a ``constant`` eta must be given and contract), the noise
-    multiplier of the last deletion of an unlearner that adds noise (the
-    largest; its ``k ** omega`` also enters the series bound) and an active run (mu > 0, one ``i1`` per deletion, the schedule shape).  A
+    The budget ``alpha * eps`` (finite), the stream kind's curvature, the
+    schedule, the rate (``sc-decreasing`` needs mu > 0, a ``constant`` eta
+    must be given and contract), the noise multiplier of the last deletion of
+    an unlearner that adds noise (the largest; its ``k ** omega`` also enters
+    the series bound) and an active run (mu > 0, one ``i1`` per deletion, the
+    schedule shape).  A
     ``constant-worst-case`` eta depends on the stream's L and is checked when
     the rate is resolved.
     """
     raw = cfg.raw
+    ucfg = _unlearner_config(cfg)
     mu, beta = _curvature(raw["stream"]["kind"], raw["stream"])
     sched = build_schedule(raw["schedule"], int(raw["horizon"]))
     rate = raw["rate"]
@@ -544,19 +547,22 @@ def check_runnable(cfg: ExperimentConfig) -> None:
         contraction_coeff(FnClass(lipschitz=0.0, smoothness=beta, strong_convexity=mu),
                           float(rate["eta"]))
     if raw["algorithm"] in ("passive", "active", "active2") and sched.k:
-        noise_multiplier(_unlearner_config(cfg), sched.k)
+        noise_multiplier(ucfg, sched.k)
     if raw["algorithm"] in ("active", "active2"):
-        acfg, strict = _active_config(cfg, _unlearner_config(cfg))
+        acfg, strict = _active_config(cfg, ucfg)
         check_active_run(sched, acfg, mu, strict)
 
 
 def _unlearner_config(cfg: ExperimentConfig) -> UnlearnerConfig:
     spec = cfg.raw["unlearner"]
-    return UnlearnerConfig(
-        alpha=float(spec["alpha"]),
-        eps=float(spec["eps"]),
-        omega=float(spec.get("omega", 1.2)),
-    )
+    try:
+        return UnlearnerConfig(
+            alpha=float(spec["alpha"]),
+            eps=float(spec["eps"]),
+            omega=float(spec.get("omega", 1.2)),
+        )
+    except InvalidConfigError as err:  # the schema leaves only a budget past the float range
+        raise InvalidConfigError(f"config invalid at $.unlearner: {err}") from None
 
 
 def _regret_report(

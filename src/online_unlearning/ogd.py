@@ -1,7 +1,7 @@
 """Projected online gradient descent: steps, rate schedules, and step diagnostics.
 
 The update at time ``t`` is ``z_t = proj(z_{t-1} - eta_t * grad f_t(z_{t-1}))``;
-a SKIP item leaves the iterate unchanged while the schedule clock still
+a deleted slot leaves the iterate unchanged while the schedule clock still
 advances.  The per-step contraction factor and displacement bound computed
 here are what the noise calibration and the certifier consume.
 """
@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .core import (
-    BallDomain,
-    CostFn,
-    FnClass,
-    StreamItem,
-    eval_grad,
-    is_skip,
-    project,
-)
+from .core import FnClass
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -34,16 +26,13 @@ from .errors import (
 __all__ = [
     "AdaptiveRate",
     "AdaptiveState",
-    "ConditionReport",
     "ConstantRate",
     "ConvexDecreasing",
     "RateSchedule",
     "SCDecreasing",
-    "check_conditions",
     "constant_rate_worst_case",
     "contraction_coeff",
     "gamma_nominal",
-    "ogd_step",
     "rate",
     "rates_array",
     "sensitivity",
@@ -170,18 +159,6 @@ def constant_rate_worst_case(
         raise InvalidConfigError(f"worst-case rate out of range at L = {lipschitz!r}") from None
 
 
-def ogd_step(z_prev: np.ndarray, item: StreamItem, eta: float, dom: BallDomain) -> np.ndarray:
-    """One projected gradient step; SKIP returns the iterate unchanged."""
-    if eta <= 0.0:
-        raise InvalidConfigError(f"step size must be positive, got {eta}")
-    if is_skip(item):
-        return np.asarray(z_prev, dtype=np.float64)
-    _, grad = eval_grad(item, z_prev)
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("gradient is non-finite")
-    return project(np.asarray(z_prev, dtype=np.float64) - eta * grad, dom)
-
-
 def gamma_nominal(cls: FnClass) -> float:
     """Reference contraction ``(beta/mu - 1) / (beta/mu + 1)``; 1 when mu = 0."""
     if cls.strong_convexity == 0.0:
@@ -218,7 +195,8 @@ def contraction_coeff(cls: FnClass, eta: float) -> float:
 
     At ``eta = 2 / (beta + mu)`` the factor equals ``gamma_nominal``.
     """
-    gamma = step_contraction(cls, eta)
+    with np.errstate(over="ignore"):  # an overflow makes the factor inf, which is refused
+        gamma = step_contraction(cls, eta)
     if gamma > 1.0 + _CONTRACTION_TOL:
         raise NonContractiveStepError(
             f"eta={eta} exceeds 2/beta={2.0 / cls.smoothness if cls.smoothness else math.inf}; "
@@ -237,64 +215,3 @@ def sensitivity(cls: FnClass, eta):
     if not np.all(np.isfinite(value)):
         raise NumericError("sensitivity bound is non-finite")
     return value if value.ndim else float(value)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Sampled witnesses for the Markov / contraction / sensitivity conditions."""
-
-    max_contraction_ratio: float
-    contraction_bound: float
-    max_step_displacement: float
-    displacement_bound: float
-    skipped_pairs: int
-    markov_structural: bool = True
-
-    @property
-    def contraction_ok(self) -> bool:
-        return self.max_contraction_ratio <= self.contraction_bound + 1e-10
-
-    @property
-    def displacement_ok(self) -> bool:
-        return self.max_step_displacement <= self.displacement_bound + 1e-10
-
-
-def check_conditions(
-    f_samples: Sequence[CostFn],
-    z_samples: Sequence[np.ndarray],
-    eta: float,
-    dom: BallDomain,
-    cls: FnClass,
-) -> ConditionReport:
-    """Probe the update map on sampled losses and points.
-
-    Contraction is probed on consecutive point pairs, displacement on every
-    point.  The Markov condition holds by construction (the step reads only
-    ``(f_t, z_{t-1})``), so it is reported structurally rather than sampled.
-    """
-    if not f_samples or not z_samples:
-        raise InvalidInputError("need nonempty sample sets")
-    gamma = step_contraction(cls, eta)
-    delta = sensitivity(cls, eta)
-    worst_ratio = 0.0
-    worst_disp = 0.0
-    skipped = 0
-    pairs = list(zip(z_samples[:-1], z_samples[1:]))
-    for f in f_samples:
-        for za, zb in pairs:
-            gap = float(np.linalg.norm(np.asarray(za) - np.asarray(zb)))
-            if gap < 1e-14:
-                skipped += 1
-                continue
-            moved = float(np.linalg.norm(ogd_step(za, f, eta, dom) - ogd_step(zb, f, eta, dom)))
-            worst_ratio = max(worst_ratio, moved / gap)
-        for z in z_samples:
-            z_arr = project(np.asarray(z, dtype=np.float64), dom)
-            worst_disp = max(worst_disp, float(np.linalg.norm(ogd_step(z_arr, f, eta, dom) - z_arr)))
-    return ConditionReport(
-        max_contraction_ratio=worst_ratio,
-        contraction_bound=gamma,
-        max_step_displacement=worst_disp,
-        displacement_bound=delta,
-        skipped_pairs=skipped,
-    )

@@ -61,6 +61,9 @@ class UnlearnerConfig:
             raise InvalidConfigError(f"need eps > 0, got {self.eps}")
         if not self.omega > 1.0:
             raise InvalidConfigError(f"need omega > 1, got {self.omega}")
+        if not math.isfinite(self.alpha * self.eps):
+            raise InvalidConfigError(f"budget alpha * eps out of range at alpha = {self.alpha!r}, "
+                                     f"eps = {self.eps!r}")
 
     @property
     def budget(self) -> float:
@@ -112,7 +115,7 @@ def deletion_calibration(
 ) -> Tuple[float, float, float, bool]:
     """Calibration ``(delta, decay, sigma, contractive)`` of the ``i``-th deletion ``(u, tau)``.
 
-    ``delta = eta_u * L`` is the deleted step's sensitivity, 0 for a SKIP
+    ``delta = eta_u * L`` is the deleted step's sensitivity, 0 for a deleted
     slot; ``decay`` is the product of the per-step factors over the live steps
     of ``(u, tau]``; ``contractive`` is False when one of those factors exceeds
     1, and the calibration is then not certifiable.  ``rates`` needs
@@ -140,9 +143,9 @@ def run_passive(
     """Run the passive unlearner over the stream; deterministic given the seed.
 
     At every ``t`` not in the schedule the update is a plain projected OGD
-    step (SKIP holds the iterate while the rate clock advances).  At the
-    ``i``-th deletion time the freshly updated iterate gets ``N(0, sigma_i^2 I)``
-    noise added after projection, and the emitted (noisy) point is what the
+    step (a deleted slot holds the iterate while the rate clock advances).
+    At the ``i``-th deletion time the freshly updated iterate gets
+    ``N(0, sigma_i^2 I)`` noise added after projection, and the emitted (noisy) point is what the
     trace records and scores.  ``cfg`` may be None only for an empty schedule.
     """
     if cfg is None and sched.k:

@@ -4,9 +4,8 @@ Regret scores every output against the best-in-hindsight point of the current
 epoch: after the ``i``-th deletion the comparator minimizes the full-horizon
 objective with the first ``i`` deleted losses removed.  The bound calculators
 evaluate the right-hand sides of the decreasing / adaptive / constant-rate
-regret theorems and the survey-table rows; order-form bounds (labelled
-``order_form``) expose their components and are meant for growth-rate checks,
-not absolute comparisons.
+regret theorems; order-form bounds (labelled ``order_form``) expose their
+components and are meant for growth-rate checks, not absolute comparisons.
 """
 
 from __future__ import annotations
@@ -20,13 +19,10 @@ import numpy as np
 
 from .core import (
     BallDomain,
-    CostFn,
     CostStream,
     DeletionSchedule,
     _row_blocks,
     _row_sum,
-    cost_value,
-    is_skip,
     project,
     stack_quadratics,
 )
@@ -36,15 +32,12 @@ from .trace import RunTrace
 __all__ = [
     "BoundResult",
     "GValues",
-    "QgEstimate",
     "active_gap_sum",
     "bound_rhs",
     "comparators",
     "cumulative_regret_curve",
     "g_functions",
-    "measure_qg",
     "regret_dynamic",
-    "solve_erm",
 ]
 
 
@@ -68,26 +61,6 @@ def _projected_gd(grad_fn, z0, dom: BallDomain, curvature: float, tol: float,
 
 # Stationarity tolerance of the projected-GD refinement.
 _ERM_TOL = 1e-8
-
-
-def solve_erm(losses: Sequence[CostFn], dom: BallDomain, tol: float = _ERM_TOL) -> np.ndarray:
-    """Minimizer of the summed quadratic losses over the ball.
-
-    Solved in closed form, refined by projected gradient descent when the
-    unconstrained minimizer falls outside the ball.  A singular curvature
-    sum (mu = 0 with flat directions) is broken toward the minimum-norm
-    minimizer with a 1e-12 ridge and flagged.
-    """
-    live = [f for f in losses if not is_skip(f)]
-    if not live:
-        raise InvalidInputError("cannot solve ERM over an empty loss list")
-    dim = live[0].dim
-    total = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    for f in live:
-        total += f.matrix
-        rhs += f.matrix @ f.center
-    return _solve_quadratic_erm(total, rhs, dim, dom, tol)
 
 
 def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) -> list[np.ndarray]:
@@ -114,7 +87,7 @@ def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) ->
         mats[rows][kept(rows)] @ centers[rows][kept(rows)][..., None])[..., 0])
     out = []
     for i in range(sched.k + 1):
-        out.append(_solve_quadratic_erm(total, rhs, dim, dom, _ERM_TOL))
+        out.append(_solve_quadratic_erm(total, rhs, dim, dom))
         if i < sched.k and live[indices[i] - 1]:
             row = indices[i] - 1
             total = total - mats[row]
@@ -123,7 +96,7 @@ def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) ->
 
 
 def _solve_quadratic_erm(
-    total: np.ndarray, rhs: np.ndarray, dim: int, dom: BallDomain, tol: float
+    total: np.ndarray, rhs: np.ndarray, dim: int, dom: BallDomain
 ) -> np.ndarray:
     eigs = np.linalg.eigvalsh(total)
     if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
@@ -137,7 +110,7 @@ def _solve_quadratic_erm(
         z = np.linalg.solve(total, rhs)
     if float(np.linalg.norm(z)) <= dom.radius:
         return z
-    return _projected_gd(lambda p: total @ p - rhs, project(z, dom), dom, float(eigs[-1]), tol)
+    return _projected_gd(lambda p: total @ p - rhs, project(z, dom), dom, float(eigs[-1]), _ERM_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +120,7 @@ def _solve_quadratic_erm(
 def _per_step_regret(
     trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> Tuple[np.ndarray, list]:
-    """``f_t(z_t) - f_t(z_i*)`` per step (0 on SKIP) and each epoch's window of steps.
+    """``f_t(z_t) - f_t(z_i*)`` per step (0 at a deleted slot) and each epoch's window of steps.
 
     Step ``t`` in ``(tau_i, tau_{i+1}]`` is scored against the ``i``-th
     comparator, with ``tau_0 = 0`` and ``tau_{k+1} = T``.
@@ -181,7 +154,7 @@ def regret_dynamic(
     """Dynamic regret of a trace against the per-epoch comparators.
 
     ``sum_i sum_{t=tau_i+1}^{tau_{i+1}} [f_t(z_t) - f_t(z_i*)]`` with
-    ``tau_0 = 0`` and ``tau_{k+1} = T``; SKIP steps contribute nothing.  The
+    ``tau_0 = 0`` and ``tau_{k+1} = T``; deleted slots contribute nothing.  The
     losses are recomputed from the stream and the trace outputs, so the same
     metric applies to every algorithm regardless of what it logged.
     """
@@ -283,10 +256,8 @@ def _need(params: Mapping, keys: Sequence[str], theorem: str) -> list:
 def bound_rhs(theorem: str, params: Mapping) -> BoundResult:
     """Evaluate a regret-bound right-hand side.
 
-    ``theorem`` is one of ``T2``/``T3``/``T4``/``T5``/``T6`` or a survey-table
-    row ``table2-{passive-sc, passive-c, active, discard-sc, discard-c, dp-sc,
-    dp-c, retrain-sc, retrain-c}``.  T4, T6, and the table rows are order-form.
-    A bound past the float range (``L**2`` overflowing, or a noise term over
+    ``theorem`` is one of ``T2``/``T3``/``T4``/``T5``/``T6``; T4 and T6 are
+    order-form.  A bound past the float range (``L**2`` overflowing, or a noise term over
     a tiny ``eps``) bounds nothing and raises ``NumericError``.
     """
     name = theorem.strip()
@@ -365,96 +336,4 @@ def _bound_rhs(key: str, params: Mapping) -> BoundResult:
             "comparator_shift": shift,
         }, order_form=True)
 
-    if key.startswith("table2-"):
-        return _table2_row(key.removeprefix("table2-"), params)
-
-    raise InvalidConfigError(f"unknown bound {theorem!r}")
-
-
-def _table2_row(row: str, params: Mapping) -> BoundResult:
-    T = params.get("T")
-    k = params.get("k", 0)
-    d = params.get("d", 1)
-    tau = params.get("tau", T)
-    if T is None:
-        raise InvalidConfigError("table rows need the horizon T")
-    log_t = math.log(T)
-    rows = {
-        "passive-sc": (log_t + k**2 + d * k**1.7 * params.get("G1", 0.0), 1.0),
-        "passive-c": (math.sqrt(T) + k**2 + d * k**1.7 * params.get("G2", 0.0), 1.0),
-        "active": (
-            log_t + k**2 + params.get("active_gap_sum", 0.0),
-            _active_cost(params, tau),
-        ),
-        "discard-sc": (k * log_t, 1.0),
-        "discard-c": (k * math.sqrt(T), 1.0),
-        "dp-sc": (d * k * log_t**2.5, math.log(max(tau, 2))),
-        "dp-c": (k * math.sqrt(d * T * log_t**2.5), math.log(max(tau, 2))),
-        "retrain-sc": (log_t, float(tau)),
-        "retrain-c": (math.sqrt(T), float(tau)),
-    }
-    if row not in rows:
-        raise InvalidConfigError(f"unknown survey-table row {row!r}")
-    regret, computation = rows[row]
-    return BoundResult(f"table2-{row}", regret, {
-        "regret": regret, "computation_per_deletion": computation,
-    }, order_form=True)
-
-
-def _active_cost(params: Mapping, tau) -> float:
-    gamma = params.get("gamma")
-    mu = params.get("mu")
-    D = params.get("D")
-    L = params.get("L")
-    k = params.get("k", 1)
-    if None in (gamma, mu, D, L) or not 0.0 < gamma < 1.0:
-        return float("nan")
-    return math.log(max(k * mu * D * tau / L, 2.0)) / math.log(1.0 / gamma)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic growth measurement
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QgEstimate:
-    """Sampled quadratic-growth modulus, with the eigenvalue answer alongside."""
-
-    kappa_hat: float
-    kappa_exact: float
-    samples: int
-
-
-def measure_qg(
-    losses: Sequence[CostFn], dom: BallDomain, samples: int = 1000, seed: int = 0
-) -> QgEstimate:
-    """Largest kappa with ``F(z) - F(z*) >= kappa/2 ||z - z*||^2`` over samples.
-
-    For quadratic aggregates with an interior minimizer this is exactly
-    ``lambda_min(sum A_t)``, reported alongside the sampled value.
-    """
-    live = [f for f in losses if not is_skip(f)]
-    if not live:
-        raise InvalidInputError("cannot measure growth of an empty loss list")
-    z_star = solve_erm(live, dom)
-    f_star = sum(cost_value(f, z_star) for f in live)
-    rng = np.random.default_rng(seed)
-    dim = z_star.size
-    kappa_hat = math.inf
-    used = 0
-    for _ in range(samples):
-        direction = rng.standard_normal(dim)
-        direction /= max(float(np.linalg.norm(direction)), 1e-30)
-        radius = dom.radius * rng.random() ** (1.0 / dim)
-        z = direction * radius
-        dist_sq = float(np.sum((z - z_star) ** 2))
-        if dist_sq < 1e-20:
-            continue
-        used += 1
-        gap = sum(cost_value(f, z) for f in live) - f_star
-        kappa_hat = min(kappa_hat, 2.0 * gap / dist_sq)
-    total = np.zeros((dim, dim))
-    for f in live:
-        total += f.matrix
-    exact = float(np.linalg.eigvalsh(total)[0])
-    return QgEstimate(kappa_hat=max(kappa_hat, 0.0), kappa_exact=exact, samples=used)
+    raise InvalidConfigError(f"unknown bound {key!r}")

@@ -12,11 +12,11 @@ import numpy as np
 
 from .core import _VECTOR_FMT, decode_vector, encode_vector
 
-__all__ = ["NoiseEvent", "RunTrace", "load_summary", "write_json"]
+__all__ = ["NoiseEvent", "RunTrace", "write_json"]
 
 EVENT_LEARN = "learn"
 EVENT_UNLEARN = "unlearn"
-EVENT_SKIP = "skip"
+EVENT_HOLD = "skip"  # a deleted slot: the learner holds its iterate
 
 _CSV_COLUMNS = ("t", "z", "eta", "loss", "event", "sigma")
 _CSV_CHUNK = 256  # rows per write
@@ -154,15 +154,13 @@ class RunTrace:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Every JSON output file: sorted keys, two-space indent, final newline."""
+    """Every JSON output file: sorted keys, two-space indent, final newline.
+
+    A NaN or infinite number raises ``ValueError``: JSON has no token for it.
+    """
     with open(path, "w") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=2)
+        json.dump(obj, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
-
-
-def load_summary(path: str | Path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 def load_trace_outputs(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 """
 
+import json
 import math
 import time
 
@@ -16,12 +17,10 @@ from online_unlearning import (
     UnlearnerConfig,
     active_sigma,
     bound_rhs,
-    class_bound_lipschitz,
-    dp_to_olu,
+    comparators,
     g_functions,
     gaussian_renyi,
     gen_stream,
-    ogd_step,
     required_iters,
     retained,
     run_active,
@@ -29,14 +28,13 @@ from online_unlearning import (
     run_ogd,
     run_passive,
     run_retraining,
-    solve_erm,
 )
 from online_unlearning.certifier import (
     certify_passive_run,
     exact_divergence_quadratic,
     mc_divergence_check,
 )
-from online_unlearning.core import EMPTY_SCHEDULE, project
+from online_unlearning.core import EMPTY_SCHEDULE, CostStream, project
 from online_unlearning.ogd import (
     ConstantRate,
     ConvexDecreasing,
@@ -47,9 +45,8 @@ from online_unlearning.ogd import (
 )
 from online_unlearning.passive import calibrated_sigma
 from online_unlearning.regret import regret_dynamic
-from online_unlearning.trace import load_summary
 
-from conftest import iso_quad, quad, random_spd_quad, stream_of
+from conftest import engine_step, iso_quad, quad, random_spd_quad, rows_of, stream_of
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -72,7 +69,7 @@ def _criterion1_setup():
     items.append(iso_quad(3.0, [-0.5, 0.0]))
     items.extend(iso_quad(1.0, [0.1, 0.05]) for _ in range(40))
     stream = stream_of(items)
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
+    lipschitz = stream.lipschitz_bound(dom)
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
     cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
@@ -141,7 +138,7 @@ def test_criterion_3_monte_carlo_cross_check():
 
 
 def _batched_step(mats, centers, zs, eta, radius):
-    """Projected gradient steps for stacked (f, z) draws; same arithmetic as ogd_step."""
+    """Projected gradient steps for stacked (f, z) draws; the step loop's arithmetic."""
     moved = zs - eta * np.einsum("tij,tj->ti", mats, zs - centers)
     norms = np.linalg.norm(moved, axis=1)
     over = norms > radius
@@ -170,9 +167,7 @@ def test_criterion_4_condition_suite():
         centers = rng.uniform(-0.35, 0.35, (count, 2))
         za = np.stack([project(v, dom) for v in rng.standard_normal((count, 2))])
         zb = np.stack([project(v, dom) for v in rng.standard_normal((count, 2))])
-        lipschitz = max(
-            class_bound_lipschitz(quad(mats[i], centers[i]), dom) for i in range(count)
-        )
+        lipschitz = CostStream(mats, centers).lipschitz_bound(dom)
         cls = FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
         for eta in [2.0 / (beta + mu)] + etas_grid:
             gamma = step_contraction(cls, eta)
@@ -186,9 +181,9 @@ def test_criterion_4_condition_suite():
             # Tie the batch oracle to the shipped step on a spot-check sample
             # (einsum and matvec agree to the last few ulps, not bitwise).
             for idx in range(0, count, 211):
-                f = quad(mats[idx], centers[idx])
                 np.testing.assert_allclose(
-                    ogd_step(za[idx], f, eta, dom), out_a[idx], rtol=1e-12, atol=1e-15
+                    engine_step(quad(mats[idx], centers[idx]), za[idx], eta, dom), out_a[idx],
+                    rtol=1e-12, atol=1e-15,
                 )
     elapsed = time.monotonic() - start
     _report("4 (condition suite)", elapsed < 1.0,
@@ -318,11 +313,9 @@ def test_criterion_8_active_contraction():
         for j, event in enumerate(trace.noise_events, start=1):
             tau = event.time
             prenoise = trace.output_at(tau) - event.xi
-            target = solve_erm(
-                [gs.stream.item_at(t) for t in range(1, tau + 1)
-                 if t not in sched.indices[:j]],
-                dom,
-            )
+            # The minimizer over steps 1..tau less the first j deleted losses.
+            prefix = stream_of(rows_of(gs.stream)[:tau])
+            target = comparators(prefix, DeletionSchedule(sched.entries[:j]), dom)[j]
             i1 = trace.i1_per_deletion[j - 1]
             i2 = trace.i2
             bound = gamma**i2 * (
@@ -346,7 +339,7 @@ def test_criterion_9_exact_unlearning_baselines():
     rates = SCDecreasing(mu=1.0)
     items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(30)]
     stream = stream_of(items)
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
+    lipschitz = stream.lipschitz_bound(dom)
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((3, 9), (12, 17)))
 
@@ -397,16 +390,6 @@ def test_criterion_10_formula_unit_tests():
     checks.append(required_iters(0.5, 1.0, 2.0, 1.0, 10, 1) == (5, 0))
     checks.append(required_iters(0.5, 1.0, 2.0, 1.0, 10, 4)[1] == 5)
     checks.append(required_iters(0.5, 1.0, 2.0, 1.0, 10, 1)[1] == 0)
-    # dp_to_olu
-    alpha_out, eps_out = dp_to_olu(20.0, 0.1, 5)
-    checks.append(alpha_out == 4.0)
-    close(eps_out, 5**1.6 * 0.1)
-    checks.append(dp_to_olu(4.0, 1.0, 1) == (4.0, 1.0))
-    try:
-        dp_to_olu(4.0, 1.0, 3)
-        checks.append(False)
-    except Exception:
-        checks.append(True)
     # g_functions
     close(g_functions(DeletionSchedule(((8, 10),)), 0.5).g1, 10.0 * 0.5**4 / 64.0)
     close(g_functions(DeletionSchedule(((3, 9),)), 0.5).g2, 1.0)
@@ -437,6 +420,13 @@ def test_criterion_10_formula_unit_tests():
     _report("10 (formula unit tests)", all(checks), f"{len(checks)} formulas at 1e-12")
 
 
+def _erm_pair(rows, removed, dom) -> tuple:
+    """The minimizers over all ``rows`` and over those left after the 0-based ``removed``."""
+    sched = DeletionSchedule(tuple((int(u) + 1, int(u) + 1) for u in sorted(removed)))
+    comps = comparators(stream_of(rows), sched, dom)
+    return comps[0], comps[-1]
+
+
 def test_criterion_11_erm_stability_lemmas():
     start = time.monotonic()
     dom = BallDomain(1.0)
@@ -444,11 +434,10 @@ def test_criterion_11_erm_stability_lemmas():
     for _ in range(50):
         horizon = int(rng.integers(6, 16))
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.4) for _ in range(horizon)]
-        lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
+        lipschitz = stream_of(items).lipschitz_bound(dom)
         i = int(rng.integers(1, min(4, horizon)))
         removed = rng.choice(horizon, size=i, replace=False)
-        full = solve_erm(items, dom, tol=1e-10)
-        sub = solve_erm([f for t, f in enumerate(items) if t not in removed], dom, tol=1e-10)
+        full, sub = _erm_pair(items, removed, dom)
         assert np.linalg.norm(full - sub) <= 2.0 * i * lipschitz / (1.0 * horizon) + 1e-6
 
     for _ in range(50):
@@ -458,12 +447,11 @@ def test_criterion_11_erm_stability_lemmas():
             v = np.zeros(2)
             v[t % 2] = 1.0
             items.append(quad(np.outer(v, v), rng.uniform(-0.4, 0.4, 2)))
-        lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
+        lipschitz = stream_of(items).lipschitz_bound(dom)
         k = int(rng.integers(1, 3))
-        removed = set(rng.choice(horizon, size=k, replace=False).tolist())
-        kappa = float(np.linalg.eigvalsh(sum(f.matrix for f in items))[0])
-        full = solve_erm(items, dom, tol=1e-10)
-        sub = solve_erm([f for t, f in enumerate(items) if t not in removed], dom, tol=1e-10)
+        removed = rng.choice(horizon, size=k, replace=False)
+        kappa = float(np.linalg.eigvalsh(sum(f[0] for f in items))[0])
+        full, sub = _erm_pair(items, removed, dom)
         assert np.linalg.norm(full - sub) <= 2.0 * k * lipschitz / kappa + 1e-6
     elapsed = time.monotonic() - start
     _report("11 (ERM stability lemmas)", elapsed < 5.0, f"100 instances; {elapsed:.1f}s")
@@ -491,7 +479,7 @@ def test_criterion_12_noise_decay_and_g3_replay(tmp_path):
     live = g_functions(sched, 0.5, p_history=trace.p_history, beta=3.0).g3
 
     trace.write_summary(tmp_path / "run.json")
-    stored = load_summary(tmp_path / "run.json")
+    stored = json.loads((tmp_path / "run.json").read_text())
     p_stored = np.array(stored["p_history"])
     replayed = g_functions(sched, 0.5, p_history=p_stored, beta=3.0).g3
     g3_exact = abs(replayed - live) <= 1e-12 * live

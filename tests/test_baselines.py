@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from online_unlearning import (
-    SKIP,
     ActiveConfig,
     BallDomain,
     DeletionSchedule,
@@ -13,7 +12,6 @@ from online_unlearning import (
     InvalidInputError,
     UnlearnerConfig,
     build_schedule,
-    dp_to_olu,
     retained,
     run_active,
     run_discard_restart,
@@ -26,10 +24,7 @@ from online_unlearning.core import (
     CostStream,
     _into_ball,
     as_point,
-    class_bound_lipschitz,
-    cost_value,
-    eval_grad,
-    is_skip,
+    stack_quadratics,
 )
 from online_unlearning.errors import NumericError
 from online_unlearning.ogd import (
@@ -40,30 +35,15 @@ from online_unlearning.ogd import (
     SCDecreasing,
     rate,
 )
-from online_unlearning.trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, RunTrace
+from online_unlearning.trace import EVENT_LEARN, EVENT_HOLD, EVENT_UNLEARN, RunTrace
 
-from conftest import random_spd_quad, stream_of
+from conftest import loss_and_grad, random_spd_quad, row_at, rows_of, stream_of
 
 
 def _stream(rng, horizon, dom, mu=1.0, beta=3.0):
-    items = [random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon)]
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
-    return stream_of(items), FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
-
-
-class TestDpConversion:
-    def test_example(self):
-        alpha, eps = dp_to_olu(20.0, 0.1, 5)
-        assert alpha == 4.0
-        assert eps == pytest.approx(5**1.6 * 0.1, rel=1e-12)
-        assert eps == pytest.approx(1.3133, rel=1e-4)
-
-    def test_identity_base(self):
-        assert dp_to_olu(4.0, 1.0, 1) == (4.0, 1.0)
-
-    def test_precondition(self):
-        with pytest.raises(InvalidInputError):
-            dp_to_olu(4.0, 1.0, 3)
+    stream = stream_of(random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon))
+    lipschitz = stream.lipschitz_bound(dom)
+    return stream, FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
 
 
 class TestRetraining:
@@ -78,7 +58,7 @@ class TestRetraining:
     def test_deleting_skip_is_noop(self, unit_ball):
         rng = np.random.default_rng(41)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(12)]
-        items[3] = SKIP
+        items[3] = None
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         rates = SCDecreasing(mu=1.0)
@@ -154,7 +134,7 @@ class TestDiscardRestart:
         sched = DeletionSchedule(((2, 9),))
         rates = SCDecreasing(mu=1.0)
         td = run_discard_restart(stream, sched, rates, unit_ball, cls)
-        fresh = run_ogd(CostStream(stream.items[9:]), rates, unit_ball, cls)
+        fresh = run_ogd(stream_of(rows_of(stream)[9:]), rates, unit_ball, cls)
         assert np.array_equal(td.outputs[9:], fresh.outputs)
 
     def test_invariant_to_pre_deletion_mutations(self, unit_ball):
@@ -164,7 +144,7 @@ class TestDiscardRestart:
         rates = SCDecreasing(mu=1.0)
         base = run_discard_restart(stream, sched, rates, unit_ball, cls)
         for trial in range(10):
-            items = list(stream.items)
+            items = rows_of(stream)
             mutate_at = int(rng.integers(0, 8))
             items[mutate_at] = random_spd_quad(rng, 2, 1.0, 3.0, 0.5)
             mutated = run_discard_restart(stream_of(items), sched, rates, unit_ball, cls)
@@ -213,9 +193,9 @@ def _replay(
     adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
     evals = binds = 0
     for t, item in enumerate(items, start=1):
-        if is_skip(item):
+        if item is None:
             continue
-        _, grad = eval_grad(item, z)
+        _, grad = loss_and_grad(item, z)
         evals += 1
         if adapt is not None:
             adapt.add(float(grad @ grad))
@@ -242,7 +222,7 @@ def reference_retraining(
     """
     horizon = len(stream)
     sched.validate_horizon(horizon)
-    dim = next(it for it in stream.items if not is_skip(it)).dim
+    dim = stack_quadratics(stream)[1].shape[1]
     start = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
     z = start
 
@@ -258,12 +238,12 @@ def reference_retraining(
     current = stream
 
     for t in range(1, horizon + 1):
-        item = current.item_at(t)
-        if is_skip(item):
+        item = row_at(current, t)
+        if item is None:
             eta_t = rate(rates, t, adapt)
-            event = EVENT_SKIP
+            event = EVENT_HOLD
         else:
-            _, grad = eval_grad(item, z)
+            _, grad = loss_and_grad(item, z)
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite gradient at step {t}")
             grad_evals += 1
@@ -280,18 +260,19 @@ def reference_retraining(
         if t in by_time:
             i = by_time[t]
             current = retained(stream, sched, upto=i)
-            z, evals, binds = _replay(current.items[:t], rates, dom, start, sched.entries[i - 1][0])
+            z, evals, binds = _replay(rows_of(current)[:t], rates, dom, start,
+                                      sched.entries[i - 1][0])
             grad_evals += evals
             bound_steps += binds
             replay_costs.append(t)
             if adapt is not None:
-                adapt = _rebuild_adaptive(current.items[:t], rates, dom, start)
+                adapt = _rebuild_adaptive(rows_of(current)[:t], rates, dom, start)
             event = EVENT_UNLEARN
 
         outputs[t - 1] = z
         # Score against the item as it stood when processed this tick.
-        if not is_skip(item):
-            losses[t - 1] = cost_value(item, z)
+        if item is not None:
+            losses[t - 1] = loss_and_grad(item, z)[0]
         events.append(event)
 
     return RunTrace(
@@ -314,10 +295,10 @@ def _rebuild_adaptive(items, rates, dom, z0) -> AdaptiveState:
     z = dom.project(np.array(z0, dtype=np.float64))
     adapt = AdaptiveState()
     for t, item in enumerate(items, start=1):
-        if is_skip(item):
+        if item is None:
             adapt.record()
             continue
-        _, grad = eval_grad(item, z)
+        _, grad = loss_and_grad(item, z)
         adapt.add(float(grad @ grad))
         z, _ = _into_ball(z - rate(rates, t, adapt) * grad, dom.radius)
         adapt.record()
@@ -339,7 +320,7 @@ _SCHEDULES = {
     "adversarial-early": build_schedule(
         {"kind": "adversarial-early", "k": 4, "spacing": 8, "first_time": 6}, 40
     ).entries,
-    # Index 9 holds a SKIP in the stream.
+    # Index 9 is a deleted slot of the stream.
     "skip-slot": ((9, 12), (3, 20), (25, 25)),
 }
 
@@ -347,7 +328,7 @@ _SCHEDULES = {
 def _retrain_stream(seed: int, horizon: int = 40, radius: float = 1.0):
     rng = np.random.default_rng(seed)
     items = [random_spd_quad(rng, 3, 1.0, 3.0, 0.8 * radius) for _ in range(horizon)]
-    items[8] = SKIP
+    items[8] = None
     return stream_of(items)
 
 
@@ -435,7 +416,7 @@ class TestStartPoint:
     @pytest.mark.parametrize("z0", [None, np.full(2, 0.1)], ids=["origin", "z0"])
     @pytest.mark.parametrize("name", sorted(_RUNNERS))
     def test_all_skip_stream_refused(self, name, z0):
-        stream = CostStream([SKIP] * 12)
+        stream = CostStream(np.zeros((12, 2, 2)), np.zeros((12, 2)), live=np.zeros(12, dtype=bool))
         with pytest.raises(InvalidInputError, match="stream has no cost items"):
             _RUNNERS[name](stream, DeletionSchedule(((3, 6),)), z0)
 

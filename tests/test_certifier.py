@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from online_unlearning import (
-    SKIP,
     BallDomain,
     CertificationRefusedError,
     DeletionSchedule,
@@ -32,12 +31,7 @@ from online_unlearning.certifier import (
     _simulate_batch,
     propagate_gaussians,
 )
-from online_unlearning.core import (
-    class_bound_lipschitz,
-    is_skip,
-    retained,
-    stack_quadratics,
-)
+from online_unlearning.core import retained, stack_quadratics
 from online_unlearning.harness import build_schedule, gen_stream
 from online_unlearning.ogd import (
     AdaptiveRate,
@@ -50,7 +44,7 @@ from online_unlearning.ogd import (
 from online_unlearning.passive import deletion_calibration, run_ogd, run_passive
 from online_unlearning.rng import event_normals
 
-from conftest import iso_quad, random_spd_quad, stream_of
+from conftest import iso_quad, random_spd_quad, row_at, rows_of, stream_of
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -62,9 +56,9 @@ def _cfg(**kw):
 
 
 def _sc_stream(rng, horizon, dom, mu=1.0, beta=3.0):
-    items = [random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon)]
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
-    return stream_of(items), FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
+    stream = stream_of(random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon))
+    lipschitz = stream.lipschitz_bound(dom)
+    return stream, FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
 
 
 class TestGaussianRenyi:
@@ -182,7 +176,7 @@ class TestAnalyticBound:
         sched = DeletionSchedule(((2, 5), (4, 9)))
         gammas = np.full(10, 0.5)
         deltas = np.zeros(10)
-        deltas[3] = 1.0  # first deletion hits a SKIP slot: delta stays 0
+        deltas[3] = 1.0  # first deletion hits a deleted slot: delta stays 0
         cert = analytic_bound(sched, _cfg(), gammas, deltas)
         assert cert.per_interval[0] == 0.0
         assert cert.per_interval[1] == pytest.approx(
@@ -196,9 +190,10 @@ class TestSharedCalibration:
     def _stream(self, dom):
         rng = np.random.default_rng(40)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, dom.radius / 2) for _ in range(60)]
-        items[9] = SKIP
-        lipschitz = max(class_bound_lipschitz(f, dom) for f in items if not is_skip(f))
-        return stream_of(items), FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
+        items[9] = None
+        stream = stream_of(items)
+        lipschitz = stream.lipschitz_bound(dom)
+        return stream, FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
 
     def _ledger_inputs(self, monkeypatch, stream, sched, rates, cfg, cls, dom):
         """Certify and return what the certifier handed the ledger."""
@@ -221,7 +216,7 @@ class TestSharedCalibration:
             "convex-decreasing": ConvexDecreasing(diameter=2.0, lipschitz=cls.lipschitz),
             "constant": ConstantRate(eta=0.3),
         }[kind]
-        # The first deletion removes the SKIP slot at t = 10.
+        # The first deletion removes the deleted slot at t = 10.
         sched = DeletionSchedule(((10, 15), (4, 30), (25, 48)))
         cfg = _cfg()
         trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
@@ -255,7 +250,7 @@ class TestExactOracle:
     def test_deleting_skip_gives_zero(self, unit_ball):
         rng = np.random.default_rng(2)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(12)]
-        items[4] = SKIP
+        items[4] = None
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(((5, 9),))
@@ -269,7 +264,7 @@ class TestExactOracle:
         centers = [np.array([0.3, 0.0]), np.array([-0.2, 0.1]), np.array([0.1, 0.2])]
         items = [iso_quad(a, c) for c in centers]
         stream = stream_of(items)
-        cls = FnClass(lipschitz=class_bound_lipschitz(items[0], unit_ball) + 2.0,
+        cls = FnClass(lipschitz=stream_of(items[:1]).lipschitz_bound(unit_ball) + 2.0,
                       smoothness=a, strong_convexity=a)
         sched = DeletionSchedule(((1, 3),))
         eta = 0.2
@@ -383,7 +378,7 @@ class TestExactOracle:
         rates = SCDecreasing(mu=1.0)
         assert run_ogd(stream, rates, dom, cls).projection_bound_steps > 0
         value = exact_divergence_quadratic(stream, sched, rates, _cfg(), cls, dom, 1)
-        truncated = stream_of(list(stream.items[:40]))
+        truncated = stream_of(rows_of(stream)[:40])
         assert value == exact_divergence_quadratic(truncated, sched, rates, _cfg(), cls, dom, 1)
         assert value > 0.0
         assert certify_passive_run(stream, sched, rates, _cfg(), cls, dom)[0].note == ""
@@ -393,12 +388,12 @@ class TestMonteCarlo:
     def test_null_case_within_three_standard_errors(self, unit_ball):
         rng = np.random.default_rng(7)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(12)]
-        items[4] = SKIP
-        # A second live deletion provides the noise; the first (skip) is null.
+        items[4] = None
+        # A second live deletion provides the noise; the first (a deleted slot) is null.
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(((5, 9),))
-        # Deleted slot is already SKIP: sigma = 0 and both processes coincide.
+        # The slot is deleted already: sigma = 0 and both processes coincide.
         report = mc_divergence_check(stream, sched, SCDecreasing(mu=1.0), _cfg(),
                                      cls, unit_ball, 1, n=2000, seed=0)
         assert report.estimate == 0.0
@@ -463,10 +458,10 @@ def _full_batch_reference(stream, rates_arr, dom, sigmas, noise_times, tau_i, se
     z = np.zeros((rows, dim))
     binding = 0
     for t in range(1, tau_i + 1):
-        item = stream.item_at(t)
-        if not is_skip(item):
+        row = row_at(stream, t)
+        if row is not None:
             eta = float(rates_arr[t - 1])
-            grad = (z - item.center) @ item.matrix
+            grad = (z - row[1]) @ row[0]
             z = z - eta * grad
             norms = np.linalg.norm(z, axis=1)
             over = norms > dom.radius
@@ -497,7 +492,7 @@ class TestCollapsedPrefix:
     def _both(stream, sched, rates_arr, dom, sigmas, ordinal, rows, seed=9):
         noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
         tau_i = sched.times[ordinal - 1]
-        dim = stream.items[0].dim
+        dim = stack_quadratics(stream)[1].shape[1]
         for process_id, proc in enumerate((stream, retained(stream, sched, upto=ordinal))):
             args = (proc, rates_arr, dom, sigmas, noise_times, tau_i, seed, process_id, rows)
             yield _simulate_batch(*args, dim), _full_batch_reference(*args, 0, dim)
@@ -661,7 +656,7 @@ def _well_conditioned_setup(dom):
     items.append(iso_quad(3.0, [-0.5, 0.0]))
     items.extend(iso_quad(1.0, [0.1, 0.05]) for _ in range(40))
     stream = stream_of(items)
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
+    lipschitz = stream.lipschitz_bound(dom)
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
     return stream, cls, sched, SCDecreasing(mu=1.0), _cfg()
@@ -794,7 +789,7 @@ def _assert_same_propagation(got, ref):
 
 # u_i > tau_{i-1} (each retained process continues the previous one);
 # u_2 <= tau_1, u_3 < u_1 and u_4 = tau_3 (retained processes branch from
-# the full path); u_i = tau_i; and a deleted SKIP slot (t = 25, so sigma_1 = 0).
+# the full path); u_i = tau_i; and a slot deleted already (t = 25, so sigma_1 = 0).
 _PASS_SCHEDULES = {
     "chained": ((30, 40), (55, 70), (80, 95), (100, 110)),
     "branching": ((30, 40), (35, 70), (10, 95), (95, 110)),
@@ -810,11 +805,11 @@ class TestForwardPass:
     def _setup(radius):
         rng = np.random.default_rng(70)
         items = [random_spd_quad(rng, 3, 1.0, 3.0, 0.9) for _ in range(120)]
-        items[24] = SKIP
+        items[24] = None
         dom = BallDomain(radius)
-        lipschitz = max(class_bound_lipschitz(f, dom) for f in items if not is_skip(f))
-        cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
-        return stream_of(items), cls, dom, rates_array(SCDecreasing(mu=1.0), 120)
+        stream = stream_of(items)
+        cls = FnClass(lipschitz=stream.lipschitz_bound(dom), smoothness=3.0, strong_convexity=1.0)
+        return stream, cls, dom, rates_array(SCDecreasing(mu=1.0), 120)
 
     @pytest.mark.parametrize("radius", [1.0, 0.2, 0.1])
     @pytest.mark.parametrize("name", sorted(_PASS_SCHEDULES))

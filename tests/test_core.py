@@ -4,34 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from online_unlearning import (
-    SKIP,
     BallDomain,
     CostStream,
     DeletionSchedule,
     FnClass,
     InvalidInputError,
     InvalidScheduleError,
-    QuadraticCost,
-    class_bound_lipschitz,
-    eval_grad,
-    is_skip,
     project,
     retained,
 )
 from online_unlearning.core import (
+    EMPTY_SCHEDULE,
     _check_curvatures,
     decode_vector,
     encode_vector,
     stack_quadratics,
 )
+from online_unlearning.engine import StepEngine
+from online_unlearning.ogd import ConstantRate
 
-from conftest import iso_quad, quad, random_spd_quad, stream_of
+from conftest import iso_quad, quad, random_spd_quad, row_at, stream_of
 
 
 class TestProject:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scales_onto_sphere(self):
         out = project(np.array([3.0, 4.0]), BallDomain(1.0))
         assert np.allclose(out, [0.6, 0.8], rtol=1e-12, atol=0)
+        # A finite point whose squared norm overflows (past about 1.3e154)
+        # takes its rescaled norm, without numpy's overflow warning.
+        assert project(np.array([1e200, 0.0]), BallDomain(1.0)).tolist() == [1.0, 0.0]
 
     def test_interior_point_unchanged(self):
         out = project(np.array([0.1, 0.0]), BallDomain(1.0))
@@ -65,29 +67,44 @@ class TestProject:
             assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
+def _engine_loss_and_grad(row, z):
+    """``(f(z), grad f(z))`` of one loss row as the step loop computes them.
+
+    The gradient is read back from one unit step ``z - grad`` in a ball too
+    large to bind, and the loss is the trace's score of ``z`` set as the
+    step's output.
+    """
+    engine = StepEngine(stream_of([row]), EMPTY_SCHEDULE, ConstantRate(eta=1.0),
+                        BallDomain(1e6), z)
+    engine.advance(1, 1)
+    grad = np.asarray(z, dtype=float) - engine.z
+    engine.outputs[0] = z
+    return engine.trace("ogd", 0).losses[0], grad
+
+
 class TestEvalGrad:
     def test_direct_formula(self):
         f = quad(np.eye(2), [2.0, 0.0])
-        value, grad = eval_grad(f, np.zeros(2))
+        value, grad = _engine_loss_and_grad(f, np.zeros(2))
         assert value == pytest.approx(2.0, abs=0)
         assert np.array_equal(grad, [-2.0, 0.0])
 
     def test_minimizer_case(self):
         f = quad(np.diag([1.0, 3.0]), [0.5, -0.25], offset=0.7)
-        value, grad = eval_grad(f, f.center)
+        value, grad = _engine_loss_and_grad(f, f[1])
         assert value == 0.7
         assert np.array_equal(grad, np.zeros(2))
 
     def test_diagonal_curvature(self):
         f = quad(np.diag([1.0, 3.0]), [0.0, 0.0])
-        value, grad = eval_grad(f, np.array([1.0, 1.0]))
+        value, grad = _engine_loss_and_grad(f, np.array([1.0, 1.0]))
         assert value == pytest.approx(2.0, abs=0)
         assert np.array_equal(grad, [1.0, 3.0])
 
     def test_dimension_mismatch(self):
         f = quad(np.eye(2), [0.0, 0.0])
-        with pytest.raises(InvalidInputError):
-            eval_grad(f, np.zeros(3))
+        with pytest.raises(InvalidInputError, match="expected dimension 2, got 3"):
+            _engine_loss_and_grad(f, np.zeros(3))
 
     def test_curvature_witnesses(self):
         """mu ||dz|| <= ||dgrad|| <= beta ||dz|| for spectra inside [mu, beta]."""
@@ -99,40 +116,48 @@ class TestEvalGrad:
             z1 = project(rng.standard_normal(3), dom)
             z2 = project(rng.standard_normal(3), dom)
             gap = np.linalg.norm(z1 - z2)
-            dgrad = np.linalg.norm(eval_grad(f, z1)[1] - eval_grad(f, z2)[1])
+            grads = [_engine_loss_and_grad(f, z)[1] for z in (z1, z2)]
+            dgrad = np.linalg.norm(grads[0] - grads[1])
             assert mu * gap - 1e-10 <= dgrad <= beta * gap + 1e-10
 
 
 class TestClassBound:
+    """``CostStream.lipschitz_bound``: the largest ``lambda_max(A) * (R + ||c||)`` of a live row."""
+
     def test_unit_ball(self):
-        assert class_bound_lipschitz(quad(np.eye(2), [0.0, 0.0]), BallDomain(1.0)) == pytest.approx(1.0)
+        assert stream_of([quad(np.eye(2), [0.0, 0.0])]).lipschitz_bound(BallDomain(1.0)) == 1.0
 
     def test_scaled_ball(self):
-        f = quad(np.diag([1.0, 3.0]), [0.0, 0.0])
-        assert class_bound_lipschitz(f, BallDomain(2.0)) == pytest.approx(6.0)
+        stream = stream_of([quad(np.diag([1.0, 3.0]), [0.0, 0.0])])
+        assert stream.lipschitz_bound(BallDomain(2.0)) == pytest.approx(6.0)
 
     def test_offcenter(self):
-        f = quad(np.eye(2), [1.0, 0.0])
-        assert class_bound_lipschitz(f, BallDomain(1.0)) == pytest.approx(2.0)
+        stream = stream_of([iso_quad(1.0, [1.0, 0.0]), iso_quad(5.0, [0.0, 0.0])])
+        assert stream.lipschitz_bound(BallDomain(1.0)) == pytest.approx(5.0)
+        # A deleted slot's row is left out.
+        kept = retained(stream, DeletionSchedule(((2, 2),)))
+        assert kept.lipschitz_bound(BallDomain(1.0)) == pytest.approx(2.0)
 
     def test_dominates_sampled_gradients(self):
         rng = np.random.default_rng(2)
         dom = BallDomain(1.3)
         f = random_spd_quad(rng, 4, 0.5, 2.0, 0.6)
-        bound = class_bound_lipschitz(f, dom)
+        bound = stream_of([f]).lipschitz_bound(dom)
         for _ in range(500):
             z = project(rng.standard_normal(4) * 2.0, dom)
-            assert np.linalg.norm(eval_grad(f, z)[1]) <= bound + 1e-12
+            assert np.linalg.norm(_engine_loss_and_grad(f, z)[1]) <= bound + 1e-12
 
 
 class TestCostValidation:
+    """A stream's rows are checked when it is built, one row stream at a time here."""
+
     def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(InvalidInputError):
-            QuadraticCost(matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), center=np.zeros(2))
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            stream_of([quad([[1.0, 0.5], [0.0, 1.0]], np.zeros(2))])
 
     def test_negative_offset_rejected(self):
-        with pytest.raises(InvalidInputError):
-            quad(np.eye(2), [0.0, 0.0], offset=-0.1)
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            stream_of([quad(np.eye(2), [0.0, 0.0], offset=-0.1)])
 
     def test_fn_class_ordering(self):
         with pytest.raises(InvalidInputError):
@@ -140,15 +165,16 @@ class TestCostValidation:
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(InvalidInputError, match="positive semidefinite"):
-            quad(np.diag([1.0, -1e-6]), [0.0, 0.0])
+            stream_of([quad(np.diag([1.0, -1e-6]), [0.0, 0.0])])
 
     def test_psd_within_tolerance_accepted(self):
-        quad(np.diag([1.0, -1e-12]), [0.0, 0.0])
+        stream_of([quad(np.diag([1.0, -1e-12]), [0.0, 0.0])])
 
     def test_arrays_frozen(self):
-        f = quad(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            f.matrix[0, 0] = 5.0
+        mats, centers, offsets, live = stack_quadratics(stream_of([quad(np.eye(2), [0.0, 0.0])]))
+        for arr in (mats, centers, offsets, live):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
 
 
 class TestStackedStream:
@@ -165,9 +191,11 @@ class TestStackedStream:
         ("indefinite", "positive semidefinite"),
         ("non-finite-center", "non-finite"),
         ("center-shape", "centers of shape"),
+        ("live-shape", "live mask of shape"),
     ])
     def test_rejects_bad_rows(self, defect, message):
         mats, centers, offsets = self._arrays()
+        live = None
         if defect == "asymmetric":
             mats[2, 0, 1] = 0.5
         elif defect == "non-finite":
@@ -178,38 +206,38 @@ class TestStackedStream:
             mats[0] = np.array([[1.0, 2.0], [2.0, 1.0]])
         elif defect == "non-finite-center":
             centers[2, 0] = np.nan
-        else:
+        elif defect == "center-shape":
             centers = centers[:, :1]
+        else:
+            live = [True] * 3
         with pytest.raises(InvalidInputError, match=message):
-            CostStream.from_arrays(mats, centers, offsets)
+            CostStream(mats, centers, offsets, live)
 
-    def test_items_are_cached_read_only_views(self):
+    def test_keeps_the_arrays_uncopied_and_frozen(self):
         mats, centers, offsets = self._arrays()
-        stream = CostStream.from_arrays(mats, centers, offsets + 0.5)
-        item = stream.item_at(3)
-        assert item is stream.item_at(3) and item is stream.items[2]
-        assert isinstance(item, QuadraticCost) and item.offset == 0.5
-        assert np.array_equal(item.matrix, mats[2]) and np.array_equal(item.center, centers[2])
-        for arr in (item.matrix, item.center, *stack_quadratics(stream)):
+        live = np.array([True, False, True, True])
+        stream = CostStream(mats, centers, offsets + 0.5, live)
+        got = stack_quadratics(stream)
+        assert got[0] is mats and got[1] is centers and got[2].tolist() == [0.5] * 4
+        for arr in (mats, centers, *got):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        mats[2, 0, 0] = 99.0  # the stream owns a copy
-        assert stream.item_at(3).matrix[0, 0] == 3.0
+        live[0] = False  # the stream owns a copy of the mask
+        assert got[3].tolist() == [True, False, True, True]
+        # Lists and other dtypes are converted into arrays of the stream's own.
+        assert CostStream(mats.tolist(), centers.astype(np.float32)).live.all()
 
-    @pytest.mark.parametrize("from_items", [False, True])
-    def test_retained_copies_only_the_mask(self, from_items):
+    @pytest.mark.parametrize("from_rows", [False, True])
+    def test_retained_copies_only_the_mask(self, from_rows):
         mats, centers, offsets = self._arrays(horizon=6)
-        stream = CostStream.from_arrays(mats, centers, offsets)
-        if from_items:
+        stream = CostStream(mats, centers, offsets)
+        if from_rows:
             stream = stream_of(quad(m, c) for m, c in zip(mats, centers))
         sched = DeletionSchedule(((2, 3), (5, 6)))
         ret = retained(stream, sched)
         assert stream.live.all()
         assert ret.live.tolist() == [True, False, True, True, False, True]
-        assert stack_quadratics(ret)[0] is stack_quadratics(stream)[0]
-        for t in (1, 3, 4, 6):
-            assert ret.item_at(t) is stream.item_at(t)
-        assert is_skip(ret.item_at(2)) and is_skip(ret.item_at(5))
+        assert all(a is b for a, b in zip(stack_quadratics(ret)[:3], stack_quadratics(stream)))
         assert retained(ret, sched, upto=1).live.tolist() == ret.live.tolist()
 
 
@@ -266,22 +294,22 @@ class TestRowBlockCheck:
 
 class TestStreamAndSchedule:
     def test_retained_replaces_exactly(self):
-        items = [iso_quad(1.0, [0.1 * i, 0.0]) for i in range(5)]
-        items[3] = SKIP
-        stream = stream_of(items)
+        rows = [iso_quad(1.0, [0.1 * i, 0.0]) for i in range(5)]
+        rows[3] = None
+        stream = stream_of(rows)
         sched = DeletionSchedule(((1, 2), (5, 5)))
         ret = retained(stream, sched)
         assert len(ret) == len(stream)
-        assert is_skip(ret.item_at(1)) and is_skip(ret.item_at(5))
-        assert is_skip(ret.item_at(4))  # pre-existing skip kept
-        assert ret.item_at(2) is stream.item_at(2)
-        assert ret.item_at(3) is stream.item_at(3)
+        # Slots 1 and 5 are cleared, the deleted slot 4 stays so, and slots 2-3 keep their rows.
+        assert ret.live.tolist() == [False, True, True, False, False]
+        for t in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(row_at(ret, t), rows[t - 1]))
 
     def test_retained_prefix(self):
         stream = stream_of([iso_quad(1.0, [0.0, 0.0])] * 4)
         sched = DeletionSchedule(((1, 2), (3, 4)))
         ret1 = retained(stream, sched, upto=1)
-        assert is_skip(ret1.item_at(1)) and not is_skip(ret1.item_at(3))
+        assert ret1.live.tolist() == [False, True, True, True]
 
     def test_schedule_rejects_index_after_time(self):
         with pytest.raises(InvalidScheduleError):
@@ -300,15 +328,9 @@ class TestStreamAndSchedule:
         with pytest.raises(InvalidScheduleError):
             retained(stream, DeletionSchedule(((1, 5),)))
 
-    @pytest.mark.parametrize("item", [None, 1.0, np.eye(2), "loss", lambda z: (0.0, z)],
-                             ids=["none", "float", "array", "str", "callable"])
-    def test_stream_refuses_an_item_that_is_neither_quadratic_nor_skip(self, item):
-        with pytest.raises(InvalidInputError, match=r"stream item 2 is not a QuadraticCost or SKIP"):
-            CostStream([iso_quad(1.0, [0.0, 0.0]), item, SKIP])
-
     def test_stack_quadratics(self):
-        items = [iso_quad(2.0, [0.5, 0.0]), SKIP, quad(np.diag([1.0, 3.0]), [0.0, 0.1])]
-        mats, centers, offsets, live = stack_quadratics(stream_of(items))
+        rows = [iso_quad(2.0, [0.5, 0.0]), None, quad(np.diag([1.0, 3.0]), [0.0, 0.1])]
+        mats, centers, offsets, live = stack_quadratics(stream_of(rows))
         assert mats.shape == (3, 2, 2)
         assert live.tolist() == [True, False, True]
         assert np.array_equal(mats[2], np.diag([1.0, 3.0]))

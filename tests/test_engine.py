@@ -29,11 +29,11 @@ def _stream(seed: int, dim: int) -> CostStream:
                     dict(dimension=dim, horizon=40, radius=1.0, mu=1.0, beta=3.0), seed)
     mats, centers, _, _ = stack_quadratics(gs.stream)
     offsets = np.random.default_rng(seed).random(40)
-    return CostStream.from_arrays(mats, centers, offsets)
+    return CostStream(mats, centers, offsets)
 
 
 def _per_slot_losses(stream: CostStream, outputs: np.ndarray) -> np.ndarray:
-    """The reference: each live slot scored on its own, zero at SKIP slots."""
+    """The reference: each live slot scored on its own, zero at deleted slots."""
     mats, centers, offsets, live = stack_quadratics(stream)
     losses = np.zeros(len(stream))
     for t in np.flatnonzero(live).tolist():
@@ -69,7 +69,7 @@ def _scaled_row(step: int, scale: float, center: float | None = None) -> CostStr
     mats[step - 1] *= scale
     if center is not None:
         centers[step - 1] = center
-    return CostStream.from_arrays(mats, centers)
+    return CostStream(mats, centers)
 
 
 # Every refusal below comes without numpy's overflow warning.
@@ -86,9 +86,10 @@ class TestFiniteness:
             run_ogd(stream, rates, _DOM, _CLS, z0=np.zeros(2))
 
     def test_overflowing_constant_step_on_quadratics(self):
-        # eta far past 2/beta, built directly: the step leaves the float range.
+        # eta far past 2/beta, built directly.  Step 1's point is finite (about
+        # 1e308) and projects onto the ball; step 2 leaves the float range.
         stream = _stream(0, 3)
-        with pytest.raises(NumericError, match="non-finite iterate at step 1"):
+        with pytest.raises(NumericError, match="non-finite iterate at step 2"):
             run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS)
 
     def test_adaptive_gradient_sum_past_the_float_range(self):

@@ -13,9 +13,6 @@ from online_unlearning import (
     BallDomain,
     GeneratorError,
     InvalidConfigError,
-    class_bound_lipschitz,
-    eval_grad,
-    measure_qg,
 )
 from online_unlearning.certifier import certify_passive_run
 from online_unlearning.cli import main as cli_main
@@ -58,16 +55,17 @@ class TestGenerators:
         dom = BallDomain(1.0)
         gs = gen_stream("sc-quadratic",
                         dict(dimension=3, horizon=50, radius=1.0, mu=1.0, beta=3.0), seed=0)
+        mats, centers, _, _ = stack_quadratics(gs.stream)
         rng = np.random.default_rng(1)
         for _ in range(1000):
             t = int(rng.integers(1, 51))
             z = project(rng.standard_normal(3), dom)
-            grad = eval_grad(gs.stream.item_at(t), z)[1]
+            grad = mats[t - 1] @ (z - centers[t - 1])
             assert float(np.linalg.norm(grad)) <= gs.fn_class.lipschitz
-        for item in gs.stream:
-            eigs = np.linalg.eigvalsh(item.matrix)
+        for mat, center in zip(mats, centers):
+            eigs = np.linalg.eigvalsh(mat)
             assert eigs[0] >= 1.0 - 1e-9 and eigs[-1] <= 3.0 + 1e-9
-            assert np.linalg.norm(item.center) <= 0.5 + 1e-12
+            assert np.linalg.norm(center) <= 0.5 + 1e-12
 
     @pytest.mark.parametrize("params", [dict(mu=1.0), dict(beta=3.0), dict(mu=0.0, beta=3.0)])
     def test_sc_streams_need_mu_and_beta(self, params):
@@ -77,8 +75,8 @@ class TestGenerators:
     def test_isotropic_degenerate_class(self):
         gs = gen_stream("sc-quadratic",
                         dict(dimension=2, horizon=5, radius=1.0, mu=1.0, beta=1.0), seed=0)
-        for item in gs.stream:
-            assert np.array_equal(item.matrix, np.eye(2))
+        for mat in stack_quadratics(gs.stream)[0]:
+            assert np.array_equal(mat, np.eye(2))
         assert gs.kappa_aggregate == pytest.approx(1.0, rel=1e-12)
 
     def test_convex_qg_window_growth(self):
@@ -86,20 +84,22 @@ class TestGenerators:
         gs = gen_stream("convex-qg",
                         dict(dimension=2, horizon=40, radius=1.0, beta=1.0), seed=3)
         # Alternating rank-one directions: any even window has lambda_min = window/2.
-        for item in gs.stream:
-            assert np.linalg.eigvalsh(item.matrix)[0] == pytest.approx(0.0, abs=1e-12)
+        mats = stack_quadratics(gs.stream)[0]
+        for mat in mats:
+            assert np.linalg.eigvalsh(mat)[0] == pytest.approx(0.0, abs=1e-12)
         for start in (0, 4, 10):
             for window in (4, 10, 20):
-                total = sum(gs.stream.items[t].matrix for t in range(start, start + window))
+                total = sum(mats[t] for t in range(start, start + window))
                 assert np.linalg.eigvalsh(total)[0] == pytest.approx(window / 2.0, rel=1e-9)
 
     def test_convex_qg_prefix_qg_measured(self):
-        dom = BallDomain(1.0)
         gs = gen_stream("convex-qg",
                         dict(dimension=2, horizon=30, radius=1.0, beta=1.0), seed=4)
+        mats = stack_quadratics(gs.stream)[0]
         for prefix in (10, 20, 30):
-            est = measure_qg(list(gs.stream.items[:prefix]), dom, samples=300, seed=0)
-            assert est.kappa_exact >= gs.kappa_aggregate * prefix * 0.99
+            # A prefix's quadratic-growth modulus is its curvature sum's lambda_min.
+            kappa = float(np.linalg.eigvalsh(mats[:prefix].sum(axis=0))[0])
+            assert kappa >= gs.kappa_aggregate * prefix * 0.99
 
     def test_convex_qg_target_enforced(self):
         with pytest.raises(GeneratorError):
@@ -110,10 +110,10 @@ class TestGenerators:
     def test_assumption2_shared_stationary_point(self):
         gs = gen_stream("assumption2-segments",
                         dict(dimension=2, horizon=20, radius=1.0, mu=1.0, beta=3.0), seed=5)
-        center = gs.stream.item_at(1).center
-        for item in gs.stream:
-            assert np.array_equal(item.center, center)
-            assert np.allclose(eval_grad(item, center)[1], 0.0, atol=1e-15)
+        mats, centers, _, _ = stack_quadratics(gs.stream)
+        for mat, center in zip(mats, centers):
+            assert np.array_equal(center, centers[0])
+            assert np.allclose(mat @ (centers[0] - center), 0.0, atol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(GeneratorError):
@@ -305,6 +305,11 @@ _OVERFLOWS = {
              schedule={"kind": "pattern", "k": 11, "gap": 0, "first_time": 3, "spacing": 1},
              unlearner={"alpha": 10.0, "eps": 1e-300, "omega": 2.0}),
         "the run's losses sum past the float range"),
+    # eta * beta overflows in the step factor of the rate the config is refused for.
+    "step-contraction": (
+        dict(algorithm="active2", stream={"kind": "convex-qg", "beta": 1e300},
+             rate={"kind": "constant", "eta": 1e12}),
+        "eta=1000000000000.0 exceeds 2/beta=2e-300; step factor inf > 1"),
 }
 
 
@@ -763,8 +768,14 @@ class TestSweepAndCli:
         # Monte-Carlo's standard error squares alpha.
         (dict(mc_samples=50, unlearner={"alpha": 1e300, "eps": 0.5, "omega": 1.2}),
          "Monte-Carlo estimate out of range at alpha = 1e+300"),
+        # The budget alpha * eps itself; a certificate against it would pass anything.
+        (dict(dimension=1, horizon=1, radius=1e-300,
+              schedule={"kind": "pattern", "k": 1, "gap": 0, "spacing": 1, "first_time": 1},
+              unlearner={"alpha": 1e12, "eps": 1e300, "omega": 2.0}),
+         "config invalid at $.unlearner: budget alpha * eps out of range at "
+         "alpha = 1000000000000.0, eps = 1e+300"),
     ], ids=["t5-shift", "lipschitz-bound", "noise-multiplier", "active2-noise-multiplier",
-            "adaptive-gradient-sum", "losses", "monte-carlo-estimate"])
+            "adaptive-gradient-sum", "losses", "monte-carlo-estimate", "budget"])
     def test_a_number_past_the_float_range_is_refused(self, tmp_path, capsys, overrides,
                                                        error):
         raw = {**json.loads((CONFIGS / "passive_sc.json").read_text()), "seeds": [0],
@@ -839,7 +850,7 @@ class TestSweepAndCli:
 
 
 class TestBatchedGeneration:
-    """Stacked generation reproduces the per-item class constants bit for bit."""
+    """Stacked generation reproduces the per-matrix class constants bit for bit."""
 
     @pytest.mark.parametrize("kind", ["sc-quadratic", "convex-qg", "assumption2-segments"])
     @pytest.mark.parametrize("dim", [2, 5, 8])
@@ -848,12 +859,15 @@ class TestBatchedGeneration:
         params = dict(dimension=dim, horizon=60, radius=1.0, mu=1.0, beta=3.0)
         for seed in range(6):
             gs = gen_stream(kind, params, seed)
-            items = gs.stream.items
-            assert gs.fn_class.lipschitz == max(class_bound_lipschitz(f, dom) for f in items)
+            mats, centers, _, _ = stack_quadratics(gs.stream)
+            # Each matrix's bound lambda_max(A) * (R + ||c||) on its own.
+            assert gs.fn_class.lipschitz == max(
+                float(np.linalg.eigvalsh(mat)[-1]) * (dom.radius + float(np.linalg.norm(center)))
+                for mat, center in zip(mats, centers))
             total = np.zeros((dim, dim))
-            for f in items:
-                total += f.matrix
-            assert gs.kappa_aggregate == float(np.linalg.eigvalsh(total)[0]) / len(items)
+            for mat in mats:
+                total += mat
+            assert gs.kappa_aggregate == float(np.linalg.eigvalsh(total)[0]) / len(mats)
 
 
 def _whole_batch_arrays(kind, params, seed):

@@ -8,14 +8,12 @@ from online_unlearning import (
     FnClass,
     InvalidConfigError,
     NonContractiveStepError,
-    check_conditions,
     constant_rate_worst_case,
     contraction_coeff,
-    ogd_step,
     rate,
     sensitivity,
 )
-from online_unlearning.core import SKIP, project
+from online_unlearning.core import project
 from online_unlearning.ogd import (
     AdaptiveRate,
     AdaptiveState,
@@ -26,7 +24,7 @@ from online_unlearning.ogd import (
     step_contraction,
 )
 
-from conftest import iso_quad, random_spd_quad
+from conftest import engine_step, iso_quad, random_spd_quad
 
 
 class TestRates:
@@ -91,16 +89,16 @@ class TestConstantWorstCase:
 class TestOgdStep:
     def test_plain_step(self):
         f = iso_quad(1.0, [2.0, 0.0])
-        out = ogd_step(np.zeros(2), f, 0.5, BallDomain(2.0))
+        out = engine_step(f, np.zeros(2), 0.5, BallDomain(2.0))
         assert np.allclose(out, [1.0, 0.0], rtol=1e-12)
 
     def test_skip_holds(self):
-        out = ogd_step(np.array([0.3, 0.3]), SKIP, 0.7, BallDomain(1.0))
+        out = engine_step(None, np.array([0.3, 0.3]), 0.7, BallDomain(1.0))
         assert np.array_equal(out, [0.3, 0.3])
 
     def test_projection_binds(self):
         f = iso_quad(1.0, [2.0, 0.0])
-        out = ogd_step(np.zeros(2), f, 2.0, BallDomain(1.0))
+        out = engine_step(f, np.zeros(2), 2.0, BallDomain(1.0))
         assert np.allclose(out, [1.0, 0.0], rtol=1e-12)
 
     def test_output_always_inside(self):
@@ -109,7 +107,7 @@ class TestOgdStep:
         for _ in range(300):
             f = random_spd_quad(rng, 3, 0.5, 3.0, 0.4)
             z = project(rng.standard_normal(3), dom)
-            out = ogd_step(z, f, float(rng.uniform(0.01, 0.6)), dom)
+            out = engine_step(f, z, float(rng.uniform(0.01, 0.6)), dom)
             assert float(np.linalg.norm(out)) <= dom.radius
 
 
@@ -140,7 +138,7 @@ class TestContraction:
             f = random_spd_quad(rng, 2, 1.0, 3.0, 0.5)
             z1 = project(rng.standard_normal(2), dom)
             z2 = project(rng.standard_normal(2), dom)
-            lhs = np.linalg.norm(ogd_step(z1, f, eta, dom) - ogd_step(z2, f, eta, dom))
+            lhs = np.linalg.norm(engine_step(f, z1, eta, dom) - engine_step(f, z2, eta, dom))
             assert lhs <= gamma * np.linalg.norm(z1 - z2) + 1e-10
 
 
@@ -161,9 +159,9 @@ class TestSensitivity:
         eta = 0.2
         for _ in range(1000):
             f = random_spd_quad(rng, 2, 1.0, 3.0, 0.5)
-            cls_l = float(np.linalg.eigvalsh(f.matrix)[-1]) * (dom.radius + float(np.linalg.norm(f.center)))
+            cls_l = float(np.linalg.eigvalsh(f[0])[-1]) * (dom.radius + float(np.linalg.norm(f[1])))
             z = project(rng.standard_normal(2) * 1.5, dom)
-            moved = np.linalg.norm(ogd_step(z, f, eta, dom) - z)
+            moved = np.linalg.norm(engine_step(f, z, eta, dom) - z)
             assert moved <= eta * cls_l + 1e-10
 
 
@@ -188,31 +186,6 @@ class TestArrayForms:
             step_contraction(sc_class, rates)
         with pytest.raises(InvalidConfigError):
             sensitivity(sc_class, rates)
-
-
-class TestCheckConditions:
-    def test_report_bounds(self, unit_ball, sc_class):
-        rng = np.random.default_rng(7)
-        fs = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(100)]
-        zs = [project(rng.standard_normal(2), unit_ball) for _ in range(20)]
-        report = check_conditions(fs, zs, 0.5, unit_ball, sc_class)
-        assert report.max_contraction_ratio <= 0.5 + 1e-10
-        assert report.contraction_ok and report.displacement_ok
-        assert report.markov_structural
-
-    def test_degenerate_pair_skipped(self, unit_ball, sc_class):
-        z = np.array([0.1, 0.2])
-        f = iso_quad(2.0, [0.0, 0.0])
-        report = check_conditions([f], [z, z], 0.4, unit_ball, sc_class)
-        assert report.skipped_pairs == 1
-
-    def test_step_norm_bound(self, unit_ball):
-        rng = np.random.default_rng(8)
-        cls = FnClass(lipschitz=1.0, smoothness=1.0, strong_convexity=0.5)
-        fs = [iso_quad(float(rng.uniform(0.5, 1.0)), rng.uniform(-0.3, 0.3, 2) * 0) for _ in range(30)]
-        zs = [project(rng.standard_normal(2) * 0.9, unit_ball) for _ in range(30)]
-        report = check_conditions(fs, zs, 0.2, unit_ball, cls)
-        assert report.max_step_displacement <= 0.2 * 1.0 + 1e-12
 
 
 def test_gamma_nominal_values():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from online_unlearning import (
-    SKIP,
     DeletionSchedule,
     FnClass,
     InvalidConfigError,
@@ -15,11 +14,11 @@ from online_unlearning import (
     run_ogd,
     run_passive,
 )
-from online_unlearning.core import EMPTY_SCHEDULE, class_bound_lipschitz, encode_vector
+from online_unlearning.core import EMPTY_SCHEDULE, encode_vector
 from online_unlearning.errors import InvalidInputError
 from online_unlearning.ogd import SCDecreasing
 from online_unlearning.passive import calibrated_sigma, noise_multiplier
-from online_unlearning.trace import load_trace_outputs
+from online_unlearning.trace import load_trace_outputs, write_json
 
 from conftest import random_spd_quad, stream_of
 
@@ -31,9 +30,9 @@ def _cfg(**kw):
 
 
 def _sc_stream(rng, horizon, dom, mu=1.0, beta=3.0):
-    items = [random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon)]
-    lipschitz = max(class_bound_lipschitz(f, dom) for f in items)
-    return stream_of(items), FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
+    stream = stream_of(random_spd_quad(rng, 2, mu, beta, dom.radius / 2) for _ in range(horizon))
+    lipschitz = stream.lipschitz_bound(dom)
+    return stream, FnClass(lipschitz=lipschitz, smoothness=beta, strong_convexity=mu)
 
 
 class TestPassiveSigma:
@@ -119,9 +118,9 @@ class TestRunPassive:
     def test_deleting_skip_leaves_run_unchanged(self, unit_ball):
         rng = np.random.default_rng(13)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(12)]
-        items[4] = SKIP
+        items[4] = None
         stream = stream_of(items)
-        lipschitz = max(class_bound_lipschitz(f, unit_ball) for f in items if f is not SKIP)
+        lipschitz = stream.lipschitz_bound(unit_ball)
         cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(((5, 8),))
         rates = SCDecreasing(mu=1.0)
@@ -135,13 +134,13 @@ class TestRunPassive:
 
         rng = np.random.default_rng(14)
         items = [random_spd_quad(rng, 2, 1.0, 3.0, 0.5) for _ in range(6)]
-        items[2] = SKIP
+        items[2] = None
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         rates = AdaptiveRate(diameter=2.0, warm_floor=1.5)
         trace = run_passive(stream, EMPTY_SCHEDULE, rates, _cfg(), cls, unit_ball, seed=0)
         p = trace.p_history
-        assert p[2] == p[1]  # skip leaves p unchanged
+        assert p[2] == p[1]  # a deleted slot leaves p unchanged
         assert np.array_equal(trace.outputs[2], trace.outputs[1])
         assert trace.rates[2] > 0.0
 
@@ -259,3 +258,9 @@ class TestTraceSerialization:
         event = summary["noise_events"][0]
         assert event["t"] == 5 and event["u"] == 2
         assert summary["config"]["gamma_mode"] == "per-step-product"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_json_refuses_a_non_finite_number(self, tmp_path, value):
+        # JSON has no token for it: the writer fails instead of writing ``Infinity``.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "out.json", {"x": value})

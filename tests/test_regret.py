@@ -12,18 +12,14 @@ from online_unlearning import (
     bound_rhs,
     comparators,
     g_functions,
-    measure_qg,
     regret_dynamic,
     run_ogd,
     run_passive,
-    solve_erm,
 )
 from online_unlearning import core
 from online_unlearning.core import (
     EMPTY_SCHEDULE,
     _row_sum,
-    class_bound_lipschitz,
-    cost_value,
     retained,
     stack_quadratics,
 )
@@ -32,39 +28,55 @@ from online_unlearning.ogd import SCDecreasing
 from online_unlearning.harness import build_schedule, gen_stream
 from online_unlearning.regret import _per_step_regret, active_gap_sum
 
-from conftest import iso_quad, quad, random_spd_quad, stream_of
+from conftest import iso_quad, loss_and_grad, quad, random_spd_quad, row_at, stream_of
+
+
+def _value(row, z) -> float:
+    return loss_and_grad(row, z)[0]
+
+
+def _erm(rows, dom) -> np.ndarray:
+    """The minimizer of the summed losses over the ball: a run's comparator with no deletion."""
+    return comparators(stream_of(rows), EMPTY_SCHEDULE, dom)[0]
+
+
+def _erm_pair(rows, removed, dom) -> tuple:
+    """The minimizers over all ``rows`` and over those left after the 0-based ``removed``."""
+    sched = DeletionSchedule(tuple((u + 1, u + 1) for u in sorted(removed)))
+    comps = comparators(stream_of(rows), sched, dom)
+    return comps[0], comps[-1]
 
 
 class TestSolveErm:
     def test_mean_of_two_centers(self, unit_ball):
         dom = BallDomain(2.0)
         losses = [iso_quad(1.0, [0.0, 0.0]), iso_quad(1.0, [2.0, 0.0])]
-        assert np.allclose(solve_erm(losses, dom), [1.0, 0.0], atol=1e-12)
+        assert np.allclose(_erm(losses, dom), [1.0, 0.0], atol=1e-12)
 
     def test_single_quadratic(self, unit_ball):
         f = iso_quad(2.0, [0.3, -0.4])
-        assert np.allclose(solve_erm([f], unit_ball), [0.3, -0.4], atol=1e-12)
+        assert np.allclose(_erm([f], unit_ball), [0.3, -0.4], atol=1e-12)
 
     def test_projected_mean_vs_grid_oracle(self):
         dom = BallDomain(1.0)
         losses = [iso_quad(1.0, [0.0, 0.0]), iso_quad(1.0, [4.0, 0.0])]
-        solved = solve_erm(losses, dom)
+        solved = _erm(losses, dom)
         assert np.allclose(solved, [1.0, 0.0], atol=1e-8)
         # Brute-force the constrained optimum on a dense grid of the disk.
         best, best_val = None, math.inf
         for r in np.linspace(0.0, 1.0, 401):
             for ang in np.linspace(0.0, 2.0 * math.pi, 721):
                 z = np.array([r * math.cos(ang), r * math.sin(ang)])
-                val = sum(cost_value(f, z) for f in losses)
+                val = sum(_value(f, z) for f in losses)
                 if val < best_val:
                     best, best_val = z, val
         assert np.linalg.norm(solved - best) < 5e-3
-        assert sum(cost_value(f, solved) for f in losses) <= best_val + 1e-9
+        assert sum(_value(f, solved) for f in losses) <= best_val + 1e-9
 
     def test_singular_sum_ridge_flagged(self, unit_ball):
         losses = [quad(np.diag([1.0, 0.0]), [0.5, 0.0])]
         with pytest.warns(RuntimeWarning):
-            z = solve_erm(losses, unit_ball)
+            z = _erm(losses, unit_ball)
         assert abs(z[0] - 0.5) < 1e-6
         assert abs(z[1]) < 1e-6  # minimum-norm tie break on the flat direction
 
@@ -82,10 +94,10 @@ class TestRegretDynamic:
         cls = FnClass(lipschitz=3.0, smoothness=2.0, strong_convexity=1.0)
         trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls)
         fast = regret_dynamic(trace, stream, EMPTY_SCHEDULE, unit_ball)
-        z_star = solve_erm(list(stream.items), unit_ball)
+        z_star = comparators(stream, EMPTY_SCHEDULE, unit_ball)[0]
         slow = sum(
-            cost_value(stream.item_at(t), trace.output_at(t))
-            - cost_value(stream.item_at(t), z_star)
+            _value(row_at(stream, t), trace.output_at(t))
+            - _value(row_at(stream, t), z_star)
             for t in (1, 2)
         )
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-15)
@@ -104,8 +116,8 @@ class TestRegretDynamic:
         slow = 0.0
         for i in range(3):
             for t in range(edges[i] + 1, edges[i + 1] + 1):
-                f = stream.item_at(t)
-                slow += cost_value(f, trace.output_at(t)) - cost_value(f, comps[i])
+                f = row_at(stream, t)
+                slow += _value(f, trace.output_at(t)) - _value(f, comps[i])
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-15)
 
     def test_k_zero_equals_static_regret(self, unit_ball):
@@ -115,10 +127,9 @@ class TestRegretDynamic:
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls)
         dynamic = regret_dynamic(trace, stream, EMPTY_SCHEDULE, unit_ball)
-        z_star = solve_erm(list(stream.items), unit_ball)
+        z_star = comparators(stream, EMPTY_SCHEDULE, unit_ball)[0]
         static = sum(
-            cost_value(stream.item_at(t), trace.output_at(t))
-            - cost_value(stream.item_at(t), z_star)
+            _value(items[t - 1], trace.output_at(t)) - _value(items[t - 1], z_star)
             for t in range(1, 21)
         )
         assert dynamic == pytest.approx(static, rel=1e-12, abs=1e-12)
@@ -146,11 +157,8 @@ class TestRegretDynamic:
         stream = stream_of(items)
         sched = DeletionSchedule(((2, 5), (7, 9)))
         for i, comp in enumerate(comparators(stream, sched, unit_ball)):
-            live = [
-                f for t, f in enumerate(stream.items, start=1)
-                if t not in sched.indices[:i]
-            ]
-            grad = sum(f.gradient(comp) for f in live)
+            live = [f for t, f in enumerate(items, start=1) if t not in sched.indices[:i]]
+            grad = sum(loss_and_grad(f, comp)[1] for f in live)
             if np.linalg.norm(comp) < unit_ball.radius - 1e-9:
                 assert np.linalg.norm(grad) < 1e-7
             else:
@@ -309,38 +317,10 @@ class TestBoundRhs:
         with pytest.raises(NumericError, match=f"{theorem} bound out of range at L = "):
             bound_rhs(theorem, params)
 
-    def test_table2_rows(self):
-        row = bound_rhs("table2-retrain-sc", dict(T=100, k=2, tau=50))
-        assert row.order_form
-        assert row.components["computation_per_deletion"] == 50.0
-        row = bound_rhs("table2-passive-sc", dict(T=100, k=2, d=3, G1=0.1))
-        assert row.components["computation_per_deletion"] == 1.0
-        with pytest.raises(InvalidConfigError):
-            bound_rhs("table2-nope", dict(T=100))
-
-
-class TestMeasureQg:
-    def test_unit_quadratics(self, unit_ball):
-        losses = [iso_quad(1.0, [0.0, 0.0]) for _ in range(4)]
-        est = measure_qg(losses, unit_ball, samples=300, seed=0)
-        assert est.kappa_exact == pytest.approx(4.0, rel=1e-12)
-        assert est.kappa_hat == pytest.approx(4.0, rel=1e-9)
-
-    def test_flat_direction(self, unit_ball):
-        losses = [quad(np.diag([1.0, 0.0]), [0.1, 0.0])]
-        with pytest.warns(RuntimeWarning):
-            est = measure_qg(losses, unit_ball, samples=300, seed=1)
-        assert est.kappa_exact == pytest.approx(0.0, abs=1e-12)
-        assert est.kappa_hat < 1e-4
-
-    def test_mixed_curvature_close_to_lambda_min(self, unit_ball):
-        rng = np.random.default_rng(54)
-        losses = [random_spd_quad(rng, 2, 0.5, 3.0, 0.2) for _ in range(6)]
-        est = measure_qg(losses, unit_ball, samples=1000, seed=2)
-        assert est.kappa_exact is not None
-        # Sampling can only overshoot the eigenvalue answer, and by < 5%.
-        assert est.kappa_hat >= est.kappa_exact - 1e-9
-        assert abs(est.kappa_hat - est.kappa_exact) <= 0.05 * est.kappa_exact
+    @pytest.mark.parametrize("theorem", ["T7", "table2-retrain-sc"])
+    def test_unknown_bound_refused(self, theorem):
+        with pytest.raises(InvalidConfigError, match="unknown bound"):
+            bound_rhs(theorem, dict(T=100, k=2, tau=50))
 
 
 class TestStabilityLemmas:
@@ -351,12 +331,10 @@ class TestStabilityLemmas:
             horizon = int(rng.integers(6, 16))
             mu, beta = 1.0, 3.0
             items = [random_spd_quad(rng, 2, mu, beta, 0.4) for _ in range(horizon)]
-            lipschitz = max(class_bound_lipschitz(f, unit_ball) for f in items)
+            lipschitz = stream_of(items).lipschitz_bound(unit_ball)
             i = int(rng.integers(1, min(4, horizon)))
             removed = rng.choice(horizon, size=i, replace=False)
-            full = solve_erm(items, unit_ball, tol=1e-10)
-            sub = solve_erm([f for t, f in enumerate(items) if t not in removed],
-                            unit_ball, tol=1e-10)
+            full, sub = _erm_pair(items, removed.tolist(), unit_ball)
             bound = 2.0 * i * lipschitz / (mu * horizon)
             assert np.linalg.norm(full - sub) <= bound + 1e-6
 
@@ -370,16 +348,14 @@ class TestStabilityLemmas:
                 v = np.zeros(2)
                 v[t % 2] = 1.0
                 items.append(quad(np.outer(v, v), rng.uniform(-0.4, 0.4, 2)))
-            lipschitz = max(class_bound_lipschitz(f, unit_ball) for f in items)
+            lipschitz = stream_of(items).lipschitz_bound(unit_ball)
             k = int(rng.integers(1, 3))
             removed = set(rng.choice(horizon, size=k, replace=False).tolist())
-            total = sum(f.matrix for f in items)
+            total = sum(f[0] for f in items)
             kappa = float(np.linalg.eigvalsh(total)[0])
             if kappa <= 0.5:
                 continue
-            full = solve_erm(items, unit_ball, tol=1e-10)
-            sub = solve_erm([f for t, f in enumerate(items) if t not in removed],
-                            unit_ball, tol=1e-10)
+            full, sub = _erm_pair(items, removed, unit_ball)
             assert np.linalg.norm(full - sub) <= 2.0 * k * lipschitz / kappa + 1e-6
 
     def test_implicit_bound_lemma(self):
