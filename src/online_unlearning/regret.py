@@ -98,6 +98,13 @@ def comparators(stream: CostStream, sched: DeletionSchedule, dom: BallDomain) ->
 def _solve_quadratic_erm(
     total: np.ndarray, rhs: np.ndarray, dim: int, dom: BallDomain
 ) -> np.ndarray:
+    """Minimizer of ``0.5 z^T total z - rhs^T z`` over the ball.
+
+    Solved in closed form, refined by projected gradient descent when the
+    unconstrained minimizer falls outside the ball.  A singular curvature
+    sum (mu = 0 with flat directions) is broken toward the minimum-norm
+    minimizer with a 1e-12 ridge and flagged.
+    """
     eigs = np.linalg.eigvalsh(total)
     if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
         warnings.warn(
@@ -260,8 +267,7 @@ def bound_rhs(theorem: str, params: Mapping) -> BoundResult:
     order-form.  A bound past the float range (``L**2`` overflowing, or a noise term over
     a tiny ``eps``) bounds nothing and raises ``NumericError``.
     """
-    name = theorem.strip()
-    key = name.upper() if name.upper() in {"T2", "T3", "T4", "T5", "T6"} else name.lower()
+    key = theorem.strip().upper()
     try:
         result = _bound_rhs(key, params)
     except (OverflowError, ZeroDivisionError):  # a square overflows or a divisor underflows
