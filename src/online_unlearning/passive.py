@@ -61,9 +61,11 @@ class UnlearnerConfig:
             raise InvalidConfigError(f"need eps > 0, got {self.eps}")
         if not self.omega > 1.0:
             raise InvalidConfigError(f"need omega > 1, got {self.omega}")
-        if not math.isfinite(self.alpha * self.eps):
-            raise InvalidConfigError(f"budget alpha * eps out of range at alpha = {self.alpha!r}, "
-                                     f"eps = {self.eps!r}")
+        # The budget alpha * eps, and alpha * eps * (omega - 1) in ``series_term``.
+        if not math.isfinite(self.alpha * self.eps * max(1.0, self.omega - 1.0)):
+            raise InvalidConfigError(
+                f"budget alpha * eps or its series terms out of range at alpha = {self.alpha!r}, "
+                f"eps = {self.eps!r}, omega = {self.omega!r}")
 
     @property
     def budget(self) -> float:
@@ -124,9 +126,12 @@ def deletion_calibration(
     if not 1 <= u <= tau <= len(stream):
         raise InvalidInputError(f"need 1 <= u <= tau <= {len(stream)}, got ({u}, {tau})")
     delta = sensitivity(cls, float(rates[u - 1])) if stream.live[u - 1] else 0.0
-    factors = step_contraction(cls, rates[np.flatnonzero(stream.live[u:tau]) + u])
+    # An overflow makes a factor or the decay inf: the step is not contractive,
+    # so no certificate follows, and the run's inf noise is refused.
+    with np.errstate(over="ignore"):
+        factors = step_contraction(cls, rates[np.flatnonzero(stream.live[u:tau]) + u])
+        decay = float(np.prod(factors))
     contractive = not np.any(factors > 1.0 + _CONTRACTION_TOL)
-    decay = float(np.prod(factors))
     return delta, decay, calibrated_sigma(cfg, i, decay, delta), contractive
 
 

@@ -772,10 +772,15 @@ class TestSweepAndCli:
         (dict(dimension=1, horizon=1, radius=1e-300,
               schedule={"kind": "pattern", "k": 1, "gap": 0, "spacing": 1, "first_time": 1},
               unlearner={"alpha": 1e12, "eps": 1e300, "omega": 2.0}),
-         "config invalid at $.unlearner: budget alpha * eps out of range at "
-         "alpha = 1000000000000.0, eps = 1e+300"),
+         "config invalid at $.unlearner: budget alpha * eps or its series terms out of range at "
+         "alpha = 1000000000000.0, eps = 1e+300, omega = 2.0"),
+        # A finite budget whose series term alpha * eps * (omega - 1) / omega overflows.
+        (dict(schedule={"kind": "pattern", "k": 1, "gap": 5},
+              unlearner={"alpha": 1e12, "eps": 1e-3, "omega": 1e300}),
+         "config invalid at $.unlearner: budget alpha * eps or its series terms out of range at "
+         "alpha = 1000000000000.0, eps = 0.001, omega = 1e+300"),
     ], ids=["t5-shift", "lipschitz-bound", "noise-multiplier", "active2-noise-multiplier",
-            "adaptive-gradient-sum", "losses", "monte-carlo-estimate", "budget"])
+            "adaptive-gradient-sum", "losses", "monte-carlo-estimate", "budget", "series-term"])
     def test_a_number_past_the_float_range_is_refused(self, tmp_path, capsys, overrides,
                                                        error):
         raw = {**json.loads((CONFIGS / "passive_sc.json").read_text()), "seeds": [0],
