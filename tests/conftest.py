@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from online_unlearning import BallDomain, CostStream, FnClass
+from online_unlearning import BallDomain, CostStream, DeletionSchedule, FnClass, comparators
 from online_unlearning.core import EMPTY_SCHEDULE, stack_quadratics
 from online_unlearning.engine import StepEngine
 from online_unlearning.ogd import ConstantRate
@@ -69,6 +69,16 @@ def row_at(stream, t) -> tuple:
 def rows_of(stream) -> list:
     """Every step's loss row, ``None`` at deleted slots: what ``stream_of`` takes."""
     return [row_at(stream, t) for t in range(1, len(stream) + 1)]
+
+
+def erm_pair(rows, removed, dom) -> tuple:
+    """The minimizers over all ``rows`` and over those left after the 0-based ``removed``.
+
+    Both are comparators of one run: removing rows is a schedule of ``(u, u)`` deletions.
+    """
+    sched = DeletionSchedule(tuple((int(u) + 1, int(u) + 1) for u in sorted(removed)))
+    comps = comparators(stream_of(rows), sched, dom)
+    return comps[0], comps[-1]
 
 
 def engine_step(row, z, eta, dom) -> np.ndarray:

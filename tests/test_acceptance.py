@@ -46,7 +46,7 @@ from online_unlearning.ogd import (
 from online_unlearning.passive import calibrated_sigma
 from online_unlearning.regret import regret_dynamic
 
-from conftest import engine_step, iso_quad, quad, random_spd_quad, rows_of, stream_of
+from conftest import engine_step, erm_pair, iso_quad, quad, random_spd_quad, rows_of, stream_of
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -420,13 +420,6 @@ def test_criterion_10_formula_unit_tests():
     _report("10 (formula unit tests)", all(checks), f"{len(checks)} formulas at 1e-12")
 
 
-def _erm_pair(rows, removed, dom) -> tuple:
-    """The minimizers over all ``rows`` and over those left after the 0-based ``removed``."""
-    sched = DeletionSchedule(tuple((int(u) + 1, int(u) + 1) for u in sorted(removed)))
-    comps = comparators(stream_of(rows), sched, dom)
-    return comps[0], comps[-1]
-
-
 def test_criterion_11_erm_stability_lemmas():
     start = time.monotonic()
     dom = BallDomain(1.0)
@@ -437,7 +430,7 @@ def test_criterion_11_erm_stability_lemmas():
         lipschitz = stream_of(items).lipschitz_bound(dom)
         i = int(rng.integers(1, min(4, horizon)))
         removed = rng.choice(horizon, size=i, replace=False)
-        full, sub = _erm_pair(items, removed, dom)
+        full, sub = erm_pair(items, removed, dom)
         assert np.linalg.norm(full - sub) <= 2.0 * i * lipschitz / (1.0 * horizon) + 1e-6
 
     for _ in range(50):
@@ -451,7 +444,7 @@ def test_criterion_11_erm_stability_lemmas():
         k = int(rng.integers(1, 3))
         removed = rng.choice(horizon, size=k, replace=False)
         kappa = float(np.linalg.eigvalsh(sum(f[0] for f in items))[0])
-        full, sub = _erm_pair(items, removed, dom)
+        full, sub = erm_pair(items, removed, dom)
         assert np.linalg.norm(full - sub) <= 2.0 * k * lipschitz / kappa + 1e-6
     elapsed = time.monotonic() - start
     _report("11 (ERM stability lemmas)", elapsed < 5.0, f"100 instances; {elapsed:.1f}s")

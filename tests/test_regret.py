@@ -28,7 +28,7 @@ from online_unlearning.ogd import SCDecreasing
 from online_unlearning.harness import build_schedule, gen_stream
 from online_unlearning.regret import _per_step_regret, active_gap_sum
 
-from conftest import iso_quad, loss_and_grad, quad, random_spd_quad, row_at, stream_of
+from conftest import erm_pair, iso_quad, loss_and_grad, quad, random_spd_quad, row_at, stream_of
 
 
 def _value(row, z) -> float:
@@ -38,13 +38,6 @@ def _value(row, z) -> float:
 def _erm(rows, dom) -> np.ndarray:
     """The minimizer of the summed losses over the ball: a run's comparator with no deletion."""
     return comparators(stream_of(rows), EMPTY_SCHEDULE, dom)[0]
-
-
-def _erm_pair(rows, removed, dom) -> tuple:
-    """The minimizers over all ``rows`` and over those left after the 0-based ``removed``."""
-    sched = DeletionSchedule(tuple((u + 1, u + 1) for u in sorted(removed)))
-    comps = comparators(stream_of(rows), sched, dom)
-    return comps[0], comps[-1]
 
 
 class TestSolveErm:
@@ -334,7 +327,7 @@ class TestStabilityLemmas:
             lipschitz = stream_of(items).lipschitz_bound(unit_ball)
             i = int(rng.integers(1, min(4, horizon)))
             removed = rng.choice(horizon, size=i, replace=False)
-            full, sub = _erm_pair(items, removed.tolist(), unit_ball)
+            full, sub = erm_pair(items, removed, unit_ball)
             bound = 2.0 * i * lipschitz / (mu * horizon)
             assert np.linalg.norm(full - sub) <= bound + 1e-6
 
@@ -355,7 +348,7 @@ class TestStabilityLemmas:
             kappa = float(np.linalg.eigvalsh(total)[0])
             if kappa <= 0.5:
                 continue
-            full, sub = _erm_pair(items, removed, unit_ball)
+            full, sub = erm_pair(items, removed, unit_ball)
             assert np.linalg.norm(full - sub) <= 2.0 * k * lipschitz / kappa + 1e-6
 
     def test_implicit_bound_lemma(self):
