@@ -105,28 +105,38 @@ def _into_ball(x: np.ndarray, radius: float) -> Tuple[np.ndarray, bool]:
     Rounding can leave the rescaled point an ulp outside, so the rescale
     repeats until it is inside: projection is then exactly idempotent.  A
     NaN or infinite norm never passes ``norm <= radius``, so only the slow
-    path looks at it: a finite point whose square overflows (past about
-    1.3e154) takes its norm rescaled by ``max|x|``, and anything else
-    raises ``NumericError``.
+    path looks at it.  A finite point whose square overflows (past about
+    1.3e154) is measured as ``max|x|`` times the norm of ``x / max|x|``, and
+    neither that product nor the rescale is formed where it could leave the
+    float range; anything else raises ``NumericError``.
     """
     norm = _norm(x)
     if norm <= radius:
         return x, False
-    norm = _finite_norm(x, norm)
-    while norm > radius:
-        x = x * (radius / norm)
-        norm = _finite_norm(x, _norm(x))
-    return x, True
+    moved = False
+    while True:
+        if math.isfinite(norm):
+            if norm <= radius:
+                return x, moved
+            x = x * (radius / norm)
+        else:
+            if norm != math.inf or not np.all(np.isfinite(x)):
+                raise NumericError("non-finite iterate")
+            top = float(np.max(np.abs(x)))
+            unit = x / top
+            norm = _norm(unit)
+            scale = radius / top
+            if norm <= scale:
+                return x, moved
+            # Shrinking x itself always moves it; a scale that underflows
+            # would lose it, and then the radius is small enough that the
+            # rescaled unit point's square is finite.
+            x = x * (scale / norm) if scale >= _TINY else unit * (radius / norm)
+        moved = True
+        norm = _norm(x)
 
 
-def _finite_norm(x: np.ndarray, norm: float) -> float:
-    """``norm`` (``_norm(x)``) itself when finite, else the norm of a finite ``x`` rescaled."""
-    if math.isfinite(norm):
-        return norm
-    if norm != math.inf or not np.all(np.isfinite(x)):
-        raise NumericError("non-finite iterate")
-    top = float(np.max(np.abs(x)))
-    return top * _norm(x / top)
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 def _norm(x: np.ndarray) -> float:

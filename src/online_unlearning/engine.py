@@ -28,7 +28,7 @@ from .core import (
 from .errors import InvalidInputError, NumericError
 from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, rates_array
 from .rng import NoiseSource
-from .trace import EVENT_LEARN, EVENT_HOLD, EVENT_UNLEARN, NoiseEvent, RunTrace
+from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
 __all__ = ["StepEngine"]
 
@@ -189,7 +189,7 @@ class StepEngine:
         live = self._stream.live
         outputs = self.outputs
         losses = np.zeros(len(self.live))
-        events = [EVENT_LEARN if keep else EVENT_HOLD for keep in live.tolist()]
+        events = [EVENT_LEARN if keep else EVENT_SKIP for keep in live.tolist()]
         mats, centers, offsets = self._rows
         every = live.all()
         # A loss or a sum that overflows is refused below, without numpy's warning.

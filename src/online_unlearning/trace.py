@@ -16,7 +16,7 @@ __all__ = ["NoiseEvent", "RunTrace", "write_json"]
 
 EVENT_LEARN = "learn"
 EVENT_UNLEARN = "unlearn"
-EVENT_HOLD = "skip"  # a deleted slot: the learner holds its iterate
+EVENT_SKIP = "skip"
 
 _CSV_COLUMNS = ("t", "z", "eta", "loss", "event", "sigma")
 _CSV_CHUNK = 256  # rows per write

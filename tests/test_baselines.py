@@ -35,7 +35,7 @@ from online_unlearning.ogd import (
     SCDecreasing,
     rate,
 )
-from online_unlearning.trace import EVENT_LEARN, EVENT_HOLD, EVENT_UNLEARN, RunTrace
+from online_unlearning.trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, RunTrace
 
 from conftest import loss_and_grad, random_spd_quad, row_at, rows_of, stream_of
 
@@ -241,7 +241,7 @@ def reference_retraining(
         item = row_at(current, t)
         if item is None:
             eta_t = rate(rates, t, adapt)
-            event = EVENT_HOLD
+            event = EVENT_SKIP
         else:
             _, grad = loss_and_grad(item, z)
             if not np.all(np.isfinite(grad)):

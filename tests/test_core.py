@@ -32,8 +32,16 @@ class TestProject:
         out = project(np.array([3.0, 4.0]), BallDomain(1.0))
         assert np.allclose(out, [0.6, 0.8], rtol=1e-12, atol=0)
         # A finite point whose squared norm overflows (past about 1.3e154)
-        # takes its rescaled norm, without numpy's overflow warning.
+        # takes its rescaled norm, without numpy's overflow warning, and so
+        # does one whose norm itself is past the float range.
         assert project(np.array([1e200, 0.0]), BallDomain(1.0)).tolist() == [1.0, 0.0]
+        out = project(np.array([1.5e308, 1.5e308]), BallDomain(1.0))
+        assert np.array_equal(out, project(np.array([1.0, 1.0]), BallDomain(1.0)))
+        assert np.allclose(out, [np.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
+        # Against a radius past 1.3e154 the point is measured the same way.
+        assert project(np.array([1.5e154, 0.0]), BallDomain(1e200)).tolist() == [1.5e154, 0.0]
+        out = project(np.array([1.5e308, 1.5e308]), BallDomain(1e200))
+        assert np.allclose(out, [np.sqrt(0.5) * 1e200] * 2, rtol=1e-15, atol=0)
 
     def test_interior_point_unchanged(self):
         out = project(np.array([0.1, 0.0]), BallDomain(1.0))

@@ -92,6 +92,15 @@ class TestFiniteness:
         with pytest.raises(NumericError, match="non-finite iterate at step 2"):
             run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS)
 
+    def test_step_past_the_float_range_projects_onto_the_sphere(self):
+        # Step 1's point has finite coordinates (1.2e308 each) and a norm past
+        # the float range: it lands on the sphere toward the center, not at
+        # the origin, and the run goes on inside the float range.
+        stream = CostStream(np.stack([np.eye(3)] * 4), np.full((4, 3), 1.2))
+        trace = run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS, z0=np.zeros(3))
+        assert np.allclose(trace.outputs[0], [np.sqrt(1 / 3)] * 3, rtol=1e-15, atol=0)
+        assert np.all(np.linalg.norm(trace.outputs, axis=1) <= 1.0)
+
     def test_adaptive_gradient_sum_past_the_float_range(self):
         # A finite gradient whose squared norm overflows: the rate would be 0 from there on.
         stream = _scaled_row(4, 1e200)
