@@ -220,13 +220,12 @@ def _run_active(
     cls: FnClass,
     dom: BallDomain,
     seed: int,
-    z0: np.ndarray | None,
     strict_schedule: bool,
     second_order: bool,
 ) -> RunTrace:
     sched.validate_horizon(len(stream))
     shape_notes = check_active_run(sched, acfg, cls.strong_convexity, strict_schedule)
-    engine = StepEngine(stream, sched, rates, dom, z0)
+    engine = StepEngine(stream, sched, rates, dom)
 
     cfg = acfg.base
     inner_eta = 1.0 / (cls.smoothness + cls.strong_convexity)
@@ -278,7 +277,7 @@ def _run_active(
         if second_order:
             hess = agg.sums[0] - agg.deleted_sums[0]
             eigs = np.linalg.eigvalsh(hess)
-            if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
+            if eigs[0] <= 1e-12 * eigs[-1]:
                 raise NumericError("retained Hessian is singular; Newton correction undefined")
             correction = np.linalg.solve(hess, agg.deleted_gradient_sum(z))
             engine.grad_evals += len(agg.deleted)
@@ -319,7 +318,6 @@ def run_active(
     cls: FnClass,
     dom: BallDomain,
     seed: int,
-    z0: np.ndarray | None = None,
     strict_schedule: bool = True,
 ) -> RunTrace:
     """First-order active unlearner (descent toward the retained optimum).
@@ -329,7 +327,7 @@ def run_active(
     for simulation but marks the trace uncertifiable.
     """
     return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule, second_order=False
+        stream, sched, rates, acfg, cls, dom, seed, strict_schedule, second_order=False
     )
 
 
@@ -341,7 +339,6 @@ def run_active_second_order(
     cls: FnClass,
     dom: BallDomain,
     seed: int,
-    z0: np.ndarray | None = None,
     strict_schedule: bool = True,
 ) -> RunTrace:
     """Newton-correction variant: one exact second-order fixup per deletion.
@@ -351,5 +348,5 @@ def run_active_second_order(
     certified budget is claimed and traces are flagged.
     """
     return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, z0, strict_schedule, second_order=True
+        stream, sched, rates, acfg, cls, dom, seed, strict_schedule, second_order=True
     )

@@ -2,7 +2,7 @@
 
 Retraining recomputes the trajectory on the retained stream at every deletion
 (exact unlearning, cost ``tau_i`` per deletion).  Discard-and-restart resets
-the iterate to the start point and restarts the rate clock (exact and free,
+the iterate to the origin and restarts the rate clock (exact and free,
 but it throws the learned state away).  Both emit the same trace format as
 the noisy unlearners, with zero noise events.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BallDomain, CostStream, DeletionSchedule, FnClass
+from .core import BallDomain, CostStream, DeletionSchedule
 from .engine import StepEngine
 from .ogd import RateSchedule, rate
 from .trace import RunTrace
@@ -24,9 +24,7 @@ def run_retraining(
     sched: DeletionSchedule,
     rates: RateSchedule,
     dom: BallDomain,
-    cls: FnClass,
     seed: int = 0,
-    z0: np.ndarray | None = None,
 ) -> RunTrace:
     """Retrain-from-scratch unlearner.
 
@@ -42,7 +40,7 @@ def run_retraining(
     is saved before the first replay that rewrites it and written back
     after the last replay.
     """
-    engine = StepEngine(stream, sched, rates, dom, z0)
+    engine = StepEngine(stream, sched, rates, dom)
     replay_costs = []
     saved = np.zeros(len(stream) + 1, dtype=bool)
     emitted = []  # (rows, their emitted values)
@@ -74,18 +72,16 @@ def run_discard_restart(
     sched: DeletionSchedule,
     rates: RateSchedule,
     dom: BallDomain,
-    cls: FnClass,
     seed: int = 0,
-    z0: np.ndarray | None = None,
 ) -> RunTrace:
-    """Reset to the start point at every deletion and restart the rate clock.
+    """Reset to the origin at every deletion and restart the rate clock.
 
     Trivially exact (post-deletion outputs depend only on later items) at the
     price of forgetting everything learned so far.  Decreasing schedules must
     restart their clock to recover per-segment regret, hence the reset.  The
     deletion time itself takes no step and reports the rate at clock 1.
     """
-    engine = StepEngine(stream, sched, rates, dom, z0)
+    engine = StepEngine(stream, sched, rates, dom)
 
     def restart(i: int, u: int, tau: int) -> None:
         engine.restore(0)

@@ -55,7 +55,7 @@ from .errors import (
     NumericError,
     OracleUnavailableError,
 )
-from .ogd import RateSchedule, rates_array, step_contraction
+from .ogd import step_contraction
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
 from .rng import event_buffers, event_normals
 
@@ -557,7 +557,7 @@ _CERTIFICATION: ContextVar[_ForwardPass | None] = ContextVar("_CERTIFICATION", d
 def propagate_gaussians(
     stream: CostStream,
     sched: DeletionSchedule,
-    rates: RateSchedule | np.ndarray,
+    rates: np.ndarray,
     cfg: UnlearnerConfig,
     cls: FnClass,
     dom: BallDomain,
@@ -572,10 +572,8 @@ def propagate_gaussians(
     certification's forward pass; alone it runs a pass over intervals
     ``1..ordinal``.
     """
-    horizon = len(stream)
-    _interval_bounds(sched, ordinal, horizon)  # rejects an ordinal outside [1, k]
-    rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    inputs = (stream, sched, rates_arr, cfg, cls, dom)
+    _interval_bounds(sched, ordinal, len(stream))  # rejects an ordinal outside [1, k]
+    inputs = (stream, sched, rates, cfg, cls, dom)
     forward = _CERTIFICATION.get()
     if forward is None or not forward.serves(*inputs):
         forward = _ForwardPass(inputs, ordinal)
@@ -605,7 +603,7 @@ def _shared_cov_form(diff: np.ndarray, cov: np.ndarray) -> Tuple[float, int]:
 def exact_divergence_quadratic(
     stream: CostStream,
     sched: DeletionSchedule,
-    rates: RateSchedule | np.ndarray,
+    rates: np.ndarray,
     cfg: UnlearnerConfig,
     cls: FnClass,
     dom: BallDomain,
@@ -747,7 +745,7 @@ def _simulate_batch(
 def mc_divergence_check(
     stream: CostStream,
     sched: DeletionSchedule,
-    rates: RateSchedule | np.ndarray,
+    rates: np.ndarray,
     cfg: UnlearnerConfig,
     cls: FnClass,
     dom: BallDomain,
@@ -764,9 +762,7 @@ def mc_divergence_check(
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
-    horizon = len(stream)
-    rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, dom, ordinal)
+    prop = propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal)
     tau_i = sched.times[ordinal - 1]
     noise_times = {tau: j for j, (_, tau) in enumerate(sched.entries[:ordinal], start=1)}
     dim = stack_quadratics(stream)[1].shape[1]
@@ -774,7 +770,7 @@ def mc_divergence_check(
     means = []
     binding = 0
     for process_id, proc_stream in enumerate((stream, retained(stream, sched, upto=ordinal))):
-        total, bound_count = _simulate_batch(proc_stream, rates_arr, dom, prop.sigmas,
+        total, bound_count = _simulate_batch(proc_stream, rates, dom, prop.sigmas,
                                              noise_times, tau_i, seed, process_id, n, dim)
         means.append(total / n)
         binding += bound_count
@@ -865,7 +861,7 @@ def series_certificates(
 def certify_passive_run(
     stream: CostStream,
     sched: DeletionSchedule,
-    rates: RateSchedule | np.ndarray,
+    rates: np.ndarray,
     cfg: UnlearnerConfig,
     cls: FnClass,
     dom: BallDomain,
@@ -879,14 +875,13 @@ def certify_passive_run(
     divergence does not exceed the analytic bound.
     """
     horizon = len(stream)
-    rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
-    gammas = per_step_gammas(stream, rates_arr, cls)
+    gammas = per_step_gammas(stream, rates, cls)
     deltas = np.zeros(horizon)
     decays, sigmas = [], []
     try:
         for j, (u, tau) in enumerate(sched.entries, start=1):
             deltas[u - 1], decay, sigma, contractive = deletion_calibration(
-                stream, rates_arr, cls, cfg, j, u, tau
+                stream, rates, cls, cfg, j, u, tau
             )
             if not contractive:
                 raise CertificationRefusedError(
@@ -905,19 +900,19 @@ def certify_passive_run(
         ]
 
     reports = []
-    token = _CERTIFICATION.set(_ForwardPass((stream, sched, rates_arr, cfg, cls, dom), sched.k))
+    token = _CERTIFICATION.set(_ForwardPass((stream, sched, rates, cfg, cls, dom), sched.k))
     try:
         for i, bound_i in enumerate(per_interval, start=1):
             note = ""
             exact: float | None = None
             mc: float | None = None
             try:
-                exact = exact_divergence_quadratic(stream, sched, rates_arr, cfg, cls, dom, i)
+                exact = exact_divergence_quadratic(stream, sched, rates, cfg, cls, dom, i)
             except OracleUnavailableError as err:
                 note = f"oracle unavailable: {err}"
             if mc_samples > 0 and exact is not None:
                 mc = mc_divergence_check(
-                    stream, sched, rates_arr, cfg, cls, dom, i, mc_samples, seed
+                    stream, sched, rates, cfg, cls, dom, i, mc_samples, seed
                 ).estimate
             reports.append(_certificate(sched, horizon, cfg.budget, i, bound_i, note, exact, mc))
     finally:

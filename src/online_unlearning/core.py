@@ -72,6 +72,12 @@ def decode_vector(text: str) -> np.ndarray:
     return as_point([float(part) for part in text.split(";")])
 
 
+# The smallest ball radius.  Norms are taken from squares, and a point outside
+# a ball this large squares to a normal float, so its norm is measured and the
+# projection binds; below it a square can underflow and read a norm of 0.
+_MIN_RADIUS = 1e-150
+
+
 @dataclass(frozen=True)
 class BallDomain:
     """Centered Euclidean ball of the given radius; diameter is ``2 * radius``."""
@@ -79,8 +85,9 @@ class BallDomain:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise InvalidInputError(f"ball radius must be positive and finite, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius >= _MIN_RADIUS):
+            raise InvalidInputError(
+                f"ball radius must be finite and at least {_MIN_RADIUS}, got {self.radius}")
 
     @property
     def diameter(self) -> float:

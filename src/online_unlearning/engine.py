@@ -20,7 +20,6 @@ from .core import (
     BallDomain,
     CostStream,
     DeletionSchedule,
-    as_point,
     _into_ball,
     _row_blocks,
     stack_quadratics,
@@ -50,8 +49,8 @@ class StepEngine:
     is NaN too), and the projection raises ``NumericError`` for it, so the
     loop tests no gradient; ``advance`` adds the step to the message.
 
-    The start point is ``z0`` projected, or the origin in the stream's
-    dimension.  A stream with no cost items is refused.
+    Every run starts at the origin in the stream's dimension, the start the
+    certifier models.  A stream with no cost items is refused.
     """
 
     def __init__(
@@ -60,16 +59,13 @@ class StepEngine:
         sched: DeletionSchedule,
         rates: RateSchedule,
         dom: BallDomain,
-        z0: np.ndarray | None,
     ) -> None:
         horizon = len(stream)
         sched.validate_horizon(horizon)
         if not stream.live.any():
             raise InvalidInputError("stream has no cost items")
         self._rows = stack_quadratics(stream)[:3]
-        dim = self._rows[1].shape[1]
-        start = dom.project(np.zeros(dim) if z0 is None else as_point(z0, dim))
-        self.dim = start.size
+        self.dim = self._rows[1].shape[1]
         self.sched = sched
         self.rate_schedule = rates
         self.radius = dom.radius
@@ -77,9 +73,9 @@ class StepEngine:
         self.live = stream.live.tolist()
         self.adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
         self.clock0 = 0
-        self.z = start
+        self.z = np.zeros(self.dim)
         self.path = np.empty((horizon + 1, self.dim))
-        self.path[0] = start
+        self.path[0] = self.z
         self.p_hist = np.zeros(horizon) if self.adapt is not None else None
         self.rates = np.empty(horizon)
         self.grad_evals = 0

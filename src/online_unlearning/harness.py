@@ -36,6 +36,7 @@ from .core import (
     CostStream,
     DeletionSchedule,
     FnClass,
+    _MIN_RADIUS,
     _row_blocks,
 )
 from .errors import GeneratorError, InvalidConfigError
@@ -241,7 +242,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "dimension": {"type": "integer", "minimum": 1},
         "horizon": {"type": "integer", "minimum": 1},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
+        "radius": {"type": "number", "minimum": _MIN_RADIUS},
         "stream": {
             "type": "object",
             "additionalProperties": False,
@@ -507,9 +508,9 @@ def _run_algorithm(
         runner = run_active if algo == "active" else run_active_second_order
         return runner(stream, sched, rates, acfg, cls, dom, seed, strict_schedule=strict)
     if algo == "retrain":
-        return run_retraining(stream, sched, rates, dom, cls, seed)
+        return run_retraining(stream, sched, rates, dom, seed)
     if algo == "discard":
-        return run_discard_restart(stream, sched, rates, dom, cls, seed)
+        return run_discard_restart(stream, sched, rates, dom, seed)
     raise InvalidConfigError(f"unknown algorithm {algo!r}")
 
 
@@ -577,7 +578,7 @@ def _regret_report(
 ) -> dict:
     horizon = len(stream)
     k = sched.k
-    regret = regret_dynamic(trace, stream, sched, dom)
+    regret = regret_dynamic(trace.outputs, stream, sched, dom)
     gamma = gamma_nominal(cls)
     gvals = g_functions(
         sched, gamma,
@@ -716,7 +717,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str, certify_only: 
             cfg, ucfg, trace, stream, sched, cls, dom, generated.kappa_aggregate
         )
         write_json(seed_dir / "regret.json", regret_report)
-        curve = cumulative_regret_curve(trace, stream, sched, dom)
+        curve = cumulative_regret_curve(trace.outputs, stream, sched, dom)
         bound_curve = _bound_curve(regret_report, len(stream))
         # Without a bound the ``bound_rhs`` field is left empty.
         columns = (curve,) if bound_curve is None else (curve, bound_curve)
@@ -742,7 +743,7 @@ def _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict
     algo = cfg.raw["algorithm"]
     if algo == "passive" and not isinstance(rates, AdaptiveRate):
         reports = certify_passive_run(
-            stream, sched, rates, ucfg, cls, dom,
+            stream, sched, trace.rates, ucfg, cls, dom,
             mc_samples=int(cfg.raw.get("mc_samples", 0)),
         )
     else:
@@ -868,13 +869,9 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
     the recomputed value matches the stored report exactly.
     """
     base = Path(out_root) / config_hash(cfg) / str(seed)
-    outputs, rates, losses = load_trace_outputs(base / "trace.csv")
+    outputs = load_trace_outputs(base / "trace.csv")[0]
     dom, generated, sched = _seed_inputs(cfg, seed)
-    shell = RunTrace(
-        algorithm=cfg.raw["algorithm"], seed=seed, outputs=outputs, losses=losses,
-        rates=rates, events=tuple(["learn"] * outputs.shape[0]),
-    )
-    recomputed = regret_dynamic(shell, generated.stream, sched, dom)
+    recomputed = regret_dynamic(outputs, generated.stream, sched, dom)
     stored = None
     report_path = base / "regret.json"
     if report_path.exists():

@@ -143,7 +143,6 @@ def run_passive(
     cls: FnClass,
     dom: BallDomain,
     seed: int,
-    z0: np.ndarray | None = None,
 ) -> RunTrace:
     """Run the passive unlearner over the stream; deterministic given the seed.
 
@@ -155,7 +154,7 @@ def run_passive(
     """
     if cfg is None and sched.k:
         raise InvalidConfigError("deletions need an UnlearnerConfig to calibrate their noise")
-    engine = StepEngine(stream, sched, rates, dom, z0)
+    engine = StepEngine(stream, sched, rates, dom)
     noise = NoiseSource(seed)
     noise_events = []
     warnings_log: list[str] = []
@@ -193,9 +192,8 @@ def run_ogd(
     dom: BallDomain,
     cls: FnClass,
     seed: int = 0,
-    z0: np.ndarray | None = None,
 ) -> RunTrace:
     """Plain projected OGD (no deletions): the passive runner on an empty schedule."""
-    trace = run_passive(stream, EMPTY_SCHEDULE, rates, None, cls, dom, seed, z0)
+    trace = run_passive(stream, EMPTY_SCHEDULE, rates, None, cls, dom, seed)
     trace.algorithm = "ogd"
     return trace

@@ -27,7 +27,6 @@ from .core import (
     stack_quadratics,
 )
 from .errors import InvalidConfigError, InvalidInputError, NumericError
-from .trace import RunTrace
 
 __all__ = [
     "BoundResult",
@@ -101,23 +100,26 @@ def _solve_quadratic_erm(
     """Minimizer of ``0.5 z^T total z - rhs^T z`` over the ball.
 
     Solved in closed form, refined by projected gradient descent when the
-    unconstrained minimizer falls outside the ball.  A singular curvature
-    sum (mu = 0 with flat directions) is broken toward the minimum-norm
-    minimizer with a 1e-12 ridge and flagged.
+    unconstrained minimizer falls outside the ball.  A curvature sum is
+    singular (mu = 0 with flat directions) when its smallest eigenvalue is at
+    most 1e-12 times its largest, so a scaled sum has the same minimizer; it
+    is broken toward the minimum-norm minimizer with a ridge of 1e-12 times
+    the largest eigenvalue (1e-12 for a zero sum) and flagged.
     """
     eigs = np.linalg.eigvalsh(total)
-    if eigs[0] <= 1e-12 * max(1.0, float(eigs[-1])):
+    top = float(eigs[-1])
+    if eigs[0] <= 1e-12 * top:
         warnings.warn(
             "singular curvature sum: ERM is non-unique, returning the "
-            "minimum-norm minimizer (ridge 1e-12)",
+            "minimum-norm minimizer (ridge 1e-12 of the largest curvature)",
             RuntimeWarning,
         )
-        z = np.linalg.solve(total + 1e-12 * np.eye(dim), rhs)
+        z = np.linalg.solve(total + 1e-12 * (top or 1.0) * np.eye(dim), rhs)
     else:
         z = np.linalg.solve(total, rhs)
     if float(np.linalg.norm(z)) <= dom.radius:
         return z
-    return _projected_gd(lambda p: total @ p - rhs, project(z, dom), dom, float(eigs[-1]), _ERM_TOL)
+    return _projected_gd(lambda p: total @ p - rhs, project(z, dom), dom, top, _ERM_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +127,17 @@ def _solve_quadratic_erm(
 # ---------------------------------------------------------------------------
 
 def _per_step_regret(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    outputs: np.ndarray, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> Tuple[np.ndarray, list]:
     """``f_t(z_t) - f_t(z_i*)`` per step (0 at a deleted slot) and each epoch's window of steps.
 
-    Step ``t`` in ``(tau_i, tau_{i+1}]`` is scored against the ``i``-th
-    comparator, with ``tau_0 = 0`` and ``tau_{k+1} = T``.
+    ``outputs`` holds the emitted points ``z_1..z_T`` as rows.  Step ``t`` in
+    ``(tau_i, tau_{i+1}]`` is scored against the ``i``-th comparator, with
+    ``tau_0 = 0`` and ``tau_{k+1} = T``.
     """
     horizon = len(stream)
-    if trace.horizon != horizon:
-        raise InvalidInputError("trace and stream cover different horizons")
+    if len(outputs) != horizon:
+        raise InvalidInputError("outputs and stream cover different horizons")
     comps_at = np.array(comparators(stream, sched, dom))
     edges = (0,) + sched.times + (horizon,)
     windows = [slice(edges[i], min(edges[i + 1], horizon)) for i in range(sched.k + 1)]
@@ -142,7 +145,7 @@ def _per_step_regret(
     per_step = np.empty(horizon)
     for rows in _row_blocks(horizon):
         steps = np.arange(rows.start, min(rows.stop, horizon))
-        diffs = trace.outputs[rows] - centers[rows]
+        diffs = outputs[rows] - centers[rows]
         comp_diffs = comps_at[np.searchsorted(sched.times, steps, side="right")]
         comp_diffs -= centers[rows]
         per_step[rows] = (
@@ -156,26 +159,26 @@ def _per_step_regret(
 
 
 def regret_dynamic(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    outputs: np.ndarray, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> float:
-    """Dynamic regret of a trace against the per-epoch comparators.
+    """Dynamic regret of a run's emitted points against the per-epoch comparators.
 
     ``sum_i sum_{t=tau_i+1}^{tau_{i+1}} [f_t(z_t) - f_t(z_i*)]`` with
     ``tau_0 = 0`` and ``tau_{k+1} = T``; deleted slots contribute nothing.  The
-    losses are recomputed from the stream and the trace outputs, so the same
+    losses are recomputed from the stream and the outputs, so the same
     metric applies to every algorithm regardless of what it logged.
     """
-    per_step, windows = _per_step_regret(trace, stream, sched, dom)
+    per_step, windows = _per_step_regret(outputs, stream, sched, dom)
     live = stream.live
     # Summing only each window's live steps keeps the regret bit for bit.
     return sum((float(np.sum(per_step[w][live[w]])) for w in windows), 0.0)
 
 
 def cumulative_regret_curve(
-    trace: RunTrace, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
+    outputs: np.ndarray, stream: CostStream, sched: DeletionSchedule, dom: BallDomain
 ) -> np.ndarray:
     """Running partial sums of the dynamic regret, one value per step."""
-    return np.cumsum(_per_step_regret(trace, stream, sched, dom)[0])
+    return np.cumsum(_per_step_regret(outputs, stream, sched, dom)[0])
 
 
 # ---------------------------------------------------------------------------

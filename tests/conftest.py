@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from online_unlearning import BallDomain, CostStream, DeletionSchedule, FnClass, comparators
-from online_unlearning.core import EMPTY_SCHEDULE, stack_quadratics
+from online_unlearning.core import EMPTY_SCHEDULE, as_point, stack_quadratics
 from online_unlearning.engine import StepEngine
 from online_unlearning.ogd import ConstantRate
 
@@ -84,7 +84,8 @@ def erm_pair(rows, removed, dom) -> tuple:
 def engine_step(row, z, eta, dom) -> np.ndarray:
     """``z`` after one step of the package's step loop on ``row`` (``None``: a deleted slot)."""
     filler = iso_quad(1.0, np.zeros(np.size(z)))  # a live slot, which every run needs
-    engine = StepEngine(stream_of([row, filler]), EMPTY_SCHEDULE, ConstantRate(eta=eta), dom, z)
+    engine = StepEngine(stream_of([row, filler]), EMPTY_SCHEDULE, ConstantRate(eta=eta), dom)
+    engine.z = dom.project(as_point(z, engine.dim))
     engine.advance(1, 1)
     return engine.z
 

@@ -41,6 +41,7 @@ from online_unlearning.ogd import (
     SCDecreasing,
     constant_rate_worst_case,
     gamma_nominal,
+    rates_array,
     step_contraction,
 )
 from online_unlearning.passive import calibrated_sigma
@@ -73,7 +74,7 @@ def _criterion1_setup():
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
     cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
-    return stream, cls, sched, SCDecreasing(mu=1.0), cfg, dom
+    return stream, cls, sched, rates_array(SCDecreasing(mu=1.0), 50), cfg, dom
 
 
 def test_criterion_1_certification_sandwich_single_deletion():
@@ -102,7 +103,7 @@ def test_criterion_2_certification_sandwich_multi_deletion():
     start = time.monotonic()
     dom = BallDomain(1.0)
     cfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
-    rates = SCDecreasing(mu=1.0)
+    rates = rates_array(SCDecreasing(mu=1.0), 60)
     rng = np.random.default_rng(0)
     checked = 0
     for trial in range(10):
@@ -207,7 +208,7 @@ def test_criterion_5_t2_bound_compliance():
         assert all(u >= 0.5 + 3.0 for u in sched.indices)
         trace = run_passive(gs.stream, sched, rates, cfg, gs.fn_class, dom, seed=seed)
         assert all(e.sigma > 0.0 for e in trace.noise_events), (seed, trace.noise_events)
-        regret = regret_dynamic(trace, gs.stream, sched, dom)
+        regret = regret_dynamic(trace.outputs, gs.stream, sched, dom)
         gvals = g_functions(sched, gamma_nominal(gs.fn_class))
         bound = bound_rhs("T2", dict(
             L=gs.fn_class.lipschitz, mu=1.0, T=horizon, k=k, d=dim, eps=1.0, G1=gvals.g1,
@@ -225,7 +226,7 @@ def test_criterion_5_t2_bound_compliance():
             seed=0,
         )
         trace = run_ogd(gs.stream, rates, dom, gs.fn_class)
-        control.append(regret_dynamic(trace, gs.stream, EMPTY_SCHEDULE, dom))
+        control.append(regret_dynamic(trace.outputs, gs.stream, EMPTY_SCHEDULE, dom))
     ratio = control[1] / control[0]
     elapsed = time.monotonic() - start
     _report("5 (T2 bound compliance)", ratio <= 1.35 and elapsed < 30.0,
@@ -248,7 +249,7 @@ def test_criterion_6_t3_bound_compliance():
         sched = DeletionSchedule(((max(10, math.ceil(u_floor)), 1000), (40, 5000)))
         rates = ConvexDecreasing(diameter=dom.diameter, lipschitz=cls.lipschitz)
         trace = run_passive(gs.stream, sched, rates, cfg, cls, dom, seed=seed)
-        regret = regret_dynamic(trace, gs.stream, sched, dom)
+        regret = regret_dynamic(trace.outputs, gs.stream, sched, dom)
         gvals = g_functions(sched, 1.0)
         bound = bound_rhs("T3", dict(
             D=dom.diameter, L=cls.lipschitz, T=horizon, k=k, d=dim,
@@ -259,7 +260,7 @@ def test_criterion_6_t3_bound_compliance():
     gs = gen_stream("convex-qg", dict(dimension=dim, horizon=horizon, radius=1.0, beta=1.0), seed=0)
     rates = ConvexDecreasing(diameter=dom.diameter, lipschitz=gs.fn_class.lipschitz)
     control = regret_dynamic(
-        run_ogd(gs.stream, rates, dom, gs.fn_class), gs.stream, EMPTY_SCHEDULE, dom
+        run_ogd(gs.stream, rates, dom, gs.fn_class).outputs, gs.stream, EMPTY_SCHEDULE, dom
     )
     limit = 3.0 * dom.diameter * gs.fn_class.lipschitz * 1.1
     ok_control = control / math.sqrt(horizon) <= limit
@@ -283,7 +284,7 @@ def test_criterion_7_t5_worst_case():
         cls = gs.fn_class
         eta = constant_rate_worst_case(dom.diameter, cls.lipschitz, horizon, k, dim, cfg.eps)
         trace = run_passive(gs.stream, sched, ConstantRate(eta=eta), cfg, cls, dom, seed=seed)
-        regret = regret_dynamic(trace, gs.stream, sched, dom)
+        regret = regret_dynamic(trace.outputs, gs.stream, sched, dom)
         bound = bound_rhs("T5", dict(
             L=cls.lipschitz, D=dom.diameter, k=k, T=horizon, d=dim,
             eps=cfg.eps, kappa=gs.kappa_aggregate,
@@ -343,18 +344,18 @@ def test_criterion_9_exact_unlearning_baselines():
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((3, 9), (12, 17)))
 
-    tr = run_retraining(stream, sched, rates, dom, cls)
+    tr = run_retraining(stream, sched, rates, dom)
     oracle = run_ogd(retained(stream, sched), rates, dom, cls)
     assert np.array_equal(tr.outputs[16:], oracle.outputs[16:])
     oracle1 = run_ogd(retained(stream, sched, upto=1), rates, dom, cls)
     assert np.array_equal(tr.outputs[8:16], oracle1.outputs[8:16])
 
     sched_d = DeletionSchedule(((4, 8),))
-    base = run_discard_restart(stream, sched_d, rates, dom, cls)
+    base = run_discard_restart(stream, sched_d, rates, dom)
     for _ in range(10):
         mutated_items = list(items)
         mutated_items[int(rng.integers(0, 8))] = random_spd_quad(rng, 2, 1.0, 3.0, 0.5)
-        mutated = run_discard_restart(stream_of(mutated_items), sched_d, rates, dom, cls)
+        mutated = run_discard_restart(stream_of(mutated_items), sched_d, rates, dom)
         assert np.array_equal(mutated.outputs[8:], base.outputs[8:])
     elapsed = time.monotonic() - start
     _report("9 (exact-unlearning baselines)", elapsed < 5.0, f"{elapsed:.1f}s")

@@ -253,7 +253,7 @@ class TestSlotTracking:
         cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=1.0)
         acfg = ActiveConfig(base=_cfg(eps=1e12), i1=(0,), i2=60)
         trace = run_active(stream, DeletionSchedule(((3, 8),)), SCDecreasing(mu=1.0), acfg,
-                           cls, unit_ball, seed=0, z0=np.zeros(2))
+                           cls, unit_ball, seed=0)
         prenoise = trace.output_at(8) - trace.noise_events[0].xi
         # Slots 1, 5, 7 hold f_a and slots 2, 4, 6, 8 hold f_b once slot 3 is deleted.
         target = (3.0 * self.C_A + 4.0 * self.C_B) / 7.0

@@ -23,7 +23,6 @@ from online_unlearning.core import (
     EMPTY_SCHEDULE,
     CostStream,
     _into_ball,
-    as_point,
     stack_quadratics,
 )
 from online_unlearning.errors import NumericError
@@ -51,7 +50,7 @@ class TestRetraining:
         rng = np.random.default_rng(40)
         stream, cls = _stream(rng, 20, unit_ball)
         rates = SCDecreasing(mu=1.0)
-        tr = run_retraining(stream, EMPTY_SCHEDULE, rates, unit_ball, cls)
+        tr = run_retraining(stream, EMPTY_SCHEDULE, rates, unit_ball)
         plain = run_ogd(stream, rates, unit_ball, cls)
         assert np.array_equal(tr.outputs, plain.outputs)
 
@@ -62,7 +61,7 @@ class TestRetraining:
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         rates = SCDecreasing(mu=1.0)
-        tr = run_retraining(stream, DeletionSchedule(((4, 8),)), rates, unit_ball, cls)
+        tr = run_retraining(stream, DeletionSchedule(((4, 8),)), rates, unit_ball)
         plain = run_ogd(stream, rates, unit_ball, cls)
         assert np.array_equal(tr.outputs, plain.outputs)
 
@@ -71,7 +70,7 @@ class TestRetraining:
         stream, cls = _stream(rng, 30, unit_ball)
         sched = DeletionSchedule(((3, 9), (12, 17)))
         rates = SCDecreasing(mu=1.0)
-        tr = run_retraining(stream, sched, rates, unit_ball, cls)
+        tr = run_retraining(stream, sched, rates, unit_ball)
         oracle = run_ogd(retained(stream, sched), rates, unit_ball, cls)
         assert np.array_equal(tr.outputs[16:], oracle.outputs[16:])
         # Between the deletions the run matches the one-deletion retained stream.
@@ -87,7 +86,7 @@ class TestRetraining:
         rng = np.random.default_rng(50)
         stream, cls = _stream(rng, 40, unit_ball)
         sched = DeletionSchedule(((6, 12), (4, 20), (2, 31)))
-        tr = run_retraining(stream, sched, rates, unit_ball, cls)
+        tr = run_retraining(stream, sched, rates, unit_ball)
         # Epoch i emits steps tau_i..tau_{i+1} - 1, with tau_0 = 1 and tau_4 = T + 1.
         edges = (1,) + sched.times + (41,)
         for i in range(sched.k + 1):
@@ -100,15 +99,15 @@ class TestRetraining:
         stream, cls = _stream(rng, 25, unit_ball)
         sched = DeletionSchedule(((5, 11),))
         rates = AdaptiveRate(diameter=unit_ball.diameter, warm_floor=1.5)
-        tr = run_retraining(stream, sched, rates, unit_ball, cls)
+        tr = run_retraining(stream, sched, rates, unit_ball)
         oracle = run_ogd(retained(stream, sched), rates, unit_ball, cls)
         assert np.array_equal(tr.outputs[10:], oracle.outputs[10:])
 
     def test_cost_counter(self, unit_ball):
         rng = np.random.default_rng(44)
-        stream, cls = _stream(rng, 30, unit_ball)
+        stream = _stream(rng, 30, unit_ball)[0]
         sched = DeletionSchedule(((3, 9), (12, 17)))
-        tr = run_retraining(stream, sched, SCDecreasing(mu=1.0), unit_ball, cls)
+        tr = run_retraining(stream, sched, SCDecreasing(mu=1.0), unit_ball)
         assert tr.replay_costs == (9, 17)
 
 
@@ -117,15 +116,15 @@ class TestDiscardRestart:
         rng = np.random.default_rng(45)
         stream, cls = _stream(rng, 20, unit_ball)
         rates = SCDecreasing(mu=1.0)
-        td = run_discard_restart(stream, EMPTY_SCHEDULE, rates, unit_ball, cls)
+        td = run_discard_restart(stream, EMPTY_SCHEDULE, rates, unit_ball)
         plain = run_ogd(stream, rates, unit_ball, cls)
         assert np.array_equal(td.outputs, plain.outputs)
 
     def test_reset_semantics(self, unit_ball):
         rng = np.random.default_rng(46)
-        stream, cls = _stream(rng, 20, unit_ball)
+        stream = _stream(rng, 20, unit_ball)[0]
         sched = DeletionSchedule(((2, 7),))
-        td = run_discard_restart(stream, sched, SCDecreasing(mu=1.0), unit_ball, cls)
+        td = run_discard_restart(stream, sched, SCDecreasing(mu=1.0), unit_ball)
         assert np.array_equal(td.output_at(7), np.zeros(2))
 
     def test_post_restart_equals_fresh_run_bitwise(self, unit_ball):
@@ -133,28 +132,28 @@ class TestDiscardRestart:
         stream, cls = _stream(rng, 24, unit_ball)
         sched = DeletionSchedule(((2, 9),))
         rates = SCDecreasing(mu=1.0)
-        td = run_discard_restart(stream, sched, rates, unit_ball, cls)
+        td = run_discard_restart(stream, sched, rates, unit_ball)
         fresh = run_ogd(stream_of(rows_of(stream)[9:]), rates, unit_ball, cls)
         assert np.array_equal(td.outputs[9:], fresh.outputs)
 
     def test_invariant_to_pre_deletion_mutations(self, unit_ball):
         rng = np.random.default_rng(48)
-        stream, cls = _stream(rng, 20, unit_ball)
+        stream = _stream(rng, 20, unit_ball)[0]
         sched = DeletionSchedule(((4, 8),))
         rates = SCDecreasing(mu=1.0)
-        base = run_discard_restart(stream, sched, rates, unit_ball, cls)
+        base = run_discard_restart(stream, sched, rates, unit_ball)
         for trial in range(10):
             items = rows_of(stream)
             mutate_at = int(rng.integers(0, 8))
             items[mutate_at] = random_spd_quad(rng, 2, 1.0, 3.0, 0.5)
-            mutated = run_discard_restart(stream_of(items), sched, rates, unit_ball, cls)
+            mutated = run_discard_restart(stream_of(items), sched, rates, unit_ball)
             assert np.array_equal(mutated.outputs[8:], base.outputs[8:])
 
     def test_constant_extra_cost(self, unit_ball):
         rng = np.random.default_rng(49)
-        stream, cls = _stream(rng, 20, unit_ball)
+        stream = _stream(rng, 20, unit_ball)[0]
         sched = DeletionSchedule(((4, 8), (10, 15)))
-        td = run_discard_restart(stream, sched, SCDecreasing(mu=1.0), unit_ball, cls)
+        td = run_discard_restart(stream, sched, SCDecreasing(mu=1.0), unit_ball)
         # Gradient evaluations: one per live non-deletion step, nothing extra.
         assert td.grad_evals == 18
 
@@ -209,9 +208,7 @@ def reference_retraining(
     sched: DeletionSchedule,
     rates: RateSchedule,
     dom: BallDomain,
-    cls: FnClass,
     seed: int = 0,
-    z0: np.ndarray | None = None,
 ) -> RunTrace:
     """Retrain-from-scratch unlearner.
 
@@ -223,7 +220,7 @@ def reference_retraining(
     horizon = len(stream)
     sched.validate_horizon(horizon)
     dim = stack_quadratics(stream)[1].shape[1]
-    start = dom.project(as_point(z0, dim) if z0 is not None else np.zeros(dim))
+    start = np.zeros(dim)
     z = start
 
     adapt = AdaptiveState() if isinstance(rates, AdaptiveRate) else None
@@ -353,12 +350,11 @@ class TestCheckpointedRetraining:
     def test_matches_full_replay(self, rate_name, sched_name):
         stream = _retrain_stream(60)
         dom = BallDomain(1.0)
-        cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(_SCHEDULES[sched_name])
         rates = _RATES[rate_name]
         _assert_traces_equal(
-            run_retraining(stream, sched, rates, dom, cls),
-            reference_retraining(stream, sched, rates, dom, cls),
+            run_retraining(stream, sched, rates, dom),
+            reference_retraining(stream, sched, rates, dom),
         )
 
     @pytest.mark.parametrize("rate_name", sorted(_RATES))
@@ -373,8 +369,8 @@ class TestCheckpointedRetraining:
         assert run_ogd(stream, rates, dom, cls).projection_bound_steps > 10
         sched = DeletionSchedule(_SCHEDULES["out-of-order"])
         _assert_traces_equal(
-            run_retraining(stream, sched, rates, dom, cls),
-            reference_retraining(stream, sched, rates, dom, cls),
+            run_retraining(stream, sched, rates, dom),
+            reference_retraining(stream, sched, rates, dom),
         )
 
     def test_baselines_report_projection_binds(self):
@@ -388,7 +384,7 @@ class TestCheckpointedRetraining:
         sched = DeletionSchedule(_SCHEDULES["out-of-order"])
         assert run_ogd(stream, rates, dom, cls).projection_bound_steps == 14
         for runner in (run_retraining, run_discard_restart):
-            trace = runner(stream, sched, rates, dom, cls)
+            trace = runner(stream, sched, rates, dom)
             assert trace.projection_bound_steps > 0
             assert trace.summary()["projection_bound_steps"] == trace.projection_bound_steps
 
@@ -399,34 +395,32 @@ def _quad_stream(horizon: int = 12) -> CostStream:
 
 _CLS = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
 _RUNNERS = {
-    "passive": lambda stream, sched, z0: run_passive(
+    "passive": lambda stream, sched: run_passive(
         stream, sched, SCDecreasing(mu=1.0), UnlearnerConfig(alpha=2.0, eps=1.0), _CLS,
-        BallDomain(1.0), 0, z0),
-    "active": lambda stream, sched, z0: run_active(
+        BallDomain(1.0), 0),
+    "active": lambda stream, sched: run_active(
         stream, sched, SCDecreasing(mu=1.0),
-        ActiveConfig(base=UnlearnerConfig(alpha=2.0, eps=1.0)), _CLS, BallDomain(1.0), 0, z0),
-    "retrain": lambda stream, sched, z0: run_retraining(
-        stream, sched, SCDecreasing(mu=1.0), BallDomain(1.0), _CLS, 0, z0),
-    "discard": lambda stream, sched, z0: run_discard_restart(
-        stream, sched, SCDecreasing(mu=1.0), BallDomain(1.0), _CLS, 0, z0),
+        ActiveConfig(base=UnlearnerConfig(alpha=2.0, eps=1.0)), _CLS, BallDomain(1.0), 0),
+    "retrain": lambda stream, sched: run_retraining(
+        stream, sched, SCDecreasing(mu=1.0), BallDomain(1.0), 0),
+    "discard": lambda stream, sched: run_discard_restart(
+        stream, sched, SCDecreasing(mu=1.0), BallDomain(1.0), 0),
 }
 
 
 class TestStartPoint:
-    @pytest.mark.parametrize("z0", [None, np.full(2, 0.1)], ids=["origin", "z0"])
-    @pytest.mark.parametrize("name", sorted(_RUNNERS))
-    def test_all_skip_stream_refused(self, name, z0):
+    """Every runner starts at the origin, the start the certifier models."""
+
+    @pytest.mark.parametrize("name", sorted(_RUNNERS), ids=lambda name: f"{name}-origin")
+    def test_all_skip_stream_refused(self, name):
         stream = CostStream(np.zeros((12, 2, 2)), np.zeros((12, 2)), live=np.zeros(12, dtype=bool))
         with pytest.raises(InvalidInputError, match="stream has no cost items"):
-            _RUNNERS[name](stream, DeletionSchedule(((3, 6),)), z0)
+            _RUNNERS[name](stream, DeletionSchedule(((3, 6),)))
 
     @pytest.mark.parametrize("name", sorted(_RUNNERS))
-    def test_z0_sets_the_start_point(self, name):
+    def test_every_run_starts_at_the_origin(self, name):
         # Slot 1 is deleted at time 1, so no runner moves off its start point there.
-        z0 = np.array([0.3, -0.2])
         stream = retained(_quad_stream(), DeletionSchedule(((1, 1),)))
-        trace = _RUNNERS[name](stream, DeletionSchedule(((2, 2),)), z0)
+        trace = _RUNNERS[name](stream, DeletionSchedule(((2, 2),)))
         assert trace.outputs.shape == (12, 2)
-        assert trace.outputs[0].tolist() == z0.tolist()
-        origin = _RUNNERS[name](stream, DeletionSchedule(((2, 2),)), None)
-        assert origin.outputs[0].tolist() == [0.0, 0.0]
+        assert trace.outputs[0].tolist() == [0.0, 0.0]

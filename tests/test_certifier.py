@@ -220,7 +220,9 @@ class TestSharedCalibration:
         sched = DeletionSchedule(((10, 15), (4, 30), (25, 48)))
         cfg = _cfg()
         trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
-        seen = self._ledger_inputs(monkeypatch, stream, sched, rates, cfg, cls, unit_ball)
+        # The rates the run recorded are the schedule's, the deletion times' included.
+        assert trace.rates.tobytes() == rates_array(rates, len(stream)).tobytes()
+        seen = self._ledger_inputs(monkeypatch, stream, sched, trace.rates, cfg, cls, unit_ball)
 
         assert trace.certifiable
         assert trace.noise_events[0].delta == 0.0
@@ -240,7 +242,7 @@ class TestSharedCalibration:
         trace = run_passive(stream, sched, rates, cfg, cls, unit_ball, seed=0)
         assert not trace.certifiable
         assert "not contractive" in trace.warnings[0]
-        reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball)
+        reports = certify_passive_run(stream, sched, rates_array(rates, 60), cfg, cls, unit_ball)
         assert [r.passes for r in reports] == [False]
         assert reports[0].analytic_bound is None
         assert "non-contractive" in reports[0].note
@@ -254,7 +256,7 @@ class TestExactOracle:
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(((5, 9),))
-        value = exact_divergence_quadratic(stream, sched, SCDecreasing(mu=1.0),
+        value = exact_divergence_quadratic(stream, sched, rates_array(SCDecreasing(mu=1.0), 12),
                                            _cfg(), cls, unit_ball, 1)
         assert value == 0.0
 
@@ -268,7 +270,7 @@ class TestExactOracle:
                       smoothness=a, strong_convexity=a)
         sched = DeletionSchedule(((1, 3),))
         eta = 0.2
-        rates = ConstantRate(eta=eta)
+        rates = rates_array(ConstantRate(eta=eta), 3)
         cfg = _cfg()
 
         # Hand propagation of the two deterministic trajectories.
@@ -297,7 +299,7 @@ class TestExactOracle:
             u = int(rng.integers(3, 10))
             tau = int(rng.integers(12, 39))
             sched = DeletionSchedule(((u, tau),))
-            rates = SCDecreasing(mu=1.0)
+            rates = rates_array(SCDecreasing(mu=1.0), 40)
             cfg = _cfg()
             reports = certify_passive_run(stream, sched, rates, cfg, cls, unit_ball)
             assert reports[0].exact_divergence is not None
@@ -311,7 +313,7 @@ class TestExactOracle:
         stream, cls = _sc_stream(rng, 30, unit_ball)
         sched = DeletionSchedule(((3, 8), (12, 20)))
         with pytest.raises(OracleUnavailableError):
-            exact_divergence_quadratic(stream, sched, SCDecreasing(mu=1.0),
+            exact_divergence_quadratic(stream, sched, rates_array(SCDecreasing(mu=1.0), 30),
                                        _cfg(), cls, unit_ball, 2)
 
     @staticmethod
@@ -330,8 +332,8 @@ class TestExactOracle:
         stream, sched, cls, dom = self._golden_base()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reports = certify_passive_run(stream, sched, SCDecreasing(mu=1.0), _cfg(eps=eps),
-                                          cls, dom)
+            reports = certify_passive_run(stream, sched, rates_array(SCDecreasing(mu=1.0), 300),
+                                          _cfg(eps=eps), cls, dom)
         assert reports[0].exact_divergence is not None and reports[0].note == ""
         for report in reports[1:]:
             assert report.exact_divergence is None
@@ -341,8 +343,8 @@ class TestExactOracle:
     def test_covariance_past_the_float_range_refused(self):
         # At radius 1000 and eps 1e-305 the noise scale squares past the float range.
         stream, sched, cls, dom = self._golden_base(radius=1000.0)
-        reports = certify_passive_run(stream, sched, SCDecreasing(mu=1.0), _cfg(eps=1e-305),
-                                      cls, dom)
+        reports = certify_passive_run(stream, sched, rates_array(SCDecreasing(mu=1.0), 300),
+                                      _cfg(eps=1e-305), cls, dom)
         for report in reports:
             assert report.exact_divergence is None
             assert report.note == ("oracle unavailable: an output covariance entry is past "
@@ -352,7 +354,7 @@ class TestExactOracle:
         rng = np.random.default_rng(5)
         stream, cls = _sc_stream(rng, 30, unit_ball)
         sched = DeletionSchedule(((3, 8), (12, 20)))
-        value = exact_divergence_quadratic(stream, sched, SCDecreasing(mu=1.0),
+        value = exact_divergence_quadratic(stream, sched, rates_array(SCDecreasing(mu=1.0), 30),
                                            _cfg(), cls, unit_ball, 1)
         assert math.isfinite(value)
 
@@ -365,7 +367,7 @@ class TestExactOracle:
         cls = FnClass(lipschitz=1.0, smoothness=1.0, strong_convexity=1.0)
         sched = DeletionSchedule(((2, 6),))
         with pytest.raises(OracleUnavailableError):
-            exact_divergence_quadratic(stream, sched, ConstantRate(eta=1.9),
+            exact_divergence_quadratic(stream, sched, rates_array(ConstantRate(eta=1.9), 10),
                                        _cfg(), cls, dom, 1)
 
     def test_bind_after_tau_answers_as_the_truncated_stream(self):
@@ -373,13 +375,14 @@ class TestExactOracle:
         # the same map to both processes, so the interval is answered (it was
         # refused while the pass ran on to the interval's end), with the value
         # of the stream cut at tau.
-        stream, cls, dom, _ = TestForwardPass._setup(0.1)
+        stream, cls, dom, rates = TestForwardPass._setup(0.1)
         sched = DeletionSchedule(((40, 40),))
-        rates = SCDecreasing(mu=1.0)
-        assert run_ogd(stream, rates, dom, cls).projection_bound_steps > 0
+        assert run_ogd(stream, SCDecreasing(mu=1.0), dom, cls).projection_bound_steps > 0
         value = exact_divergence_quadratic(stream, sched, rates, _cfg(), cls, dom, 1)
         truncated = stream_of(rows_of(stream)[:40])
-        assert value == exact_divergence_quadratic(truncated, sched, rates, _cfg(), cls, dom, 1)
+        truncated_value = exact_divergence_quadratic(truncated, sched, rates[:40], _cfg(), cls,
+                                                     dom, 1)
+        assert value == truncated_value
         assert value > 0.0
         assert certify_passive_run(stream, sched, rates, _cfg(), cls, dom)[0].note == ""
 
@@ -394,7 +397,7 @@ class TestMonteCarlo:
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         sched = DeletionSchedule(((5, 9),))
         # The slot is deleted already: sigma = 0 and both processes coincide.
-        report = mc_divergence_check(stream, sched, SCDecreasing(mu=1.0), _cfg(),
+        report = mc_divergence_check(stream, sched, rates_array(SCDecreasing(mu=1.0), 12), _cfg(),
                                      cls, unit_ball, 1, n=2000, seed=0)
         assert report.estimate == 0.0
         assert np.array_equal(report.mean_with_deleted, report.mean_without_deleted)
@@ -403,7 +406,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(8)
         stream, cls = _sc_stream(rng, 20, unit_ball)
         sched = DeletionSchedule(((4, 10),))
-        report = mc_divergence_check(stream, sched, SCDecreasing(mu=1.0), _cfg(),
+        report = mc_divergence_check(stream, sched, rates_array(SCDecreasing(mu=1.0), 20), _cfg(),
                                      cls, unit_ball, 1, n=10, seed=0)
         assert report.n == 10
         assert report.wide
@@ -603,11 +606,10 @@ class TestCollapsedPrefix:
         stream, cls, sched, rates, cfg = _well_conditioned_setup(unit_ball)
         n = 3001
         report = mc_divergence_check(stream, sched, rates, cfg, cls, unit_ball, 1, n=n, seed=6)
-        rates_arr = rates_array(rates, len(stream))
-        prop = propagate_gaussians(stream, sched, rates_arr, cfg, cls, unit_ball, 1)
+        prop = propagate_gaussians(stream, sched, rates, cfg, cls, unit_ball, 1)
         binding = 0
         for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
-            total, bound = _full_batch_reference(proc, rates_arr, unit_ball, prop.sigmas,
+            total, bound = _full_batch_reference(proc, rates, unit_ball, prop.sigmas,
                                                  {20: 1}, 20, 6, process_id, n, 0, 2)
             mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
             assert np.array_equal(mean, total / n)
@@ -641,10 +643,10 @@ class TestCollapsedPrefix:
         sched = build_schedule(raw["schedule"], len(stream))
         spec = raw["unlearner"]
         cfg = UnlearnerConfig(alpha=spec["alpha"], eps=spec["eps"], omega=spec["omega"])
+        rates = rates_array(SCDecreasing(mu=cls.strong_convexity), len(stream))
         tracemalloc.start()
         try:
-            mc_divergence_check(stream, sched, SCDecreasing(mu=cls.strong_convexity), cfg, cls,
-                                dom, 1, n=100_000, seed=0)
+            mc_divergence_check(stream, sched, rates, cfg, cls, dom, 1, n=100_000, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -659,18 +661,17 @@ def _well_conditioned_setup(dom):
     lipschitz = stream.lipschitz_bound(dom)
     cls = FnClass(lipschitz=lipschitz, smoothness=3.0, strong_convexity=1.0)
     sched = DeletionSchedule(((10, 20),))
-    return stream, cls, sched, SCDecreasing(mu=1.0), _cfg()
+    return stream, cls, sched, rates_array(SCDecreasing(mu=1.0), 50), _cfg()
 
 
 # ---------------------------------------------------------------------------
 # The per-interval propagation and the row-by-row ledger, kept as references
 # ---------------------------------------------------------------------------
 
-def _reference_propagate_gaussians(stream, sched, rates, cfg, cls, dom, ordinal):
+def _reference_propagate_gaussians(stream, sched, rates_arr, cfg, cls, dom, ordinal):
     """Both processes simulated from t = 1 to ``tau_i`` for this interval alone."""
     horizon = len(stream)
     start, end = _interval_bounds(sched, ordinal, horizon)
-    rates_arr = rates if isinstance(rates, np.ndarray) else rates_array(rates, horizon)
 
     sigmas = [
         deletion_calibration(stream, rates_arr, cls, cfg, j, u, tau)[2]

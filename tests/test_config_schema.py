@@ -176,7 +176,8 @@ def test_the_single_breaks_cover_the_named_cases():
     assert message(("dimension",), 1.0) is None                       # 1.0 is an integer
     assert message(("algorithm",), True).endswith("True is not one of " + repr(
         CONFIG_SCHEMA["properties"]["algorithm"]["enum"]))
-    assert message(("radius",), 0).endswith("0 is less than or equal to the minimum of 0")
+    assert message(("stream", "beta"), 0).endswith("0 is less than or equal to the minimum of 0")
+    assert message(("radius",), 1e-300).endswith("1e-300 is less than the minimum of 1e-150")
     assert message(("seeds",), []).endswith("$.seeds: [] should be non-empty")
     assert message(("seeds", 1), -1).endswith("$.seeds[1]: -1 is less than the minimum of 0")
     assert message(("schedule", "entries", 0), [1]).endswith("[1] is too short")

@@ -16,6 +16,7 @@ from online_unlearning import (
 from online_unlearning.core import (
     EMPTY_SCHEDULE,
     _check_curvatures,
+    as_point,
     decode_vector,
     encode_vector,
     stack_quadratics,
@@ -82,8 +83,8 @@ def _engine_loss_and_grad(row, z):
     large to bind, and the loss is the trace's score of ``z`` set as the
     step's output.
     """
-    engine = StepEngine(stream_of([row]), EMPTY_SCHEDULE, ConstantRate(eta=1.0),
-                        BallDomain(1e6), z)
+    engine = StepEngine(stream_of([row]), EMPTY_SCHEDULE, ConstantRate(eta=1.0), BallDomain(1e6))
+    engine.z = as_point(z, engine.dim)
     engine.advance(1, 1)
     grad = np.asarray(z, dtype=float) - engine.z
     engine.outputs[0] = z

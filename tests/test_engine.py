@@ -83,7 +83,7 @@ class TestFiniteness:
     def test_gradient_past_the_float_range_mid_run(self, rates):
         stream = _scaled_row(7, 1e300, center=1e10)
         with pytest.raises(NumericError, match="non-finite iterate at step 7"):
-            run_ogd(stream, rates, _DOM, _CLS, z0=np.zeros(2))
+            run_ogd(stream, rates, _DOM, _CLS)
 
     def test_overflowing_constant_step_on_quadratics(self):
         # eta far past 2/beta, built directly.  Step 1's point is finite (about
@@ -97,7 +97,7 @@ class TestFiniteness:
         # the float range: it lands on the sphere toward the center, not at
         # the origin, and the run goes on inside the float range.
         stream = CostStream(np.stack([np.eye(3)] * 4), np.full((4, 3), 1.2))
-        trace = run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS, z0=np.zeros(3))
+        trace = run_ogd(stream, ConstantRate(eta=1e308), _DOM, _CLS)
         assert np.allclose(trace.outputs[0], [np.sqrt(1 / 3)] * 3, rtol=1e-15, atol=0)
         assert np.all(np.linalg.norm(trace.outputs, axis=1) <= 1.0)
 
@@ -105,18 +105,17 @@ class TestFiniteness:
         # A finite gradient whose squared norm overflows: the rate would be 0 from there on.
         stream = _scaled_row(4, 1e200)
         with pytest.raises(NumericError, match="gradient sum out of range at step 4"):
-            run_ogd(stream, AdaptiveRate(diameter=2.0, warm_floor=0.5), _DOM, _CLS,
-                    z0=np.zeros(2))
+            run_ogd(stream, AdaptiveRate(diameter=2.0, warm_floor=0.5), _DOM, _CLS)
 
     def test_losses_past_the_float_range(self):
-        engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
+        engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM)
         engine.run(lambda i, u, tau: None)
         engine.outputs[5] = 1e200    # as a huge noise draw may leave an output
         with pytest.raises(NumericError, match="losses sum past the float range"):
             engine.trace("passive", 0)
 
     def test_non_finite_point_left_by_a_handler(self):
-        engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM, None)
+        engine = StepEngine(_stream(0, 3), EMPTY_SCHEDULE, SCDecreasing(mu=1.0), _DOM)
         engine.advance(1, 5)
         engine.z = np.full(3, np.inf)    # as a handler's noise may leave it
         with pytest.raises(NumericError, match="non-finite iterate at step 6"):
@@ -125,7 +124,7 @@ class TestFiniteness:
 
 class TestOneTrajectory:
     def test_trace_outputs_are_the_engine_path(self):
-        engine = StepEngine(_stream(0, 3), _SCHED, SCDecreasing(mu=1.0), _DOM, None)
+        engine = StepEngine(_stream(0, 3), _SCHED, SCDecreasing(mu=1.0), _DOM)
         engine.run(lambda i, u, tau: engine.advance(tau, tau))
         trace = engine.trace("passive", 0)
         assert trace.outputs.base is engine.path

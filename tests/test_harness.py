@@ -26,7 +26,7 @@ from online_unlearning.harness import (
     run_experiment,
     sweep_points,
 )
-from online_unlearning.ogd import SCDecreasing
+from online_unlearning.ogd import SCDecreasing, rates_array
 from online_unlearning.passive import UnlearnerConfig, noise_multiplier, run_passive
 from online_unlearning.regret import cumulative_regret_curve, regret_dynamic
 
@@ -259,6 +259,8 @@ _REFUSED = {
     "eps-infinity": _unlearner_eps("Infinity"),
     "eps-1e400": _unlearner_eps("1e400"),
     "radius-nan": _base_config(radius=math.nan),
+    # A ball whose points' squares underflow: a norm would read 0 and never bind.
+    "radius-tiny": _base_config(radius=1e-300),
     "beta-infinity": _base_config(stream={"kind": "sc-quadratic", "mu": 1.0,
                                           "beta": math.inf}),
     "pattern-without-k": _base_config(schedule={"kind": "pattern", "gap": 2}),
@@ -278,6 +280,7 @@ _REFUSED_AT = {
     "eps-infinity": "error: config invalid at $.unlearner.eps: inf is not a finite number",
     "eps-1e400": "error: config invalid at $.unlearner.eps: inf is not a finite number",
     "radius-nan": "error: config invalid at $.radius: nan is not a finite number",
+    "radius-tiny": "error: config invalid at $.radius: 1e-300 is less than the minimum of 1e-150",
     "beta-infinity": "error: config invalid at $.stream.beta: inf is not a finite number",
     "pattern-without-k": "error: config invalid at $.schedule.k: ",
     "pattern-without-gap": "error: config invalid at $.schedule.gap: ",
@@ -734,8 +737,8 @@ class TestSweepAndCli:
             assert report["pass"] is (True if algorithm == "passive" else None)  # T6 is order form
 
     @pytest.mark.parametrize("overrides", [
-        # radius 1e-300 makes L ~ 1e-300, so the T3 index floor would divide by L^2 = 0.
-        dict(stream={"kind": "convex-qg", "beta": 1.0}, radius=1e-300),
+        # beta 1e-300 makes L ~ 1e-300, so the T3 index floor would divide by L^2 = 0.
+        dict(stream={"kind": "convex-qg", "beta": 1e-300}),
         # beta 1e300 makes L ~ 1e300, so L^2 and beta^2 overflow.
         dict(stream={"kind": "sc-quadratic", "mu": 3.0, "beta": 1e300}, algorithm="retrain"),
     ])
@@ -769,7 +772,7 @@ class TestSweepAndCli:
         (dict(mc_samples=50, unlearner={"alpha": 1e300, "eps": 0.5, "omega": 1.2}),
          "Monte-Carlo estimate out of range at alpha = 1e+300"),
         # The budget alpha * eps itself; a certificate against it would pass anything.
-        (dict(dimension=1, horizon=1, radius=1e-300,
+        (dict(dimension=1, horizon=1,
               schedule={"kind": "pattern", "k": 1, "gap": 0, "spacing": 1, "first_time": 1},
               unlearner={"alpha": 1e12, "eps": 1e300, "omega": 2.0}),
          "config invalid at $.unlearner: budget alpha * eps or its series terms out of range at "
@@ -958,12 +961,13 @@ class TestSeedMemory:
             trace.write_csv(tmp_path / "trace.csv")
             csv_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            regret_dynamic(trace, gs.stream, sched, dom)
-            curve = cumulative_regret_curve(trace, gs.stream, sched, dom)
+            regret_dynamic(trace.outputs, gs.stream, sched, dom)
+            curve = cumulative_regret_curve(trace.outputs, gs.stream, sched, dom)
             regret_peak = tracemalloc.get_traced_memory()[1]
             del trace, curve
             tracemalloc.reset_peak()
-            certify_passive_run(gs.stream, sched, rates, cfg, gs.fn_class, dom)
+            certify_passive_run(gs.stream, sched, rates_array(rates, horizon), cfg, gs.fn_class,
+                                dom)
             cert_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

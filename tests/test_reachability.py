@@ -1,12 +1,14 @@
 """Every package function is entered by some command, except a named few.
 
 ``run``, ``certify`` and ``regret-report`` run through ``cli.main`` under
-``sys.setprofile`` on the golden configs, the shipped config and two small
-configs that take the rate kinds and the grid the others leave out.  A
-function that no command enters is either in ``UNREACHED``, with the ROADMAP
-item that will reach it, or it is code to delete.
+``sys.setprofile`` on the golden configs, the shipped config, two small
+configs that take the rate kinds and the grid the others leave out, and the
+benchmark's workloads in their small copies.  A function that no command
+enters is either in ``UNREACHED``, with the ROADMAP item that will reach it,
+or it is code to delete; so no benchmark workload reaches it either.
 """
 
+import importlib.util
 import inspect
 import json
 import pkgutil
@@ -21,6 +23,7 @@ from online_unlearning.cli import main as cli_main
 from test_golden import CONFIGS, _config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 UNREACHED = {
     "certifier.gaussian_renyi",               # item 4 folds it into the oracle's Gaussian form
@@ -40,6 +43,18 @@ EXTRA_CONFIGS = {
     "constant-grid": _config(algorithm="discard", rate={"kind": "constant"},
                              sweep={"rate.eta": [0.1, 0.2]}),
 }
+
+
+def _workload_configs() -> dict:
+    """The benchmark workloads' configs at ``shrink=True`` (T = 200), seed 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {f"workload-{name}": module.build(name, 0, shrink=True).config for name in module.NAMES}
 
 
 def _package_functions() -> dict:
@@ -64,7 +79,7 @@ def _package_functions() -> dict:
 def test_every_function_but_the_named_few_is_entered(tmp_path, capsys):
     # One seed of the shipped config takes every path its four seeds take.
     shipped = {**json.loads((CONFIG_DIR / "passive_sc.json").read_text()), "seeds": [0]}
-    configs = {**CONFIGS, **EXTRA_CONFIGS, "shipped": shipped}
+    configs = {**CONFIGS, **EXTRA_CONFIGS, "shipped": shipped, **_workload_configs()}
     entered = set()
     rng.bulk_ndtri.cache_clear()  # an earlier test's call would leave nothing to enter
 

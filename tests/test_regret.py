@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,20 +74,34 @@ class TestSolveErm:
         assert abs(z[0] - 0.5) < 1e-6
         assert abs(z[1]) < 1e-6  # minimum-norm tie break on the flat direction
 
+    @pytest.mark.parametrize("scale", [1e-16, 1e-200])
+    def test_a_scaled_sum_has_the_same_minimizer(self, unit_ball, scale):
+        # The singularity test and the ridge are relative to the sum's largest eigenvalue.
+        rng = np.random.default_rng(53)
+        rows = [random_spd_quad(rng, 3, 1.0, 3.0, 0.5) for _ in range(4)]
+        scaled = [(scale * mat, center, offset) for mat, center, offset in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.allclose(_erm(scaled, unit_ball), _erm(rows, unit_ball), rtol=1e-12, atol=0)
+        with pytest.warns(RuntimeWarning, match="singular curvature sum"):
+            z = _erm([quad(np.diag([scale, 0.0]), [0.5, 0.0])], unit_ball)
+        assert abs(z[0] - 0.5) < 1e-6 and abs(z[1]) < 1e-6
+
 
 class TestRegretDynamic:
     def test_optimal_from_start_is_zero(self, unit_ball):
-        center = np.array([0.2, -0.1])
-        stream = stream_of([iso_quad(1.0, center) for _ in range(10)])
+        # Every run starts at the origin, so the losses are centered there.
+        stream = stream_of([iso_quad(1.0, np.zeros(2)) for _ in range(10)])
         cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=1.0)
-        trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls, z0=center)
-        assert regret_dynamic(trace, stream, EMPTY_SCHEDULE, unit_ball) == pytest.approx(0.0, abs=1e-12)
+        trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls)
+        regret = regret_dynamic(trace.outputs, stream, EMPTY_SCHEDULE, unit_ball)
+        assert regret == pytest.approx(0.0, abs=1e-12)
 
     def test_two_step_brute_force(self, unit_ball):
         stream = stream_of([iso_quad(1.0, [0.4, 0.0]), iso_quad(2.0, [-0.2, 0.3])])
         cls = FnClass(lipschitz=3.0, smoothness=2.0, strong_convexity=1.0)
         trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls)
-        fast = regret_dynamic(trace, stream, EMPTY_SCHEDULE, unit_ball)
+        fast = regret_dynamic(trace.outputs, stream, EMPTY_SCHEDULE, unit_ball)
         z_star = comparators(stream, EMPTY_SCHEDULE, unit_ball)[0]
         slow = sum(
             _value(row_at(stream, t), trace.output_at(t))
@@ -103,7 +118,7 @@ class TestRegretDynamic:
         cls = FnClass(lipschitz=4.0, smoothness=2.0, strong_convexity=1.0)
         cfg = UnlearnerConfig(alpha=2.0, eps=1.0)
         trace = run_passive(stream, sched, SCDecreasing(mu=1.0), cfg, cls, unit_ball, seed=1)
-        fast = regret_dynamic(trace, stream, sched, unit_ball)
+        fast = regret_dynamic(trace.outputs, stream, sched, unit_ball)
         comps = comparators(stream, sched, unit_ball)
         edges = (0, 3, 5, 5)
         slow = 0.0
@@ -119,7 +134,7 @@ class TestRegretDynamic:
         stream = stream_of(items)
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         trace = run_ogd(stream, SCDecreasing(mu=1.0), unit_ball, cls)
-        dynamic = regret_dynamic(trace, stream, EMPTY_SCHEDULE, unit_ball)
+        dynamic = regret_dynamic(trace.outputs, stream, EMPTY_SCHEDULE, unit_ball)
         z_star = comparators(stream, EMPTY_SCHEDULE, unit_ball)[0]
         static = sum(
             _value(items[t - 1], trace.output_at(t)) - _value(items[t - 1], z_star)
@@ -137,10 +152,10 @@ class TestRegretDynamic:
         cls = FnClass(lipschitz=4.5, smoothness=3.0, strong_convexity=1.0)
         cfg = UnlearnerConfig(alpha=2.0, eps=1.0)
         trace = run_passive(stream, sched, SCDecreasing(mu=1.0), cfg, cls, unit_ball, seed=0)
-        curve = cumulative_regret_curve(trace, stream, sched, unit_ball)
+        curve = cumulative_regret_curve(trace.outputs, stream, sched, unit_ball)
         assert curve.shape == (15,)
         assert curve[-1] == pytest.approx(
-            regret_dynamic(trace, stream, sched, unit_ball), rel=1e-12, abs=1e-12
+            regret_dynamic(trace.outputs, stream, sched, unit_ball), rel=1e-12, abs=1e-12
         )
         assert np.all(np.isfinite(curve))
 
@@ -183,7 +198,7 @@ class TestRowBlocks:
 
         def computed(rows: int) -> tuple:
             monkeypatch.setattr(core, "_ROW_BLOCK", rows)
-            per_step = _per_step_regret(trace, stream, sched, dom)[0]
+            per_step = _per_step_regret(trace.outputs, stream, sched, dom)[0]
             comps = comparators(stream, sched, dom)
             return per_step.tobytes(), [comp.tobytes() for comp in comps]
 
