@@ -872,7 +872,9 @@ def certify_passive_run(
 
     An interval passes when its ledger is feasible, the analytic bound stays
     within ``alpha * eps``, and (whenever the oracle applies) the exact
-    divergence does not exceed the analytic bound.
+    divergence does not exceed the analytic bound.  ``rates`` holds the
+    ``eta_1..eta_T`` the run recorded, and both processes start at the
+    origin, as every run does.
     """
     horizon = len(stream)
     gammas = per_step_gammas(stream, rates, cls)
