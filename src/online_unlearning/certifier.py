@@ -57,7 +57,7 @@ from .errors import (
 )
 from .ogd import step_contraction
 from .passive import UnlearnerConfig, calibrated_sigma, deletion_calibration, series_term
-from .rng import event_buffers, event_normals
+from .rng import event_normals, noise_generator
 
 __all__ = [
     "AnalyticCertificate",
@@ -690,10 +690,11 @@ def _simulate_batch(
     event with ``sigma > 0``, so that prefix runs once on ``min(rows, 2)``
     identical rows; while collapsed, a bound step counts ``rows`` binding
     events.  From that event on the rows run in blocks of ``_MC_BLOCK`` in
-    buffers allocated once, the noise draws' included, and each block draws
-    its noise from its start row ``lo`` on, so a row gets the same draws in
-    any block.  A one-row tail joins the block before it, so every matrix
-    product has at least two rows and stays on the full batch's BLAS kernel.
+    buffers allocated once, the noise draws' included.  Each noisy event has
+    one generator, keyed ``(seed, process_id, j)``, that the blocks read in
+    row order, so the blocks draw the rows of one ``(rows, dim)`` draw.  A
+    one-row tail joins the block before it, so every matrix product has at
+    least two rows and stays on the full batch's BLAS kernel.
     Each block's sum starts from the running total, which makes the result
     the row-by-row sum of a full ``(rows, dim)`` batch run from ``t = 1``,
     bit for bit.
@@ -709,7 +710,9 @@ def _simulate_batch(
     zbuf = np.zeros((size + 1, dim))
     scratch = (np.empty((size, dim)), np.empty((size, dim)), np.empty(size),
                np.empty(size, dtype=bool))
-    draws = event_buffers(size, dim)
+    draws = np.empty((size, dim))
+    gens = {j: noise_generator(seed, (process_id, j))
+            for j in noise_times.values() if sigmas[j - 1] > 0.0}
 
     binding = 0
     z = zbuf[1:min(rows, 2) + 1]
@@ -731,8 +734,8 @@ def _simulate_batch(
             if t > fan_out and keep:
                 binding += _projected_step(z, scratch, mat, center, eta, dom.radius)
             j = noise_times.get(t)
-            if j is not None and sigmas[j - 1] > 0.0:
-                noise = event_normals(seed, (process_id, j), m, dim, lo, draws)
+            if j in gens:
+                noise = event_normals(gens[j], draws[:m])
                 noise *= sigmas[j - 1]
                 z += noise
         if total is not None:
@@ -756,9 +759,9 @@ def mc_divergence_check(
     """Estimate the interval divergence by sampling both processes.
 
     Each process runs its ``n`` rows in blocks of ``_MC_BLOCK`` that reuse
-    one set of buffers, so memory does not grow with ``n``.  Sample row
-    ``r`` always consumes the same draws, whatever block it runs in, so the
-    sums are those of one full batch bit for bit.
+    one set of buffers, so memory does not grow with ``n``.  The blocks
+    read each noise event's generator in row order, so the sums are those
+    of one full batch bit for bit.
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")

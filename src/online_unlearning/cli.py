@@ -90,7 +90,9 @@ def _cmd_regret_report(args) -> int:
         for seed_dir in seed_dirs:
             result = recompute_regret(point, args.out, int(seed_dir.name))
             print(json.dumps({"config_hash": digest, **result}))
-            ok = ok and result["matches"]
+            if result["matches"] is None:
+                print(f"no stored regret report under {seed_dir}", file=sys.stderr)
+            ok = ok and bool(result["matches"])
     return 0 if ok else 1
 
 

@@ -58,7 +58,6 @@ from .regret import (
     g_functions,
     regret_dynamic,
 )
-from .rng import bulk_ndtri
 from .trace import _CSV_CHUNK, RunTrace, load_trace_outputs, write_json
 
 __all__ = [
@@ -424,8 +423,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _validate_config(raw)
-        if raw.get("mc_samples", 0) > 0:
-            bulk_ndtri()  # scipy's import belongs to loading a Monte-Carlo config, not to its runs
         return cls(raw=raw)
 
     @classmethod
@@ -866,10 +863,11 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
 
     The stream and schedule regenerate deterministically from (config, seed);
     the outputs come from ``trace.csv`` (17-significant-digit round trip), so
-    the recomputed value matches the stored report exactly.
+    the recomputed value matches the stored report exactly.  ``matches`` is
+    None when no ``regret.json`` is stored (``certify`` writes none).
     """
     base = Path(out_root) / config_hash(cfg) / str(seed)
-    outputs = load_trace_outputs(base / "trace.csv")[0]
+    outputs = load_trace_outputs(base / "trace.csv")
     dom, generated, sched = _seed_inputs(cfg, seed)
     recomputed = regret_dynamic(outputs, generated.stream, sched, dom)
     stored = None
@@ -878,7 +876,7 @@ def recompute_regret(cfg: ExperimentConfig, out_root: str | Path, seed: int) -> 
         with open(report_path) as handle:
             stored = json.load(handle)["regret"]
     return {"seed": seed, "recomputed": recomputed, "stored": stored,
-            "matches": stored is None or recomputed == stored}
+            "matches": None if stored is None else recomputed == stored}
 
 
 def sweep_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:

@@ -1,25 +1,22 @@
-"""Seeded Gaussian noise with replayable draws addressable by sample row.
+"""Seeded Gaussian noise: replayable run draws and Monte-Carlo sample rows.
 
-Noise uses a counter-based Philox generator keyed by ``(seed, *stream)`` and
-converts uniforms to standard normals through the inverse CDF.  Each noise
-event consumes exactly ``d`` uniforms in event order, so a trace replays
-bit-for-bit from its seed, and a Monte-Carlo row block can jump to its first
-sample row with ``Philox.advance`` without generating the rows before it.
+Noise uses counter-based Philox generators keyed by ``(seed, *stream)``.  A
+run draws only ``d`` normals per deletion, in event order, through
+``_ndtri``, a scalar transcription of the Cephes ``ndtri``, applied to
+the generator's uniforms; so a trace replays bit for bit from its seed.
 
-A run draws only ``d`` normals per deletion, through ``_ndtri``, a scalar
-transcription of the Cephes ``ndtri`` that ``scipy.special`` ships.
-Monte-Carlo draws millions, through scipy's vectorised ``ndtri``, which
-``bulk_ndtri`` imports on first use.  Both give the same bits.
+Monte-Carlo draws millions of normals straight from numpy's own sampler
+(``Generator.standard_normal``, a ziggurat), one generator per (process,
+event) read row after row; their bits are tied to the numpy version.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
-__all__ = ["NoiseSource", "bulk_ndtri", "event_buffers", "event_normals"]
+__all__ = ["NoiseSource", "event_normals", "noise_generator"]
 
 # Affine squeeze of [0, 1) into (0, 1) so ndtri never sees an endpoint.  The
 # distortion is one part in 2**53, far below any tolerance used here.
@@ -60,7 +57,7 @@ def _polevl(x: float, coef: tuple) -> float:
 
 
 def _ndtri(y: float) -> float:
-    """Standard normal quantile of ``0 < y < 1``, the same bits as ``scipy.special.ndtri``."""
+    """Standard normal quantile of ``0 < y < 1``, the same bits as the C Cephes ``ndtri``."""
     negate = True
     if y > 1.0 - _EXP_M2:
         y = 1.0 - y
@@ -78,23 +75,10 @@ def _ndtri(y: float) -> float:
     return -x if negate else x
 
 
-@cache
-def bulk_ndtri():
-    """``scipy.special.ndtri``, imported on the first call: about 0.2 s and 26 MB."""
-    from scipy.special import ndtri
-
-    return ndtri
-
-
-def _to_normals(uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``ndtri(uniforms * _SQUEEZE + _OFFSET)`` written into ``out``, bit for bit."""
-    np.multiply(uniforms, _SQUEEZE, out=out)
-    out += _OFFSET
-    return bulk_ndtri()(out, out=out)
-
-
-def _philox(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+def noise_generator(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
+    """The Philox generator keyed by ``(seed, *stream)``."""
+    key = np.random.SeedSequence([int(seed), *map(int, stream)])
+    return np.random.Generator(np.random.Philox(key))
 
 
 class NoiseSource:
@@ -102,7 +86,7 @@ class NoiseSource:
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()) -> None:
         self.seed = int(seed)
-        self._gen = _philox(self.seed, tuple(int(s) for s in stream))
+        self._gen = noise_generator(self.seed, stream)
 
     def normals(self, count: int) -> np.ndarray:
         """Next ``count`` standard normals in the fixed consumption order."""
@@ -110,38 +94,11 @@ class NoiseSource:
         return np.array([_ndtri(u * _SQUEEZE + _OFFSET) for u in draws])
 
 
-def event_buffers(rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """An ``(uniforms, normals)`` pair that ``event_normals`` can draw up to ``rows`` rows into."""
-    return np.empty((rows, 4 * ((dim + 3) // 4))), np.empty((rows, dim))
+def event_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``gen``'s next standard normals, written row after row into ``out``.
 
-
-def event_normals(
-    seed: int,
-    stream: tuple[int, ...],
-    rows: int,
-    dim: int,
-    row_offset: int = 0,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Standard normals for ``rows`` samples of one noise event, ``dim`` each.
-
-    Sample ``r`` always receives the same draws regardless of how callers
-    split the row range into blocks.  ``Philox.advance`` jumps whole 4-word
-    counter blocks, so each row is padded to a multiple of 4 uniforms and
-    block starts land exactly on counter-block boundaries.
-
-    ``buffers`` is a pair from ``event_buffers`` with at least ``rows`` rows.
-    The draws land in it and the result is a view of its ``normals``, so a
-    caller that passes the same pair for every block allocates nothing per
-    block.  Without it a pair is allocated for this call; the draws are the
-    same bits either way.  The normals get a contiguous buffer of their own,
-    because the inverse CDF runs slower on the strided ``uniforms[:, :dim]``.
+    Drawing ``m`` rows and then ``m'`` rows from one generator gives the same
+    bits as drawing ``m + m'`` rows at once, so blocks read in row order
+    reproduce one full batch.  ``out`` must be C-contiguous.
     """
-    uniforms, normals = buffers or event_buffers(rows, dim)
-    uniforms, normals = uniforms[:rows], normals[:rows]
-    pad = uniforms.shape[1]
-    bitgen = np.random.Philox(np.random.SeedSequence([int(seed), *map(int, stream)]))
-    if row_offset:
-        bitgen.advance(row_offset * pad // 4)
-    np.random.Generator(bitgen).random(out=uniforms)
-    return _to_normals(uniforms[:, :dim], normals)
+    return gen.standard_normal(out=out)

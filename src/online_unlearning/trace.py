@@ -163,14 +163,7 @@ def write_json(path: str | Path, obj) -> None:
         handle.write("\n")
 
 
-def load_trace_outputs(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back (outputs, rates, losses) from a trace CSV; exact round-trip."""
-    rows = []
+def load_trace_outputs(path: str | Path) -> np.ndarray:
+    """Read back the ``(T, d)`` outputs of a trace CSV; exact round-trip."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            rows.append((decode_vector(row["z"]), float(row["eta"]), float(row["loss"])))
-    outputs = np.stack([r[0] for r in rows])
-    rates = np.array([r[1] for r in rows])
-    losses = np.array([r[2] for r in rows])
-    return outputs, rates, losses
+        return np.stack([decode_vector(row["z"]) for row in csv.DictReader(handle)])

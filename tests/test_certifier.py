@@ -42,7 +42,7 @@ from online_unlearning.ogd import (
     rates_array,
 )
 from online_unlearning.passive import deletion_calibration, run_ogd, run_passive
-from online_unlearning.rng import event_normals
+from online_unlearning.rng import event_normals, noise_generator
 
 from conftest import iso_quad, random_spd_quad, row_at, rows_of, stream_of
 
@@ -456,8 +456,11 @@ class TestMonteCarlo:
 
 
 def _full_batch_reference(stream, rates_arr, dom, sigmas, noise_times, tau_i, seed,
-                          process_id, rows, row_offset, dim):
-    """Reference sample paths: every row simulated from t = 1, no shared prefix."""
+                          process_id, rows, dim):
+    """Reference sample paths: every row simulated from t = 1, no shared prefix.
+
+    Each (process, event) draws its ``(rows, dim)`` normals at once.
+    """
     z = np.zeros((rows, dim))
     binding = 0
     for t in range(1, tau_i + 1):
@@ -474,7 +477,7 @@ def _full_batch_reference(stream, rates_arr, dom, sigmas, noise_times, tau_i, se
         if t in noise_times:
             j = noise_times[t]
             sigma = sigmas[j - 1]
-            draws = event_normals(seed, (process_id, j), rows, dim, row_offset)
+            draws = noise_generator(seed, (process_id, j)).standard_normal((rows, dim))
             if sigma > 0.0:
                 z = z + sigma * draws
     return z.sum(axis=0), binding
@@ -498,7 +501,7 @@ class TestCollapsedPrefix:
         dim = stack_quadratics(stream)[1].shape[1]
         for process_id, proc in enumerate((stream, retained(stream, sched, upto=ordinal))):
             args = (proc, rates_arr, dom, sigmas, noise_times, tau_i, seed, process_id, rows)
-            yield _simulate_batch(*args, dim), _full_batch_reference(*args, 0, dim)
+            yield _simulate_batch(*args, dim), _full_batch_reference(*args, dim)
 
     @pytest.mark.parametrize("dim", [2, 5])
     @pytest.mark.parametrize("rows", [1, 2, 3, 257])
@@ -520,7 +523,7 @@ class TestCollapsedPrefix:
         # A single-deletion interval ends at tau_1: every bound step is in the prefix.
         noise_times = {12: 1}
         _, bound_steps = _full_batch_reference(stream, rates_arr, dom, (0.3,), noise_times,
-                                               12, 9, 0, 1, 0, 5)
+                                               12, 9, 0, 1, 5)
         _, binding = _simulate_batch(stream, rates_arr, dom, (0.3,), noise_times,
                                      12, 9, 0, rows, 5)
         assert bound_steps > 0
@@ -537,15 +540,21 @@ class TestCollapsedPrefix:
 
     def test_zero_sigma_event_draws_nothing(self, monkeypatch):
         stream, sched, rates_arr, dom = self._setup(5, 40, ((4, 15), (9, 25)))
-        calls = []
+        keys, draws = [], []
 
-        def counting(seed, stream_key, *args):
-            calls.append(stream_key)
-            return event_normals(seed, stream_key, *args)
+        def keyed(seed, stream_key):
+            keys.append(stream_key)
+            return noise_generator(seed, stream_key)
 
+        def counting(gen, out):
+            draws.append(out.shape)
+            return event_normals(gen, out)
+
+        monkeypatch.setattr(certifier, "noise_generator", keyed)
         monkeypatch.setattr(certifier, "event_normals", counting)
         _simulate_batch(stream, rates_arr, dom, (0.0, 0.2), {15: 1, 25: 2}, 25, 9, 0, 257, 5)
-        assert calls == [(0, 2)]
+        assert keys == [(0, 2)]
+        assert draws == [(257, 5)]
 
     # Each case: setup arguments, sigmas and the interval simulated.
     _BLOCK_CASES = {
@@ -576,9 +585,9 @@ class TestCollapsedPrefix:
         stream, sched, rates_arr, dom = self._setup(*setup)
         rows = 257
         _, prefix_steps = _full_batch_reference(stream, rates_arr, dom, sigmas, {}, 15, 9, 0,
-                                                1, 0, 5)
+                                                1, 5)
         _, bound = _full_batch_reference(stream, rates_arr, dom, sigmas, {15: 1, 25: 2}, 25, 9,
-                                         0, rows, 0, 5)
+                                         0, rows, 5)
         assert bound > rows * prefix_steps
 
     @pytest.mark.parametrize("dim", [2, 5, 9])
@@ -610,7 +619,7 @@ class TestCollapsedPrefix:
         binding = 0
         for process_id, proc in enumerate((stream, retained(stream, sched, upto=1))):
             total, bound = _full_batch_reference(proc, rates, unit_ball, prop.sigmas,
-                                                 {20: 1}, 20, 6, process_id, n, 0, 2)
+                                                 {20: 1}, 20, 6, process_id, n, 2)
             mean = report.mean_with_deleted if process_id == 0 else report.mean_without_deleted
             assert np.array_equal(mean, total / n)
             binding += bound

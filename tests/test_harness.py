@@ -432,6 +432,17 @@ class TestSweepAndCli:
         assert (digest / "0" / "cert.json").exists()
         assert not (digest / "0" / "regret.json").exists()
 
+    def test_regret_report_after_certify_checks_nothing(self, tmp_path, capsys):
+        # certify writes a trace but no regret.json: there is nothing to match.
+        config, out = _write_config(tmp_path, _base_config(seeds=[0])), str(tmp_path / "out")
+        assert cli_main(["certify", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli_main(["regret-report", "--config", config, "--out", out]) == 1
+        captured = capsys.readouterr()
+        line = json.loads(captured.out)
+        assert line["stored"] is None and line["matches"] is None
+        assert "no stored regret report under" in captured.err
+
     def test_regret_report_recomputes_from_store(self, tmp_path):
         from online_unlearning.harness import recompute_regret
 

@@ -214,10 +214,11 @@ class TestTraceSerialization:
                             unit_ball, seed=8)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
-        outputs, rates, losses = load_trace_outputs(path)
-        assert np.array_equal(outputs, trace.outputs)
-        assert np.array_equal(rates, trace.rates)
-        assert np.array_equal(losses, trace.losses)
+        assert np.array_equal(load_trace_outputs(path), trace.outputs)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert np.array_equal([float(row["eta"]) for row in rows], trace.rates)
+        assert np.array_equal([float(row["loss"]) for row in rows], trace.losses)
 
     def test_csv_bytes_match_csv_writer_across_chunks(self, unit_ball, tmp_path):
         # 2100 rows span three write chunks; the reference is the csv.writer loop.

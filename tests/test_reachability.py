@@ -17,7 +17,6 @@ import types
 from pathlib import Path
 
 import online_unlearning
-from online_unlearning import rng
 from online_unlearning.cli import main as cli_main
 
 from test_golden import CONFIGS, _config
@@ -81,7 +80,6 @@ def test_every_function_but_the_named_few_is_entered(tmp_path, capsys):
     shipped = {**json.loads((CONFIG_DIR / "passive_sc.json").read_text()), "seeds": [0]}
     configs = {**CONFIGS, **EXTRA_CONFIGS, "shipped": shipped, **_workload_configs()}
     entered = set()
-    rng.bulk_ndtri.cache_clear()  # an earlier test's call would leave nothing to enter
 
     def record(frame, event, arg):
         if event == "call":

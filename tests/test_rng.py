@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from online_unlearning.rng import NoiseSource, _ndtri, event_buffers, event_normals
+from online_unlearning.rng import NoiseSource, _ndtri, event_normals, noise_generator
 
 ROOT = Path(__file__).resolve().parents[1]
 SQUEEZE, OFFSET = 1.0 - 2.0 ** -53, 2.0 ** -54
@@ -65,29 +65,20 @@ def _imported_after(code: str) -> list:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_a_run_without_monte_carlo_never_imports_scipy(tmp_path):
+@pytest.mark.parametrize("command, mc_samples", [("run", 0), ("certify", 100)],
+                         ids=["run", "certify-monte-carlo"])
+def test_a_command_never_imports_scipy(tmp_path, command, mc_samples):
+    raw = json.loads((ROOT / "configs" / "passive_sc.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, "mc_samples": mc_samples}))
     code = (
         "import json\n"
         "import online_unlearning.cli as cli\n"
-        f"code = cli.main(['run', '--config', {str(ROOT / 'configs' / 'passive_sc.json')!r},\n"
-        f"                 '--out', {str(tmp_path)!r}, '--seeds', '0'])\n"
+        f"code = cli.main([{command!r}, '--config', {str(path)!r},\n"
+        f"                 '--out', {str(tmp_path / 'out')!r}, '--seeds', '0'])\n"
         "print(json.dumps([code, 'scipy' in sys.modules]))\n"
     )
     assert _imported_after(code) == [0, False]
-
-
-def test_loading_a_monte_carlo_config_imports_scipy_special(tmp_path):
-    raw = json.loads((ROOT / "configs" / "passive_sc.json").read_text())
-    path = tmp_path / "mc.json"
-    path.write_text(json.dumps({**raw, "mc_samples": 100}))
-    code = (
-        "import json\n"
-        "from online_unlearning.harness import ExperimentConfig\n"
-        "before = 'scipy' in sys.modules\n"
-        f"ExperimentConfig.from_file({str(path)!r})\n"
-        "print(json.dumps([before, 'scipy.special' in sys.modules]))\n"
-    )
-    assert _imported_after(code) == [False, True]
 
 
 def test_noise_source_replays():
@@ -108,11 +99,13 @@ def test_stream_separation():
 
 
 def test_event_normals_shard_alignment():
+    # Blocks read from one generator in row order are the rows of one full draw.
     for dim in (1, 2, 3, 5, 8):
-        full = event_normals(42, (0, 3), 257, dim, 0)
+        full = noise_generator(42, (0, 3)).standard_normal((257, dim))
+        gen = noise_generator(42, (0, 3))
         cuts = [0, 1, 40, 129, 200, 257]
         rebuilt = np.concatenate([
-            event_normals(42, (0, 3), hi - lo, dim, lo)
+            event_normals(gen, np.empty((hi - lo, dim)))
             for lo, hi in zip(cuts[:-1], cuts[1:])
         ])
         assert np.array_equal(full, rebuilt)
@@ -122,38 +115,38 @@ def test_event_normals_shard_alignment():
 @pytest.mark.parametrize("rows", [1, 7, 4097])
 @pytest.mark.parametrize("row_offset", [0, 3])
 def test_event_normals_into_buffers(dim, rows, row_offset):
-    expected = event_normals(42, (1, 2), rows, dim, row_offset)
+    # ``row_offset`` rows drawn earlier from the same generator come first.
+    expected = noise_generator(42, (1, 2)).standard_normal((row_offset + rows, dim))[row_offset:]
     for spare in (0, 5):
-        buffers = event_buffers(rows + spare, dim)
-        got = event_normals(42, (1, 2), rows, dim, row_offset, buffers)
+        gen = noise_generator(42, (1, 2))
+        gen.standard_normal((row_offset, dim))
+        buffer = np.empty((rows + spare, dim))
+        got = event_normals(gen, buffer[:rows])
         assert got.shape == (rows, dim)
         assert got.tobytes() == expected.tobytes()
-        assert np.shares_memory(got, buffers[1])
+        assert np.shares_memory(got, buffer)
 
 
 @pytest.mark.parametrize("dim", [1, 5, 9])
 def test_event_normals_are_the_allocating_formula(dim):
-    # The in-place steps equal ndtri(u * squeeze + offset) on fresh arrays, bit for bit.
-    pad = 4 * ((dim + 3) // 4)
-    bitgen = np.random.Philox(np.random.SeedSequence([42, 1, 2]))
-    bitgen.advance(3 * pad // 4)
-    uniforms = np.random.Generator(bitgen).random((257, pad))[:, :dim]
-    expected = ndtri(uniforms * (1.0 - 2.0 ** -53) + 2.0 ** -54)
-    got = event_normals(42, (1, 2), 257, dim, 3, event_buffers(257, dim))
-    assert got.tobytes() == expected.tobytes()
+    # The in-place draw equals numpy's allocating draw from the (seed, *stream) Philox key.
+    expected = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, 1, 2])))
+    got = event_normals(noise_generator(42, (1, 2)), np.empty((257, dim)))
+    assert got.tobytes() == expected.standard_normal((257, dim)).tobytes()
 
 
 def test_reused_buffers_carry_nothing_over():
-    buffers = event_buffers(300, 5)
-    event_normals(7, (0, 1), 300, 5, 0, buffers)
-    got = event_normals(7, (1, 1), 100, 5, 200, buffers)
-    assert got.tobytes() == event_normals(7, (1, 1), 100, 5, 200).tobytes()
+    buffer = np.empty((300, 5))
+    event_normals(noise_generator(7, (0, 1)), buffer)
+    got = event_normals(noise_generator(7, (1, 1)), buffer[:100])
+    assert got.tobytes() == noise_generator(7, (1, 1)).standard_normal((100, 5)).tobytes()
 
 
 def test_draws_look_standard_normal():
-    draws = NoiseSource(7).normals(200_000)
-    assert abs(float(np.mean(draws))) < 0.01
-    assert abs(float(np.var(draws)) - 1.0) < 0.02
-    # Inverse-CDF transform should give excellent tail agreement.
-    ks = stats.kstest(draws[:10_000], "norm").pvalue
-    assert ks > 1e-4
+    # A run's inverse-CDF draws and Monte-Carlo's ziggurat draws alike.
+    monte_carlo = event_normals(noise_generator(7, (0, 1)), np.empty((40_000, 5)))
+    for draws in (NoiseSource(7).normals(200_000), monte_carlo.ravel()):
+        assert abs(float(np.mean(draws))) < 0.01
+        assert abs(float(np.var(draws)) - 1.0) < 0.02
+        ks = stats.kstest(draws[:10_000], "norm").pvalue
+        assert ks > 1e-4
