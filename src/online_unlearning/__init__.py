@@ -8,7 +8,7 @@ analytically (shift ledger) and exactly (Gaussian oracle on quadratic
 streams).
 """
 
-from .active import ActiveConfig, active_sigma, required_iters, run_active, run_active_second_order
+from .active import ActiveConfig, active_sigma, required_iters, run_active
 from .baselines import run_discard_restart, run_retraining
 from .certifier import (
     AnalyticCertificate,

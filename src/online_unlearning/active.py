@@ -8,13 +8,14 @@ use the fixed rate ``1 / (beta + mu)``; averaging keeps the inner objective's
 curvature inside ``[mu, beta]`` so that rate is valid regardless of how many
 losses have arrived.
 
-Losses are tracked by slot: the seen ones are the live slots up to ``tau_i``,
-the retained ones those less the deleted slots, and a loss object held at
-several slots counts at each.  The phases sum the stream's stacked rows.
+Losses are tracked by slot, one loss per live slot: the seen ones are the live
+slots up to ``tau_i`` and the retained ones those less the deleted slots.  Each
+phase descends on fixed sums of the stream's stacked rows.
 
-A second-order variant replaces the retained-phase descent with one Newton
-correction built from exact quadratic Hessians.  It is experimental: its
-noise formula carries no certified budget and traces are flagged accordingly.
+A second-order variant (``run_active(..., second_order=True)``) replaces the
+retained-phase descent with one Newton correction built from exact quadratic
+Hessians.  It is experimental: its noise formula carries no certified budget
+and traces are flagged accordingly.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "check_active_run",
     "required_iters",
     "run_active",
-    "run_active_second_order",
     "second_order_sigma",
 ]
 
@@ -138,51 +138,51 @@ def second_order_sigma(
 
 
 class _SeenLosses:
-    """The losses an active run has seen, tracked by 1-based slot, for its inner phases.
+    """The losses an active run has seen, one per live slot, for its inner phases.
 
-    ``slots`` lists the live slots seen so far and ``deleted`` the deleted
-    live slots in deletion order, so a loss object held at several slots
-    counts once per slot.  Each list also keeps running sums of ``A_t`` and
-    ``A_t c_t``, added in slot order one block of stacked rows per call.
+    ``count`` is the number of live slots seen so far and ``deleted`` lists
+    the deleted live slots in deletion order.  Running sums of ``A_t`` and
+    ``A_t c_t`` over each are added in slot order, one block of stacked rows
+    per call.
     """
 
     def __init__(self, stream: CostStream, dim: int) -> None:
         self.live = stream.live
         self.rows = stack_quadratics(stream)[:2]
         self.seen = 0
-        self.slots: list = []
+        self.count = 0
         self.deleted: list = []
         self.sums = [np.zeros((dim, dim)), np.zeros(dim)]
         self.deleted_sums = [np.zeros((dim, dim)), np.zeros(dim)]
 
-    def _add(self, slots: list, sums: list, lo: int, hi: int) -> None:
-        """Take in the live slots ``lo..hi``, adding their rows to ``sums``.
+    def _add(self, sums: list, lo: int, hi: int) -> np.ndarray:
+        """Add the rows of the live slots among ``lo..hi`` to ``sums``; returns their 1-based slots.
 
         The running sum leads the block and ``np.add.accumulate`` adds in slot
         order, so the sums are bit for bit those of adding one row at a time.
         """
         index = np.flatnonzero(self.live[lo - 1:hi]) + (lo - 1)
-        slots.extend((index + 1).tolist())
         if index.size:
             mats, centers = self.rows[0][index], self.rows[1][index]
             for k, rows in enumerate((mats, np.matmul(mats, centers[..., None])[..., 0])):
                 block = np.concatenate((sums[k][None], rows))
                 sums[k] = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+        return index + 1
 
     def see(self, tau: int) -> None:
         """Take in the slots after the last one seen, up to ``tau``."""
-        self._add(self.slots, self.sums, self.seen + 1, tau)
+        self.count += self._add(self.sums, self.seen + 1, tau).size
         self.seen = tau
 
     def delete(self, u: int) -> None:
-        self._add(self.deleted, self.deleted_sums, u, u)
+        self.deleted.extend(self._add(self.deleted_sums, u, u).tolist())
 
-    def gradient_sum(self, z: np.ndarray, retained_only: bool) -> np.ndarray:
-        """Summed gradient at ``z`` of every seen loss, or of the retained ones."""
+    def phase(self, retained_only: bool) -> tuple:
+        """``(H, b, n)``: the seen losses', or the retained ones', gradient sum is ``H @ z - b``."""
         (mat, mc), (dmat, dmc) = self.sums, self.deleted_sums
         if retained_only:
-            return (mat - dmat) @ z - (mc - dmc)
-        return mat @ z - mc
+            return mat - dmat, mc - dmc, self.count - len(self.deleted)
+        return mat, mc, self.count
 
     def deleted_gradient_sum(self, z: np.ndarray) -> np.ndarray:
         """Summed gradient at ``z`` of the deleted slots' losses, one slot at a time."""
@@ -212,7 +212,7 @@ def check_active_run(sched: DeletionSchedule, acfg: ActiveConfig, mu: float,
     return notes
 
 
-def _run_active(
+def run_active(
     stream: CostStream,
     sched: DeletionSchedule,
     rates: RateSchedule,
@@ -220,9 +220,18 @@ def _run_active(
     cls: FnClass,
     dom: BallDomain,
     seed: int,
-    strict_schedule: bool,
-    second_order: bool,
+    strict_schedule: bool = True,
+    second_order: bool = False,
 ) -> RunTrace:
+    """Active unlearner: descend toward the retained optimum, then add noise.
+
+    With an empty schedule the trace is bitwise identical to plain OGD.
+    ``strict_schedule=False`` accepts deletions outside ``(tau_{i-1}, tau_i]``
+    for simulation but marks the trace uncertifiable.  ``second_order=True``
+    replaces the retained phase with one exact Newton correction, which lands
+    on the retained optimum up to the residual full-data gradient;
+    experimental: no certified budget is claimed and traces are flagged.
+    """
     sched.validate_horizon(len(stream))
     shape_notes = check_active_run(sched, acfg, cls.strong_convexity, strict_schedule)
     engine = StepEngine(stream, sched, rates, dom)
@@ -247,14 +256,13 @@ def _run_active(
 
     def inner_descent(z: np.ndarray, steps: int, retained_only: bool) -> np.ndarray:
         """Projected descent on the averaged loss; each step costs one gradient per loss."""
-        n = len(agg.slots) - (len(agg.deleted) if retained_only else 0)
+        hess, rhs, n = agg.phase(retained_only)
         if n == 0:
             return z
         for _ in range(steps):
-            grad = agg.gradient_sum(z, retained_only) / n
-            z, _ = _into_ball(z - inner_eta * grad, dom.radius)
-            engine.grad_evals += n
-            inner_steps[-1] += 1
+            z, _ = _into_ball(z - inner_eta * ((hess @ z - rhs) / n), dom.radius)
+        engine.grad_evals += n * steps
+        inner_steps[-1] += steps
         return z
 
     def descend(i: int, u: int, tau: int) -> None:
@@ -275,7 +283,7 @@ def _run_active(
         agg.delete(u)
 
         if second_order:
-            hess = agg.sums[0] - agg.deleted_sums[0]
+            hess = agg.phase(retained_only=True)[0]
             eigs = np.linalg.eigvalsh(hess)
             if eigs[0] <= 1e-12 * eigs[-1]:
                 raise NumericError("retained Hessian is singular; Newton correction undefined")
@@ -307,46 +315,4 @@ def _run_active(
             "alpha": cfg.alpha, "eps": cfg.eps, "omega": cfg.omega,
             "inner_rate": inner_eta, "gamma": gamma,
         },
-    )
-
-
-def run_active(
-    stream: CostStream,
-    sched: DeletionSchedule,
-    rates: RateSchedule,
-    acfg: ActiveConfig,
-    cls: FnClass,
-    dom: BallDomain,
-    seed: int,
-    strict_schedule: bool = True,
-) -> RunTrace:
-    """First-order active unlearner (descent toward the retained optimum).
-
-    With an empty schedule the trace is bitwise identical to plain OGD.
-    ``strict_schedule=False`` accepts deletions outside ``(tau_{i-1}, tau_i]``
-    for simulation but marks the trace uncertifiable.
-    """
-    return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, strict_schedule, second_order=False
-    )
-
-
-def run_active_second_order(
-    stream: CostStream,
-    sched: DeletionSchedule,
-    rates: RateSchedule,
-    acfg: ActiveConfig,
-    cls: FnClass,
-    dom: BallDomain,
-    seed: int,
-    strict_schedule: bool = True,
-) -> RunTrace:
-    """Newton-correction variant: one exact second-order fixup per deletion.
-
-    Quadratic losses have exact Hessians, so the correction lands on the
-    retained optimum up to the residual full-data gradient.  Experimental: no
-    certified budget is claimed and traces are flagged.
-    """
-    return _run_active(
-        stream, sched, rates, acfg, cls, dom, seed, strict_schedule, second_order=True
     )

@@ -255,16 +255,16 @@ def analytic_bound(
     cfg: UnlearnerConfig,
     gammas: np.ndarray,
     deltas: np.ndarray,
-    decays: Sequence[float] | None = None,
+    decays: Sequence[float],
     sigmas: Sequence[float] | None = None,
 ) -> AnalyticCertificate:
     """Per-interval divergence bounds from the shift ledger.
 
     ``gammas``/``deltas`` are per-step arrays (honest contraction factors and
     sensitivities); ``decays`` are the per-deletion factors used in the noise
-    calibration (product of the gap's gammas by default).  When ``sigmas`` are
-    supplied they are verified against the calibration before anything is
-    certified.
+    calibration (``passive.deletion_calibration``'s gap products).  When
+    ``sigmas`` are supplied they are verified against the calibration before
+    anything is certified.
     """
     if sched.k == 0:
         return AnalyticCertificate((), 0.0, cfg.budget, ())
@@ -275,9 +275,6 @@ def analytic_bound(
 
     entries = sched.entries
     deltas_at = {u: float(deltas[u - 1]) for u, _ in entries}
-    if decays is None:
-        # The same gap product as ``deletion_calibration``: deleted slots carry 1.
-        decays = [float(np.prod(gammas[u:tau])) for u, tau in entries]
     decays = [float(x) for x in decays]
     if len(decays) != sched.k:
         raise InvalidInputError("need one decay factor per deletion")

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .active import ActiveConfig, check_active_run, run_active, run_active_second_order
+from .active import ActiveConfig, check_active_run, run_active
 from .baselines import run_discard_restart, run_retraining
 from .certifier import certify_passive_run, series_certificates
 from .core import (
@@ -502,8 +502,8 @@ def _run_algorithm(
         return run_passive(stream, sched, rates, ucfg, cls, dom, seed)
     if algo in ("active", "active2"):
         acfg, strict = _active_config(cfg, ucfg)
-        runner = run_active if algo == "active" else run_active_second_order
-        return runner(stream, sched, rates, acfg, cls, dom, seed, strict_schedule=strict)
+        return run_active(stream, sched, rates, acfg, cls, dom, seed, strict_schedule=strict,
+                          second_order=algo == "active2")
     if algo == "retrain":
         return run_retraining(stream, sched, rates, dom, seed)
     if algo == "discard":
@@ -741,7 +741,7 @@ def _certify(cfg, ucfg, stream, sched, rates, cls, dom, trace, seed_dir) -> dict
     if algo == "passive" and not isinstance(rates, AdaptiveRate):
         reports = certify_passive_run(
             stream, sched, trace.rates, ucfg, cls, dom,
-            mc_samples=int(cfg.raw.get("mc_samples", 0)),
+            mc_samples=int(cfg.raw.get("mc_samples", 0)), seed=trace.seed,
         )
     else:
         # Active runs and adaptive rates: the series bound applies when the run

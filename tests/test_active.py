@@ -14,7 +14,6 @@ from online_unlearning import (
     active_sigma,
     required_iters,
     run_active,
-    run_active_second_order,
     comparators,
     run_ogd,
 )
@@ -163,6 +162,20 @@ class TestRunActive:
         assert trace.inner_steps == (7, 9)
         assert not trace.certifiable  # counts below the certified minimum
 
+    def test_a_phase_with_no_loss_left_takes_no_step(self, unit_ball):
+        # Deleting the only seen slot leaves the retained phase no loss: it steps and charges
+        # nothing, so the run's counters match one with i2 = 0.
+        rng = np.random.default_rng(40)
+        stream, cls = _sc_stream(rng, 6, unit_ball)
+        traces = [
+            run_active(stream, DeletionSchedule(((1, 1),)), SCDecreasing(mu=1.0),
+                       ActiveConfig(base=_cfg(), i1=(3,), i2=i2), cls, unit_ball, seed=0)
+            for i2 in (5, 0)
+        ]
+        assert [t.inner_steps for t in traces] == [(3,), (3,)]
+        assert traces[0].grad_evals == traces[1].grad_evals
+        assert traces[0].i2 == 5
+
     def test_schedule_shape_enforced(self, unit_ball):
         rng = np.random.default_rng(35)
         stream, cls = _sc_stream(rng, 30, unit_ball)
@@ -189,8 +202,8 @@ class TestSecondOrder:
         stream, cls = _sc_stream(rng, 24, unit_ball)
         sched = DeletionSchedule(((8, 12),))
         acfg = ActiveConfig(base=_cfg(eps=1e6), i1=(80,))
-        trace = run_active_second_order(stream, sched, SCDecreasing(mu=1.0), acfg,
-                                        cls, unit_ball, seed=0)
+        trace = run_active(stream, sched, SCDecreasing(mu=1.0), acfg, cls, unit_ball, seed=0,
+                           second_order=True)
         prenoise = trace.output_at(12) - trace.noise_events[0].xi
         target = _retained_erm(stream, sched, 1, 12, unit_ball)
         assert np.linalg.norm(prenoise - target) < 1e-8
@@ -200,8 +213,8 @@ class TestSecondOrder:
         rng = np.random.default_rng(38)
         stream, cls = _sc_stream(rng, 15, unit_ball)
         rates = SCDecreasing(mu=1.0)
-        trace = run_active_second_order(stream, EMPTY_SCHEDULE, rates,
-                                        ActiveConfig(base=_cfg()), cls, unit_ball, seed=0)
+        trace = run_active(stream, EMPTY_SCHEDULE, rates, ActiveConfig(base=_cfg()),
+                           cls, unit_ball, seed=0, second_order=True)
         plain = run_ogd(stream, rates, unit_ball, cls)
         assert np.array_equal(trace.outputs, plain.outputs)
 
@@ -216,8 +229,8 @@ class TestSecondOrder:
                       smoothness=2.0, strong_convexity=2.0)
         sched = DeletionSchedule(((6, 10),))
         acfg = ActiveConfig(base=_cfg(eps=1e6), i1=(0,))
-        trace = run_active_second_order(stream, sched, SCDecreasing(mu=2.0), acfg,
-                                        cls, unit_ball, seed=0)
+        trace = run_active(stream, sched, SCDecreasing(mu=2.0), acfg, cls, unit_ball, seed=0,
+                           second_order=True)
         prenoise = trace.output_at(10) - trace.noise_events[0].xi
         # Reconstruct: correction = (sum retained A)^{-1} grad_deleted(z_hat), A = 2I.
         plain = run_ogd(stream, SCDecreasing(mu=2.0), unit_ball, cls)
@@ -232,9 +245,8 @@ class TestSecondOrder:
         cls = FnClass(lipschitz=2.0, smoothness=1.0, strong_convexity=1.0)
         sched = DeletionSchedule(((1, 1),))
         with pytest.raises(NumericError):
-            run_active_second_order(stream, sched, SCDecreasing(mu=1.0),
-                                    ActiveConfig(base=_cfg(), i1=(0,)), cls,
-                                    unit_ball, seed=0)
+            run_active(stream, sched, SCDecreasing(mu=1.0), ActiveConfig(base=_cfg(), i1=(0,)),
+                       cls, unit_ball, seed=0, second_order=True)
 
     def test_sigma_formula_guard(self):
         with pytest.raises(NumericError):
@@ -242,7 +254,7 @@ class TestSecondOrder:
 
 
 class TestSlotTracking:
-    """The inner phases track losses by slot, not by loss object, and read stacked rows."""
+    """The inner phases count one loss per live slot, equal rows included, and read stacked rows."""
 
     C_A = np.array([0.4, 0.0])
     C_B = np.array([-0.2, 0.3])
@@ -287,7 +299,7 @@ class TestSlotTracking:
             agg.delete(u)
             for got, want in zip(agg.sums + agg.deleted_sums, sums + deleted):
                 assert got.tobytes() == want.tobytes()
-        assert agg.slots == (np.flatnonzero(live) + 1).tolist()
+        assert agg.count == np.count_nonzero(live)
 
     @pytest.mark.parametrize("i1", [(3,), (3, 3, 3, 3)])
     def test_i1_must_match_the_deletion_count(self, i1, unit_ball):

@@ -87,6 +87,11 @@ class TestGaussianRenyi:
             assert gaussian_renyi(2.0 * a, m0, m1, s2) == pytest.approx(2.0 * d01, rel=1e-12)
 
 
+def _gap_decays(sched, gammas):
+    """Each deletion's calibration decay: the product of the gammas over its gap ``(u, tau]``."""
+    return [float(np.prod(gammas[u:tau])) for u, tau in sched.entries]
+
+
 class TestAnalyticBound:
     def _arrays(self, horizon, sched, gamma=0.5, delta=1.0):
         gammas = np.full(horizon, gamma)
@@ -99,7 +104,7 @@ class TestAnalyticBound:
         sched = DeletionSchedule(((2, 5),))
         cfg = _cfg(alpha=2.0, eps=0.5, omega=1.2)
         gammas, deltas = self._arrays(6, sched)
-        cert = analytic_bound(sched, cfg, gammas, deltas)
+        cert = analytic_bound(sched, cfg, gammas, deltas, _gap_decays(sched, gammas))
         assert cert.max_bound == pytest.approx(2.0 * 0.5 * 0.2 / 1.2, rel=1e-12)
         assert cert.max_bound == pytest.approx(1.0 / 6.0, rel=1e-9)
         assert cert.within_budget
@@ -108,7 +113,7 @@ class TestAnalyticBound:
         sched = DeletionSchedule(((2, 5), (4, 9)))
         cfg = _cfg(alpha=2.0, eps=0.5, omega=1.2)
         gammas, deltas = self._arrays(10, sched)
-        cert = analytic_bound(sched, cfg, gammas, deltas)
+        cert = analytic_bound(sched, cfg, gammas, deltas, _gap_decays(sched, gammas))
         expected = 1.0 * (1.0 / 6.0) * (1.0 + 2.0 ** -1.2)
         assert cert.per_interval[1] == pytest.approx(expected, rel=1e-12)
 
@@ -117,7 +122,7 @@ class TestAnalyticBound:
         sched = DeletionSchedule(entries)
         cfg = _cfg(alpha=3.0, eps=0.25, omega=1.1)
         gammas, deltas = self._arrays(700, sched)
-        cert = analytic_bound(sched, cfg, gammas, deltas)
+        cert = analytic_bound(sched, cfg, gammas, deltas, _gap_decays(sched, gammas))
         assert cert.max_bound <= cfg.budget + 1e-12
         assert cert.within_budget
 
@@ -140,7 +145,7 @@ class TestAnalyticBound:
             deltas = np.zeros(horizon)
             for u, _ in entries:
                 deltas[u - 1] = float(rng.uniform(0.1, 2.0))
-            cert = analytic_bound(sched, _cfg(), gammas, deltas)
+            cert = analytic_bound(sched, _cfg(), gammas, deltas, _gap_decays(sched, gammas))
             for ledger in cert.ledgers:
                 assert all(row.e >= 0.0 for row in ledger.rows)
                 assert ledger.final_residual <= 1e-9 * 2.0
@@ -170,14 +175,15 @@ class TestAnalyticBound:
         deltas = np.zeros(8)
         deltas[1] = 1.0
         with pytest.raises(CertificationRefusedError):
-            analytic_bound(sched, _cfg(), gammas, deltas, sigmas=[123.0])
+            analytic_bound(sched, _cfg(), gammas, deltas, _gap_decays(sched, gammas),
+                           sigmas=[123.0])
 
     def test_zero_sensitivity_contributes_nothing(self):
         sched = DeletionSchedule(((2, 5), (4, 9)))
         gammas = np.full(10, 0.5)
         deltas = np.zeros(10)
         deltas[3] = 1.0  # first deletion hits a deleted slot: delta stays 0
-        cert = analytic_bound(sched, _cfg(), gammas, deltas)
+        cert = analytic_bound(sched, _cfg(), gammas, deltas, _gap_decays(sched, gammas))
         assert cert.per_interval[0] == 0.0
         assert cert.per_interval[1] == pytest.approx(
             _cfg().alpha * _cfg().eps * 0.2 / (1.2 * 2**1.2), rel=1e-12

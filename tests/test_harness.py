@@ -20,6 +20,7 @@ from online_unlearning.core import project, stack_quadratics
 from online_unlearning.harness import (
     ExperimentConfig,
     _centers_in_half_ball,
+    _seed_inputs,
     build_schedule,
     config_hash,
     gen_stream,
@@ -210,6 +211,26 @@ class TestRunExperiment:
             decay = math.prod(max(abs(1.0 - 1.0 / t), abs(1.0 - 3.0 / t))
                               for t in range(13 - gap, 13))
             assert event["sigma"] / event["delta"] == pytest.approx(multiplier * decay, rel=1e-12)
+
+    def test_monte_carlo_draws_are_keyed_by_the_run_seed(self, tmp_path):
+        # Each seed's cert.json holds the estimates drawn under its own keys (seed, process,
+        # event): seed 1's are not the ones seed 0's keys give on seed 1's inputs.
+        cfg = ExperimentConfig.from_dict(_base_config(mc_samples=200))
+        summary = run_experiment(cfg, tmp_path)
+        ucfg = UnlearnerConfig(alpha=2.0, eps=0.5, omega=1.2)
+        for seed in (0, 1):
+            with open(tmp_path / summary["config_hash"] / str(seed) / "cert.json") as handle:
+                written = [row["mc_estimate"] for row in json.load(handle)]
+            dom, gs, sched = _seed_inputs(cfg, seed)
+            rates = rates_array(SCDecreasing(mu=gs.fn_class.strong_convexity), len(gs.stream))
+            keyed = {
+                key: [r.mc_estimate for r in certify_passive_run(
+                    gs.stream, sched, rates, ucfg, gs.fn_class, dom, mc_samples=200, seed=key)]
+                for key in (0, 1)
+            }
+            assert written[0] is not None
+            assert written == keyed[seed]
+            assert written != keyed[1 - seed]
 
     def test_retrain_and_discard_paths(self, tmp_path):
         for algo in ("retrain", "discard"):
