@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ogd import RateSchedule, step_contraction
 from .passive import UnlearnerConfig, deletion_calibration, noise_multiplier
-from .rng import NoiseSource
+from .rng import noise_generator
 from .trace import RunTrace
 
 __all__ = [
@@ -132,9 +132,9 @@ def second_order_sigma(
         raise NotStronglyConvexError("second-order noise calibration needs mu > 0")
     if tau_i <= k or tau_i <= i:
         raise NumericError(f"noise formula undefined for tau_i={tau_i} with k={k}, i={i}")
-    base = math.sqrt(cfg.alpha * cfg.omega * i**cfg.omega / (2.0 * (cfg.omega - 1.0) * cfg.eps))
     inner = 2.0 - k * beta / (mu * (tau_i - k))  # quadratics: no Hessian-Lipschitz term
-    return base * lipschitz * max(inner, 0.0) / (mu * (tau_i - i))
+    return (math.sqrt(cfg.alpha) * noise_multiplier(cfg, i)
+            * lipschitz * max(inner, 0.0) / (mu * (tau_i - i)))
 
 
 class _SeenLosses:
@@ -244,7 +244,7 @@ def run_active(
     if i2 is None and sched.k:
         i2 = required_iters(gamma, mu, diameter, lipschitz, sched.times[0], sched.k)[1]
 
-    noise = NoiseSource(seed)
+    noise = noise_generator(seed, ())
     agg = _SeenLosses(stream, engine.dim)
     noise_events = []
     inner_steps = []

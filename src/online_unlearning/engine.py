@@ -26,7 +26,6 @@ from .core import (
 )
 from .errors import InvalidInputError, NumericError
 from .ogd import AdaptiveRate, AdaptiveState, RateSchedule, rate, rates_array
-from .rng import NoiseSource
 from .trace import EVENT_LEARN, EVENT_SKIP, EVENT_UNLEARN, NoiseEvent, RunTrace
 
 __all__ = ["StepEngine"]
@@ -145,11 +144,11 @@ class StepEngine:
             self.adapt.p = float(self.p_hist[t - 1]) if t else 0.0
 
     def add_noise(
-        self, noise: NoiseSource, i: int, u: int, tau: int,
+        self, noise: np.random.Generator, i: int, u: int, tau: int,
         delta: float, decay: float, sigma: float,
     ) -> NoiseEvent:
-        """Add ``N(0, sigma^2 I)`` to ``z``; the event records the draw."""
-        xi = sigma * noise.normals(self.dim)
+        """Add ``sigma`` times ``noise``'s next ``d`` normals to ``z``; the event records the draw."""
+        xi = sigma * noise.standard_normal(self.dim)
         self.z = self.z + xi
         return NoiseEvent(
             ordinal=i, time=tau, index=u, gap=tau - u,

@@ -108,36 +108,34 @@ def rate(sched: RateSchedule, t: int, adapt: AdaptiveState | None = None) -> flo
     """Learning rate at 1-based step ``t``."""
     if t < 1:
         raise InvalidInputError(f"time index must be >= 1, got {t}")
-    if isinstance(sched, SCDecreasing):
-        return 1.0 / (sched.mu * t)
-    if isinstance(sched, ConvexDecreasing):
-        return sched.diameter / (sched.lipschitz * math.sqrt(t))
     if isinstance(sched, AdaptiveRate):
         p = adapt.p if adapt is not None else 0.0
         return sched.diameter / max(math.sqrt(p), sched.warm_floor)
-    if isinstance(sched, ConstantRate):
-        return sched.eta
-    raise InvalidConfigError(f"unknown rate schedule {sched!r}")
+    return float(_clock_rate(sched, float(t)))
 
 
 def rates_array(rates: RateSchedule, horizon: int) -> np.ndarray:
     """Learning rates ``eta_1..eta_T`` for a clock-driven (non-adaptive) schedule.
 
-    Each entry is ``rate(rates, t)`` bit for bit: the same IEEE operations
-    on ``t`` as a float.
+    Each entry is ``rate(rates, t)`` bit for bit: the same formula on ``t``
+    as a float.
     """
     if isinstance(rates, AdaptiveRate):
         raise OracleUnavailableError(
             "adaptive rates depend on the realized gradients; pass a trace's recorded rates"
         )
-    t = np.arange(1, horizon + 1, dtype=np.float64)
-    if isinstance(rates, SCDecreasing):
-        return 1.0 / (rates.mu * t)
-    if isinstance(rates, ConvexDecreasing):
-        return rates.diameter / (rates.lipschitz * np.sqrt(t))
-    if isinstance(rates, ConstantRate):
-        return np.full(horizon, rates.eta, dtype=np.float64)
-    raise InvalidConfigError(f"unknown rate schedule {rates!r}")
+    return _clock_rate(rates, np.arange(1, horizon + 1, dtype=np.float64))
+
+
+def _clock_rate(sched: RateSchedule, t: float | np.ndarray) -> float | np.ndarray:
+    """A clock-driven schedule's rate at step ``t``, a float or an array of floats."""
+    if isinstance(sched, SCDecreasing):
+        return 1.0 / (sched.mu * t)
+    if isinstance(sched, ConvexDecreasing):
+        return sched.diameter / (sched.lipschitz * np.sqrt(t))
+    if isinstance(sched, ConstantRate):
+        return np.full_like(t, sched.eta)
+    raise InvalidConfigError(f"unknown rate schedule {sched!r}")
 
 
 def constant_rate_worst_case(

@@ -32,7 +32,7 @@ from .core import (
 from .engine import StepEngine
 from .errors import InvalidConfigError, InvalidInputError
 from .ogd import _CONTRACTION_TOL, RateSchedule, sensitivity, step_contraction
-from .rng import NoiseSource
+from .rng import noise_generator
 from .trace import RunTrace
 
 __all__ = [
@@ -155,7 +155,7 @@ def run_passive(
     if cfg is None and sched.k:
         raise InvalidConfigError("deletions need an UnlearnerConfig to calibrate their noise")
     engine = StepEngine(stream, sched, rates, dom)
-    noise = NoiseSource(seed)
+    noise = noise_generator(seed, ())
     noise_events = []
     warnings_log: list[str] = []
 

@@ -15,8 +15,10 @@ The hashes were taken with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31,
 Haswell kernels).  Outputs are 17-significant-digit decimals of float64
 results, so another BLAS build or numpy release may legitimately move a last
 digit; re-pin only after checking that the difference is reassociation, and
-say so in CHANGES.md.  The MC estimates also read numpy's own normal sampler
-(``Generator.standard_normal``), whose bits a numpy release may change.
+say so in CHANGES.md.  Every noise draw, a run's and Monte-Carlo's alike,
+comes from numpy's own normal sampler (``Generator.standard_normal``), whose
+bits a numpy release may change: then the noisy runs' traces, regrets and
+summaries and the MC estimates in ``cert.json`` move together.
 """
 
 import copy
@@ -78,57 +80,57 @@ GOLDEN = {
         "0/cert.json":
             "f49af5db246490820d5e5dc89ddc70fbe78182c2219bb15a46fb2411bdc32eb8",
         "0/regret.json":
-            "88e6c3afcfa640fd53e4c1e04d21b0619bfb07d746e516447e3ba46fe0f10d05",
+            "42ef47754484b0aeaddbf6e4d0db797af85fa04488a9e823963198b4edca3709",
         "0/regret_curve.csv":
-            "d984b53c2a04d8d55eb3e12fdea2af6a9e5250345f0aa4b8583278518cbcf6ab",
+            "1b1d591b5420aebdee15906f9a231602d5139b377011bc783500ad698ce9e631",
         "0/run.json":
-            "b720c0339b29cde36e7c4713747dce1179474e6af335d7c091918db7e39feb21",
+            "31a0e4c5a3617431aedff57744aabee89d325e906323c844f7400a81d8f00ae9",
         "0/trace.csv":
-            "032fbd560300d54eec545c3129d5c3b853b10c0ecdfe9d4a4471adc783534d3e",
+            "ac2af3ade6a9c3a5237ef484b002b2ce498dd5a60e76f99ddeefe65c22fc1546",
         "summary.json":
-            "7f300a89ef56f742ce158c5054e2ded363529d3e51857e048683d35203c1e5eb",
+            "08c5f4195fd9a81709ad8c96690f4a2a9ef1d6f31f5c04c5b84d79a94c11719c",
     },
     "active2-sc": {
         "0/cert.json":
             "2568d60357a2724b7380eade6c23aaa8f4e9dad95ac83d0cb0162d21b82f2c8f",
         "0/regret.json":
-            "c0d53c471b180f8a972ff7083c75045a2f1434943ae36b0dcc4f9307a54393b8",
+            "93e88ac58f4b56c75dabff2c24a857814fcea9200c7c0acab4670b82fb15d101",
         "0/regret_curve.csv":
-            "f14ab6420b70a1b6a3a541e28f051667fec73fef907f254a7f9018ace90728ef",
+            "86fd887f94a116f6651908829b43a72a615879a4bc7101acc7fc692ac6a9c41a",
         "0/run.json":
-            "204a1ffddbd8de71785cf27869ee97b584946b93d72ad33b7f520ad4d12060c1",
+            "81234ae153b144c4e3f62c299c1c063496bb731458f1bdb4b03c4c8c4131363c",
         "0/trace.csv":
-            "61832d4846dfbbb2cf4ef35e7235faece9e1127b67e2d52166b5ff9b60d03a8b",
+            "fbcbb132e2b317ec85d8591aa60c5fcd2bbeee10ce43a771667e06c00451af5b",
         "summary.json":
-            "8723defba30a21bdeb8395b7a5451c894715feb65823fec23b2ab454d75472de",
+            "2571a65432049e705e2f3ab8068928ef3cfa74432d1fa84c68dc7305e2bc810f",
     },
     "active-assumption2": {
         "0/cert.json":
             "57bf1781c00671d05689d4d7054516292c280d2ef0c3cda17953b44ea53db9cd",
         "0/regret.json":
-            "61901c143241d4399f16b23fa6f76452bfc71af00b51922beb5332038e4a09e1",
+            "a0a744353cddc18f521ffb41a2d2c702d92af375902cdae82b4ff5c6463187c9",
         "0/regret_curve.csv":
-            "2d004a1b85acac7dee7bf23efc516342d6689ce14ccf973074e9c621cd2fb1d8",
+            "a54d9c39481c2d10652cf178aad637463bbdd0114ebee0c356f8e8a3972dc04e",
         "0/run.json":
-            "7282f2b347458531f02d6de3efec276b9d1f7f83faf59b6fb690a304e0b11898",
+            "2b9fa87b26a9d64deaefb94aeb38affe693b73e8da542e922e20ec113acb15dc",
         "0/trace.csv":
-            "a19a98d09df497a0f2b95fade3f90cd140ee9b3863968a2ad118cadf89a09b96",
+            "cf1a44b8511121624962d3e6850711a920df86b8506af9ab4c8c8f7178e41260",
         "summary.json":
-            "59f4dbd2199b845234d2a3b2ecbe77d9a2e6e4c22f3875c2123e17316bd9ceb0",
+            "ecf4477c8a2843f3ad7bd77b6f4fefd98e93076dae30e706b8477d16dc2aadd5",
     },
     "active-sc": {
         "0/cert.json":
             "57bf1781c00671d05689d4d7054516292c280d2ef0c3cda17953b44ea53db9cd",
         "0/regret.json":
-            "f116660047f63276b1c7756f45d8d114632684b21144ef1e842db92d802bb030",
+            "abe0fcfdbc1936611f3760771526c0ac271b5fecaa1483f097d4adbefcee6fd7",
         "0/regret_curve.csv":
-            "cd4c7b2df7b341324b1c6073e25c9efbc17592d7a6ad983ac2f702a8f4093dbf",
+            "3d41b8ffe57d4570980a2edf88ef8c19c31604bd14823e987c46c434f7786511",
         "0/run.json":
-            "446a0f7407f82d31cb3055bcced32677cf70df4be272d53ebe2fc304aa7c9ad6",
+            "e9f24a9190349c2f8faa302bfb333f7fc688009e246e114a455c1ab3269433d2",
         "0/trace.csv":
-            "011fd0dee0e2c30a8971cfff95a38814ec837d0069e3917c73108a780b8b344a",
+            "1bf89490664d8ab2dbeb2748639bcbbafa4bbd1daac06b0178e0fd76f3471936",
         "summary.json":
-            "62de8feabee733097f42601e01b51ff2cd761177e593ce033c61c777e9dba404",
+            "ec932f548d9f1e9d676db428adab6deea158a32a16bae2a22921215cd2bd6c86",
     },
     "discard-sc": {
         "0/regret.json":
@@ -146,29 +148,29 @@ GOLDEN = {
         "0/cert.json":
             "54be7456e44c28c4151cd62f7497a944f77c09261fa63a89186fca8ed92150f3",
         "0/regret.json":
-            "59853d5fe6382dc640d00f3885ccebb4904f2fc0bbaefb271903bf9e78903fad",
+            "ebbc116a9ad90955abc8b4583c921beb8034f2ae0ac6b456aeed6251d0edb84d",
         "0/regret_curve.csv":
-            "0d3651ef9bedb5a37798b5843a45a9afc967678c6e25a040222477b2bb417488",
+            "78ba0ebae9309c48d83f970de9bb044763e8d2a164a356e93ffa0602a64f7b25",
         "0/run.json":
-            "2bf88ccbe2a9266169e34d0ca3ac736481a3d5a0ede54600c7f180808cdafda3",
+            "5ac307d049f0e455693fdcf1b90d13d9a36a5e3911833164293e7505d9aabc66",
         "0/trace.csv":
-            "1df30100620b460d13bc030b06498e41767439c5271e597641fc4e90123776b1",
+            "87d1e6f247293b98c0ea94ae0c9e830bf0f126ffc3f56d732b3f2702f975537b",
         "summary.json":
-            "da648526f28226e7d52d8315c2c91cca50e3918973b47467738da8b6a4b97dca",
+            "760f89e865dea3be5d6215505c6c04bb6e7d3f71291953f19b9b24cfb17c0fab",
     },
     "passive-sc": {
         "0/cert.json":
             "66f36d49ac8daeb5fbededf06f984f948b0aab81b41e43645f5af6611c3dbf32",
         "0/regret.json":
-            "b21731e05c7ae1eca5ce2007248fd5b949afdffc8bf803f6cc364370b72bc59e",
+            "a9de6a3ea6b41e7b8a4ef5c59dd099cf2657cfe83051bdd54ff137b85f006f22",
         "0/regret_curve.csv":
-            "8c3fcaebcfeee4f8d322b05acb2500d0b308c24244713d3292638c8030d5386f",
+            "8d382955b48461a729ded20cc2eefa5737fb83fa9e39293d7fcfc080723fc9ec",
         "0/run.json":
-            "abb2e946c02c8c2a41f77af772f786eb0020aeb68673317776973a4b089ac9e6",
+            "c801fc7e95475b53735a57cd008c12001c53e2c303f01a13879863d1c3d941da",
         "0/trace.csv":
-            "e67e432693dbd388422cd41b38fb432fbe64e1b0f310456a0ff32b009bab00bb",
+            "bba0bb8fdb6743fbab1876c7a270c891d49c9898cf7d29a873dc22540699d6ba",
         "summary.json":
-            "7de55778348d18b29078fc83a93bfea0303ba5fe82e04d42d49d59f3374305d7",
+            "8dd8ecfa46c42057bd44536d06c282d0e7240123df49bed57bcf3a93ecce8731",
     },
     "retrain-adaptive-explicit": {
         "0/regret.json":

@@ -16,7 +16,7 @@ from online_unlearning import (
 )
 from online_unlearning.certifier import certify_passive_run
 from online_unlearning.cli import main as cli_main
-from online_unlearning.core import project, stack_quadratics
+from online_unlearning.core import decode_vector, project, stack_quadratics
 from online_unlearning.harness import (
     ExperimentConfig,
     _centers_in_half_ball,
@@ -30,6 +30,7 @@ from online_unlearning.harness import (
 from online_unlearning.ogd import SCDecreasing, rates_array
 from online_unlearning.passive import UnlearnerConfig, noise_multiplier, run_passive
 from online_unlearning.regret import cumulative_regret_curve, regret_dynamic
+from online_unlearning.rng import noise_generator
 
 from conftest import strict_json
 
@@ -190,6 +191,21 @@ class TestRunExperiment:
         assert (base / "summary.json").exists()
         assert summary["cert_pass_rate"] == 1.0
 
+    @pytest.mark.parametrize("algorithm", ["passive", "active"])
+    def test_noise_replays_from_the_seed(self, tmp_path, algorithm):
+        # Each event's xi is sigma times the next d normals of the run's (seed,) generator.
+        raw = _base_config(algorithm=algorithm,
+                           schedule={"kind": "explicit", "entries": [[5, 12], [14, 25]]})
+        summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        for seed in (0, 1):
+            run = json.loads((tmp_path / summary["config_hash"] / str(seed) / "run.json")
+                             .read_text())
+            gen = noise_generator(seed, ())
+            assert len(run["noise_events"]) == 2
+            for event in run["noise_events"]:
+                expected = event["sigma"] * gen.standard_normal(raw["dimension"])
+                assert decode_vector(event["xi"]).tobytes() == expected.tobytes()
+
     def test_no_cert_for_k_zero(self, tmp_path):
         raw = _base_config(schedule={"kind": "explicit", "entries": []})
         cfg = ExperimentConfig.from_dict(raw)
@@ -322,12 +338,12 @@ _OVERFLOWS = {
         dict(stream={"kind": "sc-quadratic", "mu": 1.0, "beta": 1e300},
              rate={"kind": "adaptive"}),
         "adaptive rate's gradient sum out of range at step 1"),
-    # eps 1e-300 gives noise near 1e150, whose losses sum past the float range.
+    # eps 1e-306 gives noise near 1e153, whose losses sum past the float range.
     "losses": (
         dict(dimension=1, radius=1000.0, stream={"kind": "convex-qg", "beta": 1.0},
              rate={"kind": "convex-decreasing"},
              schedule={"kind": "pattern", "k": 11, "gap": 0, "first_time": 3, "spacing": 1},
-             unlearner={"alpha": 10.0, "eps": 1e-300, "omega": 2.0}),
+             unlearner={"alpha": 10.0, "eps": 1e-306, "omega": 2.0}),
         "the run's losses sum past the float range"),
     # eta * beta overflows in the step factor of the rate the config is refused for.
     "step-contraction": (

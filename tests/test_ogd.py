@@ -21,6 +21,7 @@ from online_unlearning.ogd import (
     ConvexDecreasing,
     SCDecreasing,
     gamma_nominal,
+    rates_array,
     step_contraction,
 )
 
@@ -177,6 +178,19 @@ class TestArrayForms:
         for eta, gamma, delta in zip(rates.tolist(), gammas.tolist(), deltas.tolist()):
             assert gamma == step_contraction(sc_class, eta)
             assert delta == sensitivity(sc_class, eta)
+
+    @pytest.mark.parametrize(
+        "sched",
+        [SCDecreasing(mu=0.3), ConvexDecreasing(diameter=2.0, lipschitz=4.5), ConstantRate(eta=0.07)],
+    )
+    def test_rates_array_is_the_scalar_rate(self, sched):
+        scalars = [rate(sched, t) for t in range(1, 10_001)]
+        assert all(type(eta) is float for eta in scalars)
+        assert rates_array(sched, 10_000).tolist() == scalars
+
+    def test_convex_rate_is_the_libm_root(self):
+        sched = ConvexDecreasing(diameter=2.0, lipschitz=4.5)
+        assert all(rate(sched, t) == 2.0 / (4.5 * math.sqrt(t)) for t in range(1, 10_001))
 
     @pytest.mark.parametrize("bad", [0.0, -0.1])
     def test_nonpositive_entry_rejected(self, sc_class, bad):

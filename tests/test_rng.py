@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -8,54 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtri
 
-from online_unlearning.rng import NoiseSource, _ndtri, event_normals, noise_generator
+from online_unlearning.rng import event_normals, noise_generator
 
 ROOT = Path(__file__).resolve().parents[1]
-SQUEEZE, OFFSET = 1.0 - 2.0 ** -53, 2.0 ** -54
-
-
-def _assert_scalar_ndtri_is_scipys(ys: np.ndarray) -> None:
-    got = np.array([_ndtri(y) for y in ys.tolist()])
-    assert np.array_equal(got.view(np.int64), ndtri(ys).view(np.int64))
-
-
-def _with_neighbours(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, 1.0)])
-
-
-def test_scalar_ndtri_at_the_squeeze_endpoints():
-    _assert_scalar_ndtri_is_scipys(np.array([OFFSET, 1.0 - 2.0 ** -53]))
-
-
-def test_scalar_ndtri_at_the_branch_edges():
-    # exp(-2) and 1 - exp(-2) switch to the tail forms; exp(-32) is the x < 8 switch.
-    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)]
-    _assert_scalar_ndtri_is_scipys(_with_neighbours(edges))
-
-
-def test_scalar_ndtri_on_squeezed_uniforms():
-    uniforms = np.random.default_rng(0).random(100_000)
-    _assert_scalar_ndtri_is_scipys(uniforms * SQUEEZE + OFFSET)
-
-
-def test_scalar_ndtri_in_the_deep_tails():
-    tails = np.exp(-np.random.default_rng(1).uniform(0.0, 740.0, 20_000))
-    upper = 1.0 - tails
-    _assert_scalar_ndtri_is_scipys(np.concatenate([tails, upper[upper < 1.0]]))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 17, 2**40])
-def test_noise_source_is_the_old_vectorised_formula(seed):
-    noise = NoiseSource(seed)
-    uniforms = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-    for count in (1, 2, 5, 20, 0, 3):
-        expected = ndtri(uniforms.random(count) * SQUEEZE + OFFSET)
-        got = noise.normals(count)
-        assert got.dtype == np.float64 and got.shape == (count,)
-        assert got.tobytes() == expected.tobytes()
 
 
 def _imported_after(code: str) -> list:
@@ -81,21 +36,23 @@ def test_a_command_never_imports_scipy(tmp_path, command, mc_samples):
     assert _imported_after(code) == [0, False]
 
 
-def test_noise_source_replays():
-    a = NoiseSource(123)
-    b = NoiseSource(123)
-    assert np.array_equal(a.normals(7), b.normals(7))
-    assert np.array_equal(a.normals(3), b.normals(3))
+def test_noise_generator_replays():
+    a = noise_generator(123, ())
+    b = noise_generator(123, ())
+    assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
+    assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
 
-def test_noise_source_seed_sensitivity():
-    assert not np.array_equal(NoiseSource(1).normals(8), NoiseSource(2).normals(8))
+def test_noise_generator_seed_sensitivity():
+    assert not np.array_equal(noise_generator(1, ()).standard_normal(8),
+                              noise_generator(2, ()).standard_normal(8))
 
 
 def test_stream_separation():
-    base = NoiseSource(5).normals(4)
-    other = NoiseSource(5, stream=(1,)).normals(4)
-    assert not np.array_equal(base, other)
+    # A run's key (seed,) and Monte-Carlo's (seed, process, event) draw apart.
+    base = noise_generator(5, ()).standard_normal(4)
+    for stream in ((1,), (0, 1), (1, 1)):
+        assert not np.array_equal(base, noise_generator(5, stream).standard_normal(4))
 
 
 def test_event_normals_shard_alignment():
@@ -143,9 +100,9 @@ def test_reused_buffers_carry_nothing_over():
 
 
 def test_draws_look_standard_normal():
-    # A run's inverse-CDF draws and Monte-Carlo's ziggurat draws alike.
+    # A run's draws and Monte-Carlo's alike.
     monte_carlo = event_normals(noise_generator(7, (0, 1)), np.empty((40_000, 5)))
-    for draws in (NoiseSource(7).normals(200_000), monte_carlo.ravel()):
+    for draws in (noise_generator(7, ()).standard_normal(200_000), monte_carlo.ravel()):
         assert abs(float(np.mean(draws))) < 0.01
         assert abs(float(np.var(draws)) - 1.0) < 0.02
         ks = stats.kstest(draws[:10_000], "norm").pvalue
