@@ -1,14 +1,15 @@
 """Certify the deletion guarantee three ways.
 
-1. **Analytic ledger**, a shift-accounting pass: every deleted step opens a
-   map discrepancy of at most ``Delta_{u_j}``, each subsequent contractive
-   step shrinks the residual, and the noise at ``tau_j`` retires exactly the
-   surviving amount ``a_j = decay_j * Delta_{u_j}``.  Feasibility
-   (``e_t >= 0`` throughout, ``e = 0`` at the interval end) proves the
-   per-interval divergence bound ``sum_{j<=i} alpha eps (omega-1) / (omega j^omega)``,
-   which never exceeds ``alpha * eps``.  Each ledger is stored as columns;
-   between event steps the residual only contracts, so each such stretch is
-   one cumulative product.
+1. **Analytic ledger**, one row per deletion: the deleted step ``u_j``
+   opens a map discrepancy of at most ``Delta_{u_j}``, the contractive steps
+   of ``(u_j, tau_j]`` shrink it by the product of their factors, and the
+   noise at ``tau_j`` retires ``a_j = decay_j * Delta_{u_j}``.  The residual
+   is linear in these shifts, so it stays feasible (``e_t >= 0`` throughout,
+   ``e = 0`` at each noise time) exactly when each ``decay_j`` is that
+   product, to within ``tol / Delta_{u_j}``.  Feasibility proves the
+   per-interval divergence bound
+   ``sum_{j<=i} alpha eps (omega-1) / (omega j^omega)``, which never
+   exceeds ``alpha * eps``.
 2. **Exact oracle**: on streams whose projections do not bind between the
    first deleted index and the deletion time, both output laws at
    ``tau_i`` are Gaussian with a shared covariance, and the closed form
@@ -105,63 +106,32 @@ def gaussian_renyi(alpha: float, m0: np.ndarray, m1: np.ndarray, sigma2: float) 
 
 @dataclass(frozen=True)
 class LedgerRow:
-    """One time step of the shift ledger: discrepancy in, budget out, residual."""
+    """Shift accounting of deletion ``j``, which removes step ``u`` and adds noise at ``tau``.
 
-    t: int
-    s: float
-    a: float
-    gamma: float
-    e: float
-
-
-class _LedgerRows(Sequence):
-    """A ledger's columns read back as ``LedgerRow`` objects, one per access."""
-
-    __slots__ = ("_ledger",)
-
-    def __init__(self, ledger: "ShiftLedger") -> None:
-        self._ledger = ledger
-
-    def __len__(self) -> int:
-        return len(self._ledger.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        led = self._ledger
-        return LedgerRow(
-            t=int(led.t[index]),
-            s=float(led.s[index]),
-            a=float(led.a[index]),
-            gamma=float(led.gamma[index]),
-            e=float(led.e[index]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftLedger:
-    """Shift accounting for one interval (deletions ``1..ordinal`` up to ``tau_i``).
-
-    One array per column, entry ``t - 1`` for step ``t``: the shift ``s``
-    opened, the amount ``a`` the noise retires, the step's contraction
-    ``gamma`` and the residual ``e`` after the step.  ``rows`` reads them
-    back as ``LedgerRow`` objects.
+    The shift ``delta`` opened at ``u`` contracts by ``decay_product``, the
+    product of the step factors over ``(u, tau]``, before the noise at
+    ``tau`` retires ``decay * delta`` of it.  ``sigma`` is the noise scale
+    the caller gave (``None`` without one) and ``sigma_required`` the scale
+    calibrated to ``decay`` and ``delta``.
     """
 
+    j: int
+    u: int
+    tau: int
+    delta: float
+    decay: float
+    decay_product: float
+    sigma: float | None
+    sigma_required: float
+    series_term: float
+
+
+@dataclass(frozen=True)
+class ShiftLedger:
+    """Shift accounting for one interval: the rows of deletions ``1..ordinal``."""
+
     ordinal: int
-    t: np.ndarray
-    s: np.ndarray
-    a: np.ndarray
-    gamma: np.ndarray
-    e: np.ndarray
-
-    @property
-    def rows(self) -> Sequence[LedgerRow]:
-        return _LedgerRows(self)
-
-    @property
-    def final_residual(self) -> float:
-        return float(self.e[-1]) if len(self.e) else 0.0
+    rows: Tuple[LedgerRow, ...]
 
 
 @dataclass(frozen=True)
@@ -185,71 +155,6 @@ def per_step_gammas(stream: CostStream, rates_arr: np.ndarray, cls: FnClass) -> 
     return out
 
 
-def _build_ledger(
-    entries: Sequence[Tuple[int, int]],
-    gammas: np.ndarray,
-    deltas_at: dict,
-    decays: Sequence[float],
-    ordinal: int,
-    tol: float,
-) -> ShiftLedger:
-    """Ledger for interval ``ordinal``: deletions ``1..ordinal``, times ``1..tau_i``.
-
-    The residual follows ``e_t = max(gamma_t e_{t-1} + s_t - a_t, 0)`` and
-    must never fall below ``-tol``.  Event steps (a deleted index or a noise
-    time) run one at a time in Python floats.  Between them ``s = a = 0``,
-    so the residual only contracts: each such quiet stretch is one
-    ``np.multiply.accumulate`` over ``[e, gamma_t, ...]``, which multiplies
-    left to right as the step-by-step recursion does.
-    """
-    tau_end = entries[ordinal - 1][1]
-    s_at = {u: deltas_at[u] for u, _ in entries[:ordinal]}
-    a_at = {tau: decays[j] * deltas_at[u] for j, (u, tau) in enumerate(entries[:ordinal])}
-    gamma = np.array(gammas[:tau_end], dtype=np.float64)
-    s = np.zeros(tau_end)
-    a = np.zeros(tau_end)
-    e = np.empty(tau_end)
-
-    def contract(first: int, last: int, start: float) -> None:
-        """Fill ``e`` over the quiet steps ``first..last`` from the residual ``start``."""
-        run = np.multiply.accumulate(np.concatenate(([start], gamma[first - 1:last])))[1:]
-        # Only a negative factor can drive the product below zero.
-        below = np.flatnonzero(run < 0.0)
-        if below.size:
-            m = int(below[0])
-            if run[m] < -tol:
-                raise CertificationRefusedError(
-                    f"interval {ordinal}: residual shift {float(run[m])} < 0 at "
-                    f"t={first + m}; infeasible shift plan"
-                )
-            run[m:] = np.multiply.accumulate(np.concatenate(([0.0], gamma[first + m:last])))
-        e[first - 1:last] = run
-
-    residual = 0.0
-    done = 0
-    for t in sorted(s_at.keys() | a_at.keys()):
-        if t > done + 1:
-            contract(done + 1, t - 1, residual)
-            residual = float(e[t - 2])
-        s_t = s_at.get(t, 0.0)
-        a_t = a_at.get(t, 0.0)
-        residual = float(gamma[t - 1]) * residual + (s_t - a_t)
-        if residual < -tol:
-            raise CertificationRefusedError(
-                f"interval {ordinal}: residual shift {residual} < 0 at t={t}; infeasible shift plan"
-            )
-        residual = max(residual, 0.0)
-        s[t - 1], a[t - 1], e[t - 1] = s_t, a_t, residual
-        done = t
-    # The interval ends at its noise time, an event step.
-    if residual > tol:
-        raise CertificationRefusedError(
-            f"interval {ordinal}: residual shift {residual} at tau_{ordinal}={tau_end}; "
-            "noise is under-calibrated for the actual contraction"
-        )
-    return ShiftLedger(ordinal=ordinal, t=np.arange(1, tau_end + 1), s=s, a=a, gamma=gamma, e=e)
-
-
 def analytic_bound(
     sched: DeletionSchedule,
     cfg: UnlearnerConfig,
@@ -258,13 +163,17 @@ def analytic_bound(
     decays: Sequence[float],
     sigmas: Sequence[float] | None = None,
 ) -> AnalyticCertificate:
-    """Per-interval divergence bounds from the shift ledger.
+    """Per-interval divergence bounds from one ledger row per deletion.
 
     ``gammas``/``deltas`` are per-step arrays (honest contraction factors and
     sensitivities); ``decays`` are the per-deletion factors used in the noise
-    calibration (``passive.deletion_calibration``'s gap products).  When
-    ``sigmas`` are supplied they are verified against the calibration before
-    anything is certified.
+    calibration (``passive.deletion_calibration``'s gap products).  The
+    residual shift ``e_t = gamma_t e_{t-1} + s_t - a_t`` is linear in the
+    shifts, so it stays feasible (``e >= 0`` throughout, ``e = 0`` at each
+    noise time) exactly when every decay is the product of the factors over
+    its gap: a refusal names the deletion whose decay misses its product by
+    more than ``tol / delta``.  When ``sigmas`` are supplied they are verified
+    against the calibration before anything is certified.
     """
     if sched.k == 0:
         return AnalyticCertificate((), 0.0, cfg.budget, ())
@@ -272,41 +181,55 @@ def analytic_bound(
     if len(deltas) != horizon:
         raise InvalidInputError("gammas and deltas must cover the same horizon")
     sched.validate_horizon(horizon)
-
-    entries = sched.entries
-    deltas_at = {u: float(deltas[u - 1]) for u, _ in entries}
     decays = [float(x) for x in decays]
     if len(decays) != sched.k:
         raise InvalidInputError("need one decay factor per deletion")
 
-    if sigmas is not None:
-        for j, (u, tau) in enumerate(entries, start=1):
-            expected = calibrated_sigma(cfg, j, decays[j - 1], deltas_at[u])
-            got = float(sigmas[j - 1])
-            if not math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-300):
-                raise CertificationRefusedError(
-                    f"deletion {j}: sigma {got} is not the calibrated value {expected}"
-                )
+    entries = sched.entries
+    gaps = [gammas[u:tau] for u, tau in entries]
+    shifts = [float(deltas[u - 1]) for u, _ in entries]
+    # The closed form needs factors in [0, inf); NaN fails both comparisons.
+    if not all(np.all((gap >= 0.0) & (gap < math.inf)) for gap in gaps):
+        raise InvalidInputError("contraction factors must be finite and nonnegative")
+    if not all(map(math.isfinite, shifts + decays)):
+        raise InvalidInputError("sensitivities and decay factors must be finite")
 
-    scale = max([1.0] + [abs(v) for v in deltas_at.values()])
-    tol = _FEAS_TOL * scale
-
-    terms = []
+    tol = _FEAS_TOL * max([1.0] + [abs(delta) for delta in shifts])
+    rows = []
     for j, (u, tau) in enumerate(entries, start=1):
-        if deltas_at[u] * decays[j - 1] > 0.0:
-            terms.append(series_term(cfg, j))
-        else:
-            terms.append(0.0)
+        delta, decay = shifts[j - 1], decays[j - 1]
+        row = LedgerRow(
+            j=j, u=u, tau=tau, delta=delta, decay=decay,
+            decay_product=float(np.prod(gaps[j - 1])),
+            sigma=None if sigmas is None else float(sigmas[j - 1]),
+            sigma_required=calibrated_sigma(cfg, j, decay, delta),
+            series_term=series_term(cfg, j) if delta * decay > 0.0 else 0.0,
+        )
+        if row.sigma is not None and not math.isclose(
+            row.sigma, row.sigma_required, rel_tol=1e-9, abs_tol=1e-300
+        ):
+            raise CertificationRefusedError(
+                f"deletion {j}: sigma {row.sigma} is not the calibrated value {row.sigma_required}"
+            )
+        # The shift this deletion leaves at tau: positive is left over, negative overdrawn.
+        residual = (row.decay_product - decay) * delta
+        if abs(residual) > tol:
+            raise CertificationRefusedError(
+                f"deletion {j}: residual shift {residual} at tau_{j}={tau} (decay {decay}, "
+                f"product of the step factors {row.decay_product}); " + (
+                    "noise is under-calibrated for the actual contraction" if residual > 0.0
+                    else "infeasible shift plan")
+            )
+        rows.append(row)
 
-    per_interval = tuple(float(np.sum(terms[:i])) for i in range(1, sched.k + 1))
-    ledgers = tuple(
-        _build_ledger(entries, gammas, deltas_at, decays, i, tol) for i in range(1, sched.k + 1)
-    )
+    per_interval = tuple(float(np.sum([row.series_term for row in rows[:i]]))
+                         for i in range(1, sched.k + 1))
     cert = AnalyticCertificate(
         per_interval=per_interval,
         max_bound=max(per_interval),
         budget=cfg.budget,
-        ledgers=ledgers,
+        ledgers=tuple(ShiftLedger(ordinal=i, rows=tuple(rows[:i]))
+                      for i in range(1, sched.k + 1)),
     )
     if not cert.within_budget:
         raise CertificationRefusedError(
@@ -776,11 +699,14 @@ def mc_divergence_check(
         binding += bound_count
 
     q, rank = _shared_cov_form(means[0] - means[1], prop.with_deleted.covariance)
-    # Each mean estimate carries cov/n of sampling noise, which inflates the
-    # plug-in quadratic form by alpha * rank / n in expectation; subtract it.
+    # Each mean estimate carries cov/n of sampling noise, so ``n q / 2`` is a
+    # noncentral chi-square on ``rank`` degrees of freedom with noncentrality
+    # ``n q_true / 2``: ``q`` runs ``2 rank / n`` high in expectation, and the
+    # estimate's variance is ``2 (alpha / n)^2 (rank + n q_true)``.
+    q_true = max(q - 2.0 * rank / n, 0.0)
     estimate = max(0.5 * cfg.alpha * q - cfg.alpha * rank / n, 0.0)
     try:
-        std_error = math.sqrt(2.0 * (cfg.alpha**2 * q) / n)
+        std_error = math.sqrt(2.0 * cfg.alpha**2 * (rank + n * q_true)) / n
     except OverflowError:  # alpha ** 2
         std_error = math.inf
     if not math.isfinite(estimate + std_error):
@@ -891,7 +817,7 @@ def certify_passive_run(
                 )
             decays.append(decay)
             sigmas.append(sigma)
-        # Only the bounds are kept: the ledgers' columns go before the oracle runs.
+        # Only the bounds go into the reports; the per-deletion rows are not written out.
         per_interval = analytic_bound(
             sched, cfg, gammas, deltas, decays=decays, sigmas=sigmas
         ).per_interval

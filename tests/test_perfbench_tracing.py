@@ -57,9 +57,11 @@ def test_every_wrapped_name_is_called_and_counted(tmp_path):
     called = {span["name"] for span in tracer.spans}
     assert set(tracing.WRAPPED.values()) <= called
     metrics = tracing.layer_metrics(tracer.spans, time.perf_counter() - start)
-    for name in ("runner.steps", "certifier.ledger.rows", "certifier.propagate.steps",
-                 "certifier.mc.samples", "regret.comparators.calls"):
+    for name in ("runner.steps", "certifier.propagate.steps", "certifier.mc.samples",
+                 "regret.comparators.calls"):
         assert metrics[name] > 0, name
+    # One row per deletion in each interval's ledger: 1 + 2 for the passive run's two.
+    assert metrics["certifier.ledger.rows"] == 3
 
 
 def test_one_root_span_per_point(tmp_path, capsys):

@@ -26,11 +26,6 @@ _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 UNREACHED = {
     "certifier.gaussian_renyi",               # item 4 folds it into the oracle's Gaussian form
-    "certifier.ShiftLedger.rows",             # item 10 writes the ledger rows to ledger.csv
-    "certifier.ShiftLedger.final_residual",   # item 10
-    "certifier._LedgerRows.__init__",         # item 10
-    "certifier._LedgerRows.__getitem__",      # item 10
-    "certifier._LedgerRows.__len__",          # item 10
     "passive.run_ogd",                        # item 9: the noise-free regret of the run
     "regret._projected_gd",                   # item 14: the comparator's fallback off the ball
     "trace.RunTrace.output_at",               # a one-line accessor of the 1-based public API
